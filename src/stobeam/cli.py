@@ -5,13 +5,15 @@ Subcommands:
 * ``simulate``    run the configured paths; write trajectory.csv,
   observables.csv and manifest.json into the output directory
 * ``verify``      run the structural check suite; print a defect table;
-  exit 0 exactly when nothing failed
+  exit 0 exactly when nothing failed; write manifest.json only when
+  --out is given
 * ``covariance``  Monte Carlo variance of one observable against the
   deterministic quadrature; write covariance.csv
 * ``trace-check`` covariance trace integral against its growth bound
 
-Shared flags: --config PATH (required), --out DIR, --paths N (overrides
-run.N), --seed U64 (overrides noise.seed).
+Shared flags: --config PATH (required), --out DIR (default: the current
+directory), --paths N (overrides run.N), --seed U64 (overrides
+noise.seed).
 
 All CSV numbers use 17-significant-digit formatting, and path blocks
 merge in a fixed order, so outputs are byte-stable across repeated runs
@@ -219,7 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: current directory; "
+                            "verify writes no manifest without it)")
         p.add_argument("--paths", type=int, default=None,
                        help="override run.N")
         p.add_argument("--seed", type=int, default=None,
@@ -250,8 +254,8 @@ def _load_config(args) -> SimulationConfig:
             raise ConfigError("--paths must be >= 1")
         cfg = replace(cfg, n_paths=args.paths)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must be in [0, 2^64)")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -260,13 +264,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out)
+        out = args.out if args.out is not None else "."
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out)
         if args.command == "covariance":
             spec = args.observable or cfg.observables[0]
-            return cmd_covariance(cfg, spec, args.out)
+            return cmd_covariance(cfg, spec, out)
         return cmd_trace_check(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -108,8 +108,8 @@ def _grid_int(v):
 
 def _uint(v):
     x = int(v)
-    if x < 0:
-        raise ValueError("must be a nonnegative integer")
+    if not 0 <= x < 2**64:
+        raise ValueError("must be an integer in [0, 2^64)")
     return x
 
 
@@ -261,6 +261,21 @@ def _check_constraints(cfg: SimulationConfig, lines: dict):
             "nonhomogeneous runs support only the built-in initial data "
             "(init.family = zero on top of the slope shift)",
             key="init.family", line=lines.get("init_family"))
+    # the default K = 64 still parses (and round-trips) on coarser grids;
+    # it is refused when the noise model is built
+    if cfg.sigma > 0 and cfg.K > cfg.n and cfg.K != _KEYS["noise.K"][2]:
+        raise ConfigError(
+            f"{cfg.K} noise modes exceed the {cfg.n} sine modes representable "
+            "on the grid; lower noise.K or refine grid.n", key="noise.K",
+            line=lines.get("K"))
+    for attr, want, what in (("fdet_table", cfg.n + 2, "grid.n + 2"),
+                             ("lam_table", cfg.n + 2, "grid.n + 2"),
+                             ("noise_table", cfg.K, "noise.K")):
+        table = getattr(cfg, attr)
+        if table is not None and len(table) != want:
+            raise ConfigError(f"{len(table)} values given, {what} = {want} "
+                              "needed", key=_ATTR_TO_KEY[attr],
+                              line=lines.get(attr))
 
 
 def serialize_config(cfg: SimulationConfig) -> str:

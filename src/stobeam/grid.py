@@ -268,28 +268,6 @@ def _value_scale(values: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(values), initial=0.0))
 
 
-def reduce_displacement(f: GridFunction) -> np.ndarray:
-    """Drop the eliminated node, checking the stored clamp value.
-
-    Raises:
-        PreconditionError: if |f(l)| exceeds the hard value tolerance.
-    """
-    tail = np.abs(f.values[-1]).max()
-    if tail > BC_VALUE_RTOL * _value_scale(f.values):
-        raise PreconditionError(
-            f"clamped value at s=l is {tail:.3e}, beyond tolerance")
-    return f.values[:-1]
-
-
-def h2bc_inner(u1: GridFunction, u2: GridFunction, g: GramSet) -> float:
-    """Discrete b * integral of <u1'', u2''>, summed over channels."""
-    _check_same_grid(u1.grid, g.grid)
-    _check_same_grid(u2.grid, g.grid)
-    r1 = reduce_displacement(u1)
-    r2 = reduce_displacement(u2)
-    return float(np.sum(r1 * (g.B @ r2)))
-
-
 def h_inner(x1: BeamState, x2: BeamState, g: GramSet) -> float:
     """State inner product: H2-with-BC on displacement + L2 on velocity."""
     _check_same_grid(x1.grid, g.grid)

@@ -13,7 +13,7 @@ trapezoidal mass as long as k <= n, which caps the representable
 truncation order.
 
 Randomness is counter-based: path `p` of a model with root seed `s` draws
-from Philox streamed on the key (s, p), in the fixed order
+from Philox keyed by the two unsigned 64-bit words (s, p), in the fixed order
 standard_normal((n_steps, K, 3)).  Identical (seed, path, K, n_steps)
 always reproduce bit-identical increments, independent of how many other
 paths are sampled concurrently.
@@ -88,8 +88,8 @@ class NoiseModel:
         if int(path_index) != path_index or path_index < 0:
             raise InvalidArgumentError(
                 f"path index must be a nonnegative integer, got {path_index}")
-        return np.random.Generator(
-            np.random.Philox(key=[int(self.seed), int(path_index)]))
+        key = np.array([self.seed, path_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def draw_xi(self, n_steps: int, path_index: int) -> np.ndarray:
         """Raw N(0,1) coefficient draws, shape (n_steps, K, 3), fixed order."""
@@ -105,8 +105,11 @@ def build_noise_model(grid: BeamGrid, spectrum: str = "k^-2", K: int = 64,
 
     Raises:
         InvalidArgumentError: K > n (sine modes above n alias on the grid),
-            bad spectrum family, or negative amplitude.
+            bad spectrum family, negative amplitude, or a seed outside the
+            unsigned 64-bit range.
     """
+    if not 0 <= seed < 2**64:
+        raise InvalidArgumentError(f"seed must be in [0, 2^64), got {seed}")
     if K > grid.n:
         raise InvalidArgumentError(
             f"truncation order K={K} exceeds the {grid.n} sine modes "
@@ -141,18 +144,35 @@ class WienerIncrements:
         return self.xi.shape[0]
 
 
+def project_increments(model: NoiseModel, xi: np.ndarray,
+                       dt: float) -> np.ndarray:
+    """Reduced-grid increments sum_k sqrt(q_k dt) xi_k e_k.
+
+    `xi` has shape (..., n_steps, K, 3); the result has shape
+    (..., n_steps, m, 3) on the nodes 0..n.  Every (m, K) by (K, 3)
+    product is computed on its own, so a path's increments are bitwise
+    the same whether it is projected alone or inside a block.
+    """
+    return model.e_red @ (xi * np.sqrt(model.q * dt)[:, None])
+
+
 def sample_increments(model: NoiseModel, dt: float, n_steps: int,
-                      path_index: int = 0) -> WienerIncrements:
-    """Draw one path of Wiener increments.
+                      path_index: int = 0,
+                      xi: Optional[np.ndarray] = None) -> WienerIncrements:
+    """One path of Wiener increments on the full grid (zero at s = l).
+
+    `xi` supplies this path's coefficient draws when they are already at
+    hand; by default they are drawn from the path's stream.
 
     Raises:
         InvalidArgumentError: dt <= 0 or bad counts.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
-    xi = model.draw_xi(n_steps, path_index)
-    scale = np.sqrt(model.q * dt)
-    inc = np.einsum("jkc,sk->jsc", xi * scale[None, :, None], model.e_full)
+    if xi is None:
+        xi = model.draw_xi(n_steps, path_index)
+    red = project_increments(model, xi, dt)
+    inc = np.concatenate([red, np.zeros_like(red[:, :1])], axis=1)
     return WienerIncrements(dt=float(dt), path_index=int(path_index),
                             xi=xi, increments=inc)
 

@@ -37,7 +37,7 @@ from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
 from .operators import BlockOperator, StabilityConstants, TractiveForce, \
     adjoint_H, build_L, build_L0, build_L1, estimate_constants
 
-SCHEMES = ("cayley-midpoint", "picard")
+SCHEMES = ("cayley-midpoint",)
 
 #: resolvent conditioning threshold below which cayley_step warns
 _RCOND_FLOOR = 1e-13
@@ -173,48 +173,21 @@ class PropagatorFactorization:
 
 
 def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
-                     dt: float, scheme: str = "cayley-midpoint") -> PropagatorFactorization:
+                     dt: float) -> PropagatorFactorization:
     """Factorize the evolution family over [t0, T] into per-step maps.
 
-    cayley-midpoint: G_k is the Cayley map of L(t_k + dt/2).
-    picard: one trapezoid sweep of the variation-of-constants form per
-    step, sharing the stiff Cayley kernel S:
-    (I - dt/2 L1(t_{k+1})) u_{k+1} = S (I + dt/2 L1(t_k)) u_k.
-    Both are second order; their disagreement is an error indicator.
+    G_k is the Cayley map of L(t_k + dt/2); one map is shared by all steps
+    when the generator does not depend on time.
     """
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme '{scheme}'")
     k_steps = _window_steps(t0, T, dt)
     autonomous = lam.family == "zero" or (lam.c1 == 0.0 and lam.family == "bump")
-    steps: List[np.ndarray] = []
-    if scheme == "cayley-midpoint":
-        if autonomous:
-            shared = cayley_step(build_L(lam, t0 + 0.5 * dt, g), dt)
-            steps = [shared] * k_steps
-        else:
-            for k in range(k_steps):
-                mid = t0 + (k + 0.5) * dt
-                steps.append(cayley_step(build_L(lam, mid, g), dt))
+    if autonomous:
+        steps = [cayley_step(build_L(lam, t0 + 0.5 * dt, g), dt)] * k_steps
     else:
-        s_step = cayley_step(build_L0(g), dt)
-        dim = 2 * g.m
-        if lam.family == "zero":
-            steps = [s_step] * k_steps
-        elif autonomous:
-            l1m = build_L1(lam, t0, g).mat
-            gk = np.linalg.solve(np.eye(dim) - 0.5 * dt * l1m,
-                                 s_step @ (np.eye(dim) + 0.5 * dt * l1m))
-            steps = [gk] * k_steps
-        else:
-            l1_prev = build_L1(lam, t0, g).mat
-            for k in range(k_steps):
-                l1_next = build_L1(lam, t0 + (k + 1) * dt, g).mat
-                rhs = s_step @ (np.eye(dim) + 0.5 * dt * l1_prev)
-                gk = np.linalg.solve(np.eye(dim) - 0.5 * dt * l1_next, rhs)
-                steps.append(gk)
-                l1_prev = l1_next
+        steps = [cayley_step(build_L(lam, t0 + (k + 0.5) * dt, g), dt)
+                 for k in range(k_steps)]
     return PropagatorFactorization(t0=float(t0), T=float(T), dt=float(dt),
-                                   steps=steps, scheme=scheme, g=g)
+                                   steps=steps, scheme="cayley-midpoint", g=g)
 
 
 def adjoint_propagator(P: PropagatorFactorization, g: GramSet = None) -> PropagatorFactorization:

@@ -8,13 +8,13 @@ with U the Cayley midpoint factor, F = (0, -g e3 + f_det) the packed
 deterministic load, and A dW the velocity-channel noise increment.  The
 nonhomogeneous boundary variant evolves the homogeneous remainder u =
 x - (s - l) e3 with the tension-adjusted load and adds the shift back on
-emission, so both kinds share one marching code path.
+emission.
 
-`ensemble_run` vectorizes paths in fixed-size blocks (one matrix-matrix
-product per step per block) and merges per-block moment accumulators in
-block order, so results do not depend on the number of worker threads.
-Differences between the blocked route and the per-path route are pure
-float reassociation, below 1e-12 relative.
+One kernel, `_block_worker`, advances paths: a block of paths is one
+matrix, stepped with one matrix-matrix product per step.  The single-path
+solvers run it on a block of width one; `ensemble_run` runs fixed-size
+blocks and merges per-block moment accumulators in block order, so results
+do not depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, BoundaryConditionSet, GramSet,
                    build_grams, build_grid, check_membership, enforce_bc,
-                   packed_h_inner)
+                   packed_h_inner, packed_h_norm)
 from .noise import (NoiseModel, WienerIncrements, build_noise_model,
-                    sample_increments)
+                    project_increments, sample_increments)
 from .operators import TractiveForce, build_L
 from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
 
@@ -190,9 +190,24 @@ def bending_mode_state(g: GramSet, mode: int, amplitude: float = 1.0,
 
 
 def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
+    """Initial state of every path; for nonhomogeneous runs the initial
+    homogeneous remainder, which is zero (the path starts on the lift).
+
+    Raises:
+        InvalidArgumentError: custom initial data on a nonhomogeneous run.
+        PreconditionError: the initial data fail the discrete smoothness
+            checks (displacement must pass the h6bc stencils, velocity h4bc).
+    """
     if cfg.init_family == "zero":
         return BeamState.zero(g.grid)
-    return bending_mode_state(g, cfg.init_mode, cfg.init_amplitude)
+    if cfg.bc_kind == "nonhomogeneous":
+        raise InvalidArgumentError(
+            "nonhomogeneous runs start from the slope lift itself; custom "
+            "initial data (init.family != zero) are not supported")
+    x0 = bending_mode_state(g, cfg.init_mode, cfg.init_amplitude)
+    check_membership(x0.u, "h6bc", g, what="initial displacement")
+    check_membership(x0.v, "h4bc", g, what="initial velocity")
+    return x0
 
 
 def mild_step(step: np.ndarray, x: BeamState, f: BeamState, dt: float,
@@ -202,6 +217,9 @@ def mild_step(step: np.ndarray, x: BeamState, f: BeamState, dt: float,
 
     `dw` is the grid Wiener increment (n+2, 3) for this step, or None for
     noiseless runs.  The returned state has its constrained values reset.
+    The solvers apply the same update to whole blocks of paths in
+    `_block_worker`; this single-state form is for callers that bring
+    their own increments.
 
     Raises:
         BlowupError: the step produced non-finite values.
@@ -245,23 +263,37 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _march(scene: Scene, x0: BeamState, forces: np.ndarray,
-           path_index: int) -> Tuple[List[BeamState], Optional[WienerIncrements]]:
+def _trajectory(scene: Scene, forces: np.ndarray, history: np.ndarray,
+                xi: Optional[np.ndarray], path_index: int) -> Trajectory:
+    """Trajectory of one path from its packed history (n_steps+1, 2m, 3)
+    and its raw draws xi (n_steps, K, 3), None without noise."""
     cfg = scene.cfg
-    n_steps = cfg.n_steps
-    inc = None
-    if scene.model is not None:
-        inc = sample_increments(scene.model, cfg.dt, n_steps, path_index)
-    states = [enforce_bc(x0, scene.bc)]
     grid = scene.grid
-    x = states[0]
-    for k in range(n_steps):
-        f = BeamState.from_packed(grid, forces[k])
-        dw = inc.increments[k] if inc is not None else None
-        x = mild_step(scene.P.steps[k], x, f, cfg.dt, dw,
-                      cfg.sigma, scene.bc)
-        states.append(x)
-    return states, inc
+    states = [BeamState.from_packed(grid, y) for y in history]
+    homog = None
+    if scene.shift is not None:
+        homog = states
+        states = [BeamState(grid, x.u + scene.shift, x.v) for x in homog]
+    inc = None
+    if xi is not None:
+        inc = sample_increments(scene.model, cfg.dt, cfg.n_steps, path_index,
+                                xi=xi)
+    return Trajectory(times=cfg.dt * np.arange(cfg.n_steps + 1),
+                      states=states, path_index=path_index, bc=scene.bc,
+                      g=scene.g, forces=forces, increments=inc,
+                      sigma=cfg.sigma if inc is not None else 0.0,
+                      shift=scene.shift, homogeneous_states=homog)
+
+
+def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
+    """Run path `path_index` as a block of width one, history kept."""
+    scene = build_scene(cfg)
+    x0 = initial_state(cfg, scene.g)
+    forces = build_forces(scene)
+    _, history, xi = _block_worker(scene, forces, x0.packed(), path_index,
+                                   path_index + 1, keep_paths=True)
+    return _trajectory(scene, forces, history[..., 0],
+                       None if xi is None else xi[0], path_index)
 
 
 def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
@@ -276,16 +308,7 @@ def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
         raise PreconditionError(
             "solve_homogeneous needs bc.kind = homogeneous; use "
             "solve_nonhomogeneous for the slope-driven problem")
-    scene = build_scene(cfg)
-    x0 = initial_state(cfg, scene.g)
-    check_membership(x0.u, "h6bc", scene.g, what="initial displacement")
-    check_membership(x0.v, "h4bc", scene.g, what="initial velocity")
-    forces = build_forces(scene)
-    states, inc = _march(scene, x0, forces, path_index)
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    return Trajectory(times=times, states=states, path_index=path_index,
-                      bc=scene.bc, g=scene.g, forces=forces, increments=inc,
-                      sigma=cfg.sigma if inc is not None else 0.0)
+    return _single_path(cfg, path_index)
 
 
 def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
@@ -302,20 +325,7 @@ def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajecto
     if cfg.bc_kind != "nonhomogeneous":
         raise PreconditionError(
             "solve_nonhomogeneous needs bc.kind = nonhomogeneous")
-    if cfg.init_family != "zero":
-        raise InvalidArgumentError(
-            "nonhomogeneous runs start from the slope lift itself; custom "
-            "initial data (init.family != zero) are not supported")
-    scene = build_scene(cfg)
-    x0 = BeamState.zero(scene.grid)
-    forces = build_forces(scene)
-    states, inc = _march(scene, x0, forces, path_index)
-    emitted = [BeamState(scene.grid, u.u + scene.shift, u.v) for u in states]
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    return Trajectory(times=times, states=emitted, path_index=path_index,
-                      bc=scene.bc, g=scene.g, forces=forces, increments=inc,
-                      sigma=cfg.sigma if inc is not None else 0.0,
-                      shift=scene.shift, homogeneous_states=states)
+    return _single_path(cfg, path_index)
 
 
 def weak_residual(traj: Trajectory, h: BeamState, lam: TractiveForce,
@@ -413,41 +423,52 @@ def _sample_indices(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
-                  mh: np.ndarray, idx: np.ndarray, p0: int, p1: int,
-                  keep_paths: bool):
-    """Evolve paths p0..p1-1 as one matrix block; returns per-path
-    observable samples and (optionally) the full packed history."""
+                  p0: int, p1: int, keep_paths: bool, mh=(), idx=()):
+    """Evolve paths p0..p1-1 as one (2m, 3, p1 - p0) block.
+
+    Returns the pairings with the premetric observables `mh` at the step
+    indices `idx`, shape (n_obs, len(idx), p1 - p0); the packed history
+    (n_steps+1, 2m, 3, p1 - p0) when `keep_paths`, else None; and the raw
+    draws (p1 - p0, n_steps, K, 3), None without noise.
+
+    Raises:
+        BlowupError: a path became non-finite; the message names the first
+            such path, the step, and that path's last finite H-norm.
+    """
     cfg = scene.cfg
     m = scene.grid.n_free
     n_steps = cfg.n_steps
     pb = p1 - p0
     X = np.repeat(x0p[:, :, None], pb, axis=2)
     xi = None
-    dw_red = None
     if scene.model is not None:
-        model = scene.model
-        xi = np.stack([model.draw_xi(n_steps, p) for p in range(p0, p1)])
-        scaled = xi * np.sqrt(model.q * cfg.dt)[None, None, :, None]
-        # (steps, m, 3, pb) reduced-grid increments
-        dw_red = np.einsum("mk,pjkc->jmcp", model.e_red, scaled)
+        xi = np.stack([scene.model.draw_xi(n_steps, p) for p in range(p0, p1)])
+        # (pb, steps, m, 3) velocity kicks A dW
+        kicks = cfg.sigma * project_increments(scene.model, xi, cfg.dt)
     pos = {int(j): ti for ti, j in enumerate(idx)}
-    vals = np.empty((mh.shape[0], len(idx), pb))
+    vals = np.empty((len(mh), len(idx), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_paths else None
     if keep_paths:
         history[0] = X
     if 0 in pos:
         vals[:, pos[0]] = np.einsum("oic,icp->op", mh, X)
     steps = scene.P.steps
-    sigma = cfg.sigma
     for k in range(n_steps):
         Y = X + cfg.dt * forces[k][:, :, None]
-        X = (steps[k] @ Y.reshape(2 * m, -1)).reshape(2 * m, 3, pb)
-        if dw_red is not None:
-            X[m:] += sigma * dw_red[k]
-        if not np.all(np.isfinite(X)):
+        X_next = (steps[k] @ Y.reshape(2 * m, -1)).reshape(2 * m, 3, pb)
+        if xi is not None:
+            X_next[m:] += kicks[:, k].transpose(1, 2, 0)
+        if not np.all(np.isfinite(X_next)):
+            i = int(np.argmin(np.isfinite(X_next).all(axis=(0, 1))))
+            # scaled so that a last state near the overflow threshold
+            # still has a finite norm
+            scale = float(np.max(np.abs(X[:, :, i]))) or 1.0
+            norm = scale * packed_h_norm(X[:, :, i] / scale, scene.g)
             raise BlowupError(
-                f"ensemble block [{p0}, {p1}) became non-finite at step "
-                f"{k + 1}; reduce dt or check the load")
+                f"path {p0 + i} became non-finite at step {k + 1}; last "
+                f"finite H-norm {norm:.6e} at step {k}; reduce dt or check "
+                "the load")
+        X = X_next
         if keep_paths:
             history[k + 1] = X
         ti = pos.get(k + 1)
@@ -493,15 +514,7 @@ def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = N
     of every path is retained (memory scales with N * n_steps).
     """
     scene = build_scene(cfg)
-    bc_hom = cfg.bc_kind == "homogeneous"
-    x0 = initial_state(cfg, scene.g) if bc_hom else BeamState.zero(scene.grid)
-    if not bc_hom and cfg.init_family != "zero":
-        raise InvalidArgumentError(
-            "nonhomogeneous ensembles start from the slope lift; custom "
-            "initial data are not supported")
-    if bc_hom:
-        check_membership(x0.u, "h6bc", scene.g, what="initial displacement")
-        check_membership(x0.v, "h4bc", scene.g, what="initial velocity")
+    x0p = initial_state(cfg, scene.g).packed()
     forces = build_forces(scene)
     ids, h_states = observable_states(cfg, scene.grid, observables)
     mh = np.stack([scene.g.mh_apply(h.packed()) for h in h_states])
@@ -527,12 +540,12 @@ def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = N
     results = {}
     if threads == 1:
         for bi, (p0, p1) in enumerate(blocks):
-            results[bi] = _block_worker(scene, forces, x0.packed(), mh, idx,
-                                        p0, p1, keep_paths)
+            results[bi] = _block_worker(scene, forces, x0p, p0, p1,
+                                        keep_paths, mh, idx)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(_block_worker, scene, forces, x0.packed(), mh,
-                              idx, p0, p1, keep_paths): bi
+            futs = {ex.submit(_block_worker, scene, forces, x0p, p0, p1,
+                              keep_paths, mh, idx): bi
                     for bi, (p0, p1) in enumerate(blocks)}
             for fut in concurrent.futures.as_completed(futs):
                 results[futs[fut]] = fut.result()
@@ -548,39 +561,10 @@ def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = N
         count, mean, m2 = _merge_moments(count, mean, m2, vals)
         if keep_paths:
             trajectories.extend(
-                _paths_from_history(scene, forces, history, xi, p0, p1))
+                _trajectory(scene, forces, history[..., i],
+                            None if xi is None else xi[i], p)
+                for i, p in enumerate(range(p0, p1)))
     return EnsembleStats(times=times, observable_ids=ids, count=count,
                          mean=mean, m2=m2, values=values,
                          variance_defined=(n > 1),
                          trajectories=trajectories)
-
-
-def _paths_from_history(scene: Scene, forces: np.ndarray, history: np.ndarray,
-                        xi: Optional[np.ndarray], p0: int,
-                        p1: int) -> List[Trajectory]:
-    cfg = scene.cfg
-    grid = scene.grid
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    out = []
-    for p in range(p0, p1):
-        packs = history[:, :, :, p - p0]
-        states = [enforce_bc(BeamState.from_packed(grid, y), scene.bc)
-                  for y in packs]
-        homog = None
-        if scene.shift is not None:
-            homog = states
-            states = [BeamState(grid, s.u + scene.shift, s.v) for s in homog]
-        inc = None
-        if xi is not None:
-            raw = xi[p - p0]
-            scale = np.sqrt(scene.model.q * cfg.dt)
-            grid_inc = np.einsum("jkc,sk->jsc", raw * scale[None, :, None],
-                                 scene.model.e_full)
-            inc = WienerIncrements(dt=cfg.dt, path_index=p, xi=raw,
-                                   increments=grid_inc)
-        out.append(Trajectory(times=times.copy(), states=states, path_index=p,
-                              bc=scene.bc, g=scene.g, forces=forces,
-                              increments=inc,
-                              sigma=cfg.sigma if inc is not None else 0.0,
-                              shift=scene.shift, homogeneous_states=homog))
-    return out

@@ -203,3 +203,45 @@ def test_override_validation(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
                  "--seed", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_verify_without_out_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    cfg_path = _write_cfg(tmp_path, TINY, name="tiny.cfg")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
+def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, TINY)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
+                 "--seed", "18446744073709551616"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg_path = _write_cfg(tmp_path, TINY.replace(
+        "noise.seed = 3", "noise.seed = 18446744073709551616"))
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "noise.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,key", [
+    (("noise.K = 6", "noise.K = 9"), "noise.K"),
+    (("init.family = zero", "fdet.family = tabulated\nfdet.table = "
+      + ",".join(["0.0"] * 9) + "\ninit.family = zero"), "fdet.table"),
+    (("lambda.family = bump\nlambda.c0 = 1.0\nlambda.c1 = 0.2",
+      "lambda.family = tabulated\nlambda.table = "
+      + ",".join(["0.0"] * 11)), "lambda.table"),
+    (("noise.seed = 3", "noise.seed = 3\nnoise.spectrum = tabulated\n"
+      "noise.table = 3,2,1"), "noise.table"),
+])
+def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
+    text = TINY.replace(*edit)
+    assert text != TINY
+    line = next(i for i, t in enumerate(text.splitlines(), start=1)
+                if t.startswith(key + " ="))
+    cfg_path = _write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and f"line {line}" in err
+    assert not (tmp_path / "o").exists()

@@ -66,6 +66,16 @@ def test_draw_reproducible_and_path_independent(grid16):
         model.draw_xi(0, 1)
 
 
+def test_seeds_above_2_63_do_not_collide(grid16):
+    a = build_noise_model(grid16, "k^-2", K=8, seed=2**63)
+    b = build_noise_model(grid16, "k^-2", K=8, seed=2**63 + 5)
+    assert not np.array_equal(a.draw_xi(4, 0), b.draw_xi(4, 0))
+    top = build_noise_model(grid16, "k^-2", K=8, seed=2**64 - 1)
+    assert np.all(np.isfinite(top.draw_xi(4, 0)))
+    with pytest.raises(InvalidArgumentError):
+        build_noise_model(grid16, "k^-2", K=8, seed=2**64)
+
+
 def test_increments_expand_the_drawn_coefficients(grid16):
     model = build_noise_model(grid16, "k^-2", K=8, seed=7)
     dt = 2e-3

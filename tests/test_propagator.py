@@ -47,8 +47,6 @@ def test_autonomous_factorization_shares_steps(g16):
 
 def test_factorization_guards(g16):
     with pytest.raises(InvalidArgumentError):
-        build_propagator(LAM, g16, 0.0, 0.1, 1e-2, scheme="magnus")
-    with pytest.raises(InvalidArgumentError):
         build_propagator(LAM, g16, 0.0, 0.1, 3e-2)  # dt must tile the window
     P = build_propagator(LAM, g16, 0.0, 0.1, 1e-2)
     with pytest.raises(InvalidArgumentError):

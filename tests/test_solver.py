@@ -1,15 +1,20 @@
 """Mild-solution stepping, single paths, and the path ensemble."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from stobeam.config import parse_config
 from stobeam.errors import (BlowupError, InvalidArgumentError,
                             PreconditionError, ShapeError)
-from stobeam.grid import BeamState, bc_value_defect, build_grid, h_inner, h_norm
-from stobeam.solver import (bending_mode_state, build_forces, build_scene,
-                            ensemble_run, initial_state, mild_step,
-                            sine_mode_state, solve_homogeneous,
+from stobeam.grid import (BeamState, bc_value_defect, build_grid, h_inner,
+                         h_norm, packed_h_norm)
+from stobeam.noise import sample_increments
+from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
+                            build_scene, ensemble_run, initial_state,
+                            mild_step, sine_mode_state, solve_homogeneous,
                             solve_nonhomogeneous, tractive_from_config,
                             weak_residual)
 
@@ -166,6 +171,24 @@ def test_mild_step_flags_blowup(g16, grid16):
         mild_step(step, x, f, cfg.dt, None, 0.0, sc.bc)
 
 
+def test_kernel_blowup_names_path_step_and_last_norm():
+    cfg = parse_config(LOADED)
+    sc = build_scene(cfg)
+    forces = build_forces(sc)
+    # step 1 lands near 1e158, beyond a plain squared norm; step 2 overflows
+    last = 1e160 * packed_h_norm(sc.P.steps[0] @ (cfg.dt * forces[0]), sc.g)
+    big = [1e160 * s for s in sc.P.steps]
+    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=big))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BlowupError) as err:
+        _block_worker(sc, forces, np.zeros((2 * sc.g.m, 3)), 5, 8,
+                      keep_paths=False)
+    msg = str(err.value)
+    assert msg.startswith("path 5 became non-finite at step 2;")
+    norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
+    assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
+
+
 def test_energy_conserved_without_forcing():
     cfg = parse_config(FREE)
     traj = solve_homogeneous(cfg)
@@ -243,12 +266,46 @@ def test_ensemble_matches_single_path_solver():
     stats = ensemble_run(cfg, keep_paths=True)
     ref = solve_homogeneous(cfg, 0)
     got = stats.trajectories[0]
-    worst = max(float(np.max(np.abs(a.u - b.u))) + float(np.max(np.abs(a.v - b.v)))
-                for a, b in zip(ref.states, got.states))
-    assert worst < 1e-12
-    inc_a = ref.increments.increments
-    inc_b = got.increments.increments
-    assert np.allclose(inc_a, inc_b, rtol=1e-12, atol=1e-15)
+    # N = 1: both sides are the same width-one block, so bitwise equal
+    assert len(ref.states) == len(got.states)
+    assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+               for a, b in zip(ref.states, got.states))
+    assert np.array_equal(ref.increments.increments, got.increments.increments)
+    assert np.array_equal(ref.increments.xi, got.increments.xi)
+
+
+def test_nonhomogeneous_path_matches_ensemble_bitwise():
+    cfg = parse_config(STOCH.replace("bc.kind = homogeneous",
+                                     "bc.kind = nonhomogeneous"))
+    got = ensemble_run(cfg, keep_paths=True).trajectories[0]
+    ref = solve_nonhomogeneous(cfg, 0)
+    assert ref.shift is not None
+    for a_list, b_list in ((ref.states, got.states),
+                           (ref.homogeneous_states, got.homogeneous_states)):
+        assert len(a_list) == cfg.n_steps + 1 == len(b_list)
+        assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+                   for a, b in zip(a_list, b_list))
+    assert np.array_equal(ref.increments.increments, got.increments.increments)
+
+
+def test_sampled_increments_are_the_kernel_kicks():
+    """The kernel's velocity kick for a path inside a wide block equals
+    sigma times that path's sampled increments, bit for bit."""
+    cfg = parse_config(STOCH.replace("lambda.family = bump",
+                                     "lambda.family = zero")
+                       .replace("noise.sigma = 1.0", "noise.sigma = 0.5"))
+    sc = build_scene(cfg)
+    zero = [np.zeros_like(s) for s in sc.P.steps]
+    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
+    forces = np.zeros_like(build_forces(sc))
+    x0p = np.zeros((2 * sc.g.m, 3))
+    _, history, _ = _block_worker(sc, forces, x0p, 0, 5, keep_paths=True)
+    m = sc.g.m
+    for p in (0, 3):
+        inc = sample_increments(sc.model, cfg.dt, cfg.n_steps, p)
+        # with zero step maps each state is exactly the last kick
+        kicks = history[1:, m:, :, p]
+        assert np.array_equal(kicks, cfg.sigma * inc.increments[:, :m])
 
 
 def test_ensemble_moments_match_stored_values():

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -41,7 +42,8 @@ from .config import (SimulationConfig, parse_config, parse_observable_spec,
                      serialize_config)
 from .errors import ConfigError, StobeamError
 from .noise import ito_variance, trace_condition, trace_q, trace_tail
-from .solver import build_scene, ensemble_run, sine_mode_state
+from .solver import (build_scene, ensemble_blocks, ensemble_run, plan_ensemble,
+                     sine_mode_state)
 from .verify import run_checks
 
 
@@ -75,6 +77,18 @@ def _emit_manifest(out: Path, manifest: dict):
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _rows(row: str, cols: np.ndarray) -> bytes:
+    """One copy of the row template per leading index of `cols`, filled
+    with the values along its other axes.  '%.17g' % x equals _fmt(x)."""
+    text = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+    return text.encode("ascii")
+
+
+def _baked(text: str) -> str:
+    """`text` as a literal inside a %-template."""
+    return text.replace("%", "%%")
+
+
 def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     """Run the ensemble and write per-path CSV output.
 
@@ -83,40 +97,70 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     re-emitted (it is implied by the config), so the row count is
     N * n_steps * (n+2) * 3.  observables.csv holds the per-path
     H-pairings at the sampled times.
+
+    Each block of `ensemble_blocks` is written as it arrives, in path
+    order, so memory does not grow with N; `ensemble_run(keep_paths=True)`,
+    which keeps every path, is for library callers.  Both files are
+    written under a '.part' name and renamed when the run has finished,
+    so a failed run leaves earlier output in place.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    stats = ensemble_run(cfg, keep_paths=True)
+    plan = plan_ensemble(cfg)
+    scene = plan.scene
+    m = scene.grid.n_free
 
-    grid = stats.trajectories[0].g.grid
-    nodes = grid.nodes
-    lines = ["path,t,s,channel,u,v"]
-    for traj in stats.trajectories:
-        p = traj.path_index
-        for k in range(1, len(traj.times)):
-            t_txt = _fmt(traj.times[k])
-            st = traj.states[k]
-            for i in range(grid.n + 2):
-                s_txt = _fmt(nodes[i])
-                for c in range(3):
-                    lines.append(
-                        f"{p},{t_txt},{s_txt},{c + 1},"
-                        f"{_fmt(st.u[i, c])},{_fmt(st.v[i, c])}")
-    _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
+    # one row template per path: the t, s, channel and observable texts
+    # are baked in once; the path index and the values are slots
+    s_txt = [_baked(_fmt(s)) for s in scene.grid.nodes]
+    traj_row = "".join(
+        f"%d,{_baked(_fmt(t))},{s},{c},%.17g,%.17g\n"
+        for t in (cfg.dt * np.arange(cfg.n_steps + 1))[1:]
+        for s in s_txt for c in (1, 2, 3))
+    obs_row = "".join(f"%d,{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
+                      for t in plan.times for oid in plan.observable_ids)
 
-    lines = ["path,t,observable_id,value"]
-    for p in range(cfg.n_paths):
-        for ti, t in enumerate(stats.times):
-            t_txt = _fmt(t)
-            for oi, oid in enumerate(stats.observable_ids):
-                lines.append(
-                    f"{p},{t_txt},{oid},{_fmt(stats.values[oi, ti, p])}")
-    _write_text(out / "observables.csv", "\n".join(lines) + "\n")
+    traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
+    parts = [p.with_name(p.name + ".part") for p in (traj_path, obs_path)]
+    traj_sha, obs_sha = hashlib.sha256(), hashlib.sha256()
+
+    def write(fh, sha, data: bytes):
+        sha.update(data)
+        fh.write(data)
+
+    try:
+        with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh:
+            write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
+            write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
+            for p0, p1, vals, history, _ in ensemble_blocks(
+                    plan, cfg.threads, keep_history=True):
+                paths = np.arange(p0, p1, dtype=float)
+                # (path, step, node, channel, [path, u, v]); the node at
+                # s = l is eliminated and written as 0 (plus the lift)
+                cols = np.zeros((p1 - p0, cfg.n_steps, scene.grid.n + 2, 3, 3))
+                cols[..., 0] = paths[:, None, None, None]
+                hist = history[1:].transpose(3, 0, 1, 2)
+                cols[:, :, :m, :, 1] = hist[:, :, :m]
+                cols[:, :, :m, :, 2] = hist[:, :, m:]
+                if scene.shift is not None:
+                    cols[..., 1] += scene.shift
+                write(traj_fh, traj_sha, _rows(traj_row, cols))
+                # (path, time, observable, [path, value])
+                cols = np.empty((p1 - p0, len(plan.idx),
+                                 len(plan.observable_ids), 2))
+                cols[..., 0] = paths[:, None, None]
+                cols[..., 1] = vals.transpose(2, 1, 0)
+                write(obs_fh, obs_sha, _rows(obs_row, cols))
+        os.replace(parts[0], traj_path)
+        os.replace(parts[1], obs_path)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
     wall = time.monotonic() - t_start
-    outputs = {name: _sha256(out / name)
-               for name in ("trajectory.csv", "observables.csv")}
+    outputs = {"trajectory.csv": traj_sha.hexdigest(),
+               "observables.csv": obs_sha.hexdigest()}
     _emit_manifest(out, _manifest(cfg, wall, outputs))
     return 0
 

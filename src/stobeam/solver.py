@@ -12,16 +12,19 @@ emission.
 
 One kernel, `_block_worker`, advances paths: a block of paths is one
 matrix, stepped with one matrix-matrix product per step.  The single-path
-solvers run it on a block of width one; `ensemble_run` runs fixed-size
-blocks and merges per-block moment accumulators in block order, so results
-do not depend on the number of worker threads.
+solvers run it on a block of width one; `ensemble_blocks` runs fixed-size
+blocks and hands them out in block order, and `ensemble_run` merges their
+moment accumulators in that order, so results do not depend on the number
+of worker threads.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -427,9 +430,10 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
     """Evolve paths p0..p1-1 as one (2m, 3, p1 - p0) block.
 
     Returns the pairings with the premetric observables `mh` at the step
-    indices `idx`, shape (n_obs, len(idx), p1 - p0); the packed history
-    (n_steps+1, 2m, 3, p1 - p0) when `keep_paths`, else None; and the raw
-    draws (p1 - p0, n_steps, K, 3), None without noise.
+    indices `idx`, shape (n_obs, len(idx), p1 - p0); then, when
+    `keep_paths`, the packed history (n_steps+1, 2m, 3, p1 - p0) and the
+    raw draws (p1 - p0, n_steps, K, 3) (None without noise), else None and
+    None: the draws are only read to rebuild a path's increments.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -474,7 +478,7 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
         ti = pos.get(k + 1)
         if ti is not None:
             vals[:, ti] = np.einsum("oic,icp->op", mh, X)
-    return vals, history, xi
+    return vals, history, xi if keep_paths else None
 
 
 def _merge_moments(count_a, mean_a, m2_a, vals_b):
@@ -501,29 +505,35 @@ def observable_states(cfg: SimulationConfig, grid: BeamGrid,
     return specs, states
 
 
-def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = None,
-                 threads: Optional[int] = None,
-                 keep_paths: bool = False) -> EnsembleStats:
-    """Monte Carlo over N independent paths with streamed moments.
+@dataclass(frozen=True)
+class EnsemblePlan:
+    """What every block of an ensemble run shares: the scene, the packed
+    loads and initial state, the premetric observables `mh` (n_obs, 2m, 3)
+    sampled at step indices `idx`, and `shift_term`, the pairing of each
+    observable with the nonhomogeneous lift (zeros for homogeneous runs)."""
 
-    Observables are H-inner products against sine-mode test functions,
-    given as 'mode:channel:u|v' specs (default from the config), sampled
-    every `obs_stride` steps plus the final time.  Paths are evolved in
-    fixed-size blocks; block results merge in index order, so the output
-    is independent of `threads`.  With `keep_paths` the full state history
-    of every path is retained (memory scales with N * n_steps).
-    """
+    scene: Scene
+    forces: np.ndarray = field(repr=False)
+    x0p: np.ndarray = field(repr=False)
+    observable_ids: Tuple[str, ...]
+    mh: np.ndarray = field(repr=False)
+    idx: np.ndarray
+    shift_term: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.scene.cfg.dt * self.idx
+
+
+def plan_ensemble(cfg: SimulationConfig,
+                  observables: Optional[Sequence[str]] = None) -> EnsemblePlan:
+    """Build the scene and everything the blocks of a run share."""
     scene = build_scene(cfg)
     x0p = initial_state(cfg, scene.g).packed()
     forces = build_forces(scene)
     ids, h_states = observable_states(cfg, scene.grid, observables)
     mh = np.stack([scene.g.mh_apply(h.packed()) for h in h_states])
     idx = _sample_indices(cfg.n_steps, cfg.obs_stride)
-    times = cfg.dt * idx
-    n = cfg.n_paths
-    threads = cfg.threads if threads is None else int(threads)
-    if threads < 1:
-        raise InvalidArgumentError("threads must be >= 1")
 
     # observables are taken on the emitted states; for nonhomogeneous runs
     # the constant shift moves the mean but not the fluctuations, so add
@@ -534,37 +544,86 @@ def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = N
         shift_packed = np.zeros((2 * m, 3))
         shift_packed[:m] = scene.shift[:m]
         shift_term = np.einsum("oic,ic->o", mh, shift_packed)
+    return EnsemblePlan(scene=scene, forces=forces, x0p=x0p,
+                        observable_ids=ids, mh=mh, idx=idx,
+                        shift_term=shift_term)
 
-    blocks = [(p0, min(n, p0 + BLOCK_PATHS))
-              for p0 in range(0, n, BLOCK_PATHS)]
-    results = {}
+
+def ensemble_blocks(plan: EnsemblePlan, threads: int,
+                    keep_history: bool = False) -> Iterator[tuple]:
+    """Run the plan's paths in blocks of BLOCK_PATHS and yield
+    (p0, p1, vals, history, xi) per block, in block-index order.
+
+    `vals` (n_obs, n_times, p1 - p0) are the emitted observables (shift
+    term included); `history` and `xi` are `_block_worker`'s, None unless
+    `keep_history`.  With `threads > 1` at most 2 * threads blocks are in
+    flight, and the next one is submitted only when the oldest is handed
+    out, so a slow consumer holds memory for a bounded number of blocks.
+    A failing block raises when its turn comes, so the error is the same
+    for every thread count.
+    """
+    if threads < 1:
+        raise InvalidArgumentError("threads must be >= 1")
+    n = plan.scene.cfg.n_paths
+    blocks = iter([(p0, min(n, p0 + BLOCK_PATHS))
+                   for p0 in range(0, n, BLOCK_PATHS)])
+    shift = plan.shift_term[:, None, None]
+
+    def run(p0, p1):
+        return _block_worker(plan.scene, plan.forces, plan.x0p, p0, p1,
+                             keep_history, plan.mh, plan.idx)
+
     if threads == 1:
-        for bi, (p0, p1) in enumerate(blocks):
-            results[bi] = _block_worker(scene, forces, x0p, p0, p1,
-                                        keep_paths, mh, idx)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(_block_worker, scene, forces, x0p, p0, p1,
-                              keep_paths, mh, idx): bi
-                    for bi, (p0, p1) in enumerate(blocks)}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
+        for p0, p1 in blocks:
+            vals, history, xi = run(p0, p1)
+            yield p0, p1, vals + shift, history, xi
+        return
+    ex = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = collections.deque(
+            (p0, p1, ex.submit(run, p0, p1))
+            for p0, p1 in itertools.islice(blocks, 2 * threads))
+        while pending:
+            p0, p1, fut = pending.popleft()
+            vals, history, xi = fut.result()
+            nxt = next(blocks, None)
+            if nxt is not None:
+                pending.append((*nxt, ex.submit(run, *nxt)))
+            yield p0, p1, vals + shift, history, xi
+    finally:
+        ex.shutdown(wait=True, cancel_futures=True)
 
-    n_obs = len(ids)
-    values = np.empty((n_obs, len(idx), n))
+
+def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = None,
+                 threads: Optional[int] = None,
+                 keep_paths: bool = False) -> EnsembleStats:
+    """Monte Carlo over N independent paths with streamed moments.
+
+    Observables are H-inner products against sine-mode test functions,
+    given as 'mode:channel:u|v' specs (default from the config), sampled
+    every `obs_stride` steps plus the final time.  Paths are evolved in
+    fixed-size blocks; block results merge in index order, so the output
+    is independent of `threads`.  With `keep_paths` the full state history
+    of every path is retained (memory scales with N * n_steps); it is for
+    library callers that want `Trajectory` objects: `stobeam simulate`
+    streams the blocks of `ensemble_blocks` to its CSVs instead.
+    """
+    plan = plan_ensemble(cfg, observables)
+    n = cfg.n_paths
+    threads = cfg.threads if threads is None else int(threads)
+    values = np.empty((len(plan.observable_ids), len(plan.idx), n))
     count, mean, m2 = 0, None, None
     trajectories: Optional[List[Trajectory]] = [] if keep_paths else None
-    for bi, (p0, p1) in enumerate(blocks):
-        vals, history, xi = results[bi]
-        vals = vals + shift_term[:, None, None]
+    for p0, p1, vals, history, xi in ensemble_blocks(plan, threads,
+                                                     keep_paths):
         values[:, :, p0:p1] = vals
         count, mean, m2 = _merge_moments(count, mean, m2, vals)
         if keep_paths:
             trajectories.extend(
-                _trajectory(scene, forces, history[..., i],
+                _trajectory(plan.scene, plan.forces, history[..., i],
                             None if xi is None else xi[i], p)
                 for i, p in enumerate(range(p0, p1)))
-    return EnsembleStats(times=times, observable_ids=ids, count=count,
-                         mean=mean, m2=m2, values=values,
+    return EnsembleStats(times=plan.times, observable_ids=plan.observable_ids,
+                         count=count, mean=mean, m2=m2, values=values,
                          variance_defined=(n > 1),
                          trajectories=trajectories)

@@ -2,13 +2,16 @@
 
 import json
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stobeam import solver
 from stobeam.cli import main
 from stobeam.config import parse_config
-from stobeam.solver import build_scene
+from stobeam.errors import BlowupError
+from stobeam.solver import build_scene, ensemble_run
 from stobeam.verify import free_variance_closed_form
 
 TINY = """
@@ -245,3 +248,86 @@ def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and f"line {line}" in err
     assert not (tmp_path / "o").exists()
+
+
+def _oracle_csvs(cfg):
+    """trajectory.csv and observables.csv text built value by value with
+    format(x, '.17g') from the kept trajectories of `ensemble_run`."""
+    stats = ensemble_run(cfg, keep_paths=True)
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    nodes = stats.trajectories[0].g.grid.nodes
+    lines = ["path,t,s,channel,u,v"]
+    for traj in stats.trajectories:
+        for k in range(1, len(traj.times)):
+            st = traj.states[k]
+            for i in range(len(nodes)):
+                for c in range(3):
+                    lines.append(
+                        f"{traj.path_index},{fmt(traj.times[k])},"
+                        f"{fmt(nodes[i])},{c + 1},"
+                        f"{fmt(st.u[i, c])},{fmt(st.v[i, c])}")
+    traj_text = "\n".join(lines) + "\n"
+    lines = ["path,t,observable_id,value"]
+    for p in range(cfg.n_paths):
+        for ti, t in enumerate(stats.times):
+            for oi, oid in enumerate(stats.observable_ids):
+                lines.append(f"{p},{fmt(t)},{oid},"
+                             f"{fmt(stats.values[oi, ti, p])}")
+    return traj_text, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("kind", ["homogeneous", "nonhomogeneous"])
+def test_simulate_matches_per_value_writer(tmp_path, kind, threads):
+    # 300 paths: one full block of 256 and a partial one; the
+    # nonhomogeneous run adds the lift to u and its pairing to observables
+    text = (TINY.replace("bc.kind = homogeneous", f"bc.kind = {kind}")
+            .replace("run.N = 2", f"run.N = 300\nrun.threads = {threads}")
+            .replace("run.observables = 1:3:v",
+                     "run.observables = 1:3:v,2:3:u"))
+    cfg_path = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    traj_text, obs_text = _oracle_csvs(parse_config(text))
+    assert (out / "trajectory.csv").read_bytes() == traj_text.encode()
+    assert (out / "observables.csv").read_bytes() == obs_text.encode()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "observables.csv", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
+    cfg_path = _write_cfg(tmp_path, TINY + f"run.threads = {threads}\n")
+    peaks = []
+    for n in (256, 1024):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg_path,
+                         "--out", str(tmp_path / f"o{n}"),
+                         "--paths", str(n)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
+    text = TINY.replace("run.N = 2", "run.N = 300")
+    cfg_path = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = solver._block_worker
+
+    def fail_second_block(scene, forces, x0p, p0, p1, *args):
+        if p0 > 0:
+            raise BlowupError(f"path {p0} became non-finite")
+        return real(scene, forces, x0p, p0, p1, *args)
+
+    monkeypatch.setattr(solver, "_block_worker", fail_second_block)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "path 256 became non-finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from stobeam.errors import (BlowupError, InvalidArgumentError,
                             PreconditionError, ShapeError)
 from stobeam.grid import (BeamState, bc_value_defect, build_grid, h_inner,
                          h_norm, packed_h_norm)
+from stobeam import solver
 from stobeam.noise import sample_increments
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
-                            build_scene, ensemble_run, initial_state,
-                            mild_step, sine_mode_state, solve_homogeneous,
+                            build_scene, ensemble_blocks, ensemble_run,
+                            initial_state, mild_step, plan_ensemble,
+                            sine_mode_state, solve_homogeneous,
                             solve_nonhomogeneous, tractive_from_config,
                             weak_residual)
 
@@ -60,6 +64,26 @@ init.family = zero
 bc.kind = homogeneous
 run.observables = 1:3:v,2:1:v
 run.obs_stride = 5
+"""
+
+# 4 steps on n = 8, K = 6: per-block work is small next to what an
+# ensemble would keep per block
+SHORT = """
+beam.l = 1.0
+beam.b = 1.0
+grid.n = 8
+time.T = 0.02
+time.dt = 0.005
+noise.sigma = 1.0
+noise.K = 6
+noise.seed = 3
+lambda.family = bump
+lambda.c0 = 1.0
+lambda.c1 = 0.2
+init.family = zero
+bc.kind = homogeneous
+run.observables = 1:3:v
+run.obs_stride = 2
 """
 
 
@@ -361,3 +385,39 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
     h = sine_mode_state(sc.grid, 1, 3, "u")
     want = h_inner(traj.states[-1], h, sc.g)
     assert stats.values[0, -1, 0] == pytest.approx(want, rel=1e-10)
+
+
+def test_ensemble_memory_does_not_grow_with_paths():
+    peaks = []
+    for n in (256, 1024):
+        cfg = parse_config(SHORT + f"run.N = {n}\n")
+        tracemalloc.start()
+        try:
+            ensemble_run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
+    threads = 2
+    plan = plan_ensemble(parse_config(SHORT + "run.N = 2600\n"))
+    started = []
+    real = solver._block_worker
+
+    def counting(scene, forces, x0p, p0, p1, *args):
+        started.append(p0)
+        return real(scene, forces, x0p, p0, p1, *args)
+
+    monkeypatch.setattr(solver, "_block_worker", counting)
+    handed = []
+    for p0, p1, vals, history, xi in ensemble_blocks(plan, threads):
+        # a slow consumer: workers may run ahead by 2 * threads blocks only
+        time.sleep(0.02)
+        assert len(started) <= len(handed) + 1 + 2 * threads
+        assert history is None and xi is None
+        assert vals.shape == (1, len(plan.idx), p1 - p0)
+        handed.append((p0, p1))
+    assert handed == [(p0, min(2600, p0 + 256)) for p0 in range(0, 2600, 256)]
+    assert sorted(started) == [p0 for p0, _ in handed]

@@ -42,8 +42,8 @@ from .config import (SimulationConfig, parse_config, parse_observable_spec,
                      serialize_config)
 from .errors import ConfigError, StobeamError
 from .noise import ito_variance, trace_condition, trace_q, trace_tail
-from .solver import (build_scene, ensemble_blocks, ensemble_run, plan_ensemble,
-                     sine_mode_state)
+from .solver import (build_scene, ensemble_blocks, ensemble_stats,
+                     plan_ensemble, sine_mode_state)
 from .verify import run_checks
 
 
@@ -214,8 +214,9 @@ def cmd_covariance(cfg: SimulationConfig, h_spec: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    stats = ensemble_run(cfg, observables=[h_spec])
-    scene = build_scene(cfg)
+    plan = plan_ensemble(cfg, [h_spec])
+    stats = ensemble_stats(plan, cfg.threads)
+    scene = plan.scene
     mode, channel, part = parse_observable_spec(h_spec)
     h = sine_mode_state(scene.grid, mode, channel, part)
     lines = ["t,mc_variance,quadrature_variance,stderr"]
@@ -244,7 +245,7 @@ def cmd_trace_check(cfg: SimulationConfig) -> int:
     if scene.model is None:
         print("sigma = 0: no stochastic convolution, trace check skipped")
         return 0
-    chk = trace_condition(scene.P, scene.model)
+    chk = trace_condition(scene.P, scene.model, scene.constants)
     tail = trace_tail(scene.model)
     print(f"trace integral     {chk.value:.12g}")
     print(f"growth bound       {chk.bound:.12g}")

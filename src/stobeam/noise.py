@@ -218,7 +218,8 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     dense tail products U(t, t_j) are accumulated backward so each grid
     time costs one matrix product.  The analytic comparison bound is
     (t - t0) sigma^2 exp(2 C4 (t - t0)) Tr(Q), with C4 = 0 when no
-    constants are supplied (exact for the norm-preserving flow).
+    constants are supplied (exact for the norm-preserving flow); a growth
+    factor beyond the float range makes the bound infinite.
     """
     g = P.g
     i0 = 0 if t0 is None else P.index_of(t0)
@@ -228,7 +229,9 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     dim = 2 * g.m
     span = (i1 - i0) * P.dt
     c4 = 0.0 if constants is None else constants.C4
-    bound = float(span * model.sigma**2 * np.exp(2.0 * c4 * span) * trace_q(model))
+    with np.errstate(over="ignore"):  # a growth factor beyond range is inf
+        growth = np.exp(2.0 * c4 * span)
+    bound = float(span * model.sigma**2 * growth * trace_q(model))
     if model.sigma == 0.0 or i0 == i1:
         return TraceCheck(value=0.0, bound=bound)
     phi = np.eye(dim)

@@ -228,6 +228,43 @@ def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     return 0.5 * (tm + tm.T)
 
 
+#: half-bandwidth of the stiffness K(t) = B - T(t): B couples nodes up to
+#: three apart (the one-sided moment stencil at s = 0), T only neighbours
+STIFFNESS_BANDWIDTH = 3
+
+
+def to_bands(a: np.ndarray) -> np.ndarray:
+    """Diagonals |i - j| <= bw = STIFFNESS_BANDWIDTH of a square matrix in
+    LAPACK band layout: row bw + i - j, column j holds a[i, j]; entries
+    outside the band are dropped."""
+    m = a.shape[0]
+    bw = STIFFNESS_BANDWIDTH
+    out = np.zeros((2 * bw + 1, m))
+    for d in range(-bw, bw + 1):  # d = j - i
+        cols = slice(d, m) if d >= 0 else slice(0, m + d)
+        out[bw - d, cols] = np.diagonal(a, d)
+    return out
+
+
+def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
+    """`build_T(lam, t, g)` in the band layout of `to_bands`, in O(m).
+
+    Cell j of the midpoint difference couples nodes j and j+1 with weight
+    p_j = h lambda(s_{j+1/2}) / h^2 (the last cell only node n, since
+    u(l) is eliminated), so T is tridiagonal with T[j, j+1] = p_j and
+    T[j, j] = -(p_j + p_{j-1}).
+    """
+    c = 1.0 / g.grid.h
+    p = (c * (g.grid.h * lam.midpoint_values(t, g.grid))) * c
+    bw = STIFFNESS_BANDWIDTH
+    out = np.zeros((2 * bw + 1, g.m))
+    out[bw] = -p
+    out[bw, 1:] -= p[:-1]
+    out[bw - 1, 1:] = p[:-1]
+    out[bw + 1, :-1] = p[:-1]
+    return out
+
+
 def build_L1(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
     m = g.m
     tmat = build_T(lam, t, g)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -37,7 +38,8 @@ from .grid import (BeamGrid, BeamState, BoundaryConditionSet, GramSet,
                    packed_h_inner, packed_h_norm)
 from .noise import (NoiseModel, WienerIncrements, build_noise_model,
                     project_increments, sample_increments)
-from .operators import TractiveForce, build_L
+from .operators import (StabilityConstants, TractiveForce, build_L,
+                        estimate_constants)
 from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
@@ -57,6 +59,13 @@ class Scene:
     P: PropagatorFactorization = field(repr=False)
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
+
+    @functools.cached_property
+    def constants(self) -> StabilityConstants:
+        """Stability constants of the tension at 11 times over [0, T],
+        estimated on first use and then kept with the scene."""
+        return estimate_constants(self.lam, self.g,
+                                  np.linspace(0.0, self.cfg.T, 11))
 
 
 def tractive_from_config(cfg: SimulationConfig) -> TractiveForce:
@@ -594,23 +603,11 @@ def ensemble_blocks(plan: EnsemblePlan, threads: int,
         ex.shutdown(wait=True, cancel_futures=True)
 
 
-def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = None,
-                 threads: Optional[int] = None,
-                 keep_paths: bool = False) -> EnsembleStats:
-    """Monte Carlo over N independent paths with streamed moments.
-
-    Observables are H-inner products against sine-mode test functions,
-    given as 'mode:channel:u|v' specs (default from the config), sampled
-    every `obs_stride` steps plus the final time.  Paths are evolved in
-    fixed-size blocks; block results merge in index order, so the output
-    is independent of `threads`.  With `keep_paths` the full state history
-    of every path is retained (memory scales with N * n_steps); it is for
-    library callers that want `Trajectory` objects: `stobeam simulate`
-    streams the blocks of `ensemble_blocks` to its CSVs instead.
-    """
-    plan = plan_ensemble(cfg, observables)
-    n = cfg.n_paths
-    threads = cfg.threads if threads is None else int(threads)
+def ensemble_stats(plan: EnsemblePlan, threads: int,
+                   keep_paths: bool = False) -> EnsembleStats:
+    """Run a plan's blocks and merge their moments in block order; see
+    `ensemble_run`, which is this on a freshly built plan."""
+    n = plan.scene.cfg.n_paths
     values = np.empty((len(plan.observable_ids), len(plan.idx), n))
     count, mean, m2 = 0, None, None
     trajectories: Optional[List[Trajectory]] = [] if keep_paths else None
@@ -627,3 +624,21 @@ def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = N
                          count=count, mean=mean, m2=m2, values=values,
                          variance_defined=(n > 1),
                          trajectories=trajectories)
+
+
+def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = None,
+                 threads: Optional[int] = None,
+                 keep_paths: bool = False) -> EnsembleStats:
+    """Monte Carlo over N independent paths with streamed moments.
+
+    Observables are H-inner products against sine-mode test functions,
+    given as 'mode:channel:u|v' specs (default from the config), sampled
+    every `obs_stride` steps plus the final time.  Paths are evolved in
+    fixed-size blocks; block results merge in index order, so the output
+    is independent of `threads`.  With `keep_paths` the full state history
+    of every path is retained (memory scales with N * n_steps); it is for
+    library callers that want `Trajectory` objects: `stobeam simulate`
+    streams the blocks of `ensemble_blocks` to its CSVs instead.
+    """
+    threads = cfg.threads if threads is None else int(threads)
+    return ensemble_stats(plan_ensemble(cfg, observables), threads, keep_paths)

@@ -177,6 +177,47 @@ def test_trace_check_reports_and_passes(tmp_path, capsys):
     assert "trQ" in text
 
 
+# healthy but strongly modulated tension: the trace integral exceeds the
+# C4 = 0 value span sigma^2 tr Q by about 14 %
+STRONG = """
+beam.l = 1.0
+beam.b = 1.0
+grid.n = 16
+time.T = 1.0
+time.dt = 0.001
+noise.sigma = 1.0
+noise.K = 12
+lambda.family = bump
+lambda.c0 = 200.0
+lambda.c1 = 200.0
+lambda.freq = 20.0
+init.family = zero
+bc.kind = homogeneous
+"""
+
+
+def test_trace_check_bound_carries_the_growth_constant(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, STRONG)
+    assert main(["trace-check", "--config", cfg_path]) == 0
+    rows = dict(line.rsplit(None, 1) for line in
+                capsys.readouterr().out.splitlines())
+    value, bound = float(rows["trace integral"]), float(rows["growth bound"])
+    assert value > float(rows["trQ (retained)"])  # the C4 = 0 value
+    assert value <= bound
+
+
+def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = solver.build_propagator
+    monkeypatch.setattr(solver, "build_propagator",
+                        lambda *a: calls.append(a) or build(*a))
+    cfg_path = _write_cfg(tmp_path, TINY)
+    assert main(["covariance", "--config", cfg_path,
+                 "--out", str(tmp_path / "c")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_trace_check_skips_without_noise(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path,
                           TINY.replace("noise.sigma = 1.0", "noise.sigma = 0.0"))

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,16 @@ def test_variance_scales_with_sigma_squared(g16, grid16):
     v2 = ito_variance(P, build_noise_model(grid16, "k^-2", K=12, sigma=2.0), h)
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
     assert v1 > 0
+
+
+def test_trace_bound_overflow_is_infinite_without_warning(g16, grid16):
+    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    P = build_propagator(lam, g16, 0.0, 0.1, 1e-3)
+    model = build_noise_model(grid16, "k^-2", K=12)
+    cst = estimate_constants(lam, g16, [0.0])
+    huge = dataclasses.replace(cst, C4=1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = trace_condition(P, model, huge)
+    assert chk.bound == np.inf
+    assert chk.value == trace_condition(P, model).value

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
-from stobeam.grid import BeamState, packed_h_norm
-from stobeam.operators import TractiveForce, build_L, build_L0, estimate_constants
+from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
+from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
+                               build_L, build_L0, build_T, estimate_constants,
+                               tension_bands, to_bands)
 from stobeam.propagator import (PicardConfig, PropagatorFactorization,
                                 ResidualCurve, adjoint_propagator,
                                 backward_adjoint_apply, build_propagator,
                                 cayley_step, cocycle_defect, duality_defect,
-                                generator_residual, op_norm_H, picard_evolution)
+                                generator_residual, op_norm_H, picard_evolution,
+                                _cayley_from_bands)
 from stobeam.solver import bending_mode_state
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
@@ -29,6 +33,80 @@ def test_cayley_step_trapezoid_identity(g16):
 def test_cayley_step_of_skew_part_is_isometric(g16):
     G = cayley_step(build_L0(g16), 1e-3)
     assert abs(op_norm_H(g16, G) - 1.0) < 5e-12
+
+
+def _dense_cayley(op, dt):
+    """The dense construction the banded kernel replaced: one LU of the
+    (2m)x(2m) resolvent I - dt/2 op, solved against I + dt/2 op."""
+    dim = op.mat.shape[0]
+    half = 0.5 * dt * op.mat
+    return lu_solve(lu_factor(np.eye(dim) - half), np.eye(dim) + half)
+
+
+def _trapezoid_defect(op, G, dt):
+    eye = np.eye(G.shape[0])
+    lhs = G - eye
+    rhs = 0.5 * dt * (op.mat @ (eye + G))
+    return np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))
+
+
+@pytest.fixture(scope="module", params=[16, 64, 256])
+def grams(request):
+    return build_grams(build_grid(1.0, request.param), 1.0)
+
+
+def test_step_maps_match_dense_oracle(grams):
+    dt = 1e-3
+    op = build_L(LAM, 0.123, grams)
+    ref = _dense_cayley(op, dt)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(cayley_step(op, dt) - ref)) <= 1e-11 * scale
+    # build_propagator takes the O(m) tension bands, not the dense T
+    P = build_propagator(LAM, grams, 0.0, 2 * dt, dt)
+    mid = _dense_cayley(build_L(LAM, 1.5 * dt, grams), dt)
+    assert np.max(np.abs(P.steps[1] - mid)) <= 1e-11 * np.max(np.abs(mid))
+
+
+def test_step_maps_are_no_less_accurate_than_dense_oracle(grams):
+    dt = 1e-3
+    op = build_L(LAM, 0.123, grams)
+    assert _trapezoid_defect(op, cayley_step(op, dt), dt) <= \
+        _trapezoid_defect(op, _dense_cayley(op, dt), dt)
+    free = build_L0(grams)
+    assert abs(op_norm_H(grams, cayley_step(free, dt)) - 1.0) <= \
+        abs(op_norm_H(grams, _dense_cayley(free, dt)) - 1.0)
+
+
+def test_tension_bands_are_the_bands_of_build_T(grams):
+    bw = STIFFNESS_BANDWIDTH
+    for t in (0.0, 0.123, 0.5):
+        tmat = build_T(LAM, t, grams)
+        ref = to_bands(tmat)
+        assert np.max(np.abs(tension_bands(LAM, t, grams) - ref)) <= \
+            1e-15 * np.max(np.abs(ref))
+        k = grams.B - tmat
+        assert not np.any(np.triu(k, bw + 1)) and not np.any(np.tril(k, -bw - 1))
+
+
+def test_kernel_warns_on_singular_resolvent(g16):
+    dt = 1e-3
+    h = 0.5 * dt
+    bw = STIFFNESS_BANDWIDTH
+    kb = to_bands(g16.B)
+    # decouple node 0 and all but cancel its mass: M + h^2 K keeps a
+    # pivot about 1e-14 times the others
+    kb[bw, 0] = -(1.0 - 1e-14) * g16.M[0] / (h * h)
+    for d in range(1, bw + 1):
+        kb[bw - d, d] = kb[bw + d, 0] = 0.0
+    with pytest.warns(UserWarning, match="nearly singular"):
+        _cayley_from_bands(kb, g16.M, dt)
+
+
+def test_cayley_step_rejects_other_roles(g16):
+    with pytest.raises(InvalidArgumentError):
+        cayley_step(adjoint_H(build_L0(g16)), 1e-3)
+    with pytest.raises(InvalidArgumentError):
+        cayley_step(build_L0(g16), 0.0)
 
 
 def test_operator_norm_basics(g16):

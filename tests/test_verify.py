@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from stobeam import operators, propagator, solver, verify
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
 from stobeam.solver import build_scene, sine_mode_state
-from stobeam.verify import CheckResult, free_variance_closed_form, run_checks
+from stobeam.verify import (CheckResult, check_trace_bound,
+                            free_variance_closed_form, run_checks)
 
 SMALL = """
 beam.l = 1.0
@@ -82,3 +84,34 @@ def test_closed_form_variance_handles_displacement_parts():
     closed = free_variance_closed_form(sc, h, 0.1, cfg.dt)
     assert quad == pytest.approx(closed, rel=1e-8)
     assert closed > 0.0
+
+
+def test_trace_bound_uses_the_scene_growth_constant():
+    """b = 1, T = 1, c0 = c1 = 200, freq = 20: a healthy run whose trace
+    integral exceeds the C4 = 0 value by about 14 %."""
+    cfg = parse_config(SMALL.replace("time.T = 0.1", "time.T = 1.0")
+                       .replace("lambda.c0 = 1.0", "lambda.c0 = 200.0")
+                       .replace("lambda.c1 = 0.3", "lambda.c1 = 200.0\n"
+                                "lambda.freq = 20.0"))
+    res = check_trace_bound(build_scene(cfg))
+    assert res.status == "pass"
+    flat_ratio = float(res.note.rsplit(None, 1)[-1])
+    assert 1.1 < flat_ratio < 1.2
+
+
+def test_verify_estimates_the_constants_once_per_scene(monkeypatch):
+    calls = []
+    estimate = operators.estimate_constants
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return estimate(*args, **kwargs)
+
+    for module in (operators, propagator, solver, verify):
+        monkeypatch.setattr(module, "estimate_constants", counted)
+    run_checks(parse_config(SMALL))
+    # one scene-wide estimate over [0, T], shared by tractive_norm_bound,
+    # growth_bound and trace_bound; the two Picard checks sample their
+    # own shorter windows
+    assert len(calls) == 3
+    assert sum(len(t) == 11 for t in calls) == 1

@@ -33,7 +33,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

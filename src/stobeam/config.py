@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np

@@ -15,19 +15,26 @@ with the tension coefficient sampled at cell midpoints, so T(t) is
 symmetric negative semidefinite and the weak pairing has no boundary
 terms (the coefficient vanishes at both ends).
 
-Adjoint identities are exact in weak-pairing form (see `BlockOperator.pair`
-and `pair_state_with_adjoint`); dense adjoint matrices built with linear
-solves carry eps * cond(B) roundoff and are meant for propagator
+A `BlockOperator` is L0, L1(t) or L(t) = L0 + L1(t), or the H-adjoint of
+one of them: the stiff part flips sign and the tractive part moves to
+[[0, B^-1 T], [0, 0]].  Adjoint identities are exact in weak-pairing form
+(see `BlockOperator.pair`); the dense adjoint matrices carry the
+eps * cond(B) roundoff of B^-1 T and are meant for propagator
 cross-checks, not for machine-precision identity tests.
+
+The stability constants are exact operator norms (`op_norm_H`): C4 is the
+H-norm of L1(t), and C5 its graph-norm, taken through L0 as the H-norm of
+L0 L1(t) L0^-1 because ||x||_D = ||L0 x||_H.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular, svdvals
 
 from .errors import AssemblyError, InvalidArgumentError
 from .grid import BeamGrid, GramSet
@@ -76,6 +83,11 @@ class TractiveForce:
     def bump(cls, c0: float = 1.0, c1: float = 0.0, freq: float = 1.0,
              horizon: float = None) -> "TractiveForce":
         return cls(family="bump", c0=c0, c1=c1, freq=freq, horizon=horizon)
+
+    @property
+    def autonomous(self) -> bool:
+        """True when lambda does not depend on time (no modulation)."""
+        return self.family == "zero" or self.c1 == 0.0
 
     def c(self, t: float) -> float:
         """Time modulation c(t) = c0 + c1 sin(2 pi freq t)."""
@@ -162,21 +174,53 @@ class TractiveForce:
         return out
 
 
+def _assemble(g: GramSet, stiff: bool, tmat: Optional[np.ndarray],
+              adjoint: bool) -> np.ndarray:
+    """Dense matrix of the stiff part, the tractive part or their sum, or
+    of its H-adjoint M_H^-1 op^T M_H with the Gram transpose reduced
+    algebraically (see the module docstring)."""
+    m = g.m
+    mat = np.zeros((2 * m, 2 * m))
+    if stiff:
+        if np.min(g.M) <= 0:
+            raise AssemblyError("mass matrix is not positive")
+        sign = -1.0 if adjoint else 1.0
+        mat[:m, m:] = sign * np.eye(m)
+        mat[m:, :m] = -sign * (g.B / g.M[:, None])
+    if tmat is not None:
+        if adjoint:
+            mat[:m, m:] += g.B_solve(tmat)
+        else:
+            mat[m:, :m] += tmat / g.M[:, None]
+    return mat
+
+
 @dataclass
 class BlockOperator:
     """A 2x2-block generator acting on packed (u, v) states.
 
-    `mat` is the dense single-channel matrix; the same block acts on each
-    of the three components.  `aux` keeps assembly ingredients (the weak
-    tractive matrix T for tractive roles) so that adjoints and exact
-    pairings can be formed without re-deriving them from `mat`.
+    The operator is the stiff part L0 (`stiff`), the tractive part L1
+    built from the weak tractive matrix `T`, or their sum L, or the
+    H-adjoint of one of these (`adjoint`).  `mat` is the dense
+    single-channel matrix; the same block acts on each of the three
+    components.
     """
 
-    role: str
-    mat: np.ndarray
     g: GramSet
+    stiff: bool
+    T: Optional[np.ndarray] = None
+    adjoint: bool = False
     t: Optional[float] = None
-    aux: dict = field(default_factory=dict)
+    mat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mat = _assemble(self.g, self.stiff, self.T, self.adjoint)
+
+    @property
+    def role(self) -> str:
+        """L0, L1 or L, with "_adjoint" appended for an adjoint."""
+        name = ("L" if self.T is not None else "L0") if self.stiff else "L1"
+        return name + "_adjoint" if self.adjoint else name
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.mat @ y
@@ -186,39 +230,26 @@ class BlockOperator:
 
         Uses the defining quadratic forms instead of `mat`, so skewness
         and adjoint identities hold to rounding of well-scaled dot
-        products (no mass solves, no 1/M roundtrips).
+        products (no mass solves, no 1/M roundtrips).  An adjoint pairs
+        as <op y, x>_H.
         """
-        g = self.g
-        m = g.m
+        if self.adjoint:
+            x, y = y, x
+        m = self.g.m
         xu, xv = x[:m], x[m:]
         yu, yv = y[:m], y[m:]
-        if self.role == "L0":
-            return float(np.sum(xv * (g.B @ yu)) - np.sum(xu * (g.B @ yv)))
-        if self.role == "L0_adjoint":
-            return float(np.sum(xu * (g.B @ yv)) - np.sum(xv * (g.B @ yu)))
-        if self.role == "L1":
-            return float(np.sum((self.aux["T"] @ xu) * yv))
-        if self.role == "L1_adjoint":
-            return float(np.sum(xv * (self.aux["T"] @ yu)))
-        if self.role == "L":
-            l0 = float(np.sum(xv * (g.B @ yu)) - np.sum(xu * (g.B @ yv)))
-            return l0 + float(np.sum((self.aux["T"] @ xu) * yv))
-        if self.role == "L_adjoint":
-            l0 = float(np.sum(xu * (g.B @ yv)) - np.sum(xv * (g.B @ yu)))
-            return l0 + float(np.sum(xv * (self.aux["T"] @ yu)))
-        # generic fallback through the metric
-        return float(np.sum((self.mat @ x) * self.g.mh_apply(y)))
+        out = 0.0
+        if self.stiff:
+            B = self.g.B
+            out = float(np.sum(xv * (B @ yu)) - np.sum(xu * (B @ yv)))
+        if self.T is not None:
+            out += float(np.sum((self.T @ xu) * yv))
+        return out
 
 
 def build_L0(g: GramSet) -> BlockOperator:
     """Stiff generator; raises AssemblyError on a degenerate mass matrix."""
-    m = g.m
-    if np.min(g.M) <= 0:
-        raise AssemblyError("mass matrix is not positive")
-    mat = np.zeros((2 * m, 2 * m))
-    mat[:m, m:] = np.eye(m)
-    mat[m:, :m] = -(g.B / g.M[:, None])
-    return BlockOperator(role="L0", mat=mat, g=g)
+    return BlockOperator(g=g, stiff=True)
 
 
 def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
@@ -266,66 +297,20 @@ def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
 
 
 def build_L1(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    m = g.m
-    tmat = build_T(lam, t, g)
-    mat = np.zeros((2 * m, 2 * m))
-    mat[m:, :m] = tmat / g.M[:, None]
-    return BlockOperator(role="L1", mat=mat, g=g, t=t, aux={"T": tmat})
+    return BlockOperator(g=g, stiff=False, T=build_T(lam, t, g), t=t)
 
 
 def build_L(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    l0 = build_L0(g)
-    l1 = build_L1(lam, t, g)
-    return BlockOperator(role="L", mat=l0.mat + l1.mat, g=g, t=t,
-                         aux={"T": l1.aux["T"]})
-
-
-_ADJOINT_ROLES = {"L0": "L0_adjoint", "L0_adjoint": "L0",
-                  "L1": "L1_adjoint", "L1_adjoint": "L1",
-                  "L": "L_adjoint", "L_adjoint": "L"}
+    return BlockOperator(g=g, stiff=True, T=build_T(lam, t, g), t=t)
 
 
 def adjoint_H(op: BlockOperator, g: GramSet = None) -> BlockOperator:
-    """H-adjoint M_H^-1 op^T M_H.
+    """H-adjoint M_H^-1 op^T M_H, assembled as in `_assemble`.
 
-    For the weak-form roles the Gram transpose reduces algebraically:
-    the stiff part flips sign exactly, and the tractive adjoint is
-    [[0, B^-1 T], [0, 0]].  Applying `adjoint_H` twice restores the
-    original operator exactly for these roles.  Unknown roles fall back
-    to the dense similarity transform.
+    Applying `adjoint_H` twice restores the original operator exactly.
     """
-    g = g if g is not None else op.g
-    m = g.m
-    role = op.role
-    if role in ("L0", "L0_adjoint"):
-        return BlockOperator(role=_ADJOINT_ROLES[role], mat=-op.mat, g=g, t=op.t)
-    if role == "L1":
-        tmat = op.aux["T"]
-        mat = np.zeros((2 * m, 2 * m))
-        mat[:m, m:] = g.B_solve(tmat)
-        return BlockOperator(role="L1_adjoint", mat=mat, g=g, t=op.t,
-                             aux={"T": tmat})
-    if role == "L1_adjoint":
-        tmat = op.aux["T"]
-        mat = np.zeros((2 * m, 2 * m))
-        mat[m:, :m] = tmat / g.M[:, None]
-        return BlockOperator(role="L1", mat=mat, g=g, t=op.t, aux={"T": tmat})
-    if role == "L":
-        tmat = op.aux["T"]
-        mat = -build_L0(g).mat
-        mat[:m, m:] += g.B_solve(tmat)
-        return BlockOperator(role="L_adjoint", mat=mat, g=g, t=op.t,
-                             aux={"T": tmat})
-    if role == "L_adjoint":
-        tmat = op.aux["T"]
-        mat = build_L0(g).mat
-        mat[m:, :m] += tmat / g.M[:, None]
-        return BlockOperator(role="L", mat=mat, g=g, t=op.t, aux={"T": tmat})
-    # generic: columnwise M_H^-1 op^T M_H
-    mh = np.zeros((2 * m, 2 * m))
-    mh[:m, :m] = g.B
-    mh[m:, m:] = np.diag(g.M)
-    return BlockOperator(role="adjoint", mat=g.mh_solve(op.mat.T @ mh), g=g, t=op.t)
+    return replace(op, g=g if g is not None else op.g,
+                   adjoint=not op.adjoint)
 
 
 def skew_defect(g: GramSet) -> float:
@@ -346,13 +331,30 @@ def skew_defect(g: GramSet) -> float:
     return float(defect / np.max(np.abs(prod)))
 
 
+def op_norm_H(g: GramSet, mat: np.ndarray) -> float:
+    """H-operator norm of a packed-state matrix.
+
+    Computed exactly as the largest singular value of C mat C^-1 where
+    M_H = C^T C is the block Cholesky of the state Gram.  The triangular
+    solve skips its finite check; `svdvals` still rejects non-finite input.
+    """
+    m = g.m
+    cu = cholesky(g.B, lower=False)
+    sq = np.sqrt(g.M)
+    cm = np.vstack([cu @ mat[:m], sq[:, None] * mat[m:]])
+    left = solve_triangular(cu.T, cm[:, :m].T, lower=True,
+                            check_finite=False).T
+    right = cm[:, m:] / sq[None, :]
+    return float(svdvals(np.hstack([left, right]))[0])
+
+
 @dataclass(frozen=True)
 class StabilityConstants:
     """Operator-norm bounds for the tractive perturbation.
 
     C4 bounds the state-space norm, C5 the graph-norm; m is their max.
     The analytic value comes from the closed-form derivative integral,
-    the numeric ones from power iteration at the sampled times.
+    the numeric ones are exact operator norms at the sampled times.
     """
 
     C4: float
@@ -364,82 +366,14 @@ class StabilityConstants:
     t_samples: tuple
 
 
-def _power_iteration(apply_n: Callable, norm_sq: Callable, x0: np.ndarray,
-                     max_iter: int = 200, tol: float = 1e-13) -> float:
-    """Largest singular value of an operator given N = A* A applications.
-
-    `apply_n` maps x to A* A x; `norm_sq` is the metric quadratic form.
-    Returns the square root of the final Rayleigh quotient, which
-    approaches the true norm from below.
-    """
-    x = x0.copy()
-    nx = np.sqrt(norm_sq(x))
-    if nx == 0:
-        return 0.0
-    x /= nx
-    lam = 0.0
-    for _ in range(max_iter):
-        y = apply_n(x)
-        ny = np.sqrt(norm_sq(y))
-        if ny == 0:
-            return 0.0
-        lam_new = ny  # Rayleigh quotient of N at unit x equals <Nx,x>; use norm growth
-        y /= ny
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-        x = y
-    return float(np.sqrt(lam))
-
-
-def _l1_norm_H(l1: BlockOperator, g: GramSet) -> float:
-    m = g.m
-    tmat = l1.aux["T"]
-
-    def apply_n(x):
-        # A x = (0, M^-1 T x_u); A*_H y = (B^-1 T y_v, 0)
-        w_v = (tmat @ x[:m]) / g.M
-        z = np.zeros_like(x)
-        z[:m] = g.B_solve(tmat @ (w_v))
-        return z
-
-    def norm_sq(x):
-        return float(x[:m] @ (g.B @ x[:m]) + x[m:] @ (g.M * x[m:]))
-
-    rng = np.random.default_rng(7)
-    x0 = rng.standard_normal(2 * m)
-    return _power_iteration(apply_n, norm_sq, x0)
-
-
-def _l1_norm_D(l1: BlockOperator, g: GramSet) -> float:
-    m = g.m
-    tmat = l1.aux["T"]
-
-    def apply_n(x):
-        # A x = (0, M^-1 T x_u); A*_D w = ((B M^-1 B)^-1 T M^-1 B w_v, 0)
-        w_v = (tmat @ x[:m]) / g.M
-        r = tmat @ ((g.B @ w_v) / g.M)
-        z = np.zeros_like(x)
-        z[:m] = g.B_solve(g.M * g.B_solve(r))
-        return z
-
-    def norm_sq(x):
-        bu = g.B @ x[:m]
-        return float(bu @ (bu / g.M) + x[m:] @ (g.B @ x[m:]))
-
-    rng = np.random.default_rng(11)
-    x0 = rng.standard_normal(2 * m)
-    return _power_iteration(apply_n, norm_sq, x0)
-
-
 def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityConstants:
     """Bound the tractive operator over the sampled times.
 
-    The state-space bound combines the analytic formula
-    sup_t sqrt(4 l int (ds lambda)^2 ds / b) with power-iteration
-    estimates; the graph-norm bound is numeric only (no closed form is
-    available) and carries a 10 percent safety margin.
+    The state-space bound is the larger of the analytic formula
+    sup_t sqrt(4 l int (ds lambda)^2 ds / b) and the exact H-norms of
+    L1(t).  The graph norm is ||x||_D = ||L0 x||_H, so the D-norm of L1
+    is the H-norm of L0 L1 L0^-1, with L0^-1 = [[0, -B^-1 M], [I, 0]];
+    it has no closed form and the bound carries a 10 percent margin.
     """
     t_samples = tuple(float(t) for t in t_samples)
     if not t_samples:
@@ -449,12 +383,17 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
     c4_formula = max(
         np.sqrt(4.0 * g.grid.l * lam.ds_l2_norm_sq(t, g.grid) / g.b)
         for t in t_samples)
+    m = g.m
+    l0 = build_L0(g).mat
+    l0_inv = np.zeros((2 * m, 2 * m))
+    l0_inv[:m, m:] = -g.B_solve(np.diag(g.M))
+    l0_inv[m:, :m] = np.eye(m)
     c4_num = 0.0
     c5_num = 0.0
     for t in t_samples:
-        l1 = build_L1(lam, t, g)
-        c4_num = max(c4_num, _l1_norm_H(l1, g))
-        c5_num = max(c5_num, _l1_norm_D(l1, g))
+        l1 = build_L1(lam, t, g).mat
+        c4_num = max(c4_num, op_norm_H(g, l1))
+        c5_num = max(c5_num, op_norm_H(g, l0 @ l1 @ l0_inv))
     c4 = max(float(c4_formula), c4_num)
     c5 = 1.10 * c5_num
     return StabilityConstants(C4=c4, C5=c5, m=max(c4, c5),

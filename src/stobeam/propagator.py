@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cholesky, solve_banded, solve_triangular, svdvals
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbcon as _gbcon, dgbtrf as _gbtrf, \
     dgbtrs as _gbtrs
 
@@ -54,8 +54,8 @@ from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
 from .operators import BlockOperator, StabilityConstants, TractiveForce, \
     STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L0, build_L1, \
     estimate_constants, tension_bands, to_bands
-
-SCHEMES = ("cayley-midpoint",)
+# re-export: op_norm_H stays part of this module's public interface
+from .operators import op_norm_H as op_norm_H
 
 #: reciprocal condition number of M + h^2 K below which a step map warns
 _RCOND_FLOOR = 1e-13
@@ -140,24 +140,21 @@ def _cayley_from_bands(kb: np.ndarray, mass: np.ndarray,
 def cayley_step(op: BlockOperator, dt: float) -> np.ndarray:
     """One Crank-Nicolson map (I - dt/2 op)^-1 (I + dt/2 op).
 
-    Only the beam generators are accepted: role "L" (stiffness B - T) and
-    role "L0" (stiffness B); the map is built by `_cayley_from_bands`.
+    Only the beam generators are accepted: L (stiffness B - T) and L0
+    (stiffness B), not adjoints; the map is built by `_cayley_from_bands`.
     For the Gram-skew stiff generator the result is H-norm preserving to
     rounding.  A nearly singular resolvent (conceivable for a strongly
     tractive full generator at large dt) is reported as a warning rather
     than silently inverted.
 
     Raises:
-        InvalidArgumentError: another role, or dt not positive.
+        InvalidArgumentError: another operator, or dt not positive.
     """
-    g = op.g
-    if op.role == "L0":
-        stiff = g.B
-    elif op.role == "L":
-        stiff = g.B - op.aux["T"]
-    else:
+    if op.adjoint or not op.stiff:
         raise InvalidArgumentError(
             f"cayley_step needs the generator L or L0, got role '{op.role}'")
+    g = op.g
+    stiff = g.B if op.T is None else g.B - op.T
     return _cayley_from_bands(to_bands(stiff), g.M, dt)
 
 
@@ -167,21 +164,18 @@ class PropagatorFactorization:
 
     steps[k] advances packed states from t0 + k dt to t0 + (k+1) dt; the
     same array object may be shared between steps when the generator is
-    time independent.  For `adjoint_propagator` output the steps run along
-    the reversed window and `adjoint_of` names the source scheme.
+    time independent.  For `adjoint_propagator` output (`adjoint`) the
+    steps run along the reversed window.
     """
 
     t0: float
     T: float
     dt: float
     steps: List[np.ndarray]
-    scheme: str
     g: GramSet = field(repr=False)
-    adjoint_of: Optional[str] = None
+    adjoint: bool = False
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise InvalidArgumentError(f"unknown scheme '{self.scheme}'")
         k = _window_steps(self.t0, self.T, self.dt)
         if len(self.steps) != k:
             raise InvalidArgumentError(
@@ -261,18 +255,17 @@ def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
     when the generator does not depend on time.
     """
     k_steps = _window_steps(t0, T, dt)
-    autonomous = lam.family == "zero" or (lam.c1 == 0.0 and lam.family == "bump")
     b_bands = to_bands(g.B)
 
     def step(t):
         return _cayley_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
 
-    if autonomous:
+    if lam.autonomous:
         steps = [step(t0 + 0.5 * dt)] * k_steps
     else:
         steps = [step(t0 + (k + 0.5) * dt) for k in range(k_steps)]
     return PropagatorFactorization(t0=float(t0), T=float(T), dt=float(dt),
-                                   steps=steps, scheme="cayley-midpoint", g=g)
+                                   steps=steps, g=g)
 
 
 def adjoint_propagator(P: PropagatorFactorization, g: GramSet = None) -> PropagatorFactorization:
@@ -286,7 +279,7 @@ def adjoint_propagator(P: PropagatorFactorization, g: GramSet = None) -> Propaga
     g = g if g is not None else P.g
     steps = [g.mh_solve(g.mh_apply(s).T) for s in reversed(P.steps)]
     return PropagatorFactorization(t0=P.t0, T=P.T, dt=P.dt, steps=steps,
-                                   scheme=P.scheme, g=g, adjoint_of=P.scheme)
+                                   g=g, adjoint=not P.adjoint)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
@@ -394,21 +387,6 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
         times.append(t_next)
         y_prev = y_next
     return ResidualCurve(times=np.array(times), values=np.array(values))
-
-
-def op_norm_H(g: GramSet, mat: np.ndarray) -> float:
-    """H-operator norm of a packed-state matrix.
-
-    Computed exactly as the largest singular value of C mat C^-1 where
-    M_H = C^T C is the block Cholesky of the state Gram.
-    """
-    m = g.m
-    cu = cholesky(g.B, lower=False)
-    sq = np.sqrt(g.M)
-    cm = np.vstack([cu @ mat[:m], sq[:, None] * mat[m:]])
-    left = solve_triangular(cu.T, cm[:, :m].T, lower=True).T
-    right = cm[:, m:] / sq[None, :]
-    return float(svdvals(np.hstack([left, right]))[0])
 
 
 @dataclass

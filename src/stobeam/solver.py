@@ -146,8 +146,7 @@ def build_forces(scene: Scene) -> np.ndarray:
     fdet = _fdet_at_nodes(cfg, grid)
     times = cfg.dt * np.arange(n_steps + 1)
     time_dep = cfg.fdet_family == "expression" or (
-        scene.shift is not None and scene.lam.family != "zero"
-        and scene.lam.c1 != 0.0)
+        scene.shift is not None and not scene.lam.autonomous)
 
     def one(t):
         vals = fdet(t).copy()

@@ -14,24 +14,25 @@ test suite calls individual checks directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .config import SimulationConfig
 from .errors import StobeamError
-from .grid import (BeamState, bc_value_defect, enforce_bc, h_norm,
-                   packed_d_norm_sq, packed_h_norm)
-from .noise import (build_noise_model, ito_variance, sample_increments,
-                    trace_condition, trace_q)
-from .operators import estimate_constants, skew_defect, build_L0
+from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
+                   packed_h_norm)
+from .noise import ito_variance, sample_increments, trace_condition, trace_q
+from .operators import (TractiveForce, build_L0, estimate_constants,
+                        op_norm_H, skew_defect)
 from .propagator import (PicardConfig, backward_adjoint_apply,
                          build_propagator, cocycle_defect, duality_defect,
-                         generator_residual, op_norm_H, picard_evolution)
+                         generator_residual, picard_evolution)
 from . import solver as _solver
 from .solver import (bending_mode_state, build_scene, sine_mode_state,
-                     solve_homogeneous, tractive_from_config)
+                     solve_homogeneous)
 
 _RNG_SEED = 20240911
 
@@ -125,8 +126,7 @@ def check_generator_integral(scene) -> CheckResult:
     lam = scene.lam
     w = bending_mode_state(g, 1)
     span = min(0.2, scene.cfg.T)
-    autonomous = lam.family == "zero" or lam.c1 == 0.0
-    if autonomous:
+    if lam.autonomous:
         P = build_propagator(lam, g, 0.0, span, span / 100.0)
         res = generator_residual(P, lam, w)
         return _result("generator_integral",
@@ -187,7 +187,6 @@ def check_adjoint_backward(scene) -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 4)
     y = rng.standard_normal((2 * g.m, 3))
     y /= packed_h_norm(y, g)
-    autonomous = lam.family == "zero" or lam.c1 == 0.0
     span = min(0.1, scene.cfg.T)
 
     def defect(dt):
@@ -196,7 +195,7 @@ def check_adjoint_backward(scene) -> CheckResult:
         via_ode = backward_adjoint_apply(lam, g, y, 0.0, span, dt)
         return packed_h_norm(via_chain - via_ode, g)
 
-    if autonomous:
+    if lam.autonomous:
         return _result("adjoint_backward", defect(span / 100.0), 1e-9,
                        "autonomous case: the two adjoint routes coincide")
     d1, d2 = defect(span / 50.0), defect(span / 100.0)
@@ -280,7 +279,6 @@ def check_trace_identity(scene) -> CheckResult:
     cfg = scene.cfg
     steps = max(1, int(math.floor(min(cfg.T, 0.25) / cfg.dt + 1e-12)))
     span = steps * cfg.dt
-    from .operators import TractiveForce
     P0 = build_propagator(TractiveForce.zero(), scene.g, 0.0, span, cfg.dt)
     chk = trace_condition(P0, scene.model)
     exact = span * scene.model.sigma ** 2 * trace_q(scene.model)
@@ -312,7 +310,6 @@ def check_ito_quadrature(scene) -> CheckResult:
     if scene.lam.family != "zero":
         # closed form needs the free flow; build it on the same grid,
         # over a whole number of steps so dt tiles the window
-        from .operators import TractiveForce
         dt = scene.cfg.dt
         steps = max(1, int(math.floor(min(scene.cfg.T, 0.1) / dt + 1e-12)))
         P = build_propagator(TractiveForce.zero(), scene.g, 0.0,
@@ -335,7 +332,6 @@ def free_variance_closed_form(scene, h: BeamState, t_end: float,
     step, so the stochastic convolution variance reduces to finite
     trigonometric sums; this shares no code with `ito_variance`.
     """
-    import scipy.linalg
     g = scene.g
     model = scene.model
     evals, evecs = scipy.linalg.eigh(g.B, np.diag(g.M))
@@ -364,7 +360,6 @@ def free_variance_closed_form(scene, h: BeamState, t_end: float,
 
 
 def check_bc_conformity(scene) -> CheckResult:
-    from dataclasses import replace
     cfg = scene.cfg
     steps = min(cfg.n_steps, 20)
     short = replace(cfg, T=steps * cfg.dt,
@@ -377,8 +372,6 @@ def check_bc_conformity(scene) -> CheckResult:
 
 def check_weak_identity_null(scene) -> CheckResult:
     """Free, noiseless, unforced, zero data: the weak residual vanishes."""
-    from dataclasses import replace
-    from .operators import TractiveForce
     cfg = replace(scene.cfg, T=20 * scene.cfg.dt, sigma=0.0, g_const=0.0,
                   lam_family="zero", fdet_family="zero", fdet_table=None,
                   init_family="zero", bc_kind="homogeneous")

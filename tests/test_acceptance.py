@@ -72,7 +72,7 @@ def test_tension_norm_under_analytic_bound(acceptance):
     formula_ok = abs(consts.C4_formula - exact) <= 1e-12 * exact
     numeric_ok = consts.C4_numeric <= consts.C4_formula
     ok = formula_ok and numeric_ok
-    acceptance(3, f"power-iteration norm {consts.C4_numeric:.4f} <= "
+    acceptance(3, f"exact norm {consts.C4_numeric:.4f} <= "
                   f"analytic {consts.C4_formula:.4f} = sqrt(8/105) "
                   "at 11 sample times", ok)
     assert ok

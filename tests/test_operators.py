@@ -49,7 +49,8 @@ def test_pair_matches_metric_route(g16):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2 * g16.m, 3))
     y = rng.standard_normal((2 * g16.m, 3))
-    for op in (build_L0(g16), build_L1(lam, 0.4, g16), build_L(lam, 0.4, g16)):
+    ops = [build_L0(g16), build_L1(lam, 0.4, g16), build_L(lam, 0.4, g16)]
+    for op in ops + [adjoint_H(op) for op in ops]:
         weak = op.pair(x, y)
         metric = float(np.sum((op.mat @ x) * g16.mh_apply(y)))
         assert weak == pytest.approx(metric, rel=1e-10, abs=1e-10)

@@ -26,10 +26,8 @@ from .grid import (
     BeamGrid,
     BeamState,
     GramSet,
-    GridFunction,
     build_grid,
     build_grams,
-    d_norm_sq,
     h_inner,
     h_norm,
 )
@@ -63,7 +61,6 @@ from .solver import (
     Trajectory,
     EnsembleStats,
     build_scene,
-    mild_step,
     solve_homogeneous,
     solve_nonhomogeneous,
     weak_residual,
@@ -85,10 +82,8 @@ __all__ = [
     "BeamGrid",
     "BeamState",
     "GramSet",
-    "GridFunction",
     "build_grid",
     "build_grams",
-    "d_norm_sq",
     "h_inner",
     "h_norm",
     "BlockOperator",
@@ -116,7 +111,6 @@ __all__ = [
     "Trajectory",
     "EnsembleStats",
     "build_scene",
-    "mild_step",
     "solve_homogeneous",
     "solve_nonhomogeneous",
     "weak_residual",

@@ -42,7 +42,7 @@ from .config import (SimulationConfig, parse_config, parse_observable_spec,
                      serialize_config)
 from .errors import ConfigError, StobeamError
 from .noise import ito_variance, trace_condition, trace_q, trace_tail
-from .solver import (build_scene, ensemble_blocks, ensemble_stats,
+from .solver import (build_scene, ensemble_blocks, ensemble_run,
                      plan_ensemble, sine_mode_state)
 from .verify import run_checks
 
@@ -99,10 +99,9 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     H-pairings at the sampled times.
 
     Each block of `ensemble_blocks` is written as it arrives, in path
-    order, so memory does not grow with N; `ensemble_run(keep_paths=True)`,
-    which keeps every path, is for library callers.  Both files are
-    written under a '.part' name and renamed when the run has finished,
-    so a failed run leaves earlier output in place.
+    order, so memory does not grow with N.  Both files are written under a
+    '.part' name and renamed when the run has finished, so a failed run
+    leaves earlier output in place.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,9 +213,8 @@ def cmd_covariance(cfg: SimulationConfig, h_spec: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    plan = plan_ensemble(cfg, [h_spec])
-    stats = ensemble_stats(plan, cfg.threads)
-    scene = plan.scene
+    stats = ensemble_run(cfg, [h_spec])
+    scene = stats.scene
     mode, channel, part = parse_observable_spec(h_spec)
     h = sine_mode_state(scene.grid, mode, channel, part)
     lines = ["t,mc_variance,quadrature_variance,stderr"]

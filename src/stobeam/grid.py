@@ -72,30 +72,6 @@ class BoundaryConditionSet:
         if self.kind not in ("homogeneous", "nonhomogeneous"):
             raise InvalidArgumentError(f"unknown bc kind '{self.kind}'")
 
-    @property
-    def clamp_slope(self) -> np.ndarray:
-        """Prescribed slope at s = l (R^3)."""
-        if self.kind == "homogeneous":
-            return np.zeros(3)
-        return np.array([0.0, 0.0, 1.0])
-
-
-@dataclass
-class GridFunction:
-    """R^3-valued function sampled at all n+2 nodes."""
-
-    grid: BeamGrid
-    values: np.ndarray  # shape (n+2, 3)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n + 2, 3):
-            raise ShapeError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n + 2}, 3)")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError("grid function has non-finite entries")
-
 
 @dataclass
 class BeamState:
@@ -135,9 +111,6 @@ class BeamState:
         """Reduced representation: rows 0..n of u stacked over those of v."""
         m = self.grid.n_free
         return np.concatenate([self.u[:m], self.v[:m]], axis=0)
-
-    def copy(self) -> "BeamState":
-        return BeamState(self.grid, self.u.copy(), self.v.copy())
 
 
 @dataclass
@@ -293,35 +266,12 @@ def packed_h_norm(y: np.ndarray, g: GramSet) -> float:
     return float(np.sqrt(max(packed_h_inner(y, y, g), 0.0)))
 
 
-def d_norm_sq(x: BeamState, g: GramSet, check: bool = True) -> float:
-    """Squared graph norm b^2 ||u''''||_L2^2 + b ||v''||_L2^2.
+def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float:
+    """Squared graph norm b^2 ||u''''||_L2^2 + b ||v''||_L2^2 on packed
+    reduced data (no validation).
 
     The fourth difference is the weak composition M^-1 (D2^T W D2), so the
     value agrees with the generator-based norm up to pure roundoff.
-
-    Args:
-        check: validate free-end membership of the displacement part.
-    """
-    _check_same_grid(x.grid, g.grid)
-    if check:
-        defects = membership_defects(x.u, "h4bc", g)
-        bad = {k: v for k, v in defects.items() if v > 1.0}
-        if bad:
-            raise PreconditionError(
-                f"displacement violates free-end membership: {bad}")
-    m = g.m
-    u, v = x.u[:m], x.v[:m]
-    d4 = (g.B_raw @ u) / g.M[:, None]
-    val = g.b**2 * np.sum(g.M[:, None] * d4 * d4)
-    val += g.b * np.sum((g.D2 @ v) * (g.W[:, None] * (g.D2 @ v)))
-    return float(val)
-
-
-def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float:
-    """Graph-norm square on packed reduced data (no validation).
-
-    Same quadratic form as `d_norm_sq`; used in inner loops where the
-    iterates are known to live in the reduced space already.
     """
     m = g.m
     u, v = y[:m], y[m:]
@@ -335,23 +285,9 @@ def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float:
     return float(val)
 
 
-def enforce_bc(x: BeamState, bc: BoundaryConditionSet) -> BeamState:
-    """Reset the stored constrained values so the BC set holds at grid level.
-
-    For both kinds the value at s = l is set to zero for displacement and
-    velocity (the nonhomogeneous slope lives in the analytic shift added by
-    the solver, whose own boundary row vanishes).  Derivative constraints
-    are carried by the ghost/weak-form conventions and need no data change.
-    Idempotent.
-    """
-    out = x.copy()
-    out.u[-1] = 0.0
-    out.v[-1] = 0.0
-    return out
-
-
-def bc_value_defect(x: BeamState, bc: BoundaryConditionSet) -> float:
-    """Max stored-value violation of the BC set (0.0 for conforming states)."""
+def bc_value_defect(x: BeamState) -> float:
+    """Largest stored displacement or velocity value at s = l, which both
+    BC kinds clamp to zero (0.0 for conforming states)."""
     return float(max(np.abs(x.u[-1]).max(), np.abs(x.v[-1]).max()))
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .grid import BeamGrid, BeamState, GridFunction, GramSet
+from .grid import BeamGrid, BeamState, GramSet
 from .operators import StabilityConstants
 from .propagator import PropagatorFactorization
 
@@ -78,10 +78,6 @@ class NoiseModel:
     e_full: np.ndarray  # (n+2, K)
     sigma: float
     seed: int
-
-    @property
-    def component_rule(self) -> str:
-        return "scalar-tensor-id3"
 
     def stream(self, path_index: int) -> np.random.Generator:
         """Independent counter-based stream for one path."""
@@ -177,12 +173,6 @@ def sample_increments(model: NoiseModel, dt: float, n_steps: int,
                             xi=xi, increments=inc)
 
 
-def apply_A(model: NoiseModel, gf: GridFunction) -> BeamState:
-    """Injection A g = (0, sigma g) into the velocity component."""
-    zero = np.zeros_like(gf.values)
-    return BeamState(gf.grid, zero, model.sigma * gf.values)
-
-
 def trace_q(model: NoiseModel) -> float:
     """Partial trace 3 sum_{k<=K} q_k (three identical channel spectra)."""
     return float(3.0 * np.sum(model.q))
@@ -222,10 +212,7 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     factor beyond the float range makes the bound infinite.
     """
     g = P.g
-    i0 = 0 if t0 is None else P.index_of(t0)
-    i1 = P.n_steps if t is None else P.index_of(t)
-    if i0 > i1:
-        raise InvalidArgumentError("time window is reversed")
+    i0, i1 = P.span(t0, t)
     dim = 2 * g.m
     span = (i1 - i0) * P.dt
     c4 = 0.0 if constants is None else constants.C4
@@ -270,10 +257,7 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
             float(np.max(np.abs(h.v[-1]), initial=0.0)) > 0:
         raise PreconditionError(
             "test function must satisfy the clamped value conditions")
-    i0 = 0 if t0 is None else P.index_of(t0)
-    i1 = P.n_steps if t is None else P.index_of(t)
-    if i0 > i1:
-        raise InvalidArgumentError("time window is reversed")
+    i0, i1 = P.span(t0, t)
     if model.sigma == 0.0 or i0 == i1:
         return 0.0
     m = g.m

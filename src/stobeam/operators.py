@@ -95,12 +95,6 @@ class TractiveForce:
             return 0.0
         return self.c0 + self.c1 * np.sin(2.0 * np.pi * self.freq * t)
 
-    def c_sup(self) -> float:
-        """Upper bound for c(t) over any time window."""
-        if self.family == "zero":
-            return 0.0
-        return self.c0 + abs(self.c1)
-
     def _check_time(self, t: float):
         if self.horizon is not None and not (0.0 <= t <= self.horizon * (1 + 1e-12)):
             raise InvalidArgumentError(
@@ -215,15 +209,6 @@ class BlockOperator:
 
     def __post_init__(self):
         self.mat = _assemble(self.g, self.stiff, self.T, self.adjoint)
-
-    @property
-    def role(self) -> str:
-        """L0, L1 or L, with "_adjoint" appended for an adjoint."""
-        name = ("L" if self.T is not None else "L0") if self.stiff else "L1"
-        return name + "_adjoint" if self.adjoint else name
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.mat @ y
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> float:
         """Exact weak-form evaluation of <op x, y>_H for packed states.
@@ -400,9 +385,3 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
                               C4_formula=float(c4_formula),
                               C4_numeric=c4_num, C5_numeric=c5_num,
                               t_samples=t_samples)
-
-
-def t_matrix_max_eig(lam: TractiveForce, t: float, g: GramSet) -> float:
-    """Largest eigenvalue of the symmetrized tractive matrix (should be <= 0)."""
-    tmat = build_T(lam, t, g)
-    return float(np.linalg.eigvalsh(tmat)[-1])

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -51,7 +51,7 @@ from scipy.linalg.lapack import dgbcon as _gbcon, dgbtrf as _gbtrf, \
 from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
     packed_h_norm
-from .operators import BlockOperator, StabilityConstants, TractiveForce, \
+from .operators import StabilityConstants, TractiveForce, \
     STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L0, build_L1, \
     estimate_constants, tension_bands, to_bands
 # re-export: op_norm_H stays part of this module's public interface
@@ -59,6 +59,11 @@ from .operators import op_norm_H as op_norm_H
 
 #: reciprocal condition number of M + h^2 K below which a step map warns
 _RCOND_FLOOR = 1e-13
+
+#: Picard stops once a sweep changes the iterate by at most this much in the
+#: weighted graph norm, and gives up after _PICARD_MAX_ITER sweeps
+_PICARD_TOL = 1e-10
+_PICARD_MAX_ITER = 60
 
 
 def _window_steps(t0: float, T: float, dt: float) -> int:
@@ -137,27 +142,6 @@ def _cayley_from_bands(kb: np.ndarray, mass: np.ndarray,
     return G
 
 
-def cayley_step(op: BlockOperator, dt: float) -> np.ndarray:
-    """One Crank-Nicolson map (I - dt/2 op)^-1 (I + dt/2 op).
-
-    Only the beam generators are accepted: L (stiffness B - T) and L0
-    (stiffness B), not adjoints; the map is built by `_cayley_from_bands`.
-    For the Gram-skew stiff generator the result is H-norm preserving to
-    rounding.  A nearly singular resolvent (conceivable for a strongly
-    tractive full generator at large dt) is reported as a warning rather
-    than silently inverted.
-
-    Raises:
-        InvalidArgumentError: another operator, or dt not positive.
-    """
-    if op.adjoint or not op.stiff:
-        raise InvalidArgumentError(
-            f"cayley_step needs the generator L or L0, got role '{op.role}'")
-    g = op.g
-    stiff = g.B if op.T is None else g.B - op.T
-    return _cayley_from_bands(to_bands(stiff), g.M, dt)
-
-
 @dataclass
 class PropagatorFactorization:
     """Ordered per-step maps G_k ~ U(t_{k+1}, t_k) on a uniform window.
@@ -203,7 +187,13 @@ class PropagatorFactorization:
                 f"with dt={self.dt}")
         return kr
 
-    def _span(self, tau, t):
+    def span(self, tau: float = None, t: float = None):
+        """Step indices (i0, i1) of the window [tau, t], by default the
+        whole window.
+
+        Raises:
+            InvalidArgumentError: a time off the step grid, or tau > t.
+        """
         i0 = 0 if tau is None else self.index_of(tau)
         i1 = self.n_steps if t is None else self.index_of(t)
         if i0 > i1:
@@ -212,7 +202,7 @@ class PropagatorFactorization:
 
     def apply(self, y: np.ndarray, tau: float = None, t: float = None) -> np.ndarray:
         """U(t, tau) y as a chain of per-step matvecs (default full window)."""
-        i0, i1 = self._span(tau, t)
+        i0, i1 = self.span(tau, t)
         z = np.array(y, dtype=float, copy=True)
         for k in range(i0, i1):
             z = self.steps[k] @ z
@@ -225,7 +215,7 @@ class PropagatorFactorization:
         Pairing x with this against the identity <U x, y>_H needs no Gram
         solve at all; see `duality_defect`.
         """
-        i0, i1 = self._span(tau, t)
+        i0, i1 = self.span(tau, t)
         out = np.array(z, dtype=float, copy=True)
         for k in reversed(range(i0, i1)):
             out = self.steps[k].T @ out
@@ -239,7 +229,7 @@ class PropagatorFactorization:
 
     def matrix(self, tau: float = None, t: float = None) -> np.ndarray:
         """Dense single-channel matrix of U(t, tau)."""
-        i0, i1 = self._span(tau, t)
+        i0, i1 = self.span(tau, t)
         dim = 2 * self.g.m
         out = np.eye(dim)
         for k in range(i0, i1):
@@ -370,7 +360,7 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     g = P.g
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
-    i0 = 0 if tau is None else P.index_of(tau)
+    i0, _ = P.span(tau)
     l0_mat = build_L0(g).mat
     x0 = w.packed()
     cur = x0.copy()
@@ -390,25 +380,6 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
 
 
 @dataclass
-class PicardConfig:
-    """Fixed-point controls for `picard_evolution`.
-
-    alpha=None resolves to max(2 C5, 1), which puts the contraction
-    factor C5/alpha at 1/2 or better.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 60
-    alpha: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidArgumentError("picard tolerance must be positive")
-        if self.max_iter < 1:
-            raise InvalidArgumentError("picard needs at least one sweep")
-
-
-@dataclass
 class PicardResult:
     """Trajectory from the fixed-point construction plus iteration record."""
 
@@ -422,8 +393,7 @@ class PicardResult:
 
 
 def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
-                     tau: float, t: float, dt: float,
-                     cfg: PicardConfig = None,
+                     tau: float, t: float, dt: float, alpha: float = None,
                      constants: StabilityConstants = None) -> PicardResult:
     """Fixed point of u -> S(.-tau) w + int_tau S(.-r) L1(r) u(r) dr.
 
@@ -431,13 +401,15 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     schemes, so the comparison against `build_propagator` isolates the
     treatment of the tractive term.  Iterates are compared in the
     weighted graph norm sup_k ||.||_D exp(-alpha (t_k - tau)); successive
-    defects contract by about C5/alpha.
+    defects contract by about C5/alpha.  alpha=None resolves to
+    max(2 C5, 1), which puts that factor at 1/2 or better.  `constants`
+    default to `estimate_constants` at 9 times over [tau, t].
 
     Raises:
         PreconditionError: w not in the discrete domain, or alpha <= C5.
-        NonConvergenceError: defect above cfg.tol after max_iter sweeps.
+        NonConvergenceError: defect above _PICARD_TOL after _PICARD_MAX_ITER
+            sweeps.
     """
-    cfg = cfg if cfg is not None else PicardConfig()
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
     k_steps = _window_steps(tau, t, dt)
@@ -445,7 +417,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         constants = estimate_constants(lam, g, np.linspace(tau, t, 9)) \
             if lam.family != "zero" else None
     c5 = constants.C5 if constants is not None else 0.0
-    alpha = cfg.alpha if cfg.alpha is not None else max(2.0 * c5, 1.0)
+    alpha = alpha if alpha is not None else max(2.0 * c5, 1.0)
     if alpha <= c5:
         raise PreconditionError(
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
@@ -465,7 +437,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     weights = np.exp(-alpha * dt * np.arange(k_steps + 1))
     u = flow.copy()
     defects: List[float] = []
-    for _ in range(cfg.max_iter):
+    for _ in range(_PICARD_MAX_ITER):
         gj = np.zeros_like(u) if zero_l1 else np.matmul(l1, u)
         new = np.empty_like(u)
         new[0] = flow[0]
@@ -478,10 +450,11 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
             for j in range(k_steps + 1))
         defects.append(float(defect))
         u = new
-        if defect <= cfg.tol:
+        if defect <= _PICARD_TOL:
             states = [BeamState.from_packed(g.grid, u[j])
                       for j in range(k_steps + 1)]
             return PicardResult(states=states, defects=defects, alpha=alpha)
     raise NonConvergenceError(
         f"picard iteration still at defect {defects[-1]:.3e} after "
-        f"{cfg.max_iter} sweeps (tol {cfg.tol:.1e})", last_defect=defects[-1])
+        f"{_PICARD_MAX_ITER} sweeps (tol {_PICARD_TOL:.1e})",
+        last_defect=defects[-1])

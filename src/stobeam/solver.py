@@ -13,9 +13,9 @@ emission.
 One kernel, `_block_worker`, advances paths: a block of paths is one
 matrix, stepped with one matrix-matrix product per step.  The single-path
 solvers run it on a block of width one; `ensemble_blocks` runs fixed-size
-blocks and hands them out in block order, and `ensemble_run` merges their
-moment accumulators in that order, so results do not depend on the number
-of worker threads.
+blocks and hands them out in block order, and `ensemble_run`, the one
+moment fold, merges their accumulators in that order, so results do not
+depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .config import SimulationConfig, compile_expression, parse_observable_spec
 from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, BoundaryConditionSet, GramSet,
-                   build_grams, build_grid, check_membership, enforce_bc,
-                   packed_h_inner, packed_h_norm)
+                   build_grams, build_grid, check_membership, packed_h_inner,
+                   packed_h_norm)
 from .noise import (NoiseModel, WienerIncrements, build_noise_model,
                     project_increments, sample_increments)
 from .operators import (StabilityConstants, TractiveForce, build_L,
@@ -221,32 +221,6 @@ def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
     return x0
 
 
-def mild_step(step: np.ndarray, x: BeamState, f: BeamState, dt: float,
-              dw: Optional[np.ndarray], sigma: float,
-              bc: BoundaryConditionSet) -> BeamState:
-    """One mild update: propagate state plus load, then add the noise kick.
-
-    `dw` is the grid Wiener increment (n+2, 3) for this step, or None for
-    noiseless runs.  The returned state has its constrained values reset.
-    The solvers apply the same update to whole blocks of paths in
-    `_block_worker`; this single-state form is for callers that bring
-    their own increments.
-
-    Raises:
-        BlowupError: the step produced non-finite values.
-    """
-    y = step @ (x.packed() + dt * f.packed())
-    out = BeamState.from_packed(x.grid, y)
-    if dw is not None:
-        out.v += sigma * dw
-    out = enforce_bc(out, bc)
-    if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
-        raise BlowupError(
-            "state became non-finite during time stepping; reduce dt or "
-            "check the load")
-    return out
-
-
 @dataclass
 class Trajectory:
     """One sample path on the uniform step grid.
@@ -274,13 +248,15 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _trajectory(scene: Scene, forces: np.ndarray, history: np.ndarray,
-                xi: Optional[np.ndarray], path_index: int) -> Trajectory:
-    """Trajectory of one path from its packed history (n_steps+1, 2m, 3)
-    and its raw draws xi (n_steps, K, 3), None without noise."""
-    cfg = scene.cfg
+def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
+    """Run path `path_index` as a block of width one, history kept."""
+    scene = build_scene(cfg)
     grid = scene.grid
-    states = [BeamState.from_packed(grid, y) for y in history]
+    x0 = initial_state(cfg, scene.g)
+    forces = build_forces(scene)
+    _, history, xi = _block_worker(scene, forces, x0.packed(), path_index,
+                                   path_index + 1, keep_history=True)
+    states = [BeamState.from_packed(grid, y) for y in history[..., 0]]
     homog = None
     if scene.shift is not None:
         homog = states
@@ -288,23 +264,12 @@ def _trajectory(scene: Scene, forces: np.ndarray, history: np.ndarray,
     inc = None
     if xi is not None:
         inc = sample_increments(scene.model, cfg.dt, cfg.n_steps, path_index,
-                                xi=xi)
+                                xi=xi[0])
     return Trajectory(times=cfg.dt * np.arange(cfg.n_steps + 1),
                       states=states, path_index=path_index, bc=scene.bc,
                       g=scene.g, forces=forces, increments=inc,
                       sigma=cfg.sigma if inc is not None else 0.0,
                       shift=scene.shift, homogeneous_states=homog)
-
-
-def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
-    """Run path `path_index` as a block of width one, history kept."""
-    scene = build_scene(cfg)
-    x0 = initial_state(cfg, scene.g)
-    forces = build_forces(scene)
-    _, history, xi = _block_worker(scene, forces, x0.packed(), path_index,
-                                   path_index + 1, keep_paths=True)
-    return _trajectory(scene, forces, history[..., 0],
-                       None if xi is None else xi[0], path_index)
 
 
 def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
@@ -339,8 +304,8 @@ def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajecto
     return _single_path(cfg, path_index)
 
 
-def weak_residual(traj: Trajectory, h: BeamState, lam: TractiveForce,
-                  increments: Optional[WienerIncrements] = None) -> ResidualCurve:
+def weak_residual(traj: Trajectory, h: BeamState,
+                  lam: TractiveForce) -> ResidualCurve:
     """Pathwise defect of the time-integrated weak identity.
 
     For each step time t_k this evaluates
@@ -367,8 +332,6 @@ def weak_residual(traj: Trajectory, h: BeamState, lam: TractiveForce,
     check_membership(h.u, "h4bc", g, what="test displacement")
     check_membership(h.u, "h2bc", g, what="test displacement")
     check_membership(h.v, "h2bc", g, what="test velocity")
-    if increments is None:
-        increments = traj.increments
     n_steps = traj.n_steps
     dt = float(traj.times[1] - traj.times[0])
     hp = h.packed()
@@ -385,8 +348,8 @@ def weak_residual(traj: Trajectory, h: BeamState, lam: TractiveForce,
     integral[1:] = np.cumsum(0.5 * dt * (gen[:-1] + gen[1:]))
 
     stoch = np.zeros(n_steps + 1)
-    if increments is not None and traj.sigma > 0:
-        cum = np.cumsum(increments.increments[:, :m, :], axis=0)
+    if traj.increments is not None and traj.sigma > 0:
+        cum = np.cumsum(traj.increments.increments[:, :m, :], axis=0)
         weights = g.M[:, None] * h.v[:m]
         stoch[1:] = traj.sigma * np.einsum("ic,jic->j", weights, cum)
     values = pair_vals - pair_vals[0] - integral - stoch
@@ -397,10 +360,9 @@ def weak_residual(traj: Trajectory, h: BeamState, lam: TractiveForce,
 class EnsembleStats:
     """Streamed first/second moments of scalar observables over paths.
 
-    `values` holds every per-path sample, shape (n_obs, n_times, N); the
-    moment fields come from the ordered block merge and agree with
-    recomputation from `values` to reassociation error.  With one path the
-    sample variance is undefined and `variance_defined` is False.
+    The moment fields come from the ordered block merge of `ensemble_run`;
+    `scene` is the one the run was built on.  With one path the sample
+    variance is undefined and `variance_defined` is False.
     """
 
     times: np.ndarray
@@ -408,9 +370,8 @@ class EnsembleStats:
     count: int
     mean: np.ndarray
     m2: np.ndarray
-    values: np.ndarray = field(repr=False)
+    scene: Scene = field(repr=False)
     variance_defined: bool = True
-    trajectories: Optional[List[Trajectory]] = field(repr=False, default=None)
 
     @property
     def variance(self) -> np.ndarray:
@@ -418,12 +379,6 @@ class EnsembleStats:
         if not self.variance_defined:
             return np.zeros_like(self.mean)
         return self.m2 / (self.count - 1)
-
-    @property
-    def stderr_mean(self) -> np.ndarray:
-        if not self.variance_defined:
-            return np.zeros_like(self.mean)
-        return np.sqrt(self.variance / self.count)
 
 
 def _sample_indices(n_steps: int, stride: int) -> np.ndarray:
@@ -434,12 +389,12 @@ def _sample_indices(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
-                  p0: int, p1: int, keep_paths: bool, mh=(), idx=()):
+                  p0: int, p1: int, keep_history: bool, mh=(), idx=()):
     """Evolve paths p0..p1-1 as one (2m, 3, p1 - p0) block.
 
     Returns the pairings with the premetric observables `mh` at the step
     indices `idx`, shape (n_obs, len(idx), p1 - p0); then, when
-    `keep_paths`, the packed history (n_steps+1, 2m, 3, p1 - p0) and the
+    `keep_history`, the packed history (n_steps+1, 2m, 3, p1 - p0) and the
     raw draws (p1 - p0, n_steps, K, 3) (None without noise), else None and
     None: the draws are only read to rebuild a path's increments.
 
@@ -459,8 +414,8 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
         kicks = cfg.sigma * project_increments(scene.model, xi, cfg.dt)
     pos = {int(j): ti for ti, j in enumerate(idx)}
     vals = np.empty((len(mh), len(idx), pb))
-    history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_paths else None
-    if keep_paths:
+    history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
+    if keep_history:
         history[0] = X
     if 0 in pos:
         vals[:, pos[0]] = np.einsum("oic,icp->op", mh, X)
@@ -481,12 +436,12 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
                 f"finite H-norm {norm:.6e} at step {k}; reduce dt or check "
                 "the load")
         X = X_next
-        if keep_paths:
+        if keep_history:
             history[k + 1] = X
         ti = pos.get(k + 1)
         if ti is not None:
             vals[:, ti] = np.einsum("oic,icp->op", mh, X)
-    return vals, history, xi if keep_paths else None
+    return vals, history, xi if keep_history else None
 
 
 def _merge_moments(count_a, mean_a, m2_a, vals_b):
@@ -602,42 +557,22 @@ def ensemble_blocks(plan: EnsemblePlan, threads: int,
         ex.shutdown(wait=True, cancel_futures=True)
 
 
-def ensemble_stats(plan: EnsemblePlan, threads: int,
-                   keep_paths: bool = False) -> EnsembleStats:
-    """Run a plan's blocks and merge their moments in block order; see
-    `ensemble_run`, which is this on a freshly built plan."""
-    n = plan.scene.cfg.n_paths
-    values = np.empty((len(plan.observable_ids), len(plan.idx), n))
-    count, mean, m2 = 0, None, None
-    trajectories: Optional[List[Trajectory]] = [] if keep_paths else None
-    for p0, p1, vals, history, xi in ensemble_blocks(plan, threads,
-                                                     keep_paths):
-        values[:, :, p0:p1] = vals
-        count, mean, m2 = _merge_moments(count, mean, m2, vals)
-        if keep_paths:
-            trajectories.extend(
-                _trajectory(plan.scene, plan.forces, history[..., i],
-                            None if xi is None else xi[i], p)
-                for i, p in enumerate(range(p0, p1)))
-    return EnsembleStats(times=plan.times, observable_ids=plan.observable_ids,
-                         count=count, mean=mean, m2=m2, values=values,
-                         variance_defined=(n > 1),
-                         trajectories=trajectories)
-
-
-def ensemble_run(cfg: SimulationConfig, observables: Optional[Sequence[str]] = None,
-                 threads: Optional[int] = None,
-                 keep_paths: bool = False) -> EnsembleStats:
+def ensemble_run(cfg: SimulationConfig,
+                 observables: Optional[Sequence[str]] = None) -> EnsembleStats:
     """Monte Carlo over N independent paths with streamed moments.
 
     Observables are H-inner products against sine-mode test functions,
     given as 'mode:channel:u|v' specs (default from the config), sampled
     every `obs_stride` steps plus the final time.  Paths are evolved in
-    fixed-size blocks; block results merge in index order, so the output
-    is independent of `threads`.  With `keep_paths` the full state history
-    of every path is retained (memory scales with N * n_steps); it is for
-    library callers that want `Trajectory` objects: `stobeam simulate`
-    streams the blocks of `ensemble_blocks` to its CSVs instead.
+    fixed-size blocks on `cfg.threads` workers; block moments merge in
+    index order, so the output is independent of the thread count.  No
+    per-path value outlives its block: `ensemble_blocks` hands out the
+    blocks themselves, as `stobeam simulate` streams them to its CSVs.
     """
-    threads = cfg.threads if threads is None else int(threads)
-    return ensemble_stats(plan_ensemble(cfg, observables), threads, keep_paths)
+    plan = plan_ensemble(cfg, observables)
+    count, mean, m2 = 0, None, None
+    for _, _, vals, _, _ in ensemble_blocks(plan, cfg.threads):
+        count, mean, m2 = _merge_moments(count, mean, m2, vals)
+    return EnsembleStats(times=plan.times, observable_ids=plan.observable_ids,
+                         count=count, mean=mean, m2=m2, scene=plan.scene,
+                         variance_defined=(count > 1))

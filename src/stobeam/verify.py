@@ -27,9 +27,9 @@ from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
 from .noise import ito_variance, sample_increments, trace_condition, trace_q
 from .operators import (TractiveForce, build_L0, estimate_constants,
                         op_norm_H, skew_defect)
-from .propagator import (PicardConfig, backward_adjoint_apply,
-                         build_propagator, cocycle_defect, duality_defect,
-                         generator_residual, picard_evolution)
+from .propagator import (backward_adjoint_apply, build_propagator,
+                         cocycle_defect, duality_defect, generator_residual,
+                         picard_evolution)
 from . import solver as _solver
 from .solver import (bending_mode_state, build_scene, sine_mode_state,
                      solve_homogeneous)
@@ -214,8 +214,7 @@ def check_picard_agreement(scene) -> CheckResult:
     dt = span / 100.0
     P = build_propagator(lam, g, 0.0, span, dt)
     direct = P.apply(w.packed(), 0.0, span)
-    pr = picard_evolution(lam, g, w, 0.0, span, dt,
-                          PicardConfig(tol=1e-10))
+    pr = picard_evolution(lam, g, w, 0.0, span, dt)
     diff = packed_h_norm(direct - pr.states[-1].packed(), g)
     return _result("picard_agreement", diff / packed_h_norm(direct, g), 1e-5,
                    f"fixed point vs midpoint flow after {pr.iterations} sweeps")
@@ -232,8 +231,7 @@ def check_picard_contraction(scene) -> CheckResult:
     consts = estimate_constants(lam, g, np.linspace(0.0, span, 9))
     w = bending_mode_state(g, 1)
     pr = picard_evolution(lam, g, w, 0.0, span, span / 200.0,
-                          PicardConfig(tol=1e-10, alpha=2.0 * consts.C5),
-                          constants=consts)
+                          alpha=2.0 * consts.C5, constants=consts)
     # only ratios measured well above the roundoff floor are meaningful
     floor = 1e-8 * pr.defects[0]
     ratios = [pr.defects[i + 1] / pr.defects[i]
@@ -365,7 +363,7 @@ def check_bc_conformity(scene) -> CheckResult:
     short = replace(cfg, T=steps * cfg.dt,
                     bc_kind="homogeneous", init_family="zero")
     traj = solve_homogeneous(short)
-    worst = max(bc_value_defect(s, traj.bc) for s in traj.states)
+    worst = max(bc_value_defect(s) for s in traj.states)
     return _result("bc_conformity", worst, 0.0,
                    f"stored boundary rows over {steps} steps")
 

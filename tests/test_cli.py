@@ -11,7 +11,8 @@ from stobeam import solver
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.errors import BlowupError
-from stobeam.solver import build_scene, ensemble_run
+from stobeam.grid import BeamState
+from stobeam.solver import build_scene, ensemble_blocks, plan_ensemble
 from stobeam.verify import free_variance_closed_form
 
 TINY = """
@@ -293,31 +294,34 @@ def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
 
 def _oracle_csvs(cfg):
     """trajectory.csv and observables.csv text built value by value with
-    format(x, '.17g') from the kept trajectories of `ensemble_run`."""
-    stats = ensemble_run(cfg, keep_paths=True)
+    format(x, '.17g') from the kept histories of `ensemble_blocks`."""
+    plan = plan_ensemble(cfg)
+    sc = plan.scene
 
     def fmt(x):
         return format(float(x), ".17g")
 
-    nodes = stats.trajectories[0].g.grid.nodes
-    lines = ["path,t,s,channel,u,v"]
-    for traj in stats.trajectories:
-        for k in range(1, len(traj.times)):
-            st = traj.states[k]
-            for i in range(len(nodes)):
-                for c in range(3):
-                    lines.append(
-                        f"{traj.path_index},{fmt(traj.times[k])},"
-                        f"{fmt(nodes[i])},{c + 1},"
-                        f"{fmt(st.u[i, c])},{fmt(st.v[i, c])}")
-    traj_text = "\n".join(lines) + "\n"
-    lines = ["path,t,observable_id,value"]
-    for p in range(cfg.n_paths):
-        for ti, t in enumerate(stats.times):
-            for oi, oid in enumerate(stats.observable_ids):
-                lines.append(f"{p},{fmt(t)},{oid},"
-                             f"{fmt(stats.values[oi, ti, p])}")
-    return traj_text, "\n".join(lines) + "\n"
+    times = cfg.dt * np.arange(cfg.n_steps + 1)
+    nodes = sc.grid.nodes
+    traj_lines = ["path,t,s,channel,u,v"]
+    obs_lines = ["path,t,observable_id,value"]
+    for p0, p1, vals, history, _ in ensemble_blocks(plan, cfg.threads,
+                                                    keep_history=True):
+        for i, p in enumerate(range(p0, p1)):
+            for k in range(1, len(times)):
+                st = BeamState.from_packed(sc.grid, history[k, ..., i])
+                if sc.shift is not None:
+                    st = BeamState(sc.grid, st.u + sc.shift, st.v)
+                for j in range(len(nodes)):
+                    for c in range(3):
+                        traj_lines.append(
+                            f"{p},{fmt(times[k])},{fmt(nodes[j])},{c + 1},"
+                            f"{fmt(st.u[j, c])},{fmt(st.v[j, c])}")
+            for ti, t in enumerate(plan.times):
+                for oi, oid in enumerate(plan.observable_ids):
+                    obs_lines.append(f"{p},{fmt(t)},{oid},"
+                                     f"{fmt(vals[oi, ti, i])}")
+    return "\n".join(traj_lines) + "\n", "\n".join(obs_lines) + "\n"
 
 
 @pytest.mark.parametrize("threads", [1, 3])

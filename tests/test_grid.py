@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError, ShapeError
-from stobeam.grid import (BeamState, BoundaryConditionSet, GridFunction,
-                          bc_value_defect, build_grams, build_grid,
-                          check_membership, d_norm_sq, enforce_bc, h_inner,
+from stobeam.grid import (BeamState, BoundaryConditionSet, bc_value_defect,
+                          build_grams, build_grid, check_membership, h_inner,
                           h_norm, membership_defects, packed_d_norm_sq,
                           packed_h_norm)
 
@@ -37,21 +36,10 @@ def test_build_grid_rejects_bad_arguments():
 
 
 def test_boundary_condition_kinds():
-    hom = BoundaryConditionSet("homogeneous")
-    assert np.array_equal(hom.clamp_slope, np.zeros(3))
-    non = BoundaryConditionSet("nonhomogeneous")
-    assert np.array_equal(non.clamp_slope, np.array([0.0, 0.0, 1.0]))
+    assert BoundaryConditionSet("homogeneous").kind == "homogeneous"
+    assert BoundaryConditionSet("nonhomogeneous").kind == "nonhomogeneous"
     with pytest.raises(InvalidArgumentError):
         BoundaryConditionSet("periodic")
-
-
-def test_grid_function_validation(grid16):
-    with pytest.raises(ShapeError):
-        GridFunction(grid16, np.zeros((5, 3)))
-    bad = np.zeros((grid16.n + 2, 3))
-    bad[3, 1] = np.inf
-    with pytest.raises(InvalidArgumentError):
-        GridFunction(grid16, bad)
 
 
 def test_state_pack_roundtrip(grid16):
@@ -68,6 +56,17 @@ def test_state_pack_roundtrip(grid16):
         BeamState.from_packed(grid16, np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         BeamState(grid16, u[:4], v[:4])
+
+
+def test_bc_value_defect_reads_the_clamped_rows(grid16):
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((grid16.n + 2, 3))
+    x = BeamState(grid16, u, np.zeros_like(u))
+    assert bc_value_defect(x) == np.max(np.abs(u[-1]))
+    y = BeamState.from_packed(grid16, x.packed())
+    assert bc_value_defect(y) == 0.0
+    y.v[-1, 1] = -2.0
+    assert bc_value_defect(y) == 2.0
 
 
 def test_gram_weights():
@@ -127,39 +126,15 @@ def test_mass_form_converges_second_order():
     assert defects[1] / defects[2] > 3.4
 
 
-def test_packed_and_state_graph_norms_agree(grid16, g16):
-    q = _quintic(grid16.nodes)
-    vals = np.zeros((grid16.n + 2, 3))
-    vals[:, 2] = q
-    x = BeamState(grid16, vals, vals.copy())
-    a = d_norm_sq(x, g16)
-    b = packed_d_norm_sq(x.packed(), g16)
-    assert a == pytest.approx(b, rel=1e-14)
-    assert a > 0
-
-
 def test_graph_norm_rejects_rough_displacement(grid16, g16):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((grid16.n + 2, 3))
     vals[-1] = 0.0
     x = BeamState(grid16, vals, np.zeros_like(vals))
     with pytest.raises(PreconditionError):
-        d_norm_sq(x, g16)
+        check_membership(x.u, "h4bc", g16)
     # the unchecked packed variant still evaluates
     assert packed_d_norm_sq(x.packed(), g16) > 0
-
-
-def test_enforce_bc_resets_stored_rows(grid16):
-    rng = np.random.default_rng(4)
-    x = BeamState(grid16, rng.standard_normal((grid16.n + 2, 3)),
-                  rng.standard_normal((grid16.n + 2, 3)))
-    bc = BoundaryConditionSet("homogeneous")
-    assert bc_value_defect(x, bc) > 0
-    y = enforce_bc(x, bc)
-    assert bc_value_defect(y, bc) == 0.0
-    assert np.array_equal(enforce_bc(y, bc).u, y.u)
-    # untouched interior
-    assert np.array_equal(y.u[:-1], x.u[:-1])
 
 
 def test_membership_smooth_passes_rough_fails(grid16, g16):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError
-from stobeam.grid import GridFunction, build_grid
-from stobeam.noise import (apply_A, build_noise_model, build_spectrum,
-                           ito_variance, sample_increments, trace_condition,
-                           trace_q, trace_tail)
+from stobeam.grid import build_grid
+from stobeam.noise import (build_noise_model, build_spectrum, ito_variance,
+                           sample_increments, trace_condition, trace_q,
+                           trace_tail)
 from stobeam.operators import TractiveForce, estimate_constants
 from stobeam.propagator import build_propagator
 from stobeam.solver import sine_mode_state
@@ -93,14 +93,6 @@ def test_increments_expand_the_drawn_coefficients(grid16):
     assert np.array_equal(inc.increments[:, -1, :], np.zeros((15, 3)))
     with pytest.raises(InvalidArgumentError):
         sample_increments(model, -1e-3, 15)
-
-
-def test_injection_targets_velocity(grid16):
-    model = build_noise_model(grid16, "k^-2", K=8, sigma=0.7)
-    gf = GridFunction(grid16, np.ones((grid16.n + 2, 3)))
-    st = apply_A(model, gf)
-    assert np.array_equal(st.u, np.zeros_like(gf.values))
-    assert np.allclose(st.v, 0.7 * gf.values)
 
 
 def test_trace_tail_closed_forms(grid16):

@@ -10,15 +10,23 @@ from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
                                build_L, build_L0, build_T, estimate_constants,
                                tension_bands, to_bands)
-from stobeam.propagator import (PicardConfig, PropagatorFactorization,
-                                ResidualCurve, adjoint_propagator,
-                                backward_adjoint_apply, build_propagator,
-                                cayley_step, cocycle_defect, duality_defect,
-                                generator_residual, op_norm_H, picard_evolution,
-                                _cayley_from_bands)
+from stobeam import propagator
+from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
+                                adjoint_propagator, backward_adjoint_apply,
+                                build_propagator, cocycle_defect,
+                                duality_defect, generator_residual, op_norm_H,
+                                picard_evolution, _cayley_from_bands)
 from stobeam.solver import bending_mode_state
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
+
+
+def cayley_step(op, dt):
+    """Step map of the generator L or L0 from the banded kernel."""
+    if op.adjoint or not op.stiff:
+        raise InvalidArgumentError("a step map needs the generator L or L0")
+    stiff = op.g.B if op.T is None else op.g.B - op.T
+    return _cayley_from_bands(to_bands(stiff), op.g.M, dt)
 
 
 def test_cayley_step_trapezoid_identity(g16):
@@ -246,8 +254,8 @@ def test_picard_requires_contraction_margin(g16):
     w = bending_mode_state(g16, 1)
     cst = estimate_constants(LAM, g16, np.linspace(0.0, 0.1, 5))
     with pytest.raises(PreconditionError):
-        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3,
-                         PicardConfig(alpha=0.5), cst)
+        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3, alpha=0.5,
+                         constants=cst)
 
 
 def test_picard_rejects_rough_initial_data(g16, grid16):
@@ -259,15 +267,9 @@ def test_picard_rejects_rough_initial_data(g16, grid16):
         picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3)
 
 
-def test_picard_nonconvergence_reports(g16):
+def test_picard_nonconvergence_reports(g16, monkeypatch):
+    monkeypatch.setattr(propagator, "_PICARD_TOL", 1e-30)
+    monkeypatch.setattr(propagator, "_PICARD_MAX_ITER", 2)
     w = bending_mode_state(g16, 1)
     with pytest.raises(NonConvergenceError):
-        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3,
-                         PicardConfig(tol=1e-30, max_iter=2))
-
-
-def test_picard_config_guards():
-    with pytest.raises(InvalidArgumentError):
-        PicardConfig(tol=0.0)
-    with pytest.raises(InvalidArgumentError):
-        PicardConfig(max_iter=0)
+        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3)

@@ -11,13 +11,13 @@ import pytest
 from stobeam.config import parse_config
 from stobeam.errors import (BlowupError, InvalidArgumentError,
                             PreconditionError, ShapeError)
-from stobeam.grid import (BeamState, bc_value_defect, build_grid, h_inner,
-                         h_norm, packed_h_norm)
+from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
+                         packed_h_norm)
 from stobeam import solver
 from stobeam.noise import sample_increments
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             build_scene, ensemble_blocks, ensemble_run,
-                            initial_state, mild_step, plan_ensemble,
+                            initial_state, plan_ensemble,
                             sine_mode_state, solve_homogeneous,
                             solve_nonhomogeneous, tractive_from_config,
                             weak_residual)
@@ -167,34 +167,6 @@ def test_initial_state_families(g16):
     assert h_norm(zero, g16) == 0.0
 
 
-def test_mild_step_is_the_documented_update(g16, grid16):
-    cfg = parse_config(STOCH.replace("grid.n = 8", "grid.n = 16"))
-    sc = build_scene(cfg)
-    rng = np.random.default_rng(20)
-    x = BeamState.from_packed(grid16, rng.standard_normal((2 * g16.m, 3)))
-    f = BeamState.from_packed(grid16, rng.standard_normal((2 * g16.m, 3)))
-    dw = rng.standard_normal((grid16.n + 2, 3))
-    out = mild_step(sc.P.steps[0], x, f, cfg.dt, dw, cfg.sigma, sc.bc)
-    y = sc.P.steps[0] @ (x.packed() + cfg.dt * f.packed())
-    ref = BeamState.from_packed(grid16, y)
-    ref.v += cfg.sigma * dw
-    assert np.array_equal(out.u[:-1], ref.u[:-1])
-    assert np.array_equal(out.v[:-1], ref.v[:-1])
-    assert bc_value_defect(out, sc.bc) == 0.0
-
-
-def test_mild_step_flags_blowup(g16, grid16):
-    cfg = parse_config(LOADED)
-    sc = build_scene(cfg)
-    x = BeamState.zero(grid16)
-    huge = np.full((grid16.n + 2, 3), 1e308)
-    huge[-1] = 0.0
-    f = BeamState(grid16, huge, huge.copy())
-    step = np.full_like(sc.P.steps[0], 1e6)
-    with np.errstate(over="ignore"), pytest.raises(BlowupError):
-        mild_step(step, x, f, cfg.dt, None, 0.0, sc.bc)
-
-
 def test_kernel_blowup_names_path_step_and_last_norm():
     cfg = parse_config(LOADED)
     sc = build_scene(cfg)
@@ -206,7 +178,7 @@ def test_kernel_blowup_names_path_step_and_last_norm():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(BlowupError) as err:
         _block_worker(sc, forces, np.zeros((2 * sc.g.m, 3)), 5, 8,
-                      keep_paths=False)
+                      keep_history=False)
     msg = str(err.value)
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
@@ -285,31 +257,43 @@ def test_stochastic_path_carries_increments():
     assert 0.0 < r.max_value < 0.1
 
 
+def _first_ensemble_path(cfg):
+    """States, remainders and increments of path 0 as the ensemble blocks
+    hand it out (history kept)."""
+    plan = plan_ensemble(cfg)
+    sc = plan.scene
+    _, _, _, history, xi = next(ensemble_blocks(plan, 1, keep_history=True))
+    homog = [BeamState.from_packed(sc.grid, y) for y in history[..., 0]]
+    states = homog if sc.shift is None else \
+        [BeamState(sc.grid, x.u + sc.shift, x.v) for x in homog]
+    inc = sample_increments(sc.model, cfg.dt, cfg.n_steps, 0, xi=xi[0])
+    return states, homog, inc
+
+
 def test_ensemble_matches_single_path_solver():
     cfg = parse_config(STOCH)  # run.N defaults to 1
-    stats = ensemble_run(cfg, keep_paths=True)
     ref = solve_homogeneous(cfg, 0)
-    got = stats.trajectories[0]
+    states, _, inc = _first_ensemble_path(cfg)
     # N = 1: both sides are the same width-one block, so bitwise equal
-    assert len(ref.states) == len(got.states)
+    assert len(ref.states) == len(states)
     assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-               for a, b in zip(ref.states, got.states))
-    assert np.array_equal(ref.increments.increments, got.increments.increments)
-    assert np.array_equal(ref.increments.xi, got.increments.xi)
+               for a, b in zip(ref.states, states))
+    assert np.array_equal(ref.increments.increments, inc.increments)
+    assert np.array_equal(ref.increments.xi, inc.xi)
 
 
 def test_nonhomogeneous_path_matches_ensemble_bitwise():
     cfg = parse_config(STOCH.replace("bc.kind = homogeneous",
                                      "bc.kind = nonhomogeneous"))
-    got = ensemble_run(cfg, keep_paths=True).trajectories[0]
+    states, homog, inc = _first_ensemble_path(cfg)
     ref = solve_nonhomogeneous(cfg, 0)
     assert ref.shift is not None
-    for a_list, b_list in ((ref.states, got.states),
-                           (ref.homogeneous_states, got.homogeneous_states)):
+    for a_list, b_list in ((ref.states, states),
+                           (ref.homogeneous_states, homog)):
         assert len(a_list) == cfg.n_steps + 1 == len(b_list)
         assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
                    for a, b in zip(a_list, b_list))
-    assert np.array_equal(ref.increments.increments, got.increments.increments)
+    assert np.array_equal(ref.increments.increments, inc.increments)
 
 
 def test_sampled_increments_are_the_kernel_kicks():
@@ -323,7 +307,7 @@ def test_sampled_increments_are_the_kernel_kicks():
     sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
     forces = np.zeros_like(build_forces(sc))
     x0p = np.zeros((2 * sc.g.m, 3))
-    _, history, _ = _block_worker(sc, forces, x0p, 0, 5, keep_paths=True)
+    _, history, _ = _block_worker(sc, forces, x0p, 0, 5, keep_history=True)
     m = sc.g.m
     for p in (0, 3):
         inc = sample_increments(sc.model, cfg.dt, cfg.n_steps, p)
@@ -332,18 +316,28 @@ def test_sampled_increments_are_the_kernel_kicks():
         assert np.array_equal(kicks, cfg.sigma * inc.increments[:, :m])
 
 
+def _block_values(cfg):
+    """Every path's observables (n_obs, n_times, N), concatenated from the
+    blocks of `ensemble_blocks` in the order they are handed out."""
+    plan = plan_ensemble(cfg)
+    return np.concatenate([vals for _, _, vals, _, _ in
+                           ensemble_blocks(plan, cfg.threads)], axis=2)
+
+
 def test_ensemble_moments_match_stored_values():
-    cfg = parse_config(STOCH + "run.N = 40\n")
+    # 600 paths: blocks of 256, 256 and 88, so the cross-block merge runs
+    cfg = parse_config(STOCH + "run.N = 600\n")
     stats = ensemble_run(cfg)
-    assert stats.count == 40
-    assert stats.values.shape == (2, len(stats.times), 40)
-    mean = stats.values.mean(axis=2)
-    m2 = ((stats.values - mean[:, :, None]) ** 2).sum(axis=2)
+    values = _block_values(cfg)
+    assert stats.count == 600
+    assert values.shape == (2, len(stats.times), 600)
+    mean = values.mean(axis=2)
+    m2 = ((values - mean[:, :, None]) ** 2).sum(axis=2)
     assert np.max(np.abs(stats.mean - mean)) < 1e-14
     assert np.max(np.abs(stats.m2 - m2)) < 1e-12 * max(1.0, np.max(m2))
     assert stats.variance_defined
-    assert np.allclose(stats.variance, m2 / 39, atol=1e-15)
-    assert np.all(stats.stderr_mean >= 0.0)
+    assert np.allclose(stats.variance, m2 / 599, atol=1e-15)
+    assert np.all(stats.variance >= 0.0)
 
 
 def test_ensemble_thread_count_does_not_change_results():
@@ -353,7 +347,7 @@ def test_ensemble_thread_count_does_not_change_results():
     s4 = ensemble_run(threaded)
     assert np.array_equal(s1.mean, s4.mean)
     assert np.array_equal(s1.m2, s4.m2)
-    assert np.array_equal(s1.values, s4.values)
+    assert np.array_equal(_block_values(base), _block_values(threaded))
 
 
 def test_ensemble_observable_times_include_endpoint():
@@ -380,11 +374,12 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
                        .replace("lambda.family = zero",
                                 "lambda.family = bump\nlambda.c0 = 1.0"))
     sc = build_scene(cfg)
-    stats = ensemble_run(cfg, observables=["1:3:u"])
+    plan = plan_ensemble(cfg, observables=["1:3:u"])
+    _, _, vals, _, _ = next(ensemble_blocks(plan, 1))
     traj = solve_nonhomogeneous(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
     want = h_inner(traj.states[-1], h, sc.g)
-    assert stats.values[0, -1, 0] == pytest.approx(want, rel=1e-10)
+    assert vals[0, -1, 0] == pytest.approx(want, rel=1e-10)
 
 
 def test_ensemble_memory_does_not_grow_with_paths():

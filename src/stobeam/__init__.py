@@ -44,7 +44,6 @@ from .operators import (
 from .propagator import (
     PropagatorFactorization,
     build_propagator,
-    adjoint_propagator,
     picard_evolution,
     generator_residual,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "estimate_constants",
     "PropagatorFactorization",
     "build_propagator",
-    "adjoint_propagator",
     "picard_evolution",
     "generator_residual",
     "NoiseModel",

@@ -13,7 +13,8 @@ Subcommands:
 
 Shared flags: --config PATH (required), --out DIR (default: the current
 directory), --paths N (overrides run.N), --seed U64 (overrides
-noise.seed).
+noise.seed); covariance also takes --observable SPEC (overrides
+run.observables with that one spec).
 
 All CSV numbers use 17-significant-digit formatting, and path blocks
 merge in a fixed order, so outputs are byte-stable across repeated runs
@@ -199,24 +200,21 @@ def cmd_verify(cfg: SimulationConfig, out_dir: Optional[str] = None) -> int:
     return 0
 
 
-def cmd_covariance(cfg: SimulationConfig, h_spec: str, out_dir: str) -> int:
-    """Monte Carlo vs quadrature variance for one observable.
+def cmd_covariance(cfg: SimulationConfig, out_dir: str) -> int:
+    """Monte Carlo vs quadrature variance for the first configured
+    observable; the ensemble runs on that observable alone.
 
     covariance.csv columns: t, mc_variance, quadrature_variance, stderr.
     stderr is the Gaussian-theory standard error of the sample variance,
     mc_variance * sqrt(2/(N-1)).
     """
-    try:
-        parse_observable_spec(h_spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="observable") from None
+    spec = cfg.observables[0]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    stats = ensemble_run(cfg, [h_spec])
+    stats = ensemble_run(replace(cfg, observables=(spec,)))
     scene = stats.scene
-    mode, channel, part = parse_observable_spec(h_spec)
-    h = sine_mode_state(scene.grid, mode, channel, part)
+    h = sine_mode_state(scene.grid, *parse_observable_spec(spec))
     lines = ["t,mc_variance,quadrature_variance,stderr"]
     n_within = 0
     for ti, t in enumerate(stats.times):
@@ -233,7 +231,7 @@ def cmd_covariance(cfg: SimulationConfig, h_spec: str, out_dir: str) -> int:
     wall = time.monotonic() - t_start
     outputs = {"covariance.csv": _sha256(out / "covariance.csv")}
     _emit_manifest(out, _manifest(cfg, wall, outputs))
-    print(f"observable {h_spec}: {n_within}/{len(stats.times)} time points "
+    print(f"observable {spec}: {n_within}/{len(stats.times)} time points "
           f"within 3 standard errors (N={stats.count})")
     return 0
 
@@ -300,6 +298,11 @@ def _load_config(args) -> SimulationConfig:
         if not 0 <= args.seed < 2**64:
             raise ConfigError("--seed must be in [0, 2^64)")
         cfg = replace(cfg, seed=args.seed)
+    if getattr(args, "observable", None) is not None:
+        try:
+            cfg = replace(cfg, observables=(args.observable,))
+        except ConfigError as exc:
+            raise ConfigError(f"--observable: {exc.message}") from None
     return cfg
 
 
@@ -313,8 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out)
         if args.command == "covariance":
-            spec = args.observable or cfg.observables[0]
-            return cmd_covariance(cfg, spec, out)
+            return cmd_covariance(cfg, out)
         return cmd_trace_check(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,17 @@ The file format is one `section.key = value` assignment per line, with
 numbers, enum words, or comma-separated lists.  Unknown keys are
 rejected, and every diagnostic carries the key and line number.
 
-Required keys: beam.l, beam.b, grid.n, time.T, time.dt.  Everything else
-has a default (see _KEYS below; the README lists the same table).
+A `SimulationConfig` is valid from the moment it exists: its
+`__post_init__` runs every rule that involves more than one line's text
+(`_check_constraints`: the enum words, the cross-key rules and the
+observable specs) and raises `ConfigError` naming the key, whether the
+config was parsed, built directly or derived with `dataclasses.replace`.
+`parse_config` only converts each line's text and adds the line of the
+named key to such an error.
+
+Every default is stated once, on the dataclass; the required keys
+(beam.l, beam.b, grid.n, time.T, time.dt) are the fields without one.
+noise.K defaults to min(64, grid.n), resolved when the config is built.
 Deterministic serialization emits every resolved key in a fixed order so
 that configs round-trip losslessly and diff cleanly.
 """
@@ -15,23 +24,31 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
+from .noise import SPECTRUM_FAMILIES, spectrum_table
 
-LAMBDA_FAMILIES = ("zero", "bump", "tabulated")
-FDET_FAMILIES = ("zero", "tabulated", "expression")
-INIT_FAMILIES = ("zero", "mode")
-BC_KINDS = ("homogeneous", "nonhomogeneous")
-SPECTRA = ("k^-2", "k^-3", "tabulated")
+#: field -> the words it admits
+_CHOICES = {
+    "spectrum": SPECTRUM_FAMILIES,
+    "lam_family": ("zero", "bump", "tabulated"),
+    "fdet_family": ("zero", "tabulated", "expression"),
+    "init_family": ("zero", "mode"),
+    "bc_kind": ("homogeneous", "nonhomogeneous"),
+}
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Fully resolved run parameters (flat mirror of the config file)."""
+    """Fully resolved run parameters (flat mirror of the config file).
+
+    Construction checks every rule of `_check_constraints`.  K = None
+    stands for the default min(64, n) and is resolved here.
+    """
 
     l: float
     b: float
@@ -41,7 +58,7 @@ class SimulationConfig:
     g_const: float = 9.81
     sigma: float = 1.0
     spectrum: str = "k^-2"
-    K: int = 64
+    K: Optional[int] = None
     seed: int = 0
     noise_table: Optional[Tuple[float, ...]] = None
     lam_family: str = "bump"
@@ -63,12 +80,14 @@ class SimulationConfig:
     observables: Tuple[str, ...] = ("1:3:v",)
     obs_stride: int = 1
 
+    def __post_init__(self):
+        if self.K is None:
+            object.__setattr__(self, "K", min(64, self.n))
+        _check_constraints(self)
+
     @property
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
-
-
-_REQUIRED = object()
 
 
 def _pos_float(v):
@@ -113,15 +132,6 @@ def _uint(v):
     return x
 
 
-def _enum(options):
-    def conv(v):
-        s = str(v).strip()
-        if s not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return s
-    return conv
-
-
 def _float_tuple(v):
     parts = [p for p in str(v).split(",") if p.strip()]
     if not parts:
@@ -129,13 +139,8 @@ def _float_tuple(v):
     return tuple(float(p) for p in parts)
 
 
-def _obs_tuple(v):
-    parts = tuple(p.strip() for p in str(v).split(",") if p.strip())
-    if not parts:
-        raise ValueError("needs at least one observable spec")
-    for p in parts:
-        parse_observable_spec(p)
-    return parts
+def _str_tuple(v):
+    return tuple(p.strip() for p in str(v).split(",") if p.strip())
 
 
 def _expr_str(v):
@@ -160,40 +165,40 @@ def parse_observable_spec(spec: str) -> Tuple[int, int, str]:
     return mode, channel, part
 
 
-#: file key -> (attribute, converter, default)
+#: file key -> (attribute, converter of the line's text)
 _KEYS = {
-    "beam.l": ("l", _pos_float, _REQUIRED),
-    "beam.b": ("b", _pos_float, _REQUIRED),
-    "beam.g": ("g_const", _nonneg_float, 9.81),
-    "grid.n": ("n", _grid_int, _REQUIRED),
-    "time.T": ("T", _pos_float, _REQUIRED),
-    "time.dt": ("dt", _pos_float, _REQUIRED),
-    "noise.sigma": ("sigma", _nonneg_float, 1.0),
-    "noise.spectrum": ("spectrum", _enum(SPECTRA), "k^-2"),
-    "noise.K": ("K", _pos_int, 64),
-    "noise.seed": ("seed", _uint, 0),
-    "noise.table": ("noise_table", _float_tuple, None),
-    "lambda.family": ("lam_family", _enum(LAMBDA_FAMILIES), "bump"),
-    "lambda.c0": ("lam_c0", _nonneg_float, 1.0),
-    "lambda.c1": ("lam_c1", _any_float, 0.0),
-    "lambda.freq": ("lam_freq", _pos_float, 1.0),
-    "lambda.table": ("lam_table", _float_tuple, None),
-    "fdet.family": ("fdet_family", _enum(FDET_FAMILIES), "zero"),
-    "fdet.expr1": ("fdet_expr1", _expr_str, "0"),
-    "fdet.expr2": ("fdet_expr2", _expr_str, "0"),
-    "fdet.expr3": ("fdet_expr3", _expr_str, "0"),
-    "fdet.table": ("fdet_table", _float_tuple, None),
-    "init.family": ("init_family", _enum(INIT_FAMILIES), "zero"),
-    "init.mode": ("init_mode", _pos_int, 1),
-    "init.amplitude": ("init_amplitude", _any_float, 1.0),
-    "bc.kind": ("bc_kind", _enum(BC_KINDS), "homogeneous"),
-    "run.N": ("n_paths", _pos_int, 1),
-    "run.threads": ("threads", _pos_int, 1),
-    "run.observables": ("observables", _obs_tuple, ("1:3:v",)),
-    "run.obs_stride": ("obs_stride", _pos_int, 1),
+    "beam.l": ("l", _pos_float),
+    "beam.b": ("b", _pos_float),
+    "beam.g": ("g_const", _nonneg_float),
+    "grid.n": ("n", _grid_int),
+    "time.T": ("T", _pos_float),
+    "time.dt": ("dt", _pos_float),
+    "noise.sigma": ("sigma", _nonneg_float),
+    "noise.spectrum": ("spectrum", str),
+    "noise.K": ("K", _pos_int),
+    "noise.seed": ("seed", _uint),
+    "noise.table": ("noise_table", _float_tuple),
+    "lambda.family": ("lam_family", str),
+    "lambda.c0": ("lam_c0", _nonneg_float),
+    "lambda.c1": ("lam_c1", _any_float),
+    "lambda.freq": ("lam_freq", _pos_float),
+    "lambda.table": ("lam_table", _float_tuple),
+    "fdet.family": ("fdet_family", str),
+    "fdet.expr1": ("fdet_expr1", _expr_str),
+    "fdet.expr2": ("fdet_expr2", _expr_str),
+    "fdet.expr3": ("fdet_expr3", _expr_str),
+    "fdet.table": ("fdet_table", _float_tuple),
+    "init.family": ("init_family", str),
+    "init.mode": ("init_mode", _pos_int),
+    "init.amplitude": ("init_amplitude", _any_float),
+    "bc.kind": ("bc_kind", str),
+    "run.N": ("n_paths", _pos_int),
+    "run.threads": ("threads", _pos_int),
+    "run.observables": ("observables", _str_tuple),
+    "run.obs_stride": ("obs_stride", _pos_int),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _KEYS.items()}
+_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -201,8 +206,8 @@ def parse_config(text: str) -> SimulationConfig:
 
     Raises:
         ConfigError: unknown key, bad value, missing required key, or a
-            cross-key constraint violation; the message names the key and
-            (where applicable) the line.
+            rule of `_check_constraints`; the message names the key and,
+            where the file sets it, its line.
     """
     values = {}
     lines = {}
@@ -217,7 +222,7 @@ def parse_config(text: str) -> SimulationConfig:
         val = val.strip()
         if key not in _KEYS:
             raise ConfigError(f"unknown key", key=key, line=lineno)
-        attr, conv, _ = _KEYS[key]
+        attr, conv = _KEYS[key]
         if attr in values:
             raise ConfigError("duplicate key", key=key, line=lineno)
         try:
@@ -225,63 +230,80 @@ def parse_config(text: str) -> SimulationConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value '{val}': {exc}", key=key,
                               line=lineno) from None
-        lines[attr] = lineno
+        lines[key] = lineno
 
-    for key, (attr, _, default) in _KEYS.items():
-        if attr in values:
-            continue
-        if default is _REQUIRED:
-            raise ConfigError("missing required key", key=key)
-        values[attr] = default
-
-    cfg = SimulationConfig(**values)
-    _check_constraints(cfg, lines)
-    return cfg
+    for f in fields(SimulationConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError("missing required key", key=_ATTR_TO_KEY[f.name])
+    try:
+        return SimulationConfig(**values)
+    except ConfigError as exc:
+        exc.line = lines.get(exc.key)
+        raise
 
 
-def _check_constraints(cfg: SimulationConfig, lines: dict):
+def _check_constraints(cfg: SimulationConfig):
+    """Every rule that involves more than one line's text; raises
+    ConfigError naming the key to change."""
+    for attr, words in _CHOICES.items():
+        if getattr(cfg, attr) not in words:
+            raise ConfigError(f"bad value '{getattr(cfg, attr)}': must be one "
+                              f"of {', '.join(words)}", key=_ATTR_TO_KEY[attr])
     ratio = cfg.T / cfg.dt
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-        raise ConfigError("dt must divide T", key="time.dt",
-                          line=lines.get("dt"))
+        raise ConfigError("dt must divide T", key="time.dt")
     if cfg.lam_family == "bump" and cfg.lam_c0 - abs(cfg.lam_c1) < 0:
-        raise ConfigError("bump modulation needs c0 >= |c1|",
-                          key="lambda.c1", line=lines.get("lam_c1"))
-    if cfg.lam_family == "tabulated" and cfg.lam_table is None:
-        raise ConfigError("tabulated tension needs lambda.table",
-                          key="lambda.table")
-    if cfg.spectrum == "tabulated" and cfg.noise_table is None:
-        raise ConfigError("tabulated spectrum needs noise.table",
-                          key="noise.table")
-    if cfg.fdet_family == "tabulated" and cfg.fdet_table is None:
-        raise ConfigError("tabulated force needs fdet.table",
-                          key="fdet.table")
+        raise ConfigError("bump modulation needs c0 >= |c1|", key="lambda.c1")
+    for family, attr, what in ((cfg.lam_family, "lam_table", "tension"),
+                               (cfg.spectrum, "noise_table", "spectrum"),
+                               (cfg.fdet_family, "fdet_table", "force")):
+        if family == "tabulated" and getattr(cfg, attr) is None:
+            raise ConfigError(f"tabulated {what} needs {_ATTR_TO_KEY[attr]}",
+                              key=_ATTR_TO_KEY[attr])
     if cfg.bc_kind == "nonhomogeneous" and cfg.init_family != "zero":
         raise ConfigError(
             "nonhomogeneous runs support only the built-in initial data "
             "(init.family = zero on top of the slope shift)",
-            key="init.family", line=lines.get("init_family"))
-    # the default K = 64 still parses (and round-trips) on coarser grids;
-    # it is refused when the noise model is built
-    if cfg.sigma > 0 and cfg.K > cfg.n and cfg.K != _KEYS["noise.K"][2]:
+            key="init.family")
+    if cfg.init_family == "mode" and cfg.init_mode > cfg.n + 1:
+        raise ConfigError(
+            f"bending mode {cfg.init_mode} exceeds the {cfg.n + 1} modes of "
+            "the grid; lower init.mode or refine grid.n", key="init.mode")
+    if cfg.sigma > 0 and cfg.K > cfg.n:
         raise ConfigError(
             f"{cfg.K} noise modes exceed the {cfg.n} sine modes representable "
-            "on the grid; lower noise.K or refine grid.n", key="noise.K",
-            line=lines.get("K"))
+            "on the grid; lower noise.K or refine grid.n", key="noise.K")
     for attr, want, what in (("fdet_table", cfg.n + 2, "grid.n + 2"),
                              ("lam_table", cfg.n + 2, "grid.n + 2"),
                              ("noise_table", cfg.K, "noise.K")):
         table = getattr(cfg, attr)
         if table is not None and len(table) != want:
             raise ConfigError(f"{len(table)} values given, {what} = {want} "
-                              "needed", key=_ATTR_TO_KEY[attr],
-                              line=lines.get(attr))
+                              "needed", key=_ATTR_TO_KEY[attr])
+    if cfg.noise_table is not None:
+        try:
+            spectrum_table(cfg.noise_table)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc), key="noise.table") from None
+    if not cfg.observables:
+        raise ConfigError("needs at least one observable spec",
+                          key="run.observables")
+    for spec in cfg.observables:
+        try:
+            mode, _, _ = parse_observable_spec(spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="run.observables") from None
+        if mode > cfg.n:
+            raise ConfigError(
+                f"observable '{spec}' needs sine mode {mode}, above the "
+                f"{cfg.n} modes representable on the grid",
+                key="run.observables")
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
     """Canonical text form; parse_config inverts it losslessly."""
     out = []
-    for key, (attr, _, _) in _KEYS.items():
+    for key, (attr, _) in _KEYS.items():
         val = getattr(cfg, attr)
         if val is None:
             continue

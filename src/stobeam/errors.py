@@ -34,16 +34,22 @@ class BlowupError(StobeamError, RuntimeError):
 
 
 class ConfigError(StobeamError, ValueError):
-    """Configuration text could not be parsed or violates a constraint."""
+    """Configuration text could not be parsed or violates a constraint.
+
+    The key and line, where known, follow the message; a parser that
+    knows the line of `key` sets `line` on the way out.
+    """
 
     def __init__(self, message, key=None, line=None):
-        loc = []
-        if key is not None:
-            loc.append(f"key '{key}'")
-        if line is not None:
-            loc.append(f"line {line}")
-        if loc:
-            message = f"{message} ({', '.join(loc)})"
         super().__init__(message)
+        self.message = message
         self.key = key
         self.line = line
+
+    def __str__(self):
+        loc = []
+        if self.key is not None:
+            loc.append(f"key '{self.key}'")
+        if self.line is not None:
+            loc.append(f"line {self.line}")
+        return f"{self.message} ({', '.join(loc)})" if loc else self.message

@@ -57,22 +57,6 @@ class BeamGrid:
         return self.n + 1
 
 
-@dataclass(frozen=True)
-class BoundaryConditionSet:
-    """The four endpoint constraints.
-
-    kind "homogeneous": x(l) = 0, dx/ds(l) = 0, d2x/ds2(0) = 0,
-    d3x/ds3(0) = 0.  kind "nonhomogeneous" replaces the slope clamp by
-    dx/ds(l) = e3 (unit tangent), realized by the shift (s - l) e3.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("homogeneous", "nonhomogeneous"):
-            raise InvalidArgumentError(f"unknown bc kind '{self.kind}'")
-
-
 @dataclass
 class BeamState:
     """Displacement/velocity pair, each an R^3-valued grid function."""

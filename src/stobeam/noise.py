@@ -37,6 +37,18 @@ _ZETA2 = np.pi**2 / 6.0
 _ZETA3 = 1.2020569031595943
 
 
+def spectrum_table(table) -> np.ndarray:
+    """Tabulated eigenvalues as an array, checked to be positive and
+    non-increasing (the one statement of this rule; the config parser
+    applies it to noise.table)."""
+    q = np.asarray(table, dtype=float)
+    if np.min(q) <= 0:
+        raise InvalidArgumentError("spectrum eigenvalues must be positive")
+    if np.any(np.diff(q) > 0):
+        raise InvalidArgumentError("spectrum eigenvalues must be non-increasing")
+    return q
+
+
 def build_spectrum(kind: str, K: int, table=None) -> np.ndarray:
     """Eigenvalue sequence q_1..q_K of the scalar covariance factor."""
     if kind not in SPECTRUM_FAMILIES:
@@ -51,15 +63,10 @@ def build_spectrum(kind: str, K: int, table=None) -> np.ndarray:
         return k**-3
     if table is None:
         raise InvalidArgumentError("tabulated spectrum needs explicit values")
-    q = np.asarray(table, dtype=float)
-    if q.shape != (K,):
+    if np.shape(table) != (K,):
         raise InvalidArgumentError(
-            f"tabulated spectrum has {q.shape} values, expected ({K},)")
-    if np.min(q) <= 0:
-        raise InvalidArgumentError("spectrum eigenvalues must be positive")
-    if np.any(np.diff(q) > 0):
-        raise InvalidArgumentError("spectrum eigenvalues must be non-increasing")
-    return q
+            f"tabulated spectrum has {np.shape(table)} values, expected ({K},)")
+    return spectrum_table(table)
 
 
 @dataclass(frozen=True)
@@ -67,15 +74,14 @@ class NoiseModel:
     """Truncated sine-basis covariance model on a fixed grid.
 
     e_red holds the eigenfunctions at the reduced nodes 0..n (they vanish
-    at the clamped end anyway); e_full includes the exact zero row at s=l.
+    at the clamped end s = l anyway).
     """
 
     grid: BeamGrid
     spectrum: str
     K: int
     q: np.ndarray
-    e_red: np.ndarray   # (m, K)
-    e_full: np.ndarray  # (n+2, K)
+    e_red: np.ndarray  # (m, K)
     sigma: float
     seed: int
 
@@ -94,7 +100,7 @@ class NoiseModel:
         return self.stream(path_index).standard_normal((int(n_steps), self.K, 3))
 
 
-def build_noise_model(grid: BeamGrid, spectrum: str = "k^-2", K: int = 64,
+def build_noise_model(grid: BeamGrid, spectrum: str, K: int,
                       sigma: float = 1.0, seed: int = 0,
                       table=None) -> NoiseModel:
     """Assemble the noise model, capping K at the representable basis.
@@ -115,11 +121,10 @@ def build_noise_model(grid: BeamGrid, spectrum: str = "k^-2", K: int = 64,
     q = build_spectrum(spectrum, K, table)
     l = grid.l
     kk = np.arange(1, K + 1)
-    e_full = np.sqrt(2.0 / l) * np.sin(np.outer(grid.nodes, kk) * np.pi / l)
-    e_full[-1, :] = 0.0
+    e_red = np.sqrt(2.0 / l) * np.sin(np.outer(grid.nodes[:-1], kk)
+                                      * np.pi / l)
     return NoiseModel(grid=grid, spectrum=spectrum, K=int(K), q=q,
-                      e_red=e_full[:-1].copy(), e_full=e_full,
-                      sigma=float(sigma), seed=int(seed))
+                      e_red=e_red, sigma=float(sigma), seed=int(seed))
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,8 @@ class PropagatorFactorization:
 
     steps[k] advances packed states from t0 + k dt to t0 + (k+1) dt; the
     same array object may be shared between steps when the generator is
-    time independent.  For `adjoint_propagator` output (`adjoint`) the
-    steps run along the reversed window.
+    time independent.  The H-adjoint U*(t, tau) is applied from the same
+    maps by `apply_adjoint`.
     """
 
     t0: float
@@ -157,7 +157,6 @@ class PropagatorFactorization:
     dt: float
     steps: List[np.ndarray]
     g: GramSet = field(repr=False)
-    adjoint: bool = False
 
     def __post_init__(self):
         k = _window_steps(self.t0, self.T, self.dt)
@@ -256,20 +255,6 @@ def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
         steps = [step(t0 + (k + 0.5) * dt) for k in range(k_steps)]
     return PropagatorFactorization(t0=float(t0), T=float(T), dt=float(dt),
                                    steps=steps, g=g)
-
-
-def adjoint_propagator(P: PropagatorFactorization, g: GramSet = None) -> PropagatorFactorization:
-    """Factorization of U*(t, tau) from per-step Gram transposes.
-
-    Step j of the result is the H-adjoint of source step K-1-j, so the
-    full-window application equals U*(T, t0); partial windows advance the
-    reversed-time variable.  For time-dependent cross-checks integrate the
-    backward equation instead (`backward_adjoint_apply`).
-    """
-    g = g if g is not None else P.g
-    steps = [g.mh_solve(g.mh_apply(s).T) for s in reversed(P.steps)]
-    return PropagatorFactorization(t0=P.t0, T=P.T, dt=P.dt, steps=steps,
-                                   g=g, adjoint=not P.adjoint)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,

@@ -25,7 +25,7 @@ import concurrent.futures
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +33,8 @@ import scipy.linalg
 from .config import SimulationConfig, compile_expression, parse_observable_spec
 from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
-from .grid import (BeamGrid, BeamState, BoundaryConditionSet, GramSet,
-                   build_grams, build_grid, check_membership, packed_h_inner,
-                   packed_h_norm)
+from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
+                   check_membership, packed_h_inner, packed_h_norm)
 from .noise import (NoiseModel, WienerIncrements, build_noise_model,
                     project_increments, sample_increments)
 from .operators import (StabilityConstants, TractiveForce, build_L,
@@ -55,7 +54,6 @@ class Scene:
     grid: BeamGrid
     g: GramSet = field(repr=False)
     lam: TractiveForce
-    bc: BoundaryConditionSet
     P: PropagatorFactorization = field(repr=False)
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
@@ -86,7 +84,6 @@ def build_scene(cfg: SimulationConfig) -> Scene:
     grid = build_grid(cfg.l, cfg.n)
     g = build_grams(grid, cfg.b)
     lam = tractive_from_config(cfg)
-    bc = BoundaryConditionSet(cfg.bc_kind)
     P = build_propagator(lam, g, 0.0, cfg.T, cfg.dt)
     model = None
     if cfg.sigma > 0:
@@ -98,7 +95,7 @@ def build_scene(cfg: SimulationConfig) -> Scene:
     if cfg.bc_kind == "nonhomogeneous":
         shift = np.zeros((grid.n + 2, 3))
         shift[:, 2] = grid.nodes - grid.l
-    return Scene(cfg=cfg, grid=grid, g=g, lam=lam, bc=bc, P=P, model=model,
+    return Scene(cfg=cfg, grid=grid, g=g, lam=lam, P=P, model=model,
                  shift=shift)
 
 
@@ -114,12 +111,8 @@ def _fdet_at_nodes(cfg: SimulationConfig, grid: BeamGrid) -> Callable[[float], n
         zero = np.zeros((n_nodes, 3))
         return lambda t: zero
     if cfg.fdet_family == "tabulated":
-        table = np.asarray(cfg.fdet_table, dtype=float)
-        if table.shape != (n_nodes,):
-            raise InvalidArgumentError(
-                f"fdet.table has {table.shape[0]} values, grid needs {n_nodes}")
         vals = np.zeros((n_nodes, 3))
-        vals[:, 2] = table
+        vals[:, 2] = cfg.fdet_table
         return lambda t: vals
     exprs = [compile_expression(e) for e in
              (cfg.fdet_expr1, cfg.fdet_expr2, cfg.fdet_expr3)]
@@ -205,16 +198,11 @@ def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
     homogeneous remainder, which is zero (the path starts on the lift).
 
     Raises:
-        InvalidArgumentError: custom initial data on a nonhomogeneous run.
         PreconditionError: the initial data fail the discrete smoothness
             checks (displacement must pass the h6bc stencils, velocity h4bc).
     """
     if cfg.init_family == "zero":
         return BeamState.zero(g.grid)
-    if cfg.bc_kind == "nonhomogeneous":
-        raise InvalidArgumentError(
-            "nonhomogeneous runs start from the slope lift itself; custom "
-            "initial data (init.family != zero) are not supported")
     x0 = bending_mode_state(g, cfg.init_mode, cfg.init_amplitude)
     check_membership(x0.u, "h6bc", g, what="initial displacement")
     check_membership(x0.v, "h4bc", g, what="initial velocity")
@@ -226,15 +214,15 @@ class Trajectory:
     """One sample path on the uniform step grid.
 
     `states` are the emitted states (shift included for nonhomogeneous
-    runs); `homogeneous_states` keeps the raw remainder in that case so
-    the lift can be audited bitwise.  `forces` stores the packed loads
-    F(t_k) for k = 0..n_steps used by the weak-form residual.
+    runs, the only ones with a `shift`); `homogeneous_states` keeps the
+    raw remainder in that case so the lift can be audited bitwise.
+    `forces` stores the packed loads F(t_k) for k = 0..n_steps used by
+    the weak-form residual.
     """
 
     times: np.ndarray
     states: List[BeamState]
     path_index: int
-    bc: BoundaryConditionSet
     g: GramSet = field(repr=False)
     forces: np.ndarray = field(repr=False)
     increments: Optional[WienerIncrements] = field(repr=False, default=None)
@@ -266,8 +254,8 @@ def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
         inc = sample_increments(scene.model, cfg.dt, cfg.n_steps, path_index,
                                 xi=xi[0])
     return Trajectory(times=cfg.dt * np.arange(cfg.n_steps + 1),
-                      states=states, path_index=path_index, bc=scene.bc,
-                      g=scene.g, forces=forces, increments=inc,
+                      states=states, path_index=path_index, g=scene.g,
+                      forces=forces, increments=inc,
                       sigma=cfg.sigma if inc is not None else 0.0,
                       shift=scene.shift, homogeneous_states=homog)
 
@@ -295,8 +283,6 @@ def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajecto
 
     Raises:
         PreconditionError: config is not the nonhomogeneous kind.
-        InvalidArgumentError: custom initial data were requested; only the
-            built-in lift initial condition is supported.
     """
     if cfg.bc_kind != "nonhomogeneous":
         raise PreconditionError(
@@ -322,7 +308,7 @@ def weak_residual(traj: Trajectory, h: BeamState,
         PreconditionError: nonhomogeneous trajectory (the identity is
             stated for the homogeneous problem) or h fails the stencils.
     """
-    if traj.bc.kind != "homogeneous":
+    if traj.shift is not None:
         raise PreconditionError(
             "weak residual is defined for homogeneous trajectories; pass "
             "the remainder of a nonhomogeneous run instead")
@@ -458,16 +444,6 @@ def _merge_moments(count_a, mean_a, m2_a, vals_b):
     return n_ab, mean, m2
 
 
-def observable_states(cfg: SimulationConfig, grid: BeamGrid,
-                      specs: Optional[Sequence[str]] = None) -> Tuple[Tuple[str, ...], List[BeamState]]:
-    specs = tuple(specs if specs is not None else cfg.observables)
-    states = []
-    for spec in specs:
-        mode, channel, part = parse_observable_spec(spec)
-        states.append(sine_mode_state(grid, mode, channel, part))
-    return specs, states
-
-
 @dataclass(frozen=True)
 class EnsemblePlan:
     """What every block of an ensemble run shares: the scene, the packed
@@ -488,14 +464,14 @@ class EnsemblePlan:
         return self.scene.cfg.dt * self.idx
 
 
-def plan_ensemble(cfg: SimulationConfig,
-                  observables: Optional[Sequence[str]] = None) -> EnsemblePlan:
+def plan_ensemble(cfg: SimulationConfig) -> EnsemblePlan:
     """Build the scene and everything the blocks of a run share."""
     scene = build_scene(cfg)
     x0p = initial_state(cfg, scene.g).packed()
     forces = build_forces(scene)
-    ids, h_states = observable_states(cfg, scene.grid, observables)
-    mh = np.stack([scene.g.mh_apply(h.packed()) for h in h_states])
+    ids = cfg.observables
+    mh = np.stack([scene.g.mh_apply(sine_mode_state(
+        scene.grid, *parse_observable_spec(spec)).packed()) for spec in ids])
     idx = _sample_indices(cfg.n_steps, cfg.obs_stride)
 
     # observables are taken on the emitted states; for nonhomogeneous runs
@@ -557,19 +533,18 @@ def ensemble_blocks(plan: EnsemblePlan, threads: int,
         ex.shutdown(wait=True, cancel_futures=True)
 
 
-def ensemble_run(cfg: SimulationConfig,
-                 observables: Optional[Sequence[str]] = None) -> EnsembleStats:
+def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
     """Monte Carlo over N independent paths with streamed moments.
 
     Observables are H-inner products against sine-mode test functions,
-    given as 'mode:channel:u|v' specs (default from the config), sampled
-    every `obs_stride` steps plus the final time.  Paths are evolved in
-    fixed-size blocks on `cfg.threads` workers; block moments merge in
-    index order, so the output is independent of the thread count.  No
-    per-path value outlives its block: `ensemble_blocks` hands out the
-    blocks themselves, as `stobeam simulate` streams them to its CSVs.
+    the config's 'mode:channel:u|v' specs, sampled every `obs_stride`
+    steps plus the final time.  Paths are evolved in fixed-size blocks on
+    `cfg.threads` workers; block moments merge in index order, so the
+    output is independent of the thread count.  No per-path value
+    outlives its block: `ensemble_blocks` hands out the blocks
+    themselves, as `stobeam simulate` streams them to its CSVs.
     """
-    plan = plan_ensemble(cfg, observables)
+    plan = plan_ensemble(cfg)
     count, mean, m2 = 0, None, None
     for _, _, vals, _, _ in ensemble_blocks(plan, cfg.threads):
         count, mean, m2 = _merge_moments(count, mean, m2, vals)

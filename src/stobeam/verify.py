@@ -45,10 +45,6 @@ class CheckResult:
     threshold: Optional[float]
     note: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 def _result(name, defect, threshold, note="", skip=False):
     if skip:

@@ -296,7 +296,7 @@ def test_weak_residual_nested_refinement(acceptance):
             y[m:] += wi.increments[k][:m]
             states.append(BeamState.from_packed(sc.grid, y))
         traj = Trajectory(times=dt * np.arange(ks + 1), states=states,
-                          path_index=7, bc=sc.bc, g=sc.g, forces=forces,
+                          path_index=7, g=sc.g, forces=forces,
                           increments=wi, sigma=1.0)
         h = BeamState(sc.grid, bending_mode_state(sc.g, 1).u,
                       sine_mode_state(sc.grid, 1, 3, "v").v)

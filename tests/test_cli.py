@@ -163,10 +163,41 @@ def test_covariance_without_noise_emits_zero_columns(tmp_path, capsys):
 
 def test_covariance_rejects_bad_observable(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, TINY)
-    code = main(["covariance", "--config", cfg_path, "--out", str(tmp_path),
-                 "--observable", "1:9:v"])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    # a bad channel, and a mode above the grid.n = 8 sine modes
+    for spec in ("1:9:v", "30:3:v"):
+        code = main(["covariance", "--config", cfg_path,
+                     "--out", str(tmp_path / "o"), "--observable", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--observable" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_covariance_manifest_records_the_observable_override(tmp_path,
+                                                             capsys):
+    two = TINY.replace("run.observables = 1:3:v",
+                       "run.observables = 1:3:v,2:1:v")
+    out = tmp_path / "o"
+    assert main(["covariance", "--config", _write_cfg(tmp_path, two),
+                 "--out", str(out), "--observable", "2:1:v"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert parse_config(manifest["config"]).observables == ("2:1:v",)
+    # the recorded config alone reproduces the curve
+    again = tmp_path / "again"
+    assert main(["covariance", "--config",
+                 _write_cfg(tmp_path, manifest["config"], "again.cfg"),
+                 "--out", str(again)]) == 0
+    assert (again / "covariance.csv").read_bytes() == \
+        (out / "covariance.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_default_noise_modes_follow_the_grid(tmp_path):
+    cfg_path = _write_cfg(tmp_path, TINY.replace("noise.K = 6\n", ""))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "noise.K = 8\n" in manifest["config"]  # min(64, grid.n)
 
 
 def test_trace_check_reports_and_passes(tmp_path, capsys):
@@ -278,6 +309,12 @@ def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
       + ",".join(["0.0"] * 11)), "lambda.table"),
     (("noise.seed = 3", "noise.seed = 3\nnoise.spectrum = tabulated\n"
       "noise.table = 3,2,1"), "noise.table"),
+    (("noise.seed = 3", "noise.seed = 3\nnoise.spectrum = tabulated\n"
+      "noise.table = 1,2,3,4,5,6"), "noise.table"),   # increasing
+    (("init.family = zero", "init.family = mode\ninit.mode = 10"),
+     "init.mode"),                                    # above grid.n + 1
+    (("run.observables = 1:3:v", "run.observables = 1:3:v,9:3:v"),
+     "run.observables"),                              # mode above grid.n
 ])
 def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     text = TINY.replace(*edit)

@@ -1,13 +1,19 @@
 """Flat key=value configuration: parsing, defaults, round trips."""
 
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stobeam.config import (SimulationConfig, compile_expression, parse_config,
-                            parse_observable_spec, serialize_config)
+from stobeam.config import (_KEYS, SimulationConfig, compile_expression,
+                            parse_config, parse_observable_spec,
+                            serialize_config)
 from stobeam.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 # the five required keys
@@ -28,7 +34,9 @@ def test_minimal_config_and_defaults():
     assert cfg.g_const == 9.81
     assert cfg.sigma == 1.0
     assert cfg.spectrum == "k^-2"
-    assert cfg.K == 64
+    assert cfg.K == 16  # min(64, grid.n)
+    for n, K in ((8, 8), (100, 64)):
+        assert SimulationConfig(l=1.0, b=1.0, n=n, T=1.0, dt=0.5).K == K
     assert cfg.seed == 0
     assert cfg.lam_family == "bump"
     assert cfg.lam_c0 == 1.0 and cfg.lam_c1 == 0.0
@@ -167,3 +175,51 @@ def test_direct_construction_equals_parse():
     cfg = parse_config(MINIMAL)
     direct = SimulationConfig(l=1.0, b=1.0, n=16, T=0.5, dt=0.01)
     assert cfg == direct
+
+
+def test_every_construction_path_checks_the_rules():
+    cfg = parse_config(MINIMAL)
+    for change, key in (
+            (dict(bc_kind="nonhomogeneous", init_family="mode"), "init.family"),
+            (dict(bc_kind="periodic"), "bc.kind"),
+            (dict(observables=("17:3:v",)), "run.observables"),
+            (dict(observables=()), "run.observables")):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **change)
+        assert err.value.key == key and err.value.line is None
+    with pytest.raises(ConfigError) as err:
+        SimulationConfig(l=1.0, b=1.0, n=16, T=0.5, dt=0.01,
+                         fdet_family="tabulated")
+    assert err.value.key == "fdet.table"
+    assert "key 'fdet.table'" in str(err.value)
+
+
+def _readme_defaults() -> dict:
+    """key -> default cell of README's Configuration table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda t: t.startswith("|"),
+                                    lines[start:]):
+        key, default = (c.strip().strip("`") for c in line.split("|")[1:3])
+        if key == "fdet.expr1..3":
+            rows.update({f"fdet.expr{i}": default for i in (1, 2, 3)})
+        else:
+            rows[key] = default
+    return rows
+
+
+def test_readme_defaults_equal_the_dataclass_defaults():
+    rows = _readme_defaults()
+    assert sorted(rows) == sorted(_KEYS)
+    defaults = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
+    for key, text in rows.items():
+        attr, conv = _KEYS[key]
+        if text == "required":
+            assert defaults[attr] is dataclasses.MISSING, key
+        elif text == "none":
+            assert defaults[attr] is None, key
+        elif key == "noise.K":
+            assert text == "min(64, grid.n)" and defaults[attr] is None
+        else:
+            assert conv(text) == defaults[attr], key

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError, ShapeError
-from stobeam.grid import (BeamState, BoundaryConditionSet, bc_value_defect,
-                          build_grams, build_grid, check_membership, h_inner,
-                          h_norm, membership_defects, packed_d_norm_sq,
-                          packed_h_norm)
+from stobeam.grid import (BeamState, bc_value_defect, build_grams, build_grid,
+                          check_membership, h_inner, h_norm,
+                          membership_defects, packed_d_norm_sq, packed_h_norm)
 
 # Quintic satisfying all four endpoint conditions on [0, 1]:
 # q(1) = q'(1) = 0, q''(0) = q'''(0) = 0.
@@ -33,13 +32,6 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(1.0, 3)
     with pytest.raises(InvalidArgumentError):
         build_grid(float("nan"), 16)
-
-
-def test_boundary_condition_kinds():
-    assert BoundaryConditionSet("homogeneous").kind == "homogeneous"
-    assert BoundaryConditionSet("nonhomogeneous").kind == "nonhomogeneous"
-    with pytest.raises(InvalidArgumentError):
-        BoundaryConditionSet("periodic")
 
 
 def test_state_pack_roundtrip(grid16):

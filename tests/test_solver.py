@@ -374,7 +374,7 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
                        .replace("lambda.family = zero",
                                 "lambda.family = bump\nlambda.c0 = 1.0"))
     sc = build_scene(cfg)
-    plan = plan_ensemble(cfg, observables=["1:3:u"])
+    plan = plan_ensemble(dataclasses.replace(cfg, observables=("1:3:u",)))
     _, _, vals, _, _ = next(ensemble_blocks(plan, 1))
     traj = solve_nonhomogeneous(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")

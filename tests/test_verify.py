@@ -5,7 +5,7 @@ from stobeam import operators, propagator, solver, verify
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
 from stobeam.solver import build_scene, sine_mode_state
-from stobeam.verify import (CheckResult, check_trace_bound,
+from stobeam.verify import (_result, check_trace_bound,
                             free_variance_closed_form, run_checks)
 
 SMALL = """
@@ -25,9 +25,9 @@ bc.kind = homogeneous
 
 
 def test_check_result_status():
-    assert CheckResult("x", "pass", 0.0, 1.0).ok
-    assert CheckResult("x", "skip", None, 1.0).ok
-    assert not CheckResult("x", "fail", 2.0, 1.0).ok
+    assert _result("x", 1.0, 1.0).status == "pass"
+    assert _result("x", None, 1.0, skip=True).status == "skip"
+    assert _result("x", 2.0, 1.0).status == "fail"
 
 
 def test_suite_green_on_well_posed_config():

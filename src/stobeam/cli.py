@@ -14,7 +14,8 @@ Subcommands:
 Shared flags: --config PATH (required), --out DIR (default: the current
 directory), --paths N (overrides run.N), --seed U64 (overrides
 noise.seed); covariance also takes --observable SPEC (overrides
-run.observables with that one spec).
+run.observables with that one spec).  The config's own rules check each
+override, and a refused value exits 2 naming the flag.
 
 All CSV numbers use 17-significant-digit formatting, and path blocks
 merge in a fixed order, so outputs are byte-stable across repeated runs
@@ -134,7 +135,7 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
             write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
             write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
             for p0, p1, vals, history, _ in ensemble_blocks(
-                    plan, cfg.threads, keep_history=True):
+                    plan, keep_history=True):
                 paths = np.arange(p0, p1, dtype=float)
                 # (path, step, node, channel, [path, u, v]); the node at
                 # s = l is eliminated and written as 0 (plus the lift)
@@ -290,19 +291,17 @@ def _load_config(args) -> SimulationConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     cfg = parse_config(text)
-    if args.paths is not None:
-        if args.paths < 1:
-            raise ConfigError("--paths must be >= 1")
-        cfg = replace(cfg, n_paths=args.paths)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be in [0, 2^64)")
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "observable", None) is not None:
-        try:
-            cfg = replace(cfg, observables=(args.observable,))
-        except ConfigError as exc:
-            raise ConfigError(f"--observable: {exc.message}") from None
+    observable = getattr(args, "observable", None)
+    for flag, attr, value in (
+            ("--paths", "n_paths", args.paths),
+            ("--seed", "seed", args.seed),
+            ("--observable", "observables",
+             None if observable is None else (observable,))):
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{attr: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{flag}: {exc.message}") from None
     return cfg
 
 

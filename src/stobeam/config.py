@@ -6,12 +6,13 @@ numbers, enum words, or comma-separated lists.  Unknown keys are
 rejected, and every diagnostic carries the key and line number.
 
 A `SimulationConfig` is valid from the moment it exists: its
-`__post_init__` runs every rule that involves more than one line's text
-(`_check_constraints`: the enum words, the cross-key rules and the
+`__post_init__` runs every rule (`_check_constraints`: each value's type
+and range, the enum words, the expressions, the cross-key rules and the
 observable specs) and raises `ConfigError` naming the key, whether the
 config was parsed, built directly or derived with `dataclasses.replace`.
-`parse_config` only converts each line's text and adds the line of the
-named key to such an error.
+The converters of `parse_config` only turn a line's text into a float, an
+integer, a tuple or a string; the parser adds the line of the named key
+to a rule's error.
 
 Every default is stated once, on the dataclass; the required keys
 (beam.l, beam.b, grid.n, time.T, time.dt) are the fields without one.
@@ -31,11 +32,12 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 from .noise import SPECTRUM_FAMILIES, spectrum_table
+from .operators import TRACTIVE_FAMILIES
 
 #: field -> the words it admits
 _CHOICES = {
     "spectrum": SPECTRUM_FAMILIES,
-    "lam_family": ("zero", "bump", "tabulated"),
+    "lam_family": TRACTIVE_FAMILIES,
     "fdet_family": ("zero", "tabulated", "expression"),
     "init_family": ("zero", "mode"),
     "bc_kind": ("homogeneous", "nonhomogeneous"),
@@ -81,7 +83,7 @@ class SimulationConfig:
     obs_stride: int = 1
 
     def __post_init__(self):
-        if self.K is None:
+        if self.K is None and _integer(self.n):
             object.__setattr__(self, "K", min(64, self.n))
         _check_constraints(self)
 
@@ -90,63 +92,18 @@ class SimulationConfig:
         return int(round(self.T / self.dt))
 
 
-def _pos_float(v):
-    x = float(v)
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError("must be a positive number")
-    return x
-
-
-def _nonneg_float(v):
-    x = float(v)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError("must be a nonnegative number")
-    return x
-
-
-def _any_float(v):
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
-def _pos_int(v):
-    x = int(v)
-    if str(x) != str(v).strip() or x < 1:
-        raise ValueError("must be a positive integer")
-    return x
-
-
-def _grid_int(v):
-    x = _pos_int(v)
-    if x < 4:
-        raise ValueError("needs at least 4 interior nodes")
-    return x
-
-
-def _uint(v):
-    x = int(v)
-    if not 0 <= x < 2**64:
-        raise ValueError("must be an integer in [0, 2^64)")
-    return x
+def _strict_int(v):
+    if str(int(v)) != v:
+        raise ValueError("must be an integer")
+    return int(v)
 
 
 def _float_tuple(v):
-    parts = [p for p in str(v).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("needs at least one value")
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in v.split(",") if p.strip())
 
 
 def _str_tuple(v):
-    return tuple(p.strip() for p in str(v).split(",") if p.strip())
-
-
-def _expr_str(v):
-    s = str(v).strip()
-    compile_expression(s)
-    return s
+    return tuple(p.strip() for p in v.split(",") if p.strip())
 
 
 def parse_observable_spec(spec: str) -> Tuple[int, int, str]:
@@ -167,35 +124,35 @@ def parse_observable_spec(spec: str) -> Tuple[int, int, str]:
 
 #: file key -> (attribute, converter of the line's text)
 _KEYS = {
-    "beam.l": ("l", _pos_float),
-    "beam.b": ("b", _pos_float),
-    "beam.g": ("g_const", _nonneg_float),
-    "grid.n": ("n", _grid_int),
-    "time.T": ("T", _pos_float),
-    "time.dt": ("dt", _pos_float),
-    "noise.sigma": ("sigma", _nonneg_float),
+    "beam.l": ("l", float),
+    "beam.b": ("b", float),
+    "beam.g": ("g_const", float),
+    "grid.n": ("n", _strict_int),
+    "time.T": ("T", float),
+    "time.dt": ("dt", float),
+    "noise.sigma": ("sigma", float),
     "noise.spectrum": ("spectrum", str),
-    "noise.K": ("K", _pos_int),
-    "noise.seed": ("seed", _uint),
+    "noise.K": ("K", _strict_int),
+    "noise.seed": ("seed", _strict_int),
     "noise.table": ("noise_table", _float_tuple),
     "lambda.family": ("lam_family", str),
-    "lambda.c0": ("lam_c0", _nonneg_float),
-    "lambda.c1": ("lam_c1", _any_float),
-    "lambda.freq": ("lam_freq", _pos_float),
+    "lambda.c0": ("lam_c0", float),
+    "lambda.c1": ("lam_c1", float),
+    "lambda.freq": ("lam_freq", float),
     "lambda.table": ("lam_table", _float_tuple),
     "fdet.family": ("fdet_family", str),
-    "fdet.expr1": ("fdet_expr1", _expr_str),
-    "fdet.expr2": ("fdet_expr2", _expr_str),
-    "fdet.expr3": ("fdet_expr3", _expr_str),
+    "fdet.expr1": ("fdet_expr1", str),
+    "fdet.expr2": ("fdet_expr2", str),
+    "fdet.expr3": ("fdet_expr3", str),
     "fdet.table": ("fdet_table", _float_tuple),
     "init.family": ("init_family", str),
-    "init.mode": ("init_mode", _pos_int),
-    "init.amplitude": ("init_amplitude", _any_float),
+    "init.mode": ("init_mode", _strict_int),
+    "init.amplitude": ("init_amplitude", float),
     "bc.kind": ("bc_kind", str),
-    "run.N": ("n_paths", _pos_int),
-    "run.threads": ("threads", _pos_int),
+    "run.N": ("n_paths", _strict_int),
+    "run.threads": ("threads", _strict_int),
     "run.observables": ("observables", _str_tuple),
-    "run.obs_stride": ("obs_stride", _pos_int),
+    "run.obs_stride": ("obs_stride", _strict_int),
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
@@ -242,9 +199,51 @@ def parse_config(text: str) -> SimulationConfig:
         raise
 
 
+def _real(x) -> bool:
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+#: the single-value rules: (fields, test of one value, what it must be);
+#: neither test admits a bool, and `_real` refuses an int beyond float range
+_VALUE_RULES = (
+    (("l", "b", "T", "dt", "lam_freq"), lambda x: _real(x) and x > 0,
+     "a positive number"),
+    (("g_const", "sigma", "lam_c0"), lambda x: _real(x) and x >= 0,
+     "a nonnegative number"),
+    (("lam_c1", "init_amplitude"), _real, "a finite number"),
+    (("n",), lambda x: _integer(x) and x >= 4,
+     "an integer >= 4 (interior nodes)"),
+    (("K", "init_mode", "n_paths", "threads", "obs_stride"),
+     lambda x: _integer(x) and x >= 1, "a positive integer"),
+    (("seed",), lambda x: _integer(x) and 0 <= x < 2**64,
+     "an integer in [0, 2^64)"),
+    (("noise_table", "lam_table", "fdet_table"),
+     lambda x: x is None or (isinstance(x, tuple) and all(map(_real, x))),
+     "a list of finite numbers"),
+)
+
+
 def _check_constraints(cfg: SimulationConfig):
-    """Every rule that involves more than one line's text; raises
-    ConfigError naming the key to change."""
+    """Every rule on the values, alone and together; raises ConfigError
+    naming the key to change."""
+    for attrs, ok, what in _VALUE_RULES:
+        for attr in attrs:
+            if not ok(getattr(cfg, attr)):
+                raise ConfigError(f"bad value '{getattr(cfg, attr)}': must "
+                                  f"be {what}", key=_ATTR_TO_KEY[attr])
+    for attr in ("fdet_expr1", "fdet_expr2", "fdet_expr3"):
+        try:
+            compile_expression(getattr(cfg, attr))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value '{getattr(cfg, attr)}': {exc}",
+                              key=_ATTR_TO_KEY[attr]) from None
     for attr, words in _CHOICES.items():
         if getattr(cfg, attr) not in words:
             raise ConfigError(f"bad value '{getattr(cfg, attr)}': must be one "

@@ -39,7 +39,8 @@ from scipy.linalg import cholesky, solve_triangular, svdvals
 from .errors import AssemblyError, InvalidArgumentError
 from .grid import BeamGrid, GramSet
 
-_BUMP_FAMILIES = ("zero", "bump", "tabulated")
+#: the tension profiles `TractiveForce` builds
+TRACTIVE_FAMILIES = ("zero", "bump", "tabulated")
 
 
 @dataclass
@@ -62,7 +63,7 @@ class TractiveForce:
     horizon: Optional[float] = None
 
     def __post_init__(self):
-        if self.family not in _BUMP_FAMILIES:
+        if self.family not in TRACTIVE_FAMILIES:
             raise InvalidArgumentError(f"unknown tractive family '{self.family}'")
         if self.family == "bump" and self.c0 - abs(self.c1) < 0:
             raise InvalidArgumentError(
@@ -204,7 +205,6 @@ class BlockOperator:
     stiff: bool
     T: Optional[np.ndarray] = None
     adjoint: bool = False
-    t: Optional[float] = None
     mat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -282,11 +282,11 @@ def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
 
 
 def build_L1(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    return BlockOperator(g=g, stiff=False, T=build_T(lam, t, g), t=t)
+    return BlockOperator(g=g, stiff=False, T=build_T(lam, t, g))
 
 
 def build_L(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    return BlockOperator(g=g, stiff=True, T=build_T(lam, t, g), t=t)
+    return BlockOperator(g=g, stiff=True, T=build_T(lam, t, g))
 
 
 def adjoint_H(op: BlockOperator, g: GramSet = None) -> BlockOperator:
@@ -337,18 +337,16 @@ def op_norm_H(g: GramSet, mat: np.ndarray) -> float:
 class StabilityConstants:
     """Operator-norm bounds for the tractive perturbation.
 
-    C4 bounds the state-space norm, C5 the graph-norm; m is their max.
+    C4 bounds the state-space norm, C5 the graph-norm.
     The analytic value comes from the closed-form derivative integral,
     the numeric ones are exact operator norms at the sampled times.
     """
 
     C4: float
     C5: float
-    m: float
     C4_formula: float
     C4_numeric: float
     C5_numeric: float
-    t_samples: tuple
 
 
 def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityConstants:
@@ -364,7 +362,7 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
     if not t_samples:
         raise InvalidArgumentError("need at least one sample time")
     if lam.family == "zero":
-        return StabilityConstants(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t_samples)
+        return StabilityConstants(0.0, 0.0, 0.0, 0.0, 0.0)
     c4_formula = max(
         np.sqrt(4.0 * g.grid.l * lam.ds_l2_norm_sq(t, g.grid) / g.b)
         for t in t_samples)
@@ -381,7 +379,5 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
         c5_num = max(c5_num, op_norm_H(g, l0 @ l1 @ l0_inv))
     c4 = max(float(c4_formula), c4_num)
     c5 = 1.10 * c5_num
-    return StabilityConstants(C4=c4, C5=c5, m=max(c4, c5),
-                              C4_formula=float(c4_formula),
-                              C4_numeric=c4_num, C5_numeric=c5_num,
-                              t_samples=t_samples)
+    return StabilityConstants(C4=c4, C5=c5, C4_formula=float(c4_formula),
+                              C4_numeric=c4_num, C5_numeric=c5_num)

@@ -226,15 +226,6 @@ class PropagatorFactorization:
         return self.g.mh_solve(
             self.apply_transpose_premetric(self.g.mh_apply(y), tau, t))
 
-    def matrix(self, tau: float = None, t: float = None) -> np.ndarray:
-        """Dense single-channel matrix of U(t, tau)."""
-        i0, i1 = self.span(tau, t)
-        dim = 2 * self.g.m
-        out = np.eye(dim)
-        for k in range(i0, i1):
-            out = self.steps[k] @ out
-        return out
-
 
 def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
                      dt: float) -> PropagatorFactorization:

@@ -69,14 +69,8 @@ class Scene:
 def tractive_from_config(cfg: SimulationConfig) -> TractiveForce:
     """Build the tension profile; it carries the run horizon T so that
     accidental evaluation outside [0, T] raises instead of extrapolating."""
-    if cfg.lam_family == "zero":
-        return TractiveForce.zero()
-    if cfg.lam_family == "bump":
-        return TractiveForce.bump(c0=cfg.lam_c0, c1=cfg.lam_c1,
-                                  freq=cfg.lam_freq, horizon=cfg.T)
-    return TractiveForce(family="tabulated", c0=cfg.lam_c0, c1=cfg.lam_c1,
-                         freq=cfg.lam_freq, table=np.asarray(cfg.lam_table),
-                         horizon=cfg.T)
+    return TractiveForce(family=cfg.lam_family, c0=cfg.lam_c0, c1=cfg.lam_c1,
+                         freq=cfg.lam_freq, table=cfg.lam_table, horizon=cfg.T)
 
 
 def build_scene(cfg: SimulationConfig) -> Scene:
@@ -222,7 +216,6 @@ class Trajectory:
 
     times: np.ndarray
     states: List[BeamState]
-    path_index: int
     g: GramSet = field(repr=False)
     forces: np.ndarray = field(repr=False)
     increments: Optional[WienerIncrements] = field(repr=False, default=None)
@@ -254,8 +247,7 @@ def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
         inc = sample_increments(scene.model, cfg.dt, cfg.n_steps, path_index,
                                 xi=xi[0])
     return Trajectory(times=cfg.dt * np.arange(cfg.n_steps + 1),
-                      states=states, path_index=path_index, g=scene.g,
-                      forces=forces, increments=inc,
+                      states=states, g=scene.g, forces=forces, increments=inc,
                       sigma=cfg.sigma if inc is not None else 0.0,
                       shift=scene.shift, homogeneous_states=homog)
 
@@ -488,22 +480,20 @@ def plan_ensemble(cfg: SimulationConfig) -> EnsemblePlan:
                         shift_term=shift_term)
 
 
-def ensemble_blocks(plan: EnsemblePlan, threads: int,
+def ensemble_blocks(plan: EnsemblePlan,
                     keep_history: bool = False) -> Iterator[tuple]:
     """Run the plan's paths in blocks of BLOCK_PATHS and yield
     (p0, p1, vals, history, xi) per block, in block-index order.
 
     `vals` (n_obs, n_times, p1 - p0) are the emitted observables (shift
     term included); `history` and `xi` are `_block_worker`'s, None unless
-    `keep_history`.  With `threads > 1` at most 2 * threads blocks are in
-    flight, and the next one is submitted only when the oldest is handed
+    `keep_history`.  With `cfg.threads > 1` at most 2 * threads blocks are
+    in flight, and the next one is submitted only when the oldest is handed
     out, so a slow consumer holds memory for a bounded number of blocks.
     A failing block raises when its turn comes, so the error is the same
     for every thread count.
     """
-    if threads < 1:
-        raise InvalidArgumentError("threads must be >= 1")
-    n = plan.scene.cfg.n_paths
+    threads, n = plan.scene.cfg.threads, plan.scene.cfg.n_paths
     blocks = iter([(p0, min(n, p0 + BLOCK_PATHS))
                    for p0 in range(0, n, BLOCK_PATHS)])
     shift = plan.shift_term[:, None, None]
@@ -546,7 +536,7 @@ def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
     """
     plan = plan_ensemble(cfg)
     count, mean, m2 = 0, None, None
-    for _, _, vals, _, _ in ensemble_blocks(plan, cfg.threads):
+    for _, _, vals, _, _ in ensemble_blocks(plan):
         count, mean, m2 = _merge_moments(count, mean, m2, vals)
     return EnsembleStats(times=plan.times, observable_ids=plan.observable_ids,
                          count=count, mean=mean, m2=m2, scene=plan.scene,

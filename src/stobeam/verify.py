@@ -152,7 +152,7 @@ def check_growth_bound(scene) -> CheckResult:
         i = int(rng.integers(0, n))
         j = int(rng.integers(i + 1, n + 1))
         tau, t = P.t0 + i * P.dt, P.t0 + j * P.dt
-        nrm = op_norm_H(scene.g, P.matrix(tau, t))
+        nrm = op_norm_H(scene.g, P.apply(np.eye(2 * scene.g.m), tau, t))
         bound = math.exp((consts.C4 + 0.05) * (t - tau))
         worst = max(worst, nrm - bound)
     return _result("growth_bound", max(worst, 0.0), 0.0,

@@ -81,7 +81,8 @@ def test_tension_norm_under_analytic_bound(acceptance):
 def test_propagator_axioms_and_generator_order(acceptance):
     g = _grams(16)
     P = build_propagator(BUMP, g, 0.0, 0.2, 2e-3)
-    ident = max(np.max(np.abs(P.matrix(t, t) - np.eye(2 * g.m)))
+    ident = max(np.max(np.abs(P.apply(np.eye(2 * g.m), t, t)
+                              - np.eye(2 * g.m)))
                 for t in (0.0, 0.1, 0.2))
     rng = np.random.default_rng(5)
     coc = 0.0
@@ -114,7 +115,7 @@ def test_propagator_growth_bound(acceptance):
             i1 = min(i0 + 1, P.n_steps)
             i0 = max(0, i1 - 1)
         ta, tb = float(P.times[i0]), float(P.times[i1])
-        nrm = op_norm_H(g, P.matrix(ta, tb))
+        nrm = op_norm_H(g, P.apply(np.eye(2 * g.m), ta, tb))
         worst = max(worst, nrm / math.exp((consts.C4 + 0.05) * (tb - ta)))
     ok = worst <= 1.0
     acceptance(5, f"worst norm/bound ratio {worst:.4f} over 20 random "
@@ -296,8 +297,7 @@ def test_weak_residual_nested_refinement(acceptance):
             y[m:] += wi.increments[k][:m]
             states.append(BeamState.from_packed(sc.grid, y))
         traj = Trajectory(times=dt * np.arange(ks + 1), states=states,
-                          path_index=7, g=sc.g, forces=forces,
-                          increments=wi, sigma=1.0)
+                          g=sc.g, forces=forces, increments=wi, sigma=1.0)
         h = BeamState(sc.grid, bending_mode_state(sc.g, 1).u,
                       sine_mode_state(sc.grid, 1, 3, "v").v)
         res.append(weak_residual(traj, h, sc.lam).max_value)

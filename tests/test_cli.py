@@ -274,11 +274,11 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys):
 
 def test_override_validation(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, TINY)
-    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
-                 "--paths", "0"]) == 2
-    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
-                 "--seed", "-1"]) == 2
-    capsys.readouterr()
+    for flag, value in (("--paths", "0"), ("--seed", "-1")):
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
+                     flag, value]) == 2
+        assert f"config error: {flag}: bad value '{value}'" in \
+            capsys.readouterr().err
 
 
 def test_verify_without_out_writes_no_manifest(tmp_path, monkeypatch, capsys):
@@ -315,6 +315,11 @@ def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
      "init.mode"),                                    # above grid.n + 1
     (("run.observables = 1:3:v", "run.observables = 1:3:v,9:3:v"),
      "run.observables"),                              # mode above grid.n
+    (("init.family = zero", "fdet.family = tabulated\nfdet.table = nan"
+      + ",0" * 9 + "\ninit.family = zero"), "fdet.table"),  # not finite
+    (("lambda.family = bump\nlambda.c0 = 1.0\nlambda.c1 = 0.2",
+      "lambda.family = tabulated\nlambda.table = 0,inf" + ",0" * 8),
+     "lambda.table"),                                 # not finite
 ])
 def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     text = TINY.replace(*edit)
@@ -342,8 +347,7 @@ def _oracle_csvs(cfg):
     nodes = sc.grid.nodes
     traj_lines = ["path,t,s,channel,u,v"]
     obs_lines = ["path,t,observable_id,value"]
-    for p0, p1, vals, history, _ in ensemble_blocks(plan, cfg.threads,
-                                                    keep_history=True):
+    for p0, p1, vals, history, _ in ensemble_blocks(plan, keep_history=True):
         for i, p in enumerate(range(p0, p1)):
             for k in range(1, len(times)):
                 st = BeamState.from_packed(sc.grid, history[k, ..., i])

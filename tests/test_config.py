@@ -194,6 +194,56 @@ def test_every_construction_path_checks_the_rules():
     assert "key 'fdet.table'" in str(err.value)
 
 
+#: (key, bad text, the same bad value in Python), one or more per rule
+BAD_VALUES = [
+    ("beam.l", "-1.0", -1.0),
+    ("beam.b", "0", 0.0),
+    ("beam.g", "-9.81", -9.81),
+    ("grid.n", "3", 3),
+    ("grid.n", "8.0", 8.0),                        # not an integer
+    ("time.T", "nan", math.nan),
+    ("time.dt", "inf", math.inf),
+    ("noise.sigma", "-1", -1.0),
+    ("noise.K", "0", 0),
+    ("noise.seed", "-1", -1),
+    ("noise.seed", str(2**64), 2**64),
+    ("noise.seed", str(10**400), 10**400),
+    ("noise.table", "1" + ",nan" * 15, (1.0,) + (math.nan,) * 15),
+    ("lambda.c0", "-0.5", -0.5),
+    ("lambda.c1", "nan", math.nan),
+    ("lambda.freq", "0", 0.0),
+    ("lambda.table", "0,inf" + ",0" * 16, (0.0, math.inf) + (0.0,) * 16),
+    ("fdet.expr1", "__import__('os')", "__import__('os')"),
+    ("fdet.expr3", "q + 1", "q + 1"),
+    ("fdet.table", "nan" + ",0" * 17, (math.nan,) + (0.0,) * 17),
+    ("init.mode", "0", 0),
+    ("init.amplitude", "inf", math.inf),
+    ("run.N", "0", 0),
+    ("run.threads", "0", 0),
+    ("run.obs_stride", "0", 0),
+]
+
+
+@pytest.mark.parametrize("key,text,value", [
+    pytest.param(*case, id=f"{case[0]}={case[1][:12]}") for case in BAD_VALUES])
+def test_one_rule_three_routes(key, text, value):
+    """A bad value is refused naming its key whether it is parsed, passed
+    to the constructor or set with `dataclasses.replace`."""
+    lines = [t for t in MINIMAL.strip().splitlines()
+             if not t.startswith(key + " =")] + [f"{key} = {text}"]
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines))
+    assert err.value.key == key and err.value.line == len(lines)
+    attr = _KEYS[key][0]
+    base = dict(l=1.0, b=1.0, n=16, T=0.5, dt=0.01)
+    with pytest.raises(ConfigError) as err:
+        SimulationConfig(**{**base, attr: value})
+    assert err.value.key == key
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(SimulationConfig(**base), **{attr: value})
+    assert err.value.key == key
+
+
 def _readme_defaults() -> dict:
     """key -> default cell of README's Configuration table."""
     lines = README.read_text().splitlines()

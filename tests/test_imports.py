@@ -1,5 +1,5 @@
-"""Every top-level import in the package modules is used, and every
-definition in them is referenced.
+"""Every top-level import in the package modules is used, every
+definition in them is referenced, and every dataclass field is read.
 
 A name bound as `from m import name as name` is an explicit re-export
 and counts as used.  A definition counts as referenced when its name
@@ -7,6 +7,11 @@ appears as a whole word, outside its own definitions, somewhere in the
 Python files of src/, tests/ or bench/; the match is textual, so a name
 inside a string or an f-string counts.  The package `__init__.py` is
 neither checked nor read: a re-export alone is no use.
+
+A dataclass field counts as read when some Python file of src/, tests/
+or bench/ loads it as an attribute (`x.field`); this match is syntactic,
+so a field set but never looked up fails even if its name occurs
+elsewhere.
 """
 
 import ast
@@ -78,3 +83,27 @@ def test_every_definition_is_referenced(path, corpus):
     unused = [name for name in _definitions(ast.parse(path.read_text()))
               if words[name] <= defined[name]]
     assert unused == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list:
+    """(class, field) for each annotated field of a top-level dataclass."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                        None) == "dataclass"
+                for d in node.decorator_list):
+            out += [(node.name, item.target.id) for item in node.body
+                    if isinstance(item, ast.AnnAssign)]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    files = [p for d in ("src", "tests", "bench")
+             for p in (ROOT / d).rglob("*.py")]
+    loaded = {n.attr for p in files for n in ast.walk(ast.parse(p.read_text()))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for p in MODULES
+              for cls, name in _dataclass_fields(ast.parse(p.read_text()))
+              if name not in loaded]
+    assert unread == []

@@ -149,7 +149,7 @@ def test_weak_tractive_pairing_converges():
 
 def test_estimate_constants_zero_family(g16):
     cst = estimate_constants(TractiveForce.zero(), g16, [0.0, 1.0])
-    assert cst.C4 == 0.0 and cst.C5 == 0.0 and cst.m == 0.0
+    assert cst.C4 == 0.0 and cst.C5 == 0.0
     with pytest.raises(InvalidArgumentError):
         estimate_constants(TractiveForce.zero(), g16, [])
 
@@ -163,4 +163,3 @@ def test_estimate_constants_formula_scaling(g16):
     assert cst.C4_numeric <= cst.C4_formula
     assert cst.C4 == max(cst.C4_formula, cst.C4_numeric)
     assert cst.C5 == pytest.approx(1.10 * cst.C5_numeric)
-    assert cst.m == max(cst.C4, cst.C5)

@@ -173,9 +173,10 @@ def test_apply_matches_matrix(g16):
     P = build_propagator(LAM, g16, 0.0, 0.05, 1e-2)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((2 * g16.m, 3))
-    assert np.allclose(P.apply(y), P.matrix() @ y, atol=1e-12)
-    assert np.allclose(P.apply(y, 0.01, 0.04), P.matrix(0.01, 0.04) @ y,
-                       atol=1e-12)
+    full = np.linalg.multi_dot(P.steps[::-1])
+    window = P.steps[3] @ P.steps[2] @ P.steps[1]
+    assert np.allclose(P.apply(y), full @ y, atol=1e-12)
+    assert np.allclose(P.apply(y, 0.01, 0.04), window @ y, atol=1e-12)
 
 
 def test_identity_and_cocycle_are_exact(g16):

@@ -262,7 +262,7 @@ def _first_ensemble_path(cfg):
     hand it out (history kept)."""
     plan = plan_ensemble(cfg)
     sc = plan.scene
-    _, _, _, history, xi = next(ensemble_blocks(plan, 1, keep_history=True))
+    _, _, _, history, xi = next(ensemble_blocks(plan, keep_history=True))
     homog = [BeamState.from_packed(sc.grid, y) for y in history[..., 0]]
     states = homog if sc.shift is None else \
         [BeamState(sc.grid, x.u + sc.shift, x.v) for x in homog]
@@ -321,7 +321,7 @@ def _block_values(cfg):
     blocks of `ensemble_blocks` in the order they are handed out."""
     plan = plan_ensemble(cfg)
     return np.concatenate([vals for _, _, vals, _, _ in
-                           ensemble_blocks(plan, cfg.threads)], axis=2)
+                           ensemble_blocks(plan)], axis=2)
 
 
 def test_ensemble_moments_match_stored_values():
@@ -375,7 +375,7 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
                                 "lambda.family = bump\nlambda.c0 = 1.0"))
     sc = build_scene(cfg)
     plan = plan_ensemble(dataclasses.replace(cfg, observables=("1:3:u",)))
-    _, _, vals, _, _ = next(ensemble_blocks(plan, 1))
+    _, _, vals, _, _ = next(ensemble_blocks(plan))
     traj = solve_nonhomogeneous(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
     want = h_inner(traj.states[-1], h, sc.g)
@@ -397,7 +397,8 @@ def test_ensemble_memory_does_not_grow_with_paths():
 
 def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
     threads = 2
-    plan = plan_ensemble(parse_config(SHORT + "run.N = 2600\n"))
+    cfg = parse_config(SHORT + "run.N = 2600\n")
+    plan = plan_ensemble(dataclasses.replace(cfg, threads=threads))
     started = []
     real = solver._block_worker
 
@@ -407,7 +408,7 @@ def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
 
     monkeypatch.setattr(solver, "_block_worker", counting)
     handed = []
-    for p0, p1, vals, history, xi in ensemble_blocks(plan, threads):
+    for p0, p1, vals, history, xi in ensemble_blocks(plan):
         # a slow consumer: workers may run ahead by 2 * threads blocks only
         time.sleep(0.02)
         assert len(started) <= len(handed) + 1 + 2 * threads

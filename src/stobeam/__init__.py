@@ -5,8 +5,8 @@ The package is organised bottom-up:
 - ``grid``       discrete beam geometry, Gram matrices, norms, membership checks
 - ``operators``  drift generator blocks, adjoints, stability constants
 - ``propagator`` Cayley time stepping, evolution-family diagnostics, Picard iteration
-- ``noise``      spectral noise model, Wiener sampling, Ito isometry diagnostics
-- ``solver``     mild-solution paths, weak-form residuals, ensembles
+- ``noise``      spectral noise model, increment projection, Ito isometry diagnostics
+- ``solver``     scenes, mild-solution paths, weak-form residuals, ensembles
 - ``config``     flat key=value run configuration
 - ``verify``     named self-checks used by the CLI
 - ``cli``        command line front end
@@ -49,9 +49,8 @@ from .propagator import (
 )
 from .noise import (
     NoiseModel,
-    WienerIncrements,
     build_noise_model,
-    sample_increments,
+    project_increments,
     trace_condition,
     ito_variance,
 )
@@ -98,9 +97,8 @@ __all__ = [
     "picard_evolution",
     "generator_residual",
     "NoiseModel",
-    "WienerIncrements",
     "build_noise_model",
-    "sample_increments",
+    "project_increments",
     "trace_condition",
     "ito_variance",
     "SimulationConfig",

@@ -45,7 +45,7 @@ from .config import (SimulationConfig, parse_config, parse_observable_spec,
 from .errors import ConfigError, StobeamError
 from .noise import ito_variance, trace_condition, trace_q, trace_tail
 from .solver import (build_scene, ensemble_blocks, ensemble_run,
-                     plan_ensemble, sine_mode_state)
+                     sine_mode_state)
 from .verify import run_checks
 
 
@@ -108,8 +108,7 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    plan = plan_ensemble(cfg)
-    scene = plan.scene
+    scene = build_scene(cfg)
     m = scene.grid.n_free
 
     # one row template per path: the t, s, channel and observable texts
@@ -120,7 +119,8 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
         for t in (cfg.dt * np.arange(cfg.n_steps + 1))[1:]
         for s in s_txt for c in (1, 2, 3))
     obs_row = "".join(f"%d,{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
-                      for t in plan.times for oid in plan.observable_ids)
+                      for t in cfg.dt * scene.obs_steps
+                      for oid in cfg.observables)
 
     traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
     parts = [p.with_name(p.name + ".part") for p in (traj_path, obs_path)]
@@ -135,7 +135,7 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
             write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
             write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
             for p0, p1, vals, history, _ in ensemble_blocks(
-                    plan, keep_history=True):
+                    scene, keep_history=True):
                 paths = np.arange(p0, p1, dtype=float)
                 # (path, step, node, channel, [path, u, v]); the node at
                 # s = l is eliminated and written as 0 (plus the lift)
@@ -148,8 +148,8 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
                     cols[..., 1] += scene.shift
                 write(traj_fh, traj_sha, _rows(traj_row, cols))
                 # (path, time, observable, [path, value])
-                cols = np.empty((p1 - p0, len(plan.idx),
-                                 len(plan.observable_ids), 2))
+                cols = np.empty((p1 - p0, len(scene.obs_steps),
+                                 len(cfg.observables), 2))
                 cols[..., 0] = paths[:, None, None]
                 cols[..., 1] = vals.transpose(2, 1, 0)
                 write(obs_fh, obs_sha, _rows(obs_row, cols))

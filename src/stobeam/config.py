@@ -235,9 +235,14 @@ def _check_constraints(cfg: SimulationConfig):
     naming the key to change."""
     for attrs, ok, what in _VALUE_RULES:
         for attr in attrs:
-            if not ok(getattr(cfg, attr)):
-                raise ConfigError(f"bad value '{getattr(cfg, attr)}': must "
-                                  f"be {what}", key=_ATTR_TO_KEY[attr])
+            value, where = getattr(cfg, attr), ""
+            if ok(value):
+                continue
+            if isinstance(value, tuple):  # name the first bad entry only
+                i = next(i for i, x in enumerate(value) if not _real(x))
+                value, where = value[i], f" (entry {i + 1} of {len(value)})"
+            raise ConfigError(f"bad value '{value}'{where}: must be {what}",
+                              key=_ATTR_TO_KEY[attr])
     for attr in ("fdet_expr1", "fdet_expr2", "fdet_expr3"):
         try:
             compile_expression(getattr(cfg, attr))

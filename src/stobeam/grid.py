@@ -251,17 +251,14 @@ def packed_h_norm(y: np.ndarray, g: GramSet) -> float:
 
 
 def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float:
-    """Squared graph norm b^2 ||u''''||_L2^2 + b ||v''||_L2^2 on packed
-    reduced data (no validation).
+    """Squared graph norm b^2 ||u''''||_L2^2 + b ||v''||_L2^2 of a packed
+    reduced state, shape (2m, 3) (no validation).
 
     The fourth difference is the weak composition M^-1 (D2^T W D2), so the
     value agrees with the generator-based norm up to pure roundoff.
     """
     m = g.m
     u, v = y[:m], y[m:]
-    if u.ndim == 1:
-        u = u[:, None]
-        v = v[:, None]
     d4 = (g.B_raw @ u) / g.M[:, None]
     val = g.b**2 * np.sum(g.M[:, None] * d4 * d4)
     d2v = g.D2 @ v
@@ -275,25 +272,15 @@ def bc_value_defect(x: BeamState) -> float:
     return float(max(np.abs(x.u[-1]).max(), np.abs(x.v[-1]).max()))
 
 
-def _stencil_4th(values: np.ndarray, h: float, at_start: bool) -> np.ndarray:
-    """One-sided 4th-difference estimate at a boundary (per channel)."""
-    if at_start:
-        w = values[0:6]
-        coef = np.array([3.0, -14.0, 26.0, -24.0, 11.0, -2.0])
-    else:
-        w = values[-6:]
-        coef = np.array([-2.0, 11.0, -24.0, 26.0, -14.0, 3.0])
-    return coef @ w / h**4
+def _stencil_4th(values: np.ndarray, h: float) -> np.ndarray:
+    """One-sided 4th-difference estimate at s = l (per channel)."""
+    coef = np.array([-2.0, 11.0, -24.0, 26.0, -14.0, 3.0])
+    return coef @ values[-6:] / h**4
 
 
-def _stencil_5th(values: np.ndarray, h: float, at_start: bool) -> np.ndarray:
-    if at_start:
-        w = values[0:7]
-        coef = np.array([-3.5, 20.0, -47.5, 60.0, -42.5, 16.0, -2.5])
-    else:
-        w = values[-7:]
-        coef = np.array([2.5, -16.0, 42.5, -60.0, 47.5, -20.0, 3.5])
-    return coef @ w / h**5
+def _stencil_5th(values: np.ndarray, h: float) -> np.ndarray:
+    coef = np.array([2.5, -16.0, 42.5, -60.0, 47.5, -20.0, 3.5])
+    return coef @ values[-7:] / h**5
 
 
 def _stencil_2nd(values: np.ndarray, h: float) -> np.ndarray:
@@ -355,8 +342,8 @@ def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
         out["moment_at_0"] = rel(_stencil_2nd(full, h), 2)
         out["shear_at_0"] = rel(_stencil_3rd(full, h), 3)
     if space == "h6bc":
-        out["d4_at_l"] = rel(_stencil_4th(full, h, at_start=False), 4)
-        out["d5_at_l"] = rel(_stencil_5th(full, h, at_start=False), 5)
+        out["d4_at_l"] = rel(_stencil_4th(full, h), 4)
+        out["d5_at_l"] = rel(_stencil_5th(full, h), 5)
     if space == "h2bc":
         out["value_at_l"] = float(
             np.max(np.abs(full[-1])) / (BC_VALUE_RTOL * scale))

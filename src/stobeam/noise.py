@@ -16,7 +16,9 @@ Randomness is counter-based: path `p` of a model with root seed `s` draws
 from Philox keyed by the two unsigned 64-bit words (s, p), in the fixed order
 standard_normal((n_steps, K, 3)).  Identical (seed, path, K, n_steps)
 always reproduce bit-identical increments, independent of how many other
-paths are sampled concurrently.
+paths are sampled concurrently.  `project_increments` is the one routine
+that turns draws into grid increments; the solver's kernel calls it for
+each block, and a single path keeps the increments its kernel projected.
 """
 
 from __future__ import annotations
@@ -127,55 +129,22 @@ def build_noise_model(grid: BeamGrid, spectrum: str, K: int,
                       e_red=e_red, sigma=float(sigma), seed=int(seed))
 
 
-@dataclass(frozen=True)
-class WienerIncrements:
-    """One path's increments on the step grid.
-
-    xi are the raw coefficient draws; increments[j] is the grid field
-    Delta W_j = W(t_{j+1}) - W(t_j), shape (n+2, 3).
-    """
-
-    dt: float
-    path_index: int
-    xi: np.ndarray          # (n_steps, K, 3)
-    increments: np.ndarray  # (n_steps, n+2, 3)
-
-    @property
-    def n_steps(self) -> int:
-        return self.xi.shape[0]
-
-
 def project_increments(model: NoiseModel, xi: np.ndarray,
                        dt: float) -> np.ndarray:
-    """Reduced-grid increments sum_k sqrt(q_k dt) xi_k e_k.
+    """Wiener increments sum_k sqrt(q_k dt) xi_k e_k on the nodes 0..n.
 
     `xi` has shape (..., n_steps, K, 3); the result has shape
-    (..., n_steps, m, 3) on the nodes 0..n.  Every (m, K) by (K, 3)
-    product is computed on its own, so a path's increments are bitwise
-    the same whether it is projected alone or inside a block.
-    """
-    return model.e_red @ (xi * np.sqrt(model.q * dt)[:, None])
-
-
-def sample_increments(model: NoiseModel, dt: float, n_steps: int,
-                      path_index: int = 0,
-                      xi: Optional[np.ndarray] = None) -> WienerIncrements:
-    """One path of Wiener increments on the full grid (zero at s = l).
-
-    `xi` supplies this path's coefficient draws when they are already at
-    hand; by default they are drawn from the path's stream.
+    (..., n_steps, m, 3) (the increments vanish at the clamped end s = l).
+    Every (m, K) by (K, 3) product is computed on its own, so a path's
+    increments are bitwise the same whether it is projected alone or
+    inside a block.
 
     Raises:
-        InvalidArgumentError: dt <= 0 or bad counts.
+        InvalidArgumentError: dt <= 0.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
-    if xi is None:
-        xi = model.draw_xi(n_steps, path_index)
-    red = project_increments(model, xi, dt)
-    inc = np.concatenate([red, np.zeros_like(red[:, :1])], axis=1)
-    return WienerIncrements(dt=float(dt), path_index=int(path_index),
-                            xi=xi, increments=inc)
+    return model.e_red @ (xi * np.sqrt(model.q * dt)[:, None])
 
 
 def trace_q(model: NoiseModel) -> float:

@@ -81,9 +81,9 @@ class TractiveForce:
         return cls(family="zero")
 
     @classmethod
-    def bump(cls, c0: float = 1.0, c1: float = 0.0, freq: float = 1.0,
-             horizon: float = None) -> "TractiveForce":
-        return cls(family="bump", c0=c0, c1=c1, freq=freq, horizon=horizon)
+    def bump(cls, **fields) -> "TractiveForce":
+        """The bump profile; keyword arguments set the other fields."""
+        return cls(family="bump", **fields)
 
     @property
     def autonomous(self) -> bool:

@@ -293,9 +293,10 @@ def duality_defect(P: PropagatorFactorization, x: np.ndarray, y: np.ndarray,
     return abs(lhs - rhs) / scale
 
 
-def cocycle_defect(P: PropagatorFactorization, tau: float, r: float, t: float,
-                   n_probe: int = 8, seed: int = 1234) -> float:
-    """Probe estimate of the operator norm of U(t,tau) - U(t,r)U(r,tau).
+def cocycle_defect(P: PropagatorFactorization, tau: float, r: float,
+                   t: float) -> float:
+    """Probe estimate of the operator norm of U(t,tau) - U(t,r)U(r,tau)
+    over 8 fixed random states.
 
     Zero exactly on aligned times: both routes execute the identical
     sequence of per-step matvecs.
@@ -303,9 +304,9 @@ def cocycle_defect(P: PropagatorFactorization, tau: float, r: float, t: float,
     i0, ir, i1 = P.index_of(tau), P.index_of(r), P.index_of(t)
     if not (i0 <= ir <= i1):
         raise InvalidArgumentError("need tau <= r <= t")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     worst = 0.0
-    for _ in range(n_probe):
+    for _ in range(8):
         x = rng.standard_normal((2 * P.g.m, 3))
         direct = P.apply(x, tau, t)
         via = P.apply(P.apply(x, tau, r), r, t)
@@ -327,8 +328,8 @@ class ResidualCurve:
 
 
 def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
-                       w: BeamState, tau: float = None) -> ResidualCurve:
-    """Residual of U(t,tau)w - w - int_tau^t L(r) U(r,tau)w dr over t.
+                       w: BeamState) -> ResidualCurve:
+    """Residual of U(t,t0)w - w - int_t0^t L(r) U(r,t0)w dr over t.
 
     The integral uses trapezoidal quadrature on the step grid; for the
     midpoint scheme the maximum residual decays at second order in dt.
@@ -336,15 +337,14 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     g = P.g
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
-    i0, _ = P.span(tau)
     l0_mat = build_L0(g).mat
     x0 = w.packed()
     cur = x0.copy()
     integral = np.zeros_like(x0)
-    times = [P.t0 + i0 * P.dt]
+    times = [P.t0]
     values = [0.0]
     y_prev = (l0_mat + build_L1(lam, times[0], g).mat) @ cur
-    for k in range(i0, P.n_steps):
+    for k in range(P.n_steps):
         t_next = P.t0 + (k + 1) * P.dt
         cur = P.steps[k] @ cur
         y_next = (l0_mat + build_L1(lam, t_next, g).mat) @ cur

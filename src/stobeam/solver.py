@@ -10,12 +10,15 @@ nonhomogeneous boundary variant evolves the homogeneous remainder u =
 x - (s - l) e3 with the tension-adjusted load and adds the shift back on
 emission.
 
-One kernel, `_block_worker`, advances paths: a block of paths is one
-matrix, stepped with one matrix-matrix product per step.  The single-path
-solvers run it on a block of width one; `ensemble_blocks` runs fixed-size
-blocks and hands them out in block order, and `ensemble_run`, the one
-moment fold, merges their accumulators in that order, so results do not
-depend on the number of worker threads.
+A run is one `Scene`: what `build_scene` assembles from the config, plus
+the loads, initial state and observables it builds on first use.  One
+kernel, `_block_worker`, advances the scene's paths: a block of paths is
+one matrix, stepped with one matrix-matrix product per step.  The
+single-path solvers run it on a block of width one and keep the path's
+history and the Wiener increments the kernel projected; `ensemble_blocks`
+runs fixed-size blocks and hands them out in block order, and
+`ensemble_run`, the one moment fold, merges their accumulators in that
+order, so results do not depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import concurrent.futures
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -35,8 +38,7 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
-from .noise import (NoiseModel, WienerIncrements, build_noise_model,
-                    project_increments, sample_increments)
+from .noise import NoiseModel, build_noise_model, project_increments
 from .operators import (StabilityConstants, TractiveForce, build_L,
                         estimate_constants)
 from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
@@ -48,7 +50,12 @@ BLOCK_PATHS = 256
 
 @dataclass(frozen=True)
 class Scene:
-    """Everything assembled from a config that the steppers share."""
+    """Everything a run shares.
+
+    The fields are assembled by `build_scene`; the cached properties are
+    built on first use and then kept, so a command that never steps a
+    path builds no loads, initial state or observables.
+    """
 
     cfg: SimulationConfig
     grid: BeamGrid
@@ -60,24 +67,41 @@ class Scene:
 
     @functools.cached_property
     def constants(self) -> StabilityConstants:
-        """Stability constants of the tension at 11 times over [0, T],
-        estimated on first use and then kept with the scene."""
+        """Stability constants of the tension at 11 times over [0, T]."""
         return estimate_constants(self.lam, self.g,
                                   np.linspace(0.0, self.cfg.T, 11))
 
+    @functools.cached_property
+    def forces(self) -> np.ndarray:
+        """Packed loads F(t_k), (n_steps+1, 2m, 3); see `build_forces`."""
+        return build_forces(self)
 
-def tractive_from_config(cfg: SimulationConfig) -> TractiveForce:
-    """Build the tension profile; it carries the run horizon T so that
-    accidental evaluation outside [0, T] raises instead of extrapolating."""
-    return TractiveForce(family=cfg.lam_family, c0=cfg.lam_c0, c1=cfg.lam_c1,
-                         freq=cfg.lam_freq, table=cfg.lam_table, horizon=cfg.T)
+    @functools.cached_property
+    def x0p(self) -> np.ndarray:
+        """Packed initial state of every path; see `initial_state`."""
+        return initial_state(self.cfg, self.g).packed()
+
+    @functools.cached_property
+    def obs_mh(self) -> np.ndarray:
+        """Premetric images M_H h of the observables, (n_obs, 2m, 3)."""
+        return np.stack([self.g.mh_apply(sine_mode_state(
+            self.grid, *parse_observable_spec(spec)).packed())
+            for spec in self.cfg.observables])
+
+    @functools.cached_property
+    def obs_steps(self) -> np.ndarray:
+        """Observable sample steps: every obs_stride-th and the last."""
+        n = self.cfg.n_steps
+        return np.unique(np.r_[0:n + 1:self.cfg.obs_stride, n])
 
 
 def build_scene(cfg: SimulationConfig) -> Scene:
     """Assemble grid, Gram matrices, tension, propagator and noise model."""
     grid = build_grid(cfg.l, cfg.n)
     g = build_grams(grid, cfg.b)
-    lam = tractive_from_config(cfg)
+    # with the horizon T, evaluation outside [0, T] raises, not extrapolates
+    lam = TractiveForce(family=cfg.lam_family, c0=cfg.lam_c0, c1=cfg.lam_c1,
+                        freq=cfg.lam_freq, table=cfg.lam_table, horizon=cfg.T)
     P = build_propagator(lam, g, 0.0, cfg.T, cfg.dt)
     model = None
     if cfg.sigma > 0:
@@ -172,10 +196,11 @@ def sine_mode_state(grid: BeamGrid, mode: int, channel: int,
     return BeamState(grid, zero, vals)
 
 
-def bending_mode_state(g: GramSet, mode: int, amplitude: float = 1.0,
-                       channel: int = 3) -> BeamState:
-    """Displacement eigenmode of the bending pencil (B, M), unit H-energy
-    direction, deterministic sign (positive free-end deflection)."""
+def bending_mode_state(g: GramSet, mode: int,
+                       amplitude: float = 1.0) -> BeamState:
+    """Transverse (channel 3) displacement eigenmode of the bending pencil
+    (B, M), unit H-energy direction, deterministic sign (positive free-end
+    deflection)."""
     vals, vecs = scipy.linalg.eigh(g.B, np.diag(g.M))
     if mode < 1 or mode > g.m:
         raise InvalidArgumentError(f"bending mode {mode} out of range 1..{g.m}")
@@ -183,7 +208,7 @@ def bending_mode_state(g: GramSet, mode: int, amplitude: float = 1.0,
     if shape[0] < 0:
         shape = -shape
     u = np.zeros((g.grid.n + 2, 3))
-    u[:g.m, channel - 1] = amplitude * shape
+    u[:g.m, 2] = amplitude * shape
     return BeamState(g.grid, u, np.zeros_like(u))
 
 
@@ -205,51 +230,43 @@ def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
 
 @dataclass
 class Trajectory:
-    """One sample path on the uniform step grid.
+    """One sample path of `scene` on the uniform step grid.
 
     `states` are the emitted states (shift included for nonhomogeneous
-    runs, the only ones with a `shift`); `homogeneous_states` keeps the
-    raw remainder in that case so the lift can be audited bitwise.
-    `forces` stores the packed loads F(t_k) for k = 0..n_steps used by
-    the weak-form residual.
+    runs); `homogeneous_states` keeps the raw remainder in that case so
+    the lift can be audited bitwise.  `increments` are the path's Wiener
+    increments W(t_{k+1}) - W(t_k) on the nodes 0..n, (n_steps, m, 3), as
+    the kernel projected them; None without noise.
     """
 
-    times: np.ndarray
+    scene: Scene = field(repr=False)
     states: List[BeamState]
-    g: GramSet = field(repr=False)
-    forces: np.ndarray = field(repr=False)
-    increments: Optional[WienerIncrements] = field(repr=False, default=None)
-    sigma: float = 0.0
-    shift: Optional[np.ndarray] = None
+    increments: Optional[np.ndarray] = field(repr=False, default=None)
     homogeneous_states: Optional[List[BeamState]] = field(repr=False,
                                                           default=None)
 
     @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.states) - 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.scene.cfg.dt * np.arange(self.n_steps + 1)
 
 
 def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
     """Run path `path_index` as a block of width one, history kept."""
     scene = build_scene(cfg)
     grid = scene.grid
-    x0 = initial_state(cfg, scene.g)
-    forces = build_forces(scene)
-    _, history, xi = _block_worker(scene, forces, x0.packed(), path_index,
-                                   path_index + 1, keep_history=True)
+    _, history, inc = _block_worker(scene, path_index, path_index + 1, True)
     states = [BeamState.from_packed(grid, y) for y in history[..., 0]]
     homog = None
     if scene.shift is not None:
         homog = states
         states = [BeamState(grid, x.u + scene.shift, x.v) for x in homog]
-    inc = None
-    if xi is not None:
-        inc = sample_increments(scene.model, cfg.dt, cfg.n_steps, path_index,
-                                xi=xi[0])
-    return Trajectory(times=cfg.dt * np.arange(cfg.n_steps + 1),
-                      states=states, g=scene.g, forces=forces, increments=inc,
-                      sigma=cfg.sigma if inc is not None else 0.0,
-                      shift=scene.shift, homogeneous_states=homog)
+    return Trajectory(scene=scene, states=states,
+                      increments=None if inc is None else inc[0],
+                      homogeneous_states=homog)
 
 
 def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
@@ -282,8 +299,7 @@ def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajecto
     return _single_path(cfg, path_index)
 
 
-def weak_residual(traj: Trajectory, h: BeamState,
-                  lam: TractiveForce) -> ResidualCurve:
+def weak_residual(traj: Trajectory, h: BeamState) -> ResidualCurve:
     """Pathwise defect of the time-integrated weak identity.
 
     For each step time t_k this evaluates
@@ -292,46 +308,47 @@ def weak_residual(traj: Trajectory, h: BeamState,
                  - trapz_j { <L(t_j) X_j, h> + <F_j, h> }
                  - sigma <h_v, W(t_k) - W(t_0)>
 
-    with all pairings in exact weak form.  The test function h must lie in
-    the adjoint domain: displacement part passing the h4bc stencils,
-    velocity part clamped (h2bc), both with zero stored boundary value.
+    with all pairings in exact weak form, and the tension, loads and
+    sigma of the path's scene.  The test function h must lie in the
+    adjoint domain: displacement part passing the h4bc stencils, velocity
+    part clamped (h2bc), both with zero stored boundary value.
 
     Raises:
         PreconditionError: nonhomogeneous trajectory (the identity is
             stated for the homogeneous problem) or h fails the stencils.
     """
-    if traj.shift is not None:
+    scene = traj.scene
+    if scene.shift is not None:
         raise PreconditionError(
             "weak residual is defined for homogeneous trajectories; pass "
             "the remainder of a nonhomogeneous run instead")
-    g = traj.g
+    g = scene.g
     if h.grid.n != g.grid.n or h.grid.l != g.grid.l:
         raise ShapeError("test function lives on a different grid")
     check_membership(h.u, "h4bc", g, what="test displacement")
     check_membership(h.u, "h2bc", g, what="test displacement")
     check_membership(h.v, "h2bc", g, what="test velocity")
     n_steps = traj.n_steps
-    dt = float(traj.times[1] - traj.times[0])
+    times = traj.times
     hp = h.packed()
-    m = g.m
 
     packed = [x.packed() for x in traj.states]
     pair_vals = np.array([packed_h_inner(y, hp, g) for y in packed])
     gen = np.empty(n_steps + 1)
     for j in range(n_steps + 1):
-        op = build_L(lam, float(traj.times[j]), g)
-        gen[j] = op.pair(packed[j], hp) + packed_h_inner(traj.forces[j], hp, g)
+        op = build_L(scene.lam, float(times[j]), g)
+        gen[j] = op.pair(packed[j], hp) + packed_h_inner(scene.forces[j], hp, g)
 
     integral = np.zeros(n_steps + 1)
-    integral[1:] = np.cumsum(0.5 * dt * (gen[:-1] + gen[1:]))
+    integral[1:] = np.cumsum(0.5 * scene.cfg.dt * (gen[:-1] + gen[1:]))
 
     stoch = np.zeros(n_steps + 1)
-    if traj.increments is not None and traj.sigma > 0:
-        cum = np.cumsum(traj.increments.increments[:, :m, :], axis=0)
-        weights = g.M[:, None] * h.v[:m]
-        stoch[1:] = traj.sigma * np.einsum("ic,jic->j", weights, cum)
+    if traj.increments is not None:
+        cum = np.cumsum(traj.increments, axis=0)
+        weights = g.M[:, None] * h.v[:g.m]
+        stoch[1:] = scene.cfg.sigma * np.einsum("ic,jic->j", weights, cum)
     values = pair_vals - pair_vals[0] - integral - stoch
-    return ResidualCurve(times=traj.times.copy(), values=values)
+    return ResidualCurve(times=times, values=values)
 
 
 @dataclass
@@ -339,17 +356,26 @@ class EnsembleStats:
     """Streamed first/second moments of scalar observables over paths.
 
     The moment fields come from the ordered block merge of `ensemble_run`;
-    `scene` is the one the run was built on.  With one path the sample
-    variance is undefined and `variance_defined` is False.
+    `scene` is the one the run was built on.
     """
 
-    times: np.ndarray
-    observable_ids: Tuple[str, ...]
     count: int
     mean: np.ndarray
     m2: np.ndarray
     scene: Scene = field(repr=False)
-    variance_defined: bool = True
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.scene.cfg.dt * self.scene.obs_steps
+
+    @property
+    def observable_ids(self) -> tuple:
+        return self.scene.cfg.observables
+
+    @property
+    def variance_defined(self) -> bool:
+        """False with one path, where the sample variance is undefined."""
+        return self.count > 1
 
     @property
     def variance(self) -> np.ndarray:
@@ -359,22 +385,16 @@ class EnsembleStats:
         return self.m2 / (self.count - 1)
 
 
-def _sample_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
+    """Evolve paths p0..p1-1 of the scene's run as one (2m, 3, p1 - p0)
+    block.
 
-
-def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
-                  p0: int, p1: int, keep_history: bool, mh=(), idx=()):
-    """Evolve paths p0..p1-1 as one (2m, 3, p1 - p0) block.
-
-    Returns the pairings with the premetric observables `mh` at the step
-    indices `idx`, shape (n_obs, len(idx), p1 - p0); then, when
-    `keep_history`, the packed history (n_steps+1, 2m, 3, p1 - p0) and the
-    raw draws (p1 - p0, n_steps, K, 3) (None without noise), else None and
-    None: the draws are only read to rebuild a path's increments.
+    Returns the emitted observables, shape (n_obs, n_times, p1 - p0): the
+    pairings with `scene.obs_mh` at the steps `scene.obs_steps`, lift
+    included.  Then, when `keep_history`, the packed history
+    (n_steps+1, 2m, 3, p1 - p0) and the Wiener increments on the nodes
+    0..n, (p1 - p0, n_steps, m, 3) (None without noise); else None and
+    None, and only the scaled kicks live through the step loop.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -384,14 +404,19 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
     m = scene.grid.n_free
     n_steps = cfg.n_steps
     pb = p1 - p0
-    X = np.repeat(x0p[:, :, None], pb, axis=2)
-    xi = None
+    mh, forces = scene.obs_mh, scene.forces
+    X = np.repeat(scene.x0p[:, :, None], pb, axis=2)
+    inc = None
     if scene.model is not None:
-        xi = np.stack([scene.model.draw_xi(n_steps, p) for p in range(p0, p1)])
+        inc = project_increments(scene.model, np.stack(
+            [scene.model.draw_xi(n_steps, p) for p in range(p0, p1)]), cfg.dt)
         # (pb, steps, m, 3) velocity kicks A dW
-        kicks = cfg.sigma * project_increments(scene.model, xi, cfg.dt)
-    pos = {int(j): ti for ti, j in enumerate(idx)}
-    vals = np.empty((len(mh), len(idx), pb))
+        if keep_history:
+            kicks = cfg.sigma * inc
+        else:  # scaled in place: the block holds one such array
+            kicks, inc = np.multiply(inc, cfg.sigma, out=inc), None
+    pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
+    vals = np.empty((len(mh), len(pos), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
     if keep_history:
         history[0] = X
@@ -401,7 +426,7 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
     for k in range(n_steps):
         Y = X + cfg.dt * forces[k][:, :, None]
         X_next = (steps[k] @ Y.reshape(2 * m, -1)).reshape(2 * m, 3, pb)
-        if xi is not None:
+        if scene.model is not None:
             X_next[m:] += kicks[:, k].transpose(1, 2, 0)
         if not np.all(np.isfinite(X_next)):
             i = int(np.argmin(np.isfinite(X_next).all(axis=(0, 1))))
@@ -419,7 +444,12 @@ def _block_worker(scene: Scene, forces: np.ndarray, x0p: np.ndarray,
         ti = pos.get(k + 1)
         if ti is not None:
             vals[:, ti] = np.einsum("oic,icp->op", mh, X)
-    return vals, history, xi if keep_history else None
+    # observables are taken on the emitted states; the constant lift moves
+    # the mean but not the fluctuations, so its pairing is added once
+    lift = np.zeros((2 * m, 3))
+    if scene.shift is not None:
+        lift[:m] = scene.shift[:m]
+    return vals + np.einsum("oic,ic->o", mh, lift)[:, None, None], history, inc
 
 
 def _merge_moments(count_a, mean_a, m2_a, vals_b):
@@ -436,89 +466,42 @@ def _merge_moments(count_a, mean_a, m2_a, vals_b):
     return n_ab, mean, m2
 
 
-@dataclass(frozen=True)
-class EnsemblePlan:
-    """What every block of an ensemble run shares: the scene, the packed
-    loads and initial state, the premetric observables `mh` (n_obs, 2m, 3)
-    sampled at step indices `idx`, and `shift_term`, the pairing of each
-    observable with the nonhomogeneous lift (zeros for homogeneous runs)."""
-
-    scene: Scene
-    forces: np.ndarray = field(repr=False)
-    x0p: np.ndarray = field(repr=False)
-    observable_ids: Tuple[str, ...]
-    mh: np.ndarray = field(repr=False)
-    idx: np.ndarray
-    shift_term: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.scene.cfg.dt * self.idx
-
-
-def plan_ensemble(cfg: SimulationConfig) -> EnsemblePlan:
-    """Build the scene and everything the blocks of a run share."""
-    scene = build_scene(cfg)
-    x0p = initial_state(cfg, scene.g).packed()
-    forces = build_forces(scene)
-    ids = cfg.observables
-    mh = np.stack([scene.g.mh_apply(sine_mode_state(
-        scene.grid, *parse_observable_spec(spec)).packed()) for spec in ids])
-    idx = _sample_indices(cfg.n_steps, cfg.obs_stride)
-
-    # observables are taken on the emitted states; for nonhomogeneous runs
-    # the constant shift moves the mean but not the fluctuations, so add
-    # its pairing once per observable
-    shift_term = np.zeros(len(ids))
-    if scene.shift is not None:
-        m = scene.grid.n_free
-        shift_packed = np.zeros((2 * m, 3))
-        shift_packed[:m] = scene.shift[:m]
-        shift_term = np.einsum("oic,ic->o", mh, shift_packed)
-    return EnsemblePlan(scene=scene, forces=forces, x0p=x0p,
-                        observable_ids=ids, mh=mh, idx=idx,
-                        shift_term=shift_term)
-
-
-def ensemble_blocks(plan: EnsemblePlan,
+def ensemble_blocks(scene: Scene,
                     keep_history: bool = False) -> Iterator[tuple]:
-    """Run the plan's paths in blocks of BLOCK_PATHS and yield
-    (p0, p1, vals, history, xi) per block, in block-index order.
+    """Run the scene's paths in blocks of BLOCK_PATHS and yield
+    (p0, p1, vals, history, increments) per block, in block-index order.
 
-    `vals` (n_obs, n_times, p1 - p0) are the emitted observables (shift
-    term included); `history` and `xi` are `_block_worker`'s, None unless
-    `keep_history`.  With `cfg.threads > 1` at most 2 * threads blocks are
-    in flight, and the next one is submitted only when the oldest is handed
-    out, so a slow consumer holds memory for a bounded number of blocks.
-    A failing block raises when its turn comes, so the error is the same
-    for every thread count.
+    `vals`, `history` and `increments` are `_block_worker`'s; the last two
+    are None unless `keep_history`.  With `cfg.threads > 1` at most
+    2 * threads blocks are in flight, and the next one is submitted only
+    when the oldest is handed out, so a slow consumer holds memory for a
+    bounded number of blocks.  A failing block raises when its turn comes,
+    so the error is the same for every thread count.
     """
-    threads, n = plan.scene.cfg.threads, plan.scene.cfg.n_paths
+    threads, n = scene.cfg.threads, scene.cfg.n_paths
     blocks = iter([(p0, min(n, p0 + BLOCK_PATHS))
                    for p0 in range(0, n, BLOCK_PATHS)])
-    shift = plan.shift_term[:, None, None]
+    # build the shared arrays here, so that worker threads only read them
+    scene.forces, scene.x0p, scene.obs_mh, scene.obs_steps
 
     def run(p0, p1):
-        return _block_worker(plan.scene, plan.forces, plan.x0p, p0, p1,
-                             keep_history, plan.mh, plan.idx)
+        return (p0, p1, *_block_worker(scene, p0, p1, keep_history))
 
     if threads == 1:
         for p0, p1 in blocks:
-            vals, history, xi = run(p0, p1)
-            yield p0, p1, vals + shift, history, xi
+            yield run(p0, p1)
         return
     ex = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     try:
         pending = collections.deque(
-            (p0, p1, ex.submit(run, p0, p1))
+            ex.submit(run, p0, p1)
             for p0, p1 in itertools.islice(blocks, 2 * threads))
         while pending:
-            p0, p1, fut = pending.popleft()
-            vals, history, xi = fut.result()
+            block = pending.popleft().result()
             nxt = next(blocks, None)
             if nxt is not None:
-                pending.append((*nxt, ex.submit(run, *nxt)))
-            yield p0, p1, vals + shift, history, xi
+                pending.append(ex.submit(run, *nxt))
+            yield block
     finally:
         ex.shutdown(wait=True, cancel_futures=True)
 
@@ -534,10 +517,8 @@ def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
     outlives its block: `ensemble_blocks` hands out the blocks
     themselves, as `stobeam simulate` streams them to its CSVs.
     """
-    plan = plan_ensemble(cfg)
+    scene = build_scene(cfg)
     count, mean, m2 = 0, None, None
-    for _, _, vals, _, _ in ensemble_blocks(plan):
+    for _, _, vals, _, _ in ensemble_blocks(scene):
         count, mean, m2 = _merge_moments(count, mean, m2, vals)
-    return EnsembleStats(times=plan.times, observable_ids=plan.observable_ids,
-                         count=count, mean=mean, m2=m2, scene=plan.scene,
-                         variance_defined=(count > 1))
+    return EnsembleStats(count=count, mean=mean, m2=m2, scene=scene)

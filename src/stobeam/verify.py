@@ -24,7 +24,7 @@ from .config import SimulationConfig
 from .errors import StobeamError
 from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
                    packed_h_norm)
-from .noise import ito_variance, sample_increments, trace_condition, trace_q
+from .noise import ito_variance, project_increments, trace_condition, trace_q
 from .operators import (TractiveForce, build_L0, estimate_constants,
                         op_norm_H, skew_defect)
 from .propagator import (backward_adjoint_apply, build_propagator,
@@ -257,10 +257,9 @@ def check_increment_determinism(scene) -> CheckResult:
     if scene.model is None:
         return _result("increment_determinism", 0, 0,
                        "sigma = 0: no noise model", skip=True)
-    a = sample_increments(scene.model, scene.cfg.dt, 4, path_index=0)
-    b = sample_increments(scene.model, scene.cfg.dt, 4, path_index=0)
-    same = np.array_equal(a.increments, b.increments) and \
-        np.array_equal(a.xi, b.xi)
+    a, b = (project_increments(scene.model, scene.model.draw_xi(4, 0),
+                               scene.cfg.dt) for _ in range(2))
+    same = np.array_equal(a, b)
     return _result("increment_determinism", 0.0 if same else 1.0, 0.0,
                    "same (seed, path) draws are bitwise identical")
 
@@ -372,7 +371,7 @@ def check_weak_identity_null(scene) -> CheckResult:
     traj = solve_homogeneous(cfg)
     h = BeamState(scene.grid, bending_mode_state(scene.g, 1).u,
                   sine_mode_state(scene.grid, 1, 3, "v").v)
-    r = _solver.weak_residual(traj, h, TractiveForce.zero())
+    r = _solver.weak_residual(traj, h)
     return _result("weak_identity_null", r.max_value, 0.0,
                    "zero data must give an exactly zero residual")
 

@@ -16,15 +16,15 @@ from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.grid import (BeamState, bc_value_defect, build_grid, build_grams,
                           h_norm, packed_d_norm_sq, packed_h_norm)
-from stobeam.noise import (WienerIncrements, build_noise_model, ito_variance,
-                           sample_increments, trace_condition, trace_q)
+from stobeam.noise import (build_noise_model, ito_variance, project_increments,
+                           trace_condition, trace_q)
 from stobeam.operators import (TractiveForce, build_L0, estimate_constants,
                                skew_defect)
 from stobeam.propagator import (backward_adjoint_apply, build_propagator,
                                 cocycle_defect, duality_defect,
                                 generator_residual, op_norm_H,
                                 picard_evolution)
-from stobeam.solver import (Trajectory, bending_mode_state, build_forces,
+from stobeam.solver import (Trajectory, bending_mode_state,
                             build_scene, ensemble_run, sine_mode_state,
                             solve_homogeneous, solve_nonhomogeneous,
                             weak_residual)
@@ -277,30 +277,26 @@ def test_weak_residual_nested_refinement(acceptance):
     coarser grids, so all three runs see the same noise realization."""
     finest = parse_config(LADDER_BASE % "0.001")
     scf = build_scene(finest)
-    inc_f = sample_increments(scf.model, finest.dt, finest.n_steps, 7)
+    inc_f = project_increments(
+        scf.model, scf.model.draw_xi(finest.n_steps, 7), finest.dt)
     res = []
     for dt, gs in ((4e-3, 4), (2e-3, 2), (1e-3, 1)):
         cfg = parse_config(LADDER_BASE % repr(dt))
         sc = build_scene(cfg)
         ks = cfg.n_steps
-        nn = sc.grid.n + 2
-        inc = inc_f.increments.reshape(ks, gs, nn, 3).sum(axis=1)
-        xi = inc_f.xi.reshape(ks, gs, cfg.K, 3).sum(axis=1) / math.sqrt(gs)
-        wi = WienerIncrements(dt=dt, path_index=7, xi=xi, increments=inc)
-        forces = build_forces(sc)
         m = sc.g.m
+        inc = inc_f.reshape(ks, gs, m, 3).sum(axis=1)
         y = np.zeros((2 * m, 3))
         states = [BeamState.zero(sc.grid)]
         for k in range(ks):
             # the mild update at sigma = 1
-            y = sc.P.steps[k] @ (y + dt * forces[k])
-            y[m:] += wi.increments[k][:m]
+            y = sc.P.steps[k] @ (y + dt * sc.forces[k])
+            y[m:] += inc[k]
             states.append(BeamState.from_packed(sc.grid, y))
-        traj = Trajectory(times=dt * np.arange(ks + 1), states=states,
-                          g=sc.g, forces=forces, increments=wi, sigma=1.0)
+        traj = Trajectory(scene=sc, states=states, increments=inc)
         h = BeamState(sc.grid, bending_mode_state(sc.g, 1).u,
                       sine_mode_state(sc.grid, 1, 3, "v").v)
-        res.append(weak_residual(traj, h, sc.lam).max_value)
+        res.append(weak_residual(traj, h).max_value)
     ratios = [res[i] / res[i + 1] for i in range(2)]
     ok = all(1.6 <= r <= 2.6 for r in ratios)
     acceptance(11, f"residual maxima {res[0]:.4f}/{res[1]:.4f}/"

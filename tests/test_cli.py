@@ -3,6 +3,7 @@
 import json
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.errors import BlowupError
 from stobeam.grid import BeamState
-from stobeam.solver import build_scene, ensemble_blocks, plan_ensemble
+from stobeam.solver import build_scene, ensemble_blocks
 from stobeam.verify import free_variance_closed_form
 
 TINY = """
@@ -337,8 +338,7 @@ def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
 def _oracle_csvs(cfg):
     """trajectory.csv and observables.csv text built value by value with
     format(x, '.17g') from the kept histories of `ensemble_blocks`."""
-    plan = plan_ensemble(cfg)
-    sc = plan.scene
+    sc = build_scene(cfg)
 
     def fmt(x):
         return format(float(x), ".17g")
@@ -347,7 +347,7 @@ def _oracle_csvs(cfg):
     nodes = sc.grid.nodes
     traj_lines = ["path,t,s,channel,u,v"]
     obs_lines = ["path,t,observable_id,value"]
-    for p0, p1, vals, history, _ in ensemble_blocks(plan, keep_history=True):
+    for p0, p1, vals, history, _ in ensemble_blocks(sc, keep_history=True):
         for i, p in enumerate(range(p0, p1)):
             for k in range(1, len(times)):
                 st = BeamState.from_packed(sc.grid, history[k, ..., i])
@@ -358,8 +358,8 @@ def _oracle_csvs(cfg):
                         traj_lines.append(
                             f"{p},{fmt(times[k])},{fmt(nodes[j])},{c + 1},"
                             f"{fmt(st.u[j, c])},{fmt(st.v[j, c])}")
-            for ti, t in enumerate(plan.times):
-                for oi, oid in enumerate(plan.observable_ids):
+            for ti, t in enumerate(cfg.dt * sc.obs_steps):
+                for oi, oid in enumerate(cfg.observables):
                     obs_lines.append(f"{p},{fmt(t)},{oid},"
                                      f"{fmt(vals[oi, ti, i])}")
     return "\n".join(traj_lines) + "\n", "\n".join(obs_lines) + "\n"
@@ -408,12 +408,29 @@ def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     real = solver._block_worker
 
-    def fail_second_block(scene, forces, x0p, p0, p1, *args):
+    def fail_second_block(scene, p0, p1, keep_history):
         if p0 > 0:
             raise BlowupError(f"path {p0} became non-finite")
-        return real(scene, forces, x0p, p0, p1, *args)
+        return real(scene, p0, p1, keep_history)
 
     monkeypatch.setattr(solver, "_block_worker", fail_second_block)
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
     assert "path 256 became non-finite" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_only_stepping_builds_the_initial_state(tmp_path, capsys):
+    """A rough initial mode fails `simulate`, which steps paths from it,
+    and not `verify`, none of whose checks reads the configured initial
+    state: the scene builds that state only when a stepper asks."""
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    text = default.read_text().replace("init.family = zero",
+                                       "init.family = mode\ninit.mode = 5")
+    cfg_path = _write_cfg(tmp_path, text)
+    assert main(["verify", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "19 passed, 0 failed, 0 skipped"
+    assert main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "initial displacement fails discrete h6bc membership" in \
+        capsys.readouterr().err

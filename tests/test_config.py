@@ -213,6 +213,9 @@ BAD_VALUES = [
     ("lambda.c1", "nan", math.nan),
     ("lambda.freq", "0", 0.0),
     ("lambda.table", "0,inf" + ",0" * 16, (0.0, math.inf) + (0.0,) * 16),
+    # a 256-node grid's table: the message names the entry, not the table
+    ("lambda.table", "0,0,inf" + ",0" * 255,
+     (0.0, 0.0, math.inf) + (0.0,) * 255),
     ("fdet.expr1", "__import__('os')", "__import__('os')"),
     ("fdet.expr3", "q + 1", "q + 1"),
     ("fdet.table", "nan" + ",0" * 17, (math.nan,) + (0.0,) * 17),
@@ -228,12 +231,17 @@ BAD_VALUES = [
     pytest.param(*case, id=f"{case[0]}={case[1][:12]}") for case in BAD_VALUES])
 def test_one_rule_three_routes(key, text, value):
     """A bad value is refused naming its key whether it is parsed, passed
-    to the constructor or set with `dataclasses.replace`."""
+    to the constructor or set with `dataclasses.replace`; for a table the
+    error line names the first bad entry, not the whole table."""
     lines = [t for t in MINIMAL.strip().splitlines()
              if not t.startswith(key + " =")] + [f"{key} = {text}"]
     with pytest.raises(ConfigError) as err:
         parse_config("\n".join(lines))
     assert err.value.key == key and err.value.line == len(lines)
+    if isinstance(value, tuple):
+        i = next(i for i, x in enumerate(value) if not math.isfinite(x))
+        assert f"'{value[i]}' (entry {i + 1} of {len(value)})" in str(err.value)
+        assert len(f"config error: {err.value}") < 200
     attr = _KEYS[key][0]
     base = dict(l=1.0, b=1.0, n=16, T=0.5, dt=0.01)
     with pytest.raises(ConfigError) as err:

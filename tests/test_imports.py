@@ -1,5 +1,6 @@
 """Every top-level import in the package modules is used, every
-definition in them is referenced, and every dataclass field is read.
+definition in them is referenced, every dataclass field is read, and
+every defaulted parameter is set by some call.
 
 A name bound as `from m import name as name` is an explicit re-export
 and counts as used.  A definition counts as referenced when its name
@@ -12,6 +13,11 @@ A dataclass field counts as read when some Python file of src/, tests/
 or bench/ loads it as an attribute (`x.field`); this match is syntactic,
 so a field set but never looked up fails even if its name occurs
 elsewhere.
+
+A defaulted parameter of a function or method counts as set when some
+call in src/, tests/ or bench/ to a callee of that name (an `__init__`
+by its class name) passes it by keyword, or by position, or passes
+`*args` or `**kwargs`; the match is by name, not by resolved object.
 """
 
 import ast
@@ -107,3 +113,60 @@ def test_every_dataclass_field_is_read():
               for cls, name in _dataclass_fields(ast.parse(p.read_text()))
               if name not in loaded]
     assert unread == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(callee, parameter, position) for each defaulted parameter of a
+    top-level function or a method; `__init__` is called by its class name
+    and a method's position does not count `self` or `cls`.  Position is
+    None for keyword-only parameters."""
+    out = []
+
+    def visit(fn, callee, bound):
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[bound:]
+        first = len(positional) - len(a.defaults)
+        out.extend((callee, p.arg, first + i)
+                   for i, p in enumerate(positional[first:]))
+        out.extend((callee, p.arg, None)
+                   for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            visit(node, node.name, 0)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    visit(item, node.name if item.name == "__init__"
+                          else item.name, 0 if static else 1)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """A default that no call overrides is a constant in disguise."""
+    files = [p for d in ("src", "tests", "bench")
+             for p in (ROOT / d).rglob("*.py")]
+    set_by = {}  # callee name -> (max positional count, keyword names)
+    for p in files:
+        for n in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            count, names = set_by.get(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in n.args):
+                count = float("inf")
+            names |= {k.arg for k in n.keywords}
+            set_by[name] = (max(count, len(n.args)), names)
+    unset = []
+    for p in MODULES:
+        for callee, name, pos in _defaulted_parameters(
+                ast.parse(p.read_text())):
+            count, names = set_by.get(callee, (0, set()))
+            # a `**kwargs` argument (keyword None) may set any name
+            if not (name in names or None in names
+                    or (pos is not None and count > pos)):
+                unset.append(f"{callee}({name}=)")
+    assert unset == []

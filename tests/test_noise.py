@@ -7,7 +7,7 @@ import pytest
 from stobeam.errors import InvalidArgumentError, PreconditionError
 from stobeam.grid import build_grid
 from stobeam.noise import (build_noise_model, build_spectrum, ito_variance,
-                           sample_increments, trace_condition, trace_q,
+                           project_increments, trace_condition, trace_q,
                            trace_tail)
 from stobeam.operators import TractiveForce, estimate_constants
 from stobeam.propagator import build_propagator
@@ -81,17 +81,15 @@ def test_seeds_above_2_63_do_not_collide(grid16):
 def test_increments_expand_the_drawn_coefficients(grid16):
     model = build_noise_model(grid16, "k^-2", K=8, seed=7)
     dt = 2e-3
-    inc = sample_increments(model, dt, 15, path_index=2)
-    assert inc.increments.shape == (15, grid16.n + 2, 3)
-    assert inc.n_steps == 15
+    xi = model.draw_xi(15, 2)
+    inc = project_increments(model, xi, dt)
+    assert inc.shape == (15, grid16.n + 1, 3)
     recon = np.einsum("jkc,sk->jsc",
-                      inc.xi * np.sqrt(model.q * dt)[None, :, None],
+                      xi * np.sqrt(model.q * dt)[None, :, None],
                       model.e_red)
-    assert np.allclose(inc.increments[:, :-1], recon, atol=1e-15)
-    # clamped end never moves
-    assert np.array_equal(inc.increments[:, -1, :], np.zeros((15, 3)))
+    assert np.allclose(inc, recon, atol=1e-15)
     with pytest.raises(InvalidArgumentError):
-        sample_increments(model, -1e-3, 15)
+        project_increments(model, xi, -1e-3)
 
 
 def test_trace_tail_closed_forms(grid16):

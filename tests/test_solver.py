@@ -14,12 +14,11 @@ from stobeam.errors import (BlowupError, InvalidArgumentError,
 from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
                          packed_h_norm)
 from stobeam import solver
-from stobeam.noise import sample_increments
+from stobeam.noise import project_increments
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             build_scene, ensemble_blocks, ensemble_run,
-                            initial_state, plan_ensemble,
-                            sine_mode_state, solve_homogeneous,
-                            solve_nonhomogeneous, tractive_from_config,
+                            initial_state, sine_mode_state,
+                            solve_homogeneous, solve_nonhomogeneous,
                             weak_residual)
 
 FREE = """
@@ -87,10 +86,10 @@ run.obs_stride = 2
 """
 
 
-def test_tractive_from_config_families():
-    assert tractive_from_config(parse_config(LOADED)).family == "zero"
+def test_scene_tension_families():
+    assert build_scene(parse_config(LOADED)).lam.family == "zero"
     cfg = parse_config(STOCH)
-    lam = tractive_from_config(cfg)
+    lam = build_scene(cfg).lam
     assert lam.family == "bump"
     assert lam.c0 == 1.0 and lam.c1 == 0.3
     assert lam.horizon == cfg.T
@@ -177,8 +176,7 @@ def test_kernel_blowup_names_path_step_and_last_norm():
     sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=big))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(BlowupError) as err:
-        _block_worker(sc, forces, np.zeros((2 * sc.g.m, 3)), 5, 8,
-                      keep_history=False)
+        _block_worker(sc, 5, 8, False)
     msg = str(err.value)
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
@@ -188,12 +186,11 @@ def test_kernel_blowup_names_path_step_and_last_norm():
 def test_energy_conserved_without_forcing():
     cfg = parse_config(FREE)
     traj = solve_homogeneous(cfg)
-    g = traj.g
+    g = traj.scene.g
     base = h_norm(traj.states[0], g)
     drift = max(abs(h_norm(x, g) - base) for x in traj.states) / base
     assert drift < 1e-10
     assert traj.increments is None
-    assert traj.sigma == 0.0
     assert len(traj.states) == cfg.n_steps + 1
     assert traj.times[-1] == pytest.approx(cfg.T)
 
@@ -222,7 +219,7 @@ def test_weak_identity_exact_for_velocity_test_functions():
     traj = solve_homogeneous(cfg)
     sc = build_scene(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "v")
-    r = weak_residual(traj, h, sc.lam)
+    r = weak_residual(traj, h)
     assert r.max_value < 1e-12
 
 
@@ -232,42 +229,41 @@ def test_weak_residual_guards():
     sc = build_scene(cfg)
     other = build_grid(1.0, 8)
     with pytest.raises(ShapeError):
-        weak_residual(traj, sine_mode_state(other, 1, 3, "v"), sc.lam)
+        weak_residual(traj, sine_mode_state(other, 1, 3, "v"))
     # displacement parts must satisfy the free-end stencils; a raw sine
     # does not (its third derivative survives at s = 0)
     with pytest.raises(PreconditionError):
-        weak_residual(traj, sine_mode_state(sc.grid, 1, 3, "u"), sc.lam)
+        weak_residual(traj, sine_mode_state(sc.grid, 1, 3, "u"))
     ncfg = parse_config(LOADED.replace("bc.kind = homogeneous",
                                        "bc.kind = nonhomogeneous"))
     ntraj = solve_nonhomogeneous(ncfg)
     with pytest.raises(PreconditionError):
-        weak_residual(ntraj, sine_mode_state(sc.grid, 1, 3, "v"), sc.lam)
+        weak_residual(ntraj, sine_mode_state(sc.grid, 1, 3, "v"))
 
 
 def test_stochastic_path_carries_increments():
     cfg = parse_config(STOCH)
     traj = solve_homogeneous(cfg, path_index=4)
-    assert traj.increments is not None
-    assert traj.increments.path_index == 4
-    assert traj.sigma == 1.0
+    sc = traj.scene
+    want = project_increments(sc.model, sc.model.draw_xi(cfg.n_steps, 4),
+                              cfg.dt)
+    assert want.shape == (cfg.n_steps, sc.g.m, 3)
+    assert np.array_equal(traj.increments, want)
     # the stochastic weak residual is small but not zero at finite dt
-    sc = build_scene(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "v")
-    r = weak_residual(traj, h, sc.lam)
+    r = weak_residual(traj, h)
     assert 0.0 < r.max_value < 0.1
 
 
 def _first_ensemble_path(cfg):
     """States, remainders and increments of path 0 as the ensemble blocks
     hand it out (history kept)."""
-    plan = plan_ensemble(cfg)
-    sc = plan.scene
-    _, _, _, history, xi = next(ensemble_blocks(plan, keep_history=True))
+    sc = build_scene(cfg)
+    _, _, _, history, inc = next(ensemble_blocks(sc, keep_history=True))
     homog = [BeamState.from_packed(sc.grid, y) for y in history[..., 0]]
     states = homog if sc.shift is None else \
         [BeamState(sc.grid, x.u + sc.shift, x.v) for x in homog]
-    inc = sample_increments(sc.model, cfg.dt, cfg.n_steps, 0, xi=xi[0])
-    return states, homog, inc
+    return states, homog, inc[0]
 
 
 def test_ensemble_matches_single_path_solver():
@@ -278,8 +274,7 @@ def test_ensemble_matches_single_path_solver():
     assert len(ref.states) == len(states)
     assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
                for a, b in zip(ref.states, states))
-    assert np.array_equal(ref.increments.increments, inc.increments)
-    assert np.array_equal(ref.increments.xi, inc.xi)
+    assert np.array_equal(ref.increments, inc)
 
 
 def test_nonhomogeneous_path_matches_ensemble_bitwise():
@@ -287,41 +282,41 @@ def test_nonhomogeneous_path_matches_ensemble_bitwise():
                                      "bc.kind = nonhomogeneous"))
     states, homog, inc = _first_ensemble_path(cfg)
     ref = solve_nonhomogeneous(cfg, 0)
-    assert ref.shift is not None
+    assert ref.scene.shift is not None
     for a_list, b_list in ((ref.states, states),
                            (ref.homogeneous_states, homog)):
         assert len(a_list) == cfg.n_steps + 1 == len(b_list)
         assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
                    for a, b in zip(a_list, b_list))
-    assert np.array_equal(ref.increments.increments, inc.increments)
+    assert np.array_equal(ref.increments, inc)
 
 
 def test_sampled_increments_are_the_kernel_kicks():
-    """The kernel's velocity kick for a path inside a wide block equals
-    sigma times that path's sampled increments, bit for bit."""
+    """The increments the kernel returns for a path inside a wide block
+    are that path's draws projected alone, and its velocity kick is sigma
+    times them, bit for bit."""
     cfg = parse_config(STOCH.replace("lambda.family = bump",
                                      "lambda.family = zero")
                        .replace("noise.sigma = 1.0", "noise.sigma = 0.5"))
     sc = build_scene(cfg)
     zero = [np.zeros_like(s) for s in sc.P.steps]
     sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
-    forces = np.zeros_like(build_forces(sc))
-    x0p = np.zeros((2 * sc.g.m, 3))
-    _, history, _ = _block_worker(sc, forces, x0p, 0, 5, keep_history=True)
+    _, history, inc = _block_worker(sc, 0, 5, True)
     m = sc.g.m
     for p in (0, 3):
-        inc = sample_increments(sc.model, cfg.dt, cfg.n_steps, p)
+        alone = project_increments(sc.model, sc.model.draw_xi(cfg.n_steps, p),
+                                   cfg.dt)
+        assert np.array_equal(inc[p], alone)
         # with zero step maps each state is exactly the last kick
         kicks = history[1:, m:, :, p]
-        assert np.array_equal(kicks, cfg.sigma * inc.increments[:, :m])
+        assert np.array_equal(kicks, cfg.sigma * alone)
 
 
 def _block_values(cfg):
     """Every path's observables (n_obs, n_times, N), concatenated from the
     blocks of `ensemble_blocks` in the order they are handed out."""
-    plan = plan_ensemble(cfg)
     return np.concatenate([vals for _, _, vals, _, _ in
-                           ensemble_blocks(plan)], axis=2)
+                           ensemble_blocks(build_scene(cfg))], axis=2)
 
 
 def test_ensemble_moments_match_stored_values():
@@ -374,8 +369,8 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
                        .replace("lambda.family = zero",
                                 "lambda.family = bump\nlambda.c0 = 1.0"))
     sc = build_scene(cfg)
-    plan = plan_ensemble(dataclasses.replace(cfg, observables=("1:3:u",)))
-    _, _, vals, _, _ = next(ensemble_blocks(plan))
+    _, _, vals, _, _ = next(ensemble_blocks(build_scene(
+        dataclasses.replace(cfg, observables=("1:3:u",)))))
     traj = solve_nonhomogeneous(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
     want = h_inner(traj.states[-1], h, sc.g)
@@ -398,22 +393,40 @@ def test_ensemble_memory_does_not_grow_with_paths():
 def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
     threads = 2
     cfg = parse_config(SHORT + "run.N = 2600\n")
-    plan = plan_ensemble(dataclasses.replace(cfg, threads=threads))
+    sc = build_scene(dataclasses.replace(cfg, threads=threads))
     started = []
     real = solver._block_worker
 
-    def counting(scene, forces, x0p, p0, p1, *args):
+    def counting(scene, p0, p1, keep_history):
         started.append(p0)
-        return real(scene, forces, x0p, p0, p1, *args)
+        return real(scene, p0, p1, keep_history)
 
     monkeypatch.setattr(solver, "_block_worker", counting)
     handed = []
-    for p0, p1, vals, history, xi in ensemble_blocks(plan):
+    for p0, p1, vals, history, inc in ensemble_blocks(sc):
         # a slow consumer: workers may run ahead by 2 * threads blocks only
         time.sleep(0.02)
         assert len(started) <= len(handed) + 1 + 2 * threads
-        assert history is None and xi is None
-        assert vals.shape == (1, len(plan.idx), p1 - p0)
+        assert history is None and inc is None
+        assert vals.shape == (1, len(sc.obs_steps), p1 - p0)
         handed.append((p0, p1))
     assert handed == [(p0, min(2600, p0 + 256)) for p0 in range(0, 2600, 256)]
     assert sorted(started) == [p0 for p0, _ in handed]
+
+
+def test_block_without_history_holds_one_kick_array():
+    """Without history a block keeps its scaled kicks and nothing of their
+    size besides: neither the draws nor the unscaled increments."""
+    cfg = parse_config(SHORT.replace("grid.n = 8", "grid.n = 64")
+                       .replace("noise.K = 6", "noise.K = 4")
+                       .replace("time.T = 0.02", "time.T = 0.25"))
+    sc = build_scene(cfg)
+    sc.forces, sc.x0p, sc.obs_mh, sc.obs_steps  # shared, built beforehand
+    tracemalloc.start()
+    try:
+        _block_worker(sc, 0, 64, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kicks = 64 * cfg.n_steps * sc.g.m * 3 * 8
+    assert peak < 1.5 * kicks, (peak, kicks)

@@ -93,9 +93,16 @@ class SimulationConfig:
 
 
 def _strict_int(v):
-    if str(int(v)) != v:
+    try:
+        i = int(v)
+    except ValueError:
+        if v.lstrip("+-").isdigit():  # beyond int()'s digit limit
+            raise ValueError(f"an integer of {len(v)} digits is out of "
+                             "range") from None
+        raise
+    if str(i) != v:
         raise ValueError("must be an integer")
-    return int(v)
+    return i
 
 
 def _float_tuple(v):
@@ -185,7 +192,7 @@ def parse_config(text: str) -> SimulationConfig:
         try:
             values[attr] = conv(val)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value '{val}': {exc}", key=key,
+            raise ConfigError(f"bad value '{_shown(val)}': {exc}", key=key,
                               line=lineno) from None
         lines[key] = lineno
 
@@ -208,6 +215,21 @@ def _real(x) -> bool:
 
 def _integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _shown(value) -> str:
+    """A refused value as an error message quotes it: at most 40
+    characters, a longer one cut to its first 20 and its length.  A long
+    integer is cut by arithmetic, as str() refuses one past 4300 digits."""
+    if _integer(value) and abs(value) >= 10**40:
+        digits = int(math.log10(abs(value))) + 1
+        digits += (abs(value) >= 10**digits) - (abs(value) < 10**(digits - 1))
+        lead = abs(value) // 10**(digits - 20)
+        return f"{'-' * (value < 0)}{lead}... ({digits} digits)"
+    text = str(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}... ({len(text)} characters)"
 
 
 #: the single-value rules: (fields, test of one value, what it must be);
@@ -241,18 +263,20 @@ def _check_constraints(cfg: SimulationConfig):
             if isinstance(value, tuple):  # name the first bad entry only
                 i = next(i for i, x in enumerate(value) if not _real(x))
                 value, where = value[i], f" (entry {i + 1} of {len(value)})"
-            raise ConfigError(f"bad value '{value}'{where}: must be {what}",
-                              key=_ATTR_TO_KEY[attr])
+            raise ConfigError(f"bad value '{_shown(value)}'{where}: must be "
+                              f"{what}", key=_ATTR_TO_KEY[attr])
     for attr in ("fdet_expr1", "fdet_expr2", "fdet_expr3"):
+        value = getattr(cfg, attr)
         try:
-            compile_expression(getattr(cfg, attr))
+            compile_expression(value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value '{getattr(cfg, attr)}': {exc}",
+            raise ConfigError(f"bad value '{_shown(value)}': {exc}",
                               key=_ATTR_TO_KEY[attr]) from None
     for attr, words in _CHOICES.items():
-        if getattr(cfg, attr) not in words:
-            raise ConfigError(f"bad value '{getattr(cfg, attr)}': must be one "
-                              f"of {', '.join(words)}", key=_ATTR_TO_KEY[attr])
+        value = getattr(cfg, attr)
+        if value not in words:
+            raise ConfigError(f"bad value '{_shown(value)}': must be one of "
+                              f"{', '.join(words)}", key=_ATTR_TO_KEY[attr])
     ratio = cfg.T / cfg.dt
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
         raise ConfigError("dt must divide T", key="time.dt")

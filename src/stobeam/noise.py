@@ -16,15 +16,20 @@ Randomness is counter-based: path `p` of a model with root seed `s` draws
 from Philox keyed by the two unsigned 64-bit words (s, p), in the fixed order
 standard_normal((n_steps, K, 3)).  Identical (seed, path, K, n_steps)
 always reproduce bit-identical increments, independent of how many other
-paths are sampled concurrently.  `project_increments` is the one routine
-that turns draws into grid increments; the solver's kernel calls it for
-each block, and a single path keeps the increments its kernel projected.
+paths are sampled concurrently.  The solver's kernel keeps one generator
+per path for the whole run of its block and draws the steps a time chunk
+at a time; consecutive draws from one generator continue that one
+sequence, so the chunks reproduce the single whole-horizon draw of
+`NoiseModel.path_xi` bit for bit.  `project_increments` is the one
+routine that turns draws into grid increments; the kernel calls it for
+each chunk of a block, and a single path keeps the increments its kernel
+projected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,11 +100,29 @@ class NoiseModel:
         key = np.array([self.seed, path_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def draw_xi(self, n_steps: int, path_index: int) -> np.ndarray:
-        """Raw N(0,1) coefficient draws, shape (n_steps, K, 3), fixed order."""
+    def draw_xi(self, streams: Sequence[np.random.Generator],
+                out: np.ndarray) -> np.ndarray:
+        """The next raw N(0,1) coefficient draws of each stream, written
+        into `out` and returned.
+
+        `out` has shape (len(streams), n_steps, K, 3); row i takes the
+        next n_steps of `streams[i]`, a path's `stream`.  A generator goes
+        on where its last draw stopped, so consecutive calls on one
+        path's stream reproduce its `path_xi` bit for bit.  The solver's
+        kernel calls this once per block and time chunk.
+        """
+        for stream, xi in zip(streams, out):
+            stream.standard_normal(out=xi)
+        return out
+
+    def path_xi(self, n_steps: int, path_index: int) -> np.ndarray:
+        """Whole-horizon draws of one path from a fresh stream, shape
+        (n_steps, K, 3): the sequence that every chunked draw of the path
+        reproduces."""
         if int(n_steps) != n_steps or n_steps < 1:
             raise InvalidArgumentError(f"need at least one step, got {n_steps}")
-        return self.stream(path_index).standard_normal((int(n_steps), self.K, 3))
+        out = np.empty((1, int(n_steps), self.K, 3))
+        return self.draw_xi([self.stream(path_index)], out)[0]
 
 
 def build_noise_model(grid: BeamGrid, spectrum: str, K: int,

@@ -47,6 +47,11 @@ from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
 #: so that per-block arithmetic is identical for any worker pool size.
 BLOCK_PATHS = 256
 
+#: time steps per noise chunk: a block draws, projects and holds the kicks
+#: of this many steps at a time.  Below 16 the per-call cost of the draws
+#: shows in the wall time.
+CHUNK_STEPS = 32
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -394,7 +399,13 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     included.  Then, when `keep_history`, the packed history
     (n_steps+1, 2m, 3, p1 - p0) and the Wiener increments on the nodes
     0..n, (p1 - p0, n_steps, m, 3) (None without noise); else None and
-    None, and only the scaled kicks live through the step loop.
+    None.
+
+    Noise comes in chunks of CHUNK_STEPS steps: each path keeps one
+    generator for the whole block, and per chunk the block draws into one
+    (p1 - p0, CHUNK_STEPS, K, 3) buffer, projects the draws and scales
+    them in place into that chunk's kicks.  Without history the block
+    holds its state, the buffer and one chunk of kicks, whatever n_steps.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -404,17 +415,14 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     m = scene.grid.n_free
     n_steps = cfg.n_steps
     pb = p1 - p0
-    mh, forces = scene.obs_mh, scene.forces
+    mh, forces, model = scene.obs_mh, scene.forces, scene.model
     X = np.repeat(scene.x0p[:, :, None], pb, axis=2)
     inc = None
-    if scene.model is not None:
-        inc = project_increments(scene.model, np.stack(
-            [scene.model.draw_xi(n_steps, p) for p in range(p0, p1)]), cfg.dt)
-        # (pb, steps, m, 3) velocity kicks A dW
+    if model is not None:
+        streams = [model.stream(p) for p in range(p0, p1)]
+        xi = np.empty((pb, min(CHUNK_STEPS, n_steps), model.K, 3))
         if keep_history:
-            kicks = cfg.sigma * inc
-        else:  # scaled in place: the block holds one such array
-            kicks, inc = np.multiply(inc, cfg.sigma, out=inc), None
+            inc = np.empty((pb, n_steps, m, 3))
     pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
     vals = np.empty((len(mh), len(pos), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
@@ -424,10 +432,19 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
         vals[:, pos[0]] = np.einsum("oic,icp->op", mh, X)
     steps = scene.P.steps
     for k in range(n_steps):
+        if model is not None and k % CHUNK_STEPS == 0:
+            c = min(CHUNK_STEPS, n_steps - k)
+            kicks = None  # freed before the next chunk is projected
+            # (pb, c, m, 3) increments of steps k..k+c-1
+            kicks = project_increments(
+                model, model.draw_xi(streams, xi[:, :c]), cfg.dt)
+            if keep_history:
+                inc[:, k:k + c] = kicks
+            np.multiply(kicks, cfg.sigma, out=kicks)  # velocity kicks A dW
         Y = X + cfg.dt * forces[k][:, :, None]
         X_next = (steps[k] @ Y.reshape(2 * m, -1)).reshape(2 * m, 3, pb)
-        if scene.model is not None:
-            X_next[m:] += kicks[:, k].transpose(1, 2, 0)
+        if model is not None:
+            X_next[m:] += kicks[:, k % CHUNK_STEPS].transpose(1, 2, 0)
         if not np.all(np.isfinite(X_next)):
             i = int(np.argmin(np.isfinite(X_next).all(axis=(0, 1))))
             # scaled so that a last state near the overflow threshold

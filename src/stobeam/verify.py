@@ -257,7 +257,7 @@ def check_increment_determinism(scene) -> CheckResult:
     if scene.model is None:
         return _result("increment_determinism", 0, 0,
                        "sigma = 0: no noise model", skip=True)
-    a, b = (project_increments(scene.model, scene.model.draw_xi(4, 0),
+    a, b = (project_increments(scene.model, scene.model.path_xi(4, 0),
                                scene.cfg.dt) for _ in range(2))
     same = np.array_equal(a, b)
     return _result("increment_determinism", 0.0 if same else 1.0, 0.0,

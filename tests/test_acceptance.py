@@ -278,7 +278,7 @@ def test_weak_residual_nested_refinement(acceptance):
     finest = parse_config(LADDER_BASE % "0.001")
     scf = build_scene(finest)
     inc_f = project_increments(
-        scf.model, scf.model.draw_xi(finest.n_steps, 7), finest.dt)
+        scf.model, scf.model.path_xi(finest.n_steps, 7), finest.dt)
     res = []
     for dt, gs in ((4e-3, 4), (2e-3, 2), (1e-3, 1)):
         cfg = parse_config(LADDER_BASE % repr(dt))

@@ -208,6 +208,8 @@ BAD_VALUES = [
     ("noise.seed", "-1", -1),
     ("noise.seed", str(2**64), 2**64),
     ("noise.seed", str(10**400), 10**400),
+    # beyond int()'s 4300-digit limit: still a ConfigError, and a short one
+    ("noise.seed", "5" + "0" * 5000, 5 * 10**5000),
     ("noise.table", "1" + ",nan" * 15, (1.0,) + (math.nan,) * 15),
     ("lambda.c0", "-0.5", -0.5),
     ("lambda.c1", "nan", math.nan),
@@ -231,25 +233,28 @@ BAD_VALUES = [
     pytest.param(*case, id=f"{case[0]}={case[1][:12]}") for case in BAD_VALUES])
 def test_one_rule_three_routes(key, text, value):
     """A bad value is refused naming its key whether it is parsed, passed
-    to the constructor or set with `dataclasses.replace`; for a table the
-    error line names the first bad entry, not the whole table."""
+    to the constructor or set with `dataclasses.replace`, in an error line
+    under 200 characters; for a table the line names the first bad entry,
+    not the whole table, and a long value is cut."""
     lines = [t for t in MINIMAL.strip().splitlines()
              if not t.startswith(key + " =")] + [f"{key} = {text}"]
     with pytest.raises(ConfigError) as err:
         parse_config("\n".join(lines))
     assert err.value.key == key and err.value.line == len(lines)
+    assert len(f"config error: {err.value}") < 200
     if isinstance(value, tuple):
         i = next(i for i, x in enumerate(value) if not math.isfinite(x))
         assert f"'{value[i]}' (entry {i + 1} of {len(value)})" in str(err.value)
-        assert len(f"config error: {err.value}") < 200
     attr = _KEYS[key][0]
     base = dict(l=1.0, b=1.0, n=16, T=0.5, dt=0.01)
     with pytest.raises(ConfigError) as err:
         SimulationConfig(**{**base, attr: value})
     assert err.value.key == key
+    assert len(f"config error: {err.value}") < 200
     with pytest.raises(ConfigError) as err:
         dataclasses.replace(SimulationConfig(**base), **{attr: value})
     assert err.value.key == key
+    assert len(f"config error: {err.value}") < 200
 
 
 def _readme_defaults() -> dict:

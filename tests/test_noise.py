@@ -54,26 +54,42 @@ def test_basis_orthonormal_under_quadrature(grid16, g16):
 
 def test_draw_reproducible_and_path_independent(grid16):
     model = build_noise_model(grid16, "k^-2", K=8, seed=42)
-    a = model.draw_xi(20, 3)
-    b = model.draw_xi(20, 3)
-    c = model.draw_xi(20, 4)
+    a = model.path_xi(20, 3)
+    b = model.path_xi(20, 3)
+    c = model.path_xi(20, 4)
     assert a.shape == (20, 8, 3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     other = build_noise_model(grid16, "k^-2", K=8, seed=43)
-    assert not np.array_equal(a, other.draw_xi(20, 3))
+    assert not np.array_equal(a, other.path_xi(20, 3))
     with pytest.raises(InvalidArgumentError):
-        model.draw_xi(20, -1)
+        model.path_xi(20, -1)
     with pytest.raises(InvalidArgumentError):
-        model.draw_xi(0, 1)
+        model.path_xi(0, 1)
+
+
+def test_chunked_draws_continue_the_path_stream(grid16):
+    """Draws of one generator per path, 32 + 32 + 6 steps into a shared
+    buffer, are each path's whole-horizon draw: the single
+    standard_normal((n_steps, K, 3)) of Philox keyed (seed, path)."""
+    model = build_noise_model(grid16, "k^-2", K=8, seed=42)
+    streams = [model.stream(p) for p in (5, 6, 7)]
+    buf = np.empty((3, 32, 8, 3))
+    chunks = [model.draw_xi(streams, buf[:, :c]).copy() for c in (32, 32, 6)]
+    drawn = np.concatenate(chunks, axis=1)
+    for row, p in zip(drawn, (5, 6, 7)):
+        key = np.array([42, p], dtype=np.uint64)
+        philox = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(row, philox.standard_normal((70, 8, 3)))
+        assert np.array_equal(row, model.path_xi(70, p))
 
 
 def test_seeds_above_2_63_do_not_collide(grid16):
     a = build_noise_model(grid16, "k^-2", K=8, seed=2**63)
     b = build_noise_model(grid16, "k^-2", K=8, seed=2**63 + 5)
-    assert not np.array_equal(a.draw_xi(4, 0), b.draw_xi(4, 0))
+    assert not np.array_equal(a.path_xi(4, 0), b.path_xi(4, 0))
     top = build_noise_model(grid16, "k^-2", K=8, seed=2**64 - 1)
-    assert np.all(np.isfinite(top.draw_xi(4, 0)))
+    assert np.all(np.isfinite(top.path_xi(4, 0)))
     with pytest.raises(InvalidArgumentError):
         build_noise_model(grid16, "k^-2", K=8, seed=2**64)
 
@@ -81,7 +97,7 @@ def test_seeds_above_2_63_do_not_collide(grid16):
 def test_increments_expand_the_drawn_coefficients(grid16):
     model = build_noise_model(grid16, "k^-2", K=8, seed=7)
     dt = 2e-3
-    xi = model.draw_xi(15, 2)
+    xi = model.path_xi(15, 2)
     inc = project_increments(model, xi, dt)
     assert inc.shape == (15, grid16.n + 1, 3)
     recon = np.einsum("jkc,sk->jsc",

@@ -85,6 +85,10 @@ run.observables = 1:3:v
 run.obs_stride = 2
 """
 
+# n = 64, K = 4: a chunk of kicks outweighs the draws and the block state
+WIDE = (SHORT.replace("grid.n = 8", "grid.n = 64")
+        .replace("noise.K = 6", "noise.K = 4"))
+
 
 def test_scene_tension_families():
     assert build_scene(parse_config(LOADED)).lam.family == "zero"
@@ -166,20 +170,42 @@ def test_initial_state_families(g16):
     assert h_norm(zero, g16) == 0.0
 
 
+def _blowup_message(sc, p0, p1, first_big):
+    """The BlowupError text of paths p0..p1-1 when every step map from
+    index `first_big` on is scaled by 1e160."""
+    big = [1e160 * s if j >= first_big else s
+           for j, s in enumerate(sc.P.steps)]
+    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=big))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BlowupError) as err:
+        _block_worker(sc, p0, p1, False)
+    return str(err.value)
+
+
 def test_kernel_blowup_names_path_step_and_last_norm():
     cfg = parse_config(LOADED)
     sc = build_scene(cfg)
     forces = build_forces(sc)
     # step 1 lands near 1e158, beyond a plain squared norm; step 2 overflows
     last = 1e160 * packed_h_norm(sc.P.steps[0] @ (cfg.dt * forces[0]), sc.g)
-    big = [1e160 * s for s in sc.P.steps]
-    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=big))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(BlowupError) as err:
-        _block_worker(sc, 5, 8, False)
-    msg = str(err.value)
+    msg = _blowup_message(sc, 5, 8, 0)
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
+    assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
+    # with noise, past the first chunk: maps from index 40 on blow up, so
+    # step 41 lands near 1e158 and step 42, in the second chunk, overflows
+    cfg = parse_config(LOADED.replace("noise.sigma = 0.0",
+                                      "noise.sigma = 1.0"))
+    sc = build_scene(cfg)
+    assert solver.CHUNK_STEPS < 41 < cfg.n_steps
+    _, history, inc = _block_worker(sc, 5, 8, True)
+    y = history[40][..., 0] + cfg.dt * sc.forces[40]
+    kick = np.zeros_like(y)
+    kick[sc.g.m:] = cfg.sigma * inc[0, 40]
+    last = 1e160 * packed_h_norm(sc.P.steps[40] @ y + 1e-160 * kick, sc.g)
+    msg = _blowup_message(sc, 5, 8, 40)
+    assert msg.startswith("path 5 became non-finite at step 42;")
+    norm = re.search(r"last finite H-norm (\S+) at step 41;", msg)
     assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
 
 
@@ -245,7 +271,7 @@ def test_stochastic_path_carries_increments():
     cfg = parse_config(STOCH)
     traj = solve_homogeneous(cfg, path_index=4)
     sc = traj.scene
-    want = project_increments(sc.model, sc.model.draw_xi(cfg.n_steps, 4),
+    want = project_increments(sc.model, sc.model.path_xi(cfg.n_steps, 4),
                               cfg.dt)
     assert want.shape == (cfg.n_steps, sc.g.m, 3)
     assert np.array_equal(traj.increments, want)
@@ -293,23 +319,27 @@ def test_nonhomogeneous_path_matches_ensemble_bitwise():
 
 def test_sampled_increments_are_the_kernel_kicks():
     """The increments the kernel returns for a path inside a wide block
-    are that path's draws projected alone, and its velocity kick is sigma
-    times them, bit for bit."""
-    cfg = parse_config(STOCH.replace("lambda.family = bump",
-                                     "lambda.family = zero")
-                       .replace("noise.sigma = 1.0", "noise.sigma = 0.5"))
-    sc = build_scene(cfg)
-    zero = [np.zeros_like(s) for s in sc.P.steps]
-    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
-    _, history, inc = _block_worker(sc, 0, 5, True)
-    m = sc.g.m
-    for p in (0, 3):
-        alone = project_increments(sc.model, sc.model.draw_xi(cfg.n_steps, p),
-                                   cfg.dt)
-        assert np.array_equal(inc[p], alone)
-        # with zero step maps each state is exactly the last kick
-        kicks = history[1:, m:, :, p]
-        assert np.array_equal(kicks, cfg.sigma * alone)
+    are that path's whole-horizon draws projected alone, and its velocity
+    kick is sigma times them, bit for bit: at 20 steps, one chunk, and at
+    70 steps, two full chunks and a partial one."""
+    for T in ("0.05", "0.175"):
+        cfg = parse_config(STOCH.replace("lambda.family = bump",
+                                         "lambda.family = zero")
+                           .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
+                           .replace("time.T = 0.05", f"time.T = {T}"))
+        sc = build_scene(cfg)
+        zero = [np.zeros_like(s) for s in sc.P.steps]
+        sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
+        _, history, inc = _block_worker(sc, 0, 5, True)
+        m = sc.g.m
+        for p in (0, 4):
+            alone = project_increments(
+                sc.model, sc.model.path_xi(cfg.n_steps, p), cfg.dt)
+            assert np.array_equal(inc[p], alone)
+            # with zero step maps each state is exactly the last kick
+            kicks = history[1:, m:, :, p]
+            assert np.array_equal(kicks, cfg.sigma * alone)
+    assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
 
 
 def _block_values(cfg):
@@ -414,19 +444,36 @@ def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
     assert sorted(started) == [p0 for p0, _ in handed]
 
 
-def test_block_without_history_holds_one_kick_array():
-    """Without history a block keeps its scaled kicks and nothing of their
-    size besides: neither the draws nor the unscaled increments."""
-    cfg = parse_config(SHORT.replace("grid.n = 8", "grid.n = 64")
-                       .replace("noise.K = 6", "noise.K = 4")
-                       .replace("time.T = 0.02", "time.T = 0.25"))
+def _block_peak(cfg):
+    """tracemalloc peak of one 64-path block without history, the scene's
+    shared arrays built beforehand."""
     sc = build_scene(cfg)
-    sc.forces, sc.x0p, sc.obs_mh, sc.obs_steps  # shared, built beforehand
+    sc.forces, sc.x0p, sc.obs_mh, sc.obs_steps
     tracemalloc.start()
     try:
         _block_worker(sc, 0, 64, False)
-        peak = tracemalloc.get_traced_memory()[1]
+        return sc, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kicks = 64 * cfg.n_steps * sc.g.m * 3 * 8
+
+
+def test_block_without_history_holds_one_kick_array():
+    """Without history a block keeps one chunk of kicks and nothing of
+    its size besides: neither the draws nor the unscaled increments nor
+    the kicks of another chunk."""
+    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
+    sc, peak = _block_peak(cfg)
+    assert cfg.n_steps > solver.CHUNK_STEPS
+    kicks = 64 * solver.CHUNK_STEPS * sc.g.m * 3 * 8
     assert peak < 1.5 * kicks, (peak, kicks)
+
+
+def test_block_memory_does_not_grow_with_steps():
+    # autonomous tension: one step map serves every step; observables
+    # every 250 steps, as the emitted values grow with n_steps / obs_stride
+    base = (WIDE.replace("lambda.family = bump", "lambda.family = zero")
+            .replace("time.dt = 0.005", "time.dt = 0.001")
+            .replace("run.obs_stride = 2", "run.obs_stride = 250"))
+    peaks = [_block_peak(parse_config(base.replace(
+        "time.T = 0.02", f"time.T = {T}")))[1] for T in ("0.25", "2.5")]
+    assert peaks[1] < 1.2 * peaks[0], peaks

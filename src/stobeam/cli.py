@@ -14,8 +14,9 @@ Subcommands:
 Shared flags: --config PATH (required), --out DIR (default: the current
 directory), --paths N (overrides run.N), --seed U64 (overrides
 noise.seed); covariance also takes --observable SPEC (overrides
-run.observables with that one spec).  The config's own rules check each
-override, and a refused value exits 2 naming the flag.
+run.observables with that one spec).  The config's own rules read and
+check each override, and a refused value exits 2 with a short message
+naming the flag.
 
 All CSV numbers use 17-significant-digit formatting, and path blocks
 merge in a fixed order, so outputs are byte-stable across repeated runs
@@ -40,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import (SimulationConfig, parse_config, parse_observable_spec,
-                     serialize_config)
+from .config import (SimulationConfig, parse_config, parse_int,
+                     parse_observable_spec, serialize_config)
 from .errors import ConfigError, StobeamError
 from .noise import ito_variance, trace_condition, trace_q, trace_tail
 from .solver import (build_scene, ensemble_blocks, ensemble_run,
@@ -266,10 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: current directory; "
                             "verify writes no manifest without it)")
-        p.add_argument("--paths", type=int, default=None,
-                       help="override run.N")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override noise.seed")
+        # read as text by the config's integer rule, which quotes a
+        # refused value short
+        p.add_argument("--paths", default=None, help="override run.N")
+        p.add_argument("--seed", default=None, help="override noise.seed")
 
     common(sub.add_parser("simulate", help="run paths, write CSV output"))
     common(sub.add_parser("verify", help="run the structural check suite"))
@@ -292,14 +293,13 @@ def _load_config(args) -> SimulationConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     cfg = parse_config(text)
     observable = getattr(args, "observable", None)
-    for flag, attr, value in (
-            ("--paths", "n_paths", args.paths),
-            ("--seed", "seed", args.seed),
-            ("--observable", "observables",
-             None if observable is None else (observable,))):
-        if value is not None:
+    for flag, attr, text, read in (
+            ("--paths", "n_paths", args.paths, parse_int),
+            ("--seed", "seed", args.seed, parse_int),
+            ("--observable", "observables", observable, lambda s: (s,))):
+        if text is not None:
             try:
-                cfg = replace(cfg, **{attr: value})
+                cfg = replace(cfg, **{attr: read(text)})
             except ConfigError as exc:
                 raise ConfigError(f"{flag}: {exc.message}") from None
     return cfg

@@ -12,7 +12,8 @@ observable specs) and raises `ConfigError` naming the key, whether the
 config was parsed, built directly or derived with `dataclasses.replace`.
 The converters of `parse_config` only turn a line's text into a float, an
 integer, a tuple or a string; the parser adds the line of the named key
-to a rule's error.
+to a rule's error.  `parse_int` reads an integer as the file does, for
+the command-line flags that override one.
 
 Every default is stated once, on the dataclass; the required keys
 (beam.l, beam.b, grid.n, time.T, time.dt) are the fields without one.
@@ -99,10 +100,24 @@ def _strict_int(v):
         if v.lstrip("+-").isdigit():  # beyond int()'s digit limit
             raise ValueError(f"an integer of {len(v)} digits is out of "
                              "range") from None
-        raise
+        # int()'s own message would quote up to 200 characters of v
+        raise ValueError("must be an integer") from None
     if str(i) != v:
         raise ValueError("must be an integer")
     return i
+
+
+def parse_int(text: str) -> int:
+    """An integer read from `text` as the config file reads one.
+
+    Raises:
+        ConfigError: `text` is not a plain integer; the refused text is
+            quoted short.
+    """
+    try:
+        return _strict_int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value '{_shown(text)}': {exc}") from None
 
 
 def _float_tuple(v):

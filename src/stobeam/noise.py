@@ -21,9 +21,11 @@ per path for the whole run of its block and draws the steps a time chunk
 at a time; consecutive draws from one generator continue that one
 sequence, so the chunks reproduce the single whole-horizon draw of
 `NoiseModel.path_xi` bit for bit.  `project_increments` is the one
-routine that turns draws into grid increments; the kernel calls it for
-each chunk of a block, and a single path keeps the increments its kernel
-projected.
+routine that turns draws into grid increments.  The kernel holds one
+chunk of draws per block, copied into a step-major layout, and calls it
+once per step on that step's draws of every path of the block, so a
+block holds one step's increments at a time; a single path keeps the
+increments its kernel projected.
 """
 
 from __future__ import annotations
@@ -156,11 +158,16 @@ def project_increments(model: NoiseModel, xi: np.ndarray,
                        dt: float) -> np.ndarray:
     """Wiener increments sum_k sqrt(q_k dt) xi_k e_k on the nodes 0..n.
 
-    `xi` has shape (..., n_steps, K, 3); the result has shape
-    (..., n_steps, m, 3) (the increments vanish at the clamped end s = l).
-    Every (m, K) by (K, 3) product is computed on its own, so a path's
-    increments are bitwise the same whether it is projected alone or
-    inside a block.
+    `xi` has shape (..., K, c): K coefficient draws for each of c
+    columns, such as (n_steps, K, 3) for one path's whole horizon or
+    (K, 3 pb) for one step of a block of pb paths.  The result has shape
+    (..., m, c) (the increments vanish at the clamped end s = l).  Each
+    column of the result depends only on the same column of `xi`, so a
+    path's increments are bitwise the same whether it is projected alone
+    or as 3 of the 3 pb columns of a block's step; this rests on the BLAS
+    product computing a column the same way whatever the number of
+    columns, which `test_solver::test_sampled_increments_are_the_kernel_kicks`
+    and `test_solver::test_full_block_increments_cross_chunks_bitwise` pin.
 
     Raises:
         InvalidArgumentError: dt <= 0.

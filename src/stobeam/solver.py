@@ -47,9 +47,9 @@ from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
 #: so that per-block arithmetic is identical for any worker pool size.
 BLOCK_PATHS = 256
 
-#: time steps per noise chunk: a block draws, projects and holds the kicks
-#: of this many steps at a time.  Below 16 the per-call cost of the draws
-#: shows in the wall time.
+#: time steps per noise chunk: a block draws and holds the draws of this
+#: many steps at a time.  Below 16 the per-call cost of the draws shows in
+#: the wall time.
 CHUNK_STEPS = 32
 
 
@@ -401,11 +401,16 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     0..n, (p1 - p0, n_steps, m, 3) (None without noise); else None and
     None.
 
-    Noise comes in chunks of CHUNK_STEPS steps: each path keeps one
+    Noise is drawn in chunks of CHUNK_STEPS steps: each path keeps one
     generator for the whole block, and per chunk the block draws into one
-    (p1 - p0, CHUNK_STEPS, K, 3) buffer, projects the draws and scales
-    them in place into that chunk's kicks.  Without history the block
-    holds its state, the buffer and one chunk of kicks, whatever n_steps.
+    (p1 - p0, CHUNK_STEPS, K, 3) buffer and copies the draws once into a
+    (CHUNK_STEPS, K, 3, p1 - p0) buffer.  Each step then projects its own
+    draws with one (m, K) by (K, 3 (p1 - p0)) product, whose result is
+    already in the (m, 3, p1 - p0) layout of the block's velocity rows.
+    X + dt F and the step product are written into two preallocated
+    buffers, and the product's buffer becomes the state for the next step.
+    Without history the block holds its state, the two step buffers, the
+    two draw buffers and one step's kick, whatever n_steps.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -417,10 +422,13 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
     X = np.repeat(scene.x0p[:, :, None], pb, axis=2)
+    Y, X_next = np.empty_like(X), np.empty_like(X)
     inc = None
     if model is not None:
         streams = [model.stream(p) for p in range(p0, p1)]
-        xi = np.empty((pb, min(CHUNK_STEPS, n_steps), model.K, 3))
+        c = min(CHUNK_STEPS, n_steps)
+        xi = np.empty((pb, c, model.K, 3))
+        xit = np.empty((c, model.K, 3, pb))  # xit[j]: step j, every path
         if keep_history:
             inc = np.empty((pb, n_steps, m, 3))
     pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
@@ -432,30 +440,39 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
         vals[:, pos[0]] = np.einsum("oic,icp->op", mh, X)
     steps = scene.P.steps
     for k in range(n_steps):
-        if model is not None and k % CHUNK_STEPS == 0:
+        j = k % CHUNK_STEPS
+        if model is not None and j == 0:
             c = min(CHUNK_STEPS, n_steps - k)
-            kicks = None  # freed before the next chunk is projected
-            # (pb, c, m, 3) increments of steps k..k+c-1
-            kicks = project_increments(
-                model, model.draw_xi(streams, xi[:, :c]), cfg.dt)
-            if keep_history:
-                inc[:, k:k + c] = kicks
-            np.multiply(kicks, cfg.sigma, out=kicks)  # velocity kicks A dW
-        Y = X + cfg.dt * forces[k][:, :, None]
-        X_next = (steps[k] @ Y.reshape(2 * m, -1)).reshape(2 * m, 3, pb)
+            model.draw_xi(streams, xi[:, :c])
+            xit[:c] = xi[:, :c].transpose(1, 2, 3, 0)
+        np.add(X, cfg.dt * forces[k][:, :, None], out=Y)
+        np.matmul(steps[k], Y.reshape(2 * m, -1),
+                  out=X_next.reshape(2 * m, -1))
         if model is not None:
-            X_next[m:] += kicks[:, k % CHUNK_STEPS].transpose(1, 2, 0)
-        if not np.all(np.isfinite(X_next)):
-            i = int(np.argmin(np.isfinite(X_next).all(axis=(0, 1))))
-            # scaled so that a last state near the overflow threshold
-            # still has a finite norm
-            scale = float(np.max(np.abs(X[:, :, i]))) or 1.0
-            norm = scale * packed_h_norm(X[:, :, i] / scale, scene.g)
-            raise BlowupError(
-                f"path {p0 + i} became non-finite at step {k + 1}; last "
-                f"finite H-norm {norm:.6e} at step {k}; reduce dt or check "
-                "the load")
-        X = X_next
+            # (m, 3, pb) increments of step k
+            kick = project_increments(
+                model, xit[j].reshape(model.K, -1), cfg.dt).reshape(m, 3, pb)
+            if keep_history:
+                inc[:, k] = kick.transpose(2, 0, 1)
+            np.multiply(kick, cfg.sigma, out=kick)  # velocity kick A dW
+            X_next[m:] += kick
+        # one sum tests the block; a finite block whose sum overflows
+        # falls through to the per-path test
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = X_next.sum()
+        if not np.isfinite(total):
+            finite = np.isfinite(X_next).all(axis=(0, 1))
+            if not finite.all():
+                i = int(np.argmin(finite))
+                # scaled so that a last state near the overflow threshold
+                # still has a finite norm
+                scale = float(np.max(np.abs(X[:, :, i]))) or 1.0
+                norm = scale * packed_h_norm(X[:, :, i] / scale, scene.g)
+                raise BlowupError(
+                    f"path {p0 + i} became non-finite at step {k + 1}; last "
+                    f"finite H-norm {norm:.6e} at step {k}; reduce dt or "
+                    "check the load")
+        X, X_next = X_next, X
         if keep_history:
             history[k + 1] = X
         ti = pos.get(k + 1)

@@ -282,6 +282,22 @@ def test_override_validation(tmp_path, capsys):
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "5" + "0" * 5000),
+    ("--paths", "5" + "0" * 5000),
+    ("--seed", "x" * 5000),
+])
+def test_long_integer_flag_is_a_short_config_error(tmp_path, capsys, flag,
+                                                   value):
+    """A 5001-digit or a 5000-letter value is refused by the config's
+    integer rule, not echoed whole by the argument parser."""
+    cfg_path = _write_cfg(tmp_path, TINY)
+    assert main(["verify", "--config", cfg_path, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200, len(err)
+    assert err.startswith(f"config error: {flag}: bad value '{value[:20]}")
+
+
 def test_verify_without_out_writes_no_manifest(tmp_path, monkeypatch, capsys):
     cfg_path = _write_cfg(tmp_path, TINY, name="tiny.cfg")
     monkeypatch.chdir(tmp_path)

@@ -342,6 +342,47 @@ def test_sampled_increments_are_the_kernel_kicks():
     assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
 
 
+def test_full_block_increments_cross_chunks_bitwise():
+    """In a block of BLOCK_PATHS paths over 70 steps (two full chunks and
+    a partial one), each step projects every path's draws in one product;
+    the increments of the first, a middle and the last path are still
+    each path's own draws projected alone, and its kicks sigma times
+    them, bit for bit."""
+    cfg = parse_config(STOCH.replace("lambda.family = bump",
+                                     "lambda.family = zero")
+                       .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
+                       .replace("time.T = 0.05", "time.T = 0.175"))
+    sc = build_scene(cfg)
+    zero = [np.zeros_like(s) for s in sc.P.steps]
+    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
+    pb = solver.BLOCK_PATHS
+    _, history, inc = _block_worker(sc, 0, pb, True)
+    assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
+    m = sc.g.m
+    for p in (0, pb // 2, pb - 1):
+        alone = project_increments(
+            sc.model, sc.model.path_xi(cfg.n_steps, p), cfg.dt)
+        assert np.array_equal(inc[p], alone)
+        assert np.array_equal(history[1:, m:, :, p], cfg.sigma * alone)
+
+
+def test_finite_block_with_overflowing_sum_steps_on():
+    """A block whose entries are finite but whose sum overflows is not a
+    blow-up: the per-path test runs and finds every path finite."""
+    cfg = parse_config(FREE)
+    sc = build_scene(cfg)
+    eye = [np.eye(len(s)) for s in sc.P.steps]
+    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=eye))
+    big = np.full_like(sc.x0p, 1e308)
+    big[::2] = -1e308
+    sc.__dict__["x0p"] = big  # the cached initial state
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.repeat(big[..., None], 4, axis=2).sum())
+        _, history, _ = _block_worker(sc, 0, 4, True)
+    assert np.array_equal(history[-1], history[0])
+    assert np.array_equal(history[0][..., 3], big)
+
+
 def _block_values(cfg):
     """Every path's observables (n_obs, n_times, N), concatenated from the
     blocks of `ensemble_blocks` in the order they are handed out."""
@@ -457,15 +498,19 @@ def _block_peak(cfg):
         tracemalloc.stop()
 
 
-def test_block_without_history_holds_one_kick_array():
-    """Without history a block keeps one chunk of kicks and nothing of
-    its size besides: neither the draws nor the unscaled increments nor
-    the kicks of another chunk."""
+def test_block_without_history_holds_one_step_kick():
+    """Without history a block keeps its state, two step buffers, two
+    buffers of one chunk's draws and the kick of one step, and nothing
+    else of their size: no chunk of kicks, no per-step copies of the
+    state."""
     cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
     sc, peak = _block_peak(cfg)
     assert cfg.n_steps > solver.CHUNK_STEPS
-    kicks = 64 * solver.CHUNK_STEPS * sc.g.m * 3 * 8
-    assert peak < 1.5 * kicks, (peak, kicks)
+    state = 2 * sc.g.m * 3 * 64 * 8
+    draws = 64 * solver.CHUNK_STEPS * cfg.K * 3 * 8
+    kick = sc.g.m * 3 * 64 * 8
+    held = 3 * state + 2 * draws + kick
+    assert peak < 1.5 * held, (peak, held)
 
 
 def test_block_memory_does_not_grow_with_steps():

@@ -132,15 +132,18 @@ def parse_observable_spec(spec: str) -> Tuple[int, int, str]:
     """Split 'mode:channel:part' into (mode >= 1, channel 1..3, 'u'|'v')."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"observable '{spec}' is not mode:channel:part")
+        raise ValueError(
+            f"observable '{_shown(spec)}' is not mode:channel:part")
     try:
         mode = int(parts[0])
         channel = int(parts[1])
     except ValueError:
-        raise ValueError(f"observable '{spec}' needs integer mode and channel")
+        raise ValueError(
+            f"observable '{_shown(spec)}' needs integer mode and channel")
     part = parts[2].strip()
     if mode < 1 or channel not in (1, 2, 3) or part not in ("u", "v"):
-        raise ValueError(f"observable '{spec}' out of range (part must be u|v)")
+        raise ValueError(
+            f"observable '{_shown(spec)}' out of range (part must be u|v)")
     return mode, channel, part
 
 
@@ -338,8 +341,8 @@ def _check_constraints(cfg: SimulationConfig):
             raise ConfigError(str(exc), key="run.observables") from None
         if mode > cfg.n:
             raise ConfigError(
-                f"observable '{spec}' needs sine mode {mode}, above the "
-                f"{cfg.n} modes representable on the grid",
+                f"observable '{_shown(spec)}' needs sine mode {mode}, above "
+                f"the {cfg.n} modes representable on the grid",
                 key="run.observables")
 
 

@@ -209,15 +209,16 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
 
     Computed as trapezoidal quadrature of
     sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 on the step grid; the
-    dense tail products U(t, t_j) are accumulated backward so each grid
-    time costs one matrix product.  The analytic comparison bound is
-    (t - t0) sigma^2 exp(2 C4 (t - t0)) Tr(Q), with C4 = 0 when no
-    constants are supplied (exact for the norm-preserving flow); a growth
-    factor beyond the float range makes the bound infinite.
+    dense tail products U(t, t_j) are accumulated backward as their
+    transposes U(t, t_j)^T = G_j^T U(t, t_{j+1})^T, so each grid time
+    costs one transposed step of a (2m)x(2m) block.  The analytic
+    comparison bound is (t - t0) sigma^2 exp(2 C4 (t - t0)) Tr(Q), with
+    C4 = 0 when no constants are supplied (exact for the norm-preserving
+    flow); a growth factor beyond the float range makes the bound
+    infinite.
     """
     g = P.g
     i0, i1 = P.span(t0, t)
-    dim = 2 * g.m
     span = (i1 - i0) * P.dt
     c4 = 0.0 if constants is None else constants.C4
     with np.errstate(over="ignore"):  # a growth factor beyond range is inf
@@ -225,20 +226,17 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     bound = float(span * model.sigma**2 * growth * trace_q(model))
     if model.sigma == 0.0 or i0 == i1:
         return TraceCheck(value=0.0, bound=bound)
-    phi = np.eye(dim)
-    integrand = np.empty(i1 - i0 + 1)
-    integrand[i1 - i0] = _trace_integrand(phi, model, g)
-    for j in reversed(range(i0, i1)):
-        phi = phi @ P.steps[j]
-        integrand[j - i0] = _trace_integrand(phi, model, g)
-    value = float(np.trapezoid(integrand, dx=P.dt))
+    # psi_j = U(t, t_j)^T, from j = i1 down to i0
+    integrand = [_trace_integrand(psi, model, g)
+                 for psi in P.backward_images(np.eye(2 * g.m), t0, t)]
+    value = float(np.trapezoid(integrand[::-1], dx=P.dt))
     return TraceCheck(value=value, bound=bound)
 
 
-def _trace_integrand(phi: np.ndarray, model: NoiseModel, g: GramSet) -> float:
-    """sum_{k,c} ||phi A sqrt(q_k) e_{k,c}||_H^2 at one quadrature node."""
+def _trace_integrand(psi: np.ndarray, model: NoiseModel, g: GramSet) -> float:
+    """sum_{k,c} ||psi^T A sqrt(q_k) e_{k,c}||_H^2 at one quadrature node."""
     m = g.m
-    img = phi[:, m:] @ model.e_red          # (2m, K), columns phi (0, e_k)
+    img = psi[m:].T @ model.e_red           # (2m, K), columns psi^T (0, e_k)
     iu, iv = img[:m], img[m:]
     norms = np.sum(iu * (g.B @ iu), axis=0) + np.sum(iv * (g.M[:, None] * iv), axis=0)
     return float(3.0 * model.sigma**2 * np.sum(model.q * norms))
@@ -250,8 +248,8 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
 
     Quadrature of sum_{k,c} q_k <A e_{k,c}, U*(t,r) h>_H^2.  The pairings
     are evaluated through the premetric images z_j = U(t,t_j)^T M_H h,
-    accumulated backward with plain transposed matvecs, so no Gram solve
-    enters and duality is exact.
+    accumulated backward with transposed steps, so no Gram solve enters
+    and duality is exact.
 
     The test function h only needs its stored clamp values to vanish
     (weak-form pairing); this is checked, stencil smoothness is not.
@@ -265,13 +263,10 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
     if model.sigma == 0.0 or i0 == i1:
         return 0.0
     m = g.m
-    z = g.mh_apply(h.packed())              # (2m, 3)
-    integrand = np.empty(i1 - i0 + 1)
-    integrand[i1 - i0] = _ito_integrand(z, model, m)
-    for j in reversed(range(i0, i1)):
-        z = P.steps[j].T @ z
-        integrand[j - i0] = _ito_integrand(z, model, m)
-    return float(np.trapezoid(integrand, dx=P.dt))
+    # z_j = U(t, t_j)^T M_H h, from j = i1 down to i0
+    integrand = [_ito_integrand(z, model, m)
+                 for z in P.backward_images(g.mh_apply(h.packed()), t0, t)]
+    return float(np.trapezoid(integrand[::-1], dx=P.dt))
 
 
 def _ito_integrand(z: np.ndarray, model: NoiseModel, m: int) -> float:

@@ -14,22 +14,24 @@ The map is not formed by a dense (2m)x(2m) solve.  L = [[0, I], [-M^-1 K,
 lumped mass M, so for h = dt/2 the Cayley map is the trapezoidal
 (Newmark average-acceleration) rule of the second-order system:
 
-    A = M + h^2 K,  S = A^-1 M,
-    G = [[2S - I, 2h S], [-2h M^-1 K S, 2S - I]].
+    A = M + h^2 K,  S = A^-1 M,  D = S - I = -h^2 A^-1 K,
+    G = [[2S - I, 2h S], [-2h M^-1 K S, 2S - I]]
+      = [[I + 2D, dt (I + D)], [(4/dt) D, I + 2D]],
 
-S comes from one banded LU of A plus one refinement sweep
-S += A^-1 (M - A S), so a step map costs O(m^2) instead of the O(m^3) of
-a dense (2m)x(2m) LU; at dt = 1e-3 and n = 16, 64, 256 it meets the
-trapezoid identity and the free-flow isometry at least as closely as the
-dense LU did.  The maps themselves stay dense: stepping a block of paths
-is one dense matmul per step, which beats applying banded factors to
-the block.
+since M^-1 K S = (I - S)/h^2.  The one m x m increment factor D fixes all
+four blocks, so a step stores D, not G: a quarter of the storage, and
+`step_rule` applies G or G^T with one (m x m) product instead of a
+(2m x 2m) one.  D comes from one banded LU of A, solved against -h^2 K,
+plus one refinement sweep, so a step costs O(m^2) to build instead of
+the O(m^3) of a dense (2m)x(2m) LU.  The factors stay dense: stepping a
+block of paths is one dense matmul per step, which beats applying banded
+factors to the block.
 
-A window [t0, T] is kept as the ordered list of its per-step maps.  Any
-U(t, tau) on grid times is a partial product of the same stored factors,
-applied as one chain of matvecs; the cocycle law U(t,r)U(r,tau)=U(t,tau)
-then holds as a re-association of literally identical floating point
-operations, not merely to rounding.
+A window [t0, T] is kept as the ordered list of its per-step factors.
+Any U(t, tau) on grid times is a partial product of the same stored
+factors, applied as one chain of `step_rule` calls; the cocycle law
+U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
+identical floating point operations, not merely to rounding.
 
 Two independent constructions of the perturbed flow are provided for
 cross-checks: the midpoint scheme above and a Picard iteration for the
@@ -57,7 +59,7 @@ from .operators import StabilityConstants, TractiveForce, \
 # re-export: op_norm_H stays part of this module's public interface
 from .operators import op_norm_H as op_norm_H
 
-#: reciprocal condition number of M + h^2 K below which a step map warns
+#: reciprocal condition number of M + h^2 K below which a step factor warns
 _RCOND_FLOOR = 1e-13
 
 #: Picard stops once a sweep changes the iterate by at most this much in the
@@ -102,23 +104,28 @@ def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _cayley_from_bands(kb: np.ndarray, mass: np.ndarray,
+def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
                        dt: float) -> np.ndarray:
-    """Dense Cayley map of L = [[0, I], [-M^-1 K, 0]] from the bands of K.
+    """Increment factor D of the Cayley map of L = [[0, I], [-M^-1 K, 0]]
+    from the bands of K.
 
-    With h = dt/2, A = M + h^2 K and S = A^-1 M the map is exactly
-    G = [[2S - I, 2h S], [-2h M^-1 K S, 2S - I]] (the trapezoidal split of
-    the second-order system).  S comes from one banded LU of A (LU, not
-    Cholesky, so that an indefinite K still factors) and one refinement
-    sweep S += A^-1 (M - A S), which brings the map to the rounding level
-    of its defining identities.  Cost O(m^2 bw) instead of O(m^3).
+    With h = dt/2 and A = M + h^2 K, D = S - I = -h^2 A^-1 K for
+    S = A^-1 M, and the Cayley map is G = [[I + 2D, dt (I + D)],
+    [(4/dt) D, I + 2D]] (the trapezoidal split of the second-order
+    system), which `step_rule` applies.  D is solved for directly, with
+    the dense -h^2 K as the right-hand side of one banded LU of A (LU,
+    not Cholesky, so that an indefinite K still factors) and one
+    refinement sweep D += A^-1 (-h^2 K - A D), which brings the map to the
+    rounding level of its defining identities.  Cost O(m^2 bw) instead of
+    O(m^3).
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
     bw = (kb.shape[0] - 1) // 2
     m = mass.size
     h = 0.5 * dt
-    a = (h * h) * kb
+    hk = (h * h) * kb
+    a = hk.copy()
     a[bw] += mass
     # gbtrf keeps the fill-in of row pivoting in bw extra leading rows
     ab = np.zeros((3 * bw + 1, m))
@@ -130,26 +137,75 @@ def _cayley_from_bands(kb: np.ndarray, mass: np.ndarray,
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
             "reduce dt", stacklevel=3)
-    mdiag = np.diag(mass)
-    s = _gbtrs(lu, bw, bw, mdiag, piv)[0]
-    s += _gbtrs(lu, bw, bw, mdiag - _band_matmul(a, s), piv)[0]
-    G = np.empty((2 * m, 2 * m))
-    np.multiply(s, 2.0, out=G[:m, :m])
-    G.reshape(-1)[:2 * m * m:2 * m + 1] -= 1.0  # diagonal of the top left
-    G[m:, m:] = G[:m, :m]
-    np.multiply(s, dt, out=G[:m, m:])
-    np.multiply(_band_matmul(kb, s), (-dt / mass)[:, None], out=G[m:, :m])
-    return G
+    rhs = -_band_matmul(hk, np.eye(m))  # the dense -h^2 K
+    d = _gbtrs(lu, bw, bw, rhs, piv)[0]
+    d += _gbtrs(lu, bw, bw, rhs - _band_matmul(a, d), piv)[0]
+    return d
+
+
+def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
+              transpose: bool = False) -> None:
+    """One Cayley step G of the increment factor d, or its transpose G^T,
+    on a block of c columns.
+
+    `buf` has shape (3, m, c) and is C-contiguous.  buf[0] and buf[1] hold
+    the input halves; buf[2] is scratch.  The two result halves are written
+    to `out`, a C-contiguous (2, m, c) array that does not overlap `buf`;
+    out[0] is also the scratch of w.  Forward, on (u, v): w = 2u + dt v,
+    y = d w, then u + dt v + y and v + (2/dt) y.  Transposed, on (a, b):
+    w = dt a + 2b, r = d^T w, then a + (2/dt) r and b + dt a + r.  Both
+    are exactly the products with the map of `_factor_from_bands`, done
+    as three matrix products and no temporaries; every caller steps
+    through here.
+    """
+    if transpose:
+        d, w_rows, out_rows = d.T, [[dt, 2.0]], [[1.0, 0.0, 2.0 / dt],
+                                                  [dt, 1.0, 1.0]]
+    else:
+        w_rows, out_rows = [[2.0, dt]], [[1.0, dt, 1.0], [0.0, 1.0, 2.0 / dt]]
+    flat = buf.reshape(3, -1)
+    w = out[0]
+    np.matmul(np.array(w_rows), flat[:2], out=w.reshape(1, -1))
+    np.matmul(d, w, out=buf[2])
+    np.matmul(np.array(out_rows), flat, out=out.reshape(2, -1))
+
+
+def _walk(steps, dt: float, y: np.ndarray, order, transpose: bool):
+    """Yield y (packed, (2m, ...)), then y after each step of `order` in
+    turn.  The yielded arrays are views of two reused buffers: each stays
+    valid until the second yield after it."""
+    m = y.shape[0] // 2
+    bufs = np.empty((2, 3, m, y[0].size))
+    bufs[0, :2] = y.reshape(2, m, -1)
+    yield bufs[0, :2].reshape(y.shape)
+    for i, k in enumerate(order):
+        cur = i % 2
+        step_rule(steps[k], dt, bufs[cur], bufs[1 - cur, :2], transpose)
+        yield bufs[1 - cur, :2].reshape(y.shape)
+
+
+def _chain(steps, dt: float, y: np.ndarray, order, transpose: bool):
+    """y after every step of `order`, applied in turn."""
+    for z in _walk(steps, dt, y, order, transpose):
+        pass
+    return z.copy()
+
+
+def step_map(d: np.ndarray, dt: float) -> np.ndarray:
+    """The dense (2m)x(2m) map G of one step, `step_rule` applied to I."""
+    return _chain([d], dt, np.eye(2 * d.shape[0]), [0], False)
 
 
 @dataclass
 class PropagatorFactorization:
-    """Ordered per-step maps G_k ~ U(t_{k+1}, t_k) on a uniform window.
+    """Ordered per-step increment factors D_k of the maps
+    G_k ~ U(t_{k+1}, t_k) on a uniform window.
 
-    steps[k] advances packed states from t0 + k dt to t0 + (k+1) dt; the
-    same array object may be shared between steps when the generator is
-    time independent.  The H-adjoint U*(t, tau) is applied from the same
-    maps by `apply_adjoint`.
+    steps[k], an m x m array, advances packed states from t0 + k dt to
+    t0 + (k+1) dt through `step_rule`; the same array object may be
+    shared between steps when the generator is time independent.  The
+    H-adjoint U*(t, tau) is applied from the same factors by
+    `apply_adjoint`.
     """
 
     t0: float
@@ -162,11 +218,12 @@ class PropagatorFactorization:
         k = _window_steps(self.t0, self.T, self.dt)
         if len(self.steps) != k:
             raise InvalidArgumentError(
-                f"{len(self.steps)} step maps do not cover the window "
+                f"{len(self.steps)} step factors do not cover the window "
                 f"({k} expected)")
         for s in self.steps:
             if not np.all(np.isfinite(s)):
-                raise InvalidArgumentError("step map has non-finite entries")
+                raise InvalidArgumentError(
+                    "step factor has non-finite entries")
 
     @property
     def n_steps(self) -> int:
@@ -200,12 +257,10 @@ class PropagatorFactorization:
         return i0, i1
 
     def apply(self, y: np.ndarray, tau: float = None, t: float = None) -> np.ndarray:
-        """U(t, tau) y as a chain of per-step matvecs (default full window)."""
+        """U(t, tau) y as a chain of per-step products (default full
+        window); y is packed, (2m, ...)."""
         i0, i1 = self.span(tau, t)
-        z = np.array(y, dtype=float, copy=True)
-        for k in range(i0, i1):
-            z = self.steps[k] @ z
-        return z
+        return _chain(self.steps, self.dt, y, range(i0, i1), False)
 
     def apply_transpose_premetric(self, z: np.ndarray, tau: float = None,
                                   t: float = None) -> np.ndarray:
@@ -215,10 +270,15 @@ class PropagatorFactorization:
         solve at all; see `duality_defect`.
         """
         i0, i1 = self.span(tau, t)
-        out = np.array(z, dtype=float, copy=True)
-        for k in reversed(range(i0, i1)):
-            out = self.steps[k].T @ out
-        return out
+        return _chain(self.steps, self.dt, z, reversed(range(i0, i1)), True)
+
+    def backward_images(self, z: np.ndarray, tau: float = None,
+                        t: float = None):
+        """Yield U(t, t_j)^T z for the grid times t_j from t down to tau,
+        the chain that `apply_transpose_premetric` ends with; each yielded
+        array stays valid until the second yield after it."""
+        i0, i1 = self.span(tau, t)
+        return _walk(self.steps, self.dt, z, reversed(range(i0, i1)), True)
 
     def apply_adjoint(self, y: np.ndarray, tau: float = None,
                       t: float = None) -> np.ndarray:
@@ -229,16 +289,17 @@ class PropagatorFactorization:
 
 def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
                      dt: float) -> PropagatorFactorization:
-    """Factorize the evolution family over [t0, T] into per-step maps.
+    """Factorize the evolution family over [t0, T] into per-step factors.
 
-    G_k is the Cayley map of L(t_k + dt/2); one map is shared by all steps
-    when the generator does not depend on time.
+    D_k is the increment factor of the Cayley map of L(t_k + dt/2); one
+    factor is shared by all steps when the generator does not depend on
+    time.
     """
     k_steps = _window_steps(t0, T, dt)
     b_bands = to_bands(g.B)
 
     def step(t):
-        return _cayley_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
+        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
 
     if lam.autonomous:
         steps = [step(t0 + 0.5 * dt)] * k_steps
@@ -282,37 +343,41 @@ def duality_defect(P: PropagatorFactorization, x: np.ndarray, y: np.ndarray,
                    tau: float = None, t: float = None) -> float:
     """Relative defect of <U x, y>_H = <x, U* y>_H for packed states.
 
-    The right side is evaluated through the premetric image of U* (no
-    Gram solve), so both sides are the same bilinear product reassociated.
+    x and y are (2m, 3), or stacks (2m, 3, p) of p pairs, which are
+    stepped as one chain each way; the largest of the p defects is
+    returned.  The right side is evaluated through the premetric image of
+    U* (no Gram solve), so both sides are the same bilinear product
+    reassociated.
     """
     g = P.g
+    x, y = (np.reshape(a, (2 * g.m, 3, -1)) for a in (x, y))
+    my = np.stack([g.mh_apply(y[..., p]) for p in range(y.shape[2])], axis=2)
     ux = P.apply(x, tau, t)
-    lhs = float(np.sum(ux * g.mh_apply(y)))
-    rhs = float(np.sum(x * P.apply_transpose_premetric(g.mh_apply(y), tau, t)))
-    scale = packed_h_norm(x, g) * packed_h_norm(y, g) + 1e-300
-    return abs(lhs - rhs) / scale
+    uty = P.apply_transpose_premetric(my, tau, t)
+    return max(abs(float(np.sum(ux[..., p] * my[..., p]))
+                   - float(np.sum(x[..., p] * uty[..., p])))
+               / (packed_h_norm(x[..., p], g) * packed_h_norm(y[..., p], g)
+                  + 1e-300) for p in range(x.shape[2]))
 
 
 def cocycle_defect(P: PropagatorFactorization, tau: float, r: float,
                    t: float) -> float:
     """Probe estimate of the operator norm of U(t,tau) - U(t,r)U(r,tau)
-    over 8 fixed random states.
+    over 8 fixed random states, stepped as one (2m, 3, 8) chain.
 
     Zero exactly on aligned times: both routes execute the identical
-    sequence of per-step matvecs.
+    sequence of per-step products.
     """
     i0, ir, i1 = P.index_of(tau), P.index_of(r), P.index_of(t)
     if not (i0 <= ir <= i1):
         raise InvalidArgumentError("need tau <= r <= t")
     rng = np.random.default_rng(1234)
-    worst = 0.0
-    for _ in range(8):
-        x = rng.standard_normal((2 * P.g.m, 3))
-        direct = P.apply(x, tau, t)
-        via = P.apply(P.apply(x, tau, r), r, t)
-        worst = max(worst, packed_h_norm(direct - via, P.g)
-                    / packed_h_norm(x, P.g))
-    return worst
+    x = np.stack([rng.standard_normal((2 * P.g.m, 3)) for _ in range(8)],
+                 axis=2)
+    direct = P.apply(x, tau, t)
+    via = P.apply(P.apply(x, tau, r), r, t)
+    return max(packed_h_norm(direct[..., p] - via[..., p], P.g)
+               / packed_h_norm(x[..., p], P.g) for p in range(8))
 
 
 @dataclass
@@ -346,7 +411,7 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     y_prev = (l0_mat + build_L1(lam, times[0], g).mat) @ cur
     for k in range(P.n_steps):
         t_next = P.t0 + (k + 1) * P.dt
-        cur = P.steps[k] @ cur
+        cur = _chain(P.steps, P.dt, cur, [k], False)
         y_next = (l0_mat + build_L1(lam, t_next, g).mat) @ cur
         integral = integral + 0.5 * P.dt * (y_prev + y_next)
         values.append(packed_h_norm(cur - x0 - integral, g))
@@ -398,7 +463,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         raise PreconditionError(
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
 
-    s_step = _cayley_from_bands(to_bands(g.B), g.M, dt)
+    s_step = step_map(_factor_from_bands(to_bands(g.B), g.M, dt), dt)
     dim = 2 * g.m
     zero_l1 = lam.family == "zero"
     if not zero_l1:

@@ -13,7 +13,8 @@ emission.
 A run is one `Scene`: what `build_scene` assembles from the config, plus
 the loads, initial state and observables it builds on first use.  One
 kernel, `_block_worker`, advances the scene's paths: a block of paths is
-one matrix, stepped with one matrix-matrix product per step.  The
+one matrix, stepped with one `step_rule` call per step, whose one large
+product is the (m x m) step factor times the block's (m x 3 pb) sums.  The
 single-path solvers run it on a block of width one and keep the path's
 history and the Wiener increments the kernel projected; `ensemble_blocks`
 runs fixed-size blocks and hands them out in block order, and
@@ -41,7 +42,8 @@ from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
 from .noise import NoiseModel, build_noise_model, project_increments
 from .operators import (StabilityConstants, TractiveForce, build_L,
                         estimate_constants)
-from .propagator import PropagatorFactorization, ResidualCurve, build_propagator
+from .propagator import (PropagatorFactorization, ResidualCurve,
+                         build_propagator, step_rule)
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
 #: so that per-block arithmetic is identical for any worker pool size.
@@ -407,10 +409,12 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     (CHUNK_STEPS, K, 3, p1 - p0) buffer.  Each step then projects its own
     draws with one (m, K) by (K, 3 (p1 - p0)) product, whose result is
     already in the (m, 3, p1 - p0) layout of the block's velocity rows.
-    X + dt F and the step product are written into two preallocated
-    buffers, and the product's buffer becomes the state for the next step.
-    Without history the block holds its state, the two step buffers, the
-    two draw buffers and one step's kick, whatever n_steps.
+    The state is the first two thirds of a (3m, 3, p1 - p0) buffer, whose
+    last third is `step_rule`'s scratch; dt F is added to its velocity
+    rows in place, and the step writes into a second such buffer, which
+    holds the state for the next step.  Without history the block holds
+    the two step buffers, the two draw buffers and one step's kick,
+    whatever n_steps.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -421,8 +425,11 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     n_steps = cfg.n_steps
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
-    X = np.repeat(scene.x0p[:, :, None], pb, axis=2)
-    Y, X_next = np.empty_like(X), np.empty_like(X)
+    # two (3m, 3, pb) buffers, rows [u; v; step_rule's scratch]: the state
+    # is the first 2m rows of one, and the step writes those of the other
+    buf, buf_next = np.empty((2, 3 * m, 3, pb))
+    X = buf[:2 * m]
+    X[...] = scene.x0p[:, :, None]
     inc = None
     if model is not None:
         streams = [model.stream(p) for p in range(p0, p1)]
@@ -445,9 +452,12 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
             c = min(CHUNK_STEPS, n_steps - k)
             model.draw_xi(streams, xi[:, :c])
             xit[:c] = xi[:, :c].transpose(1, 2, 3, 0)
-        np.add(X, cfg.dt * forces[k][:, :, None], out=Y)
-        np.matmul(steps[k], Y.reshape(2 * m, -1),
-                  out=X_next.reshape(2 * m, -1))
+        # X + dt F in place: the load acts on the velocity rows only
+        load = cfg.dt * forces[k][m:, :, None]
+        X[m:] += load
+        X_next = buf_next[:2 * m]
+        step_rule(steps[k], cfg.dt, buf.reshape(3, m, -1),
+                  X_next.reshape(2, m, -1))
         if model is not None:
             # (m, 3, pb) increments of step k
             kick = project_increments(
@@ -464,15 +474,18 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
             finite = np.isfinite(X_next).all(axis=(0, 1))
             if not finite.all():
                 i = int(np.argmin(finite))
-                # scaled so that a last state near the overflow threshold
-                # still has a finite norm
-                scale = float(np.max(np.abs(X[:, :, i]))) or 1.0
-                norm = scale * packed_h_norm(X[:, :, i] / scale, scene.g)
+                # the last state, to rounding, is X with the load taken
+                # off again; scaled so that a last state near the overflow
+                # threshold still has a finite norm
+                last = X[:, :, i].copy()
+                last[m:] -= load[..., 0]
+                scale = float(np.max(np.abs(last))) or 1.0
+                norm = scale * packed_h_norm(last / scale, scene.g)
                 raise BlowupError(
                     f"path {p0 + i} became non-finite at step {k + 1}; last "
                     f"finite H-norm {norm:.6e} at step {k}; reduce dt or "
                     "check the load")
-        X, X_next = X_next, X
+        buf, buf_next, X = buf_next, buf, X_next
         if keep_history:
             history[k + 1] = X
         ti = pos.get(k + 1)

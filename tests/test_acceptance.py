@@ -290,7 +290,7 @@ def test_weak_residual_nested_refinement(acceptance):
         states = [BeamState.zero(sc.grid)]
         for k in range(ks):
             # the mild update at sigma = 1
-            y = sc.P.steps[k] @ (y + dt * sc.forces[k])
+            y = sc.P.apply(y + dt * sc.forces[k], k * dt, (k + 1) * dt)
             y[m:] += inc[k]
             states.append(BeamState.from_packed(sc.grid, y))
         traj = Trajectory(scene=sc, states=states, increments=inc)

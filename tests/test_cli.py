@@ -174,6 +174,24 @@ def test_covariance_rejects_bad_observable(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_long_observable_spec_is_quoted_short(tmp_path, capsys):
+    """A 5000-character spec is refused in an error line under 200
+    characters, from `--observable` and from a config line alike."""
+    spec = "x" * 5000
+    cfg_path = _write_cfg(tmp_path, TINY)
+    assert main(["covariance", "--config", cfg_path, "--out",
+                 str(tmp_path / "o"), "--observable", spec]) == 2
+    err = capsys.readouterr().err
+    assert "--observable" in err and len(err) < 200
+    long_cfg = _write_cfg(tmp_path, TINY.replace(
+        "run.observables = 1:3:v", f"run.observables = {spec}"), "long.cfg")
+    assert main(["covariance", "--config", long_cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "run.observables" in err and len(err) < 200
+    assert not (tmp_path / "o").exists()
+
+
 def test_covariance_manifest_records_the_observable_override(tmp_path,
                                                              capsys):
     two = TINY.replace("run.observables = 1:3:v",

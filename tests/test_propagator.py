@@ -15,18 +15,20 @@ from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 backward_adjoint_apply,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual, op_norm_H,
-                                picard_evolution, _cayley_from_bands)
+                                picard_evolution, step_map,
+                                _factor_from_bands)
 from stobeam.solver import bending_mode_state
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
 
 
 def cayley_step(op, dt):
-    """Step map of the generator L or L0 from the banded kernel."""
+    """Step map of the generator L or L0 from the banded kernel, the step
+    rule of its increment factor materialized on the identity."""
     if op.adjoint or not op.stiff:
         raise InvalidArgumentError("a step map needs the generator L or L0")
     stiff = op.g.B if op.T is None else op.g.B - op.T
-    return _cayley_from_bands(to_bands(stiff), op.g.M, dt)
+    return step_map(_factor_from_bands(to_bands(stiff), op.g.M, dt), dt)
 
 
 def test_cayley_step_trapezoid_identity(g16):
@@ -51,11 +53,23 @@ def _dense_cayley(op, dt):
     return lu_solve(lu_factor(np.eye(dim) - half), np.eye(dim) + half)
 
 
-def _trapezoid_defect(op, G, dt):
-    eye = np.eye(G.shape[0])
-    lhs = G - eye
-    rhs = 0.5 * dt * (op.mat @ (eye + G))
-    return np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))
+def _extended_cayley(op, dt):
+    """The Cayley map of the same float64 generator to about long double
+    accuracy: the dense LU solution refined twice with residuals
+    evaluated in np.longdouble."""
+    dim = op.mat.shape[0]
+    half = 0.5 * dt * op.mat
+    lu = lu_factor(np.eye(dim) - half)
+    hl = np.longdouble(0.5) * np.longdouble(dt) * op.mat.astype(np.longdouble)
+    eye = np.eye(dim, dtype=np.longdouble)
+    G = lu_solve(lu, np.eye(dim) + half).astype(np.longdouble)
+    for _ in range(2):
+        G += lu_solve(lu, ((eye + hl) - (eye - hl) @ G).astype(float))
+    return G
+
+
+def _max_error(G, ref):
+    return float(np.max(np.abs(G - ref)) / np.max(np.abs(ref)))
 
 
 @pytest.fixture(scope="module", params=[16, 64, 256])
@@ -72,17 +86,33 @@ def test_step_maps_match_dense_oracle(grams):
     # build_propagator takes the O(m) tension bands, not the dense T
     P = build_propagator(LAM, grams, 0.0, 2 * dt, dt)
     mid = _dense_cayley(build_L(LAM, 1.5 * dt, grams), dt)
-    assert np.max(np.abs(P.steps[1] - mid)) <= 1e-11 * np.max(np.abs(mid))
+    assert np.max(np.abs(step_map(P.steps[1], dt) - mid)) <= \
+        1e-11 * np.max(np.abs(mid))
 
 
 def test_step_maps_are_no_less_accurate_than_dense_oracle(grams):
+    """Max error against an extended-precision Cayley map of the same
+    generator, and the free flow's isometry defect."""
     dt = 1e-3
     op = build_L(LAM, 0.123, grams)
-    assert _trapezoid_defect(op, cayley_step(op, dt), dt) <= \
-        _trapezoid_defect(op, _dense_cayley(op, dt), dt)
+    ref = _extended_cayley(op, dt)
+    assert _max_error(cayley_step(op, dt), ref) <= \
+        _max_error(_dense_cayley(op, dt), ref)
     free = build_L0(grams)
     assert abs(op_norm_H(grams, cayley_step(free, dt)) - 1.0) <= \
         abs(op_norm_H(grams, _dense_cayley(free, dt)) - 1.0)
+
+
+def test_transposed_rule_is_the_transposed_map(g16):
+    """A step stores one m x m factor, and the transposed rule applies the
+    transpose of the map that the forward rule materializes."""
+    P = build_propagator(LAM, g16, 0.0, 2e-3, 1e-3)
+    assert all(d.shape == (g16.m, g16.m) for d in P.steps)
+    G = step_map(P.steps[1], P.dt)
+    eye = np.eye(2 * g16.m)
+    GT = P.apply_transpose_premetric(eye, 1e-3, 2e-3)
+    assert np.max(np.abs(GT - G.T)) <= 1e-15 * np.max(np.abs(G))
+    assert np.array_equal(P.apply(eye, 1e-3, 2e-3), G)
 
 
 def test_tension_bands_are_the_bands_of_build_T(grams):
@@ -107,7 +137,7 @@ def test_kernel_warns_on_singular_resolvent(g16):
     for d in range(1, bw + 1):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
     with pytest.warns(UserWarning, match="nearly singular"):
-        _cayley_from_bands(kb, g16.M, dt)
+        _factor_from_bands(kb, g16.M, dt)
 
 
 def test_cayley_step_rejects_other_roles(g16):
@@ -173,8 +203,9 @@ def test_apply_matches_matrix(g16):
     P = build_propagator(LAM, g16, 0.0, 0.05, 1e-2)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((2 * g16.m, 3))
-    full = np.linalg.multi_dot(P.steps[::-1])
-    window = P.steps[3] @ P.steps[2] @ P.steps[1]
+    G = [step_map(d, P.dt) for d in P.steps]
+    full = np.linalg.multi_dot(G[::-1])
+    window = G[3] @ G[2] @ G[1]
     assert np.allclose(P.apply(y), full @ y, atol=1e-12)
     assert np.allclose(P.apply(y, 0.01, 0.04), window @ y, atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Mild-solution stepping, single paths, and the path ensemble."""
 
 import dataclasses
+import itertools
 import re
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
                          packed_h_norm)
 from stobeam import solver
 from stobeam.noise import project_increments
+from stobeam.propagator import step_rule
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             build_scene, ensemble_blocks, ensemble_run,
                             initial_state, sine_mode_state,
@@ -170,25 +172,43 @@ def test_initial_state_families(g16):
     assert h_norm(zero, g16) == 0.0
 
 
-def _blowup_message(sc, p0, p1, first_big):
-    """The BlowupError text of paths p0..p1-1 when every step map from
-    index `first_big` on is scaled by 1e160."""
-    big = [1e160 * s if j >= first_big else s
-           for j, s in enumerate(sc.P.steps)]
-    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=big))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(BlowupError) as err:
-        _block_worker(sc, p0, p1, False)
+def _substitute_rule(monkeypatch, rule):
+    """Step the kernel with `rule(k, buf, out)` in place of the step rule
+    of step k (the kernel's k-th call), for a single block."""
+    calls = itertools.count()
+
+    def substitute(d, dt, buf, out, transpose=False):
+        rule(next(calls), buf, out)
+
+    monkeypatch.setattr(solver, "step_rule", substitute)
+
+
+def _blowup_message(monkeypatch, sc, p0, p1, first_big):
+    """The BlowupError text of paths p0..p1-1 when every step from index
+    `first_big` on is scaled by 1e160."""
+    steps, dt = sc.P.steps, sc.cfg.dt
+
+    def big(k, buf, out):
+        step_rule(steps[k], dt, buf, out)
+        if k >= first_big:
+            out *= 1e160
+
+    with monkeypatch.context() as mp:
+        _substitute_rule(mp, big)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowupError) as err:
+            _block_worker(sc, p0, p1, False)
     return str(err.value)
 
 
-def test_kernel_blowup_names_path_step_and_last_norm():
+def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
     cfg = parse_config(LOADED)
     sc = build_scene(cfg)
     forces = build_forces(sc)
     # step 1 lands near 1e158, beyond a plain squared norm; step 2 overflows
-    last = 1e160 * packed_h_norm(sc.P.steps[0] @ (cfg.dt * forces[0]), sc.g)
-    msg = _blowup_message(sc, 5, 8, 0)
+    last = 1e160 * packed_h_norm(
+        sc.P.apply(cfg.dt * forces[0], 0.0, cfg.dt), sc.g)
+    msg = _blowup_message(monkeypatch, sc, 5, 8, 0)
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
     assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
@@ -202,8 +222,9 @@ def test_kernel_blowup_names_path_step_and_last_norm():
     y = history[40][..., 0] + cfg.dt * sc.forces[40]
     kick = np.zeros_like(y)
     kick[sc.g.m:] = cfg.sigma * inc[0, 40]
-    last = 1e160 * packed_h_norm(sc.P.steps[40] @ y + 1e-160 * kick, sc.g)
-    msg = _blowup_message(sc, 5, 8, 40)
+    last = 1e160 * packed_h_norm(
+        sc.P.apply(y, 40 * cfg.dt, 41 * cfg.dt) + 1e-160 * kick, sc.g)
+    msg = _blowup_message(monkeypatch, sc, 5, 8, 40)
     assert msg.startswith("path 5 became non-finite at step 42;")
     norm = re.search(r"last finite H-norm (\S+) at step 41;", msg)
     assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
@@ -317,7 +338,11 @@ def test_nonhomogeneous_path_matches_ensemble_bitwise():
     assert np.array_equal(ref.increments, inc)
 
 
-def test_sampled_increments_are_the_kernel_kicks():
+def _zero(k, buf, out):
+    out.fill(0.0)
+
+
+def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
     """The increments the kernel returns for a path inside a wide block
     are that path's whole-horizon draws projected alone, and its velocity
     kick is sigma times them, bit for bit: at 20 steps, one chunk, and at
@@ -328,21 +353,20 @@ def test_sampled_increments_are_the_kernel_kicks():
                            .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
                            .replace("time.T = 0.05", f"time.T = {T}"))
         sc = build_scene(cfg)
-        zero = [np.zeros_like(s) for s in sc.P.steps]
-        sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
+        _substitute_rule(monkeypatch, _zero)
         _, history, inc = _block_worker(sc, 0, 5, True)
         m = sc.g.m
         for p in (0, 4):
             alone = project_increments(
                 sc.model, sc.model.path_xi(cfg.n_steps, p), cfg.dt)
             assert np.array_equal(inc[p], alone)
-            # with zero step maps each state is exactly the last kick
+            # with a zero step each state is exactly the last kick
             kicks = history[1:, m:, :, p]
             assert np.array_equal(kicks, cfg.sigma * alone)
     assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
 
 
-def test_full_block_increments_cross_chunks_bitwise():
+def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
     """In a block of BLOCK_PATHS paths over 70 steps (two full chunks and
     a partial one), each step projects every path's draws in one product;
     the increments of the first, a middle and the last path are still
@@ -353,8 +377,7 @@ def test_full_block_increments_cross_chunks_bitwise():
                        .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
                        .replace("time.T = 0.05", "time.T = 0.175"))
     sc = build_scene(cfg)
-    zero = [np.zeros_like(s) for s in sc.P.steps]
-    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=zero))
+    _substitute_rule(monkeypatch, _zero)
     pb = solver.BLOCK_PATHS
     _, history, inc = _block_worker(sc, 0, pb, True)
     assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
@@ -366,13 +389,16 @@ def test_full_block_increments_cross_chunks_bitwise():
         assert np.array_equal(history[1:, m:, :, p], cfg.sigma * alone)
 
 
-def test_finite_block_with_overflowing_sum_steps_on():
+def test_finite_block_with_overflowing_sum_steps_on(monkeypatch):
     """A block whose entries are finite but whose sum overflows is not a
     blow-up: the per-path test runs and finds every path finite."""
     cfg = parse_config(FREE)
     sc = build_scene(cfg)
-    eye = [np.eye(len(s)) for s in sc.P.steps]
-    sc = dataclasses.replace(sc, P=dataclasses.replace(sc.P, steps=eye))
+
+    def identity(k, buf, out):
+        out[...] = buf[:2]
+
+    _substitute_rule(monkeypatch, identity)
     big = np.full_like(sc.x0p, 1e308)
     big[::2] = -1e308
     sc.__dict__["x0p"] = big  # the cached initial state

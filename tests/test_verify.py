@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ def test_suite_green_on_well_posed_config():
     for expected in ("skew_adjoint", "norm_identity", "propagator_cocycle",
                      "trace_identity", "picard_agreement", "bc_conformity"):
         assert expected in names
+
+
+def test_generator_integral_orders_clear_the_rounding_floor():
+    """On the n = 8 grid of the CLI tests (time.T = 0.02, so dt goes down
+    to 1e-4) both Richardson orders read second order, well clear of the
+    check's 1.8 threshold: the finest probe is not at the rounding
+    floor."""
+    tiny = (SMALL.replace("grid.n = 16", "grid.n = 8")
+            .replace("time.T = 0.1", "time.T = 0.02")
+            .replace("time.dt = 0.001", "time.dt = 0.005")
+            .replace("noise.K = 12", "noise.K = 6")
+            .replace("lambda.c1 = 0.3", "lambda.c1 = 0.2"))
+    res = verify.check_generator_integral(build_scene(parse_config(tiny)))
+    assert res.status == "pass" and res.threshold == 1.8
+    orders = [float(o) for o in re.findall(r"'(\d\.\d+)'", res.note)]
+    assert len(orders) == 2 and min(orders) >= 1.95, res.note
+    assert res.defect >= 1.95
 
 
 def test_suite_skips_noise_checks_when_deterministic():

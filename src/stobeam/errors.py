@@ -24,10 +24,6 @@ class AssemblyError(StobeamError, RuntimeError):
 class NonConvergenceError(StobeamError, RuntimeError):
     """An iteration hit its cap before reaching tolerance."""
 
-    def __init__(self, message, last_defect=None):
-        super().__init__(message)
-        self.last_defect = last_defect
-
 
 class BlowupError(StobeamError, RuntimeError):
     """Non-finite values appeared during time stepping."""

@@ -133,14 +133,14 @@ class GramSet:
         m = self.m
         out = np.empty_like(y)
         out[:m] = self.B @ y[:m]
-        out[m:] = self.M[:, None] * y[m:] if y.ndim == 2 else self.M * y[m:]
+        out[m:] = self.M[:, None] * y[m:]
         return out
 
     def mh_solve(self, y: np.ndarray) -> np.ndarray:
         m = self.m
         out = np.empty_like(y)
         out[:m] = self.B_solve(y[:m])
-        out[m:] = y[m:] / (self.M[:, None] if y.ndim == 2 else self.M)
+        out[m:] = y[m:] / self.M[:, None]
         return out
 
 
@@ -229,10 +229,7 @@ def h_inner(x1: BeamState, x2: BeamState, g: GramSet) -> float:
     """State inner product: H2-with-BC on displacement + L2 on velocity."""
     _check_same_grid(x1.grid, g.grid)
     _check_same_grid(x2.grid, g.grid)
-    m = g.m
-    u1, u2 = x1.u[:m], x2.u[:m]
-    v1, v2 = x1.v[:m], x2.v[:m]
-    return float(np.sum(u1 * (g.B @ u2)) + np.sum(v1 * (g.M[:, None] * v2)))
+    return packed_h_inner(x1.packed(), x2.packed(), g)
 
 
 def h_norm(x: BeamState, g: GramSet) -> float:
@@ -304,11 +301,9 @@ def _interior_max(values: np.ndarray, grid: BeamGrid, order: int) -> float:
     elif order == 4:
         d = (values[:-4] - 4 * values[1:-3] + 6 * values[2:-2]
              - 4 * values[3:-1] + values[4:]) / h**4
-    elif order == 5:
+    else:  # order 5
         d = (-0.5 * values[:-6] + 2 * values[1:-5] - 2.5 * values[2:-4]
              + 2.5 * values[4:-2] - 2 * values[5:-1] + 0.5 * values[6:]) / h**5
-    else:
-        raise InvalidArgumentError(f"unsupported stencil order {order}")
     return float(np.max(np.abs(d), initial=0.0))
 
 
@@ -318,8 +313,7 @@ def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
     Each entry is |boundary stencil| / (eta * interior max + floor); a
     value above 1.0 counts as a violation.  Spaces:
 
-    * "h2bc": clamped value at l (always exact for reduced data, checked
-      on the stored row for full data)
+    * "h2bc": clamped value at l, checked on the stored row
     * "h4bc": free-end moment/shear stencils at 0
     * "h6bc": h4bc plus 4th/5th-derivative stencils at l
 
@@ -328,8 +322,6 @@ def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
     grid = g.grid
     h = grid.h
     full = np.asarray(values, dtype=float)
-    if full.shape[0] == grid.n_free:
-        full = np.vstack([full, np.zeros((1, full.shape[1]))])
     scale = _value_scale(full)
     out = {}
 

@@ -42,6 +42,10 @@ from .propagator import PropagatorFactorization
 
 SPECTRUM_FAMILIES = ("k^-2", "k^-3", "tabulated")
 
+#: relative tolerance of the equality of the trace integral with its C4 = 0
+#: value, span sigma^2 tr Q, which the quadrature meets only to rounding
+TRACE_RTOL = 1e-8
+
 _ZETA2 = np.pi**2 / 6.0
 _ZETA3 = 1.2020569031595943
 
@@ -201,6 +205,15 @@ class TraceCheck(NamedTuple):
     value: float
     bound: float
 
+    @property
+    def excess(self) -> float:
+        """How far the value lies above the bound widened by TRACE_RTOL:
+        0.0 when the trace condition holds, nan for a non-finite value.
+        At C4 = 0 the bound is the exact value, met only to rounding."""
+        if not np.isfinite(self.value):
+            return float("nan")
+        return max(self.value - self.bound * (1.0 + TRACE_RTOL), 0.0)
+
 
 def trace_condition(P: PropagatorFactorization, model: NoiseModel,
                     constants: Optional[StabilityConstants] = None,
@@ -224,8 +237,6 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     with np.errstate(over="ignore"):  # a growth factor beyond range is inf
         growth = np.exp(2.0 * c4 * span)
     bound = float(span * model.sigma**2 * growth * trace_q(model))
-    if model.sigma == 0.0 or i0 == i1:
-        return TraceCheck(value=0.0, bound=bound)
     # psi_j = U(t, t_j)^T, from j = i1 down to i0
     integrand = [_trace_integrand(psi, model, g)
                  for psi in P.backward_images(np.eye(2 * g.m), t0, t)]
@@ -259,9 +270,6 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
             float(np.max(np.abs(h.v[-1]), initial=0.0)) > 0:
         raise PreconditionError(
             "test function must satisfy the clamped value conditions")
-    i0, i1 = P.span(t0, t)
-    if model.sigma == 0.0 or i0 == i1:
-        return 0.0
     m = g.m
     # z_j = U(t, t_j)^T M_H h, from j = i1 down to i0
     integrand = [_ito_integrand(z, model, m)

@@ -289,13 +289,12 @@ def build_L(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
     return BlockOperator(g=g, stiff=True, T=build_T(lam, t, g))
 
 
-def adjoint_H(op: BlockOperator, g: GramSet = None) -> BlockOperator:
+def adjoint_H(op: BlockOperator) -> BlockOperator:
     """H-adjoint M_H^-1 op^T M_H, assembled as in `_assemble`.
 
     Applying `adjoint_H` twice restores the original operator exactly.
     """
-    return replace(op, g=g if g is not None else op.g,
-                   adjoint=not op.adjoint)
+    return replace(op, adjoint=not op.adjoint)
 
 
 def skew_defect(g: GramSet) -> float:

@@ -54,10 +54,8 @@ from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
     packed_h_norm
 from .operators import StabilityConstants, TractiveForce, \
-    STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L0, build_L1, \
-    estimate_constants, tension_bands, to_bands
-# re-export: op_norm_H stays part of this module's public interface
-from .operators import op_norm_H as op_norm_H
+    STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L1, estimate_constants, \
+    tension_bands, to_bands
 
 #: reciprocal condition number of M + h^2 K below which a step factor warns
 _RCOND_FLOOR = 1e-13
@@ -323,7 +321,7 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
     h = 0.5 * dt
     bw = STIFFNESS_BANDWIDTH
     b_bands = to_bands(g.B)
-    mats = [adjoint_H(build_L(lam, tau + j * dt, g), g).mat
+    mats = [adjoint_H(build_L(lam, tau + j * dt, g)).mat
             for j in range(k_steps + 1)]
     rho = np.array(y, dtype=float, copy=True)
     for j in reversed(range(k_steps)):
@@ -402,22 +400,17 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     g = P.g
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
-    l0_mat = build_L0(g).mat
     x0 = w.packed()
-    cur = x0.copy()
     integral = np.zeros_like(x0)
-    times = [P.t0]
-    values = [0.0]
-    y_prev = (l0_mat + build_L1(lam, times[0], g).mat) @ cur
-    for k in range(P.n_steps):
-        t_next = P.t0 + (k + 1) * P.dt
-        cur = _chain(P.steps, P.dt, cur, [k], False)
-        y_next = (l0_mat + build_L1(lam, t_next, g).mat) @ cur
-        integral = integral + 0.5 * P.dt * (y_prev + y_next)
+    values, y_prev = [], None
+    walk = _walk(P.steps, P.dt, x0, range(P.n_steps), False)
+    for t, cur in zip(P.times, walk):
+        y = build_L(lam, float(t), g).mat @ cur
+        if values:
+            integral = integral + 0.5 * P.dt * (y_prev + y)
         values.append(packed_h_norm(cur - x0 - integral, g))
-        times.append(t_next)
-        y_prev = y_next
-    return ResidualCurve(times=np.array(times), values=np.array(values))
+        y_prev = y
+    return ResidualCurve(times=P.times, values=np.array(values))
 
 
 @dataclass
@@ -455,9 +448,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     check_membership(w.v, "h2bc", g, what="velocity")
     k_steps = _window_steps(tau, t, dt)
     if constants is None:
-        constants = estimate_constants(lam, g, np.linspace(tau, t, 9)) \
-            if lam.family != "zero" else None
-    c5 = constants.C5 if constants is not None else 0.0
+        constants = estimate_constants(lam, g, np.linspace(tau, t, 9))
+    c5 = constants.C5
     alpha = alpha if alpha is not None else max(2.0 * c5, 1.0)
     if alpha <= c5:
         raise PreconditionError(
@@ -465,10 +457,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
 
     s_step = step_map(_factor_from_bands(to_bands(g.B), g.M, dt), dt)
     dim = 2 * g.m
-    zero_l1 = lam.family == "zero"
-    if not zero_l1:
-        l1 = np.stack([build_L1(lam, tau + j * dt, g).mat
-                       for j in range(k_steps + 1)])
+    l1 = np.stack([build_L1(lam, tau + j * dt, g).mat
+                   for j in range(k_steps + 1)])
 
     flow = np.empty((k_steps + 1, dim, 3))
     flow[0] = w.packed()
@@ -479,7 +469,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     u = flow.copy()
     defects: List[float] = []
     for _ in range(_PICARD_MAX_ITER):
-        gj = np.zeros_like(u) if zero_l1 else np.matmul(l1, u)
+        gj = np.matmul(l1, u)
         new = np.empty_like(u)
         new[0] = flow[0]
         acc = np.zeros((dim, 3))
@@ -497,5 +487,4 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
             return PicardResult(states=states, defects=defects, alpha=alpha)
     raise NonConvergenceError(
         f"picard iteration still at defect {defects[-1]:.3e} after "
-        f"{_PICARD_MAX_ITER} sweeps (tol {_PICARD_TOL:.1e})",
-        last_defect=defects[-1])
+        f"{_PICARD_MAX_ITER} sweeps (tol {_PICARD_TOL:.1e})")

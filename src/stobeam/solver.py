@@ -443,8 +443,7 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
     if keep_history:
         history[0] = X
-    if 0 in pos:
-        vals[:, pos[0]] = np.einsum("oic,icp->op", mh, X)
+    vals[:, 0] = np.einsum("oic,icp->op", mh, X)  # obs_steps starts at 0
     steps = scene.P.steps
     for k in range(n_steps):
         j = k % CHUNK_STEPS

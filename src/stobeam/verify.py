@@ -24,12 +24,13 @@ from .config import SimulationConfig
 from .errors import StobeamError
 from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
                    packed_h_norm)
-from .noise import ito_variance, project_increments, trace_condition, trace_q
+from .noise import (TRACE_RTOL, ito_variance, project_increments,
+                    trace_condition, trace_q)
 from .operators import (TractiveForce, build_L0, estimate_constants,
                         op_norm_H, skew_defect)
-from .propagator import (backward_adjoint_apply, build_propagator,
-                         cocycle_defect, duality_defect, generator_residual,
-                         picard_evolution)
+from .propagator import (PropagatorFactorization, backward_adjoint_apply,
+                         build_propagator, cocycle_defect, duality_defect,
+                         generator_residual, picard_evolution)
 from . import solver as _solver
 from .solver import (bending_mode_state, build_scene, sine_mode_state,
                      solve_homogeneous)
@@ -77,7 +78,7 @@ def check_tractive_invariants(scene) -> CheckResult:
     lam = scene.lam
     t_samples = np.linspace(0.0, scene.cfg.T, 7)
     defects = lam.invariant_defects(scene.grid, t_samples)
-    worst = max(defects.values()) if defects else 0.0
+    worst = max(defects.values())
     return _result("tractive_invariants", worst, 1e-9,
                    "endpoint values/slopes and sign of the tension profile")
 
@@ -104,7 +105,7 @@ def check_propagator_identity(scene) -> CheckResult:
 
 def check_propagator_cocycle(scene) -> CheckResult:
     P = scene.P
-    t0, T = P.t0, P.T
+    t0 = P.t0
     r = t0 + P.dt * (P.n_steps // 3)
     mid = t0 + P.dt * (2 * P.n_steps // 3)
     d = cocycle_defect(P, t0, r, mid)
@@ -134,11 +135,10 @@ def check_generator_integral(scene) -> CheckResult:
         maxes.append(generator_residual(P, lam, w).max_value)
     orders = [math.log2(maxes[i] / maxes[i + 1]) for i in range(2)]
     worst = min(orders)
-    res = CheckResult("generator_integral",
-                      "pass" if worst >= 1.8 else "fail", worst, 1.8,
-                      f"Richardson orders {['%.2f' % o for o in orders]} "
-                      "(threshold is a lower bound)")
-    return res
+    return CheckResult("generator_integral",
+                       "pass" if worst >= 1.8 else "fail", worst, 1.8,
+                       f"Richardson orders {['%.2f' % o for o in orders]} "
+                       "(threshold is a lower bound)")
 
 
 def check_growth_bound(scene) -> CheckResult:
@@ -264,32 +264,40 @@ def check_increment_determinism(scene) -> CheckResult:
                    "same (seed, path) draws are bitwise identical")
 
 
+def _free_flow(scene, cap: float) -> PropagatorFactorization:
+    """The tension-free flow on the scene's grid over the whole steps of
+    dt that fit in min(T, cap), at least one."""
+    dt = scene.cfg.dt
+    steps = max(1, int(math.floor(min(scene.cfg.T, cap) / dt + 1e-12)))
+    return build_propagator(TractiveForce.zero(), scene.g, 0.0, steps * dt,
+                            dt)
+
+
 def check_trace_identity(scene) -> CheckResult:
     """Autonomous free case: the covariance trace integral is linear in t."""
     if scene.model is None:
         return _result("trace_identity", 0, 0,
                        "sigma = 0: Ito checks skipped", skip=True)
-    cfg = scene.cfg
-    steps = max(1, int(math.floor(min(cfg.T, 0.25) / cfg.dt + 1e-12)))
-    span = steps * cfg.dt
-    P0 = build_propagator(TractiveForce.zero(), scene.g, 0.0, span, cfg.dt)
+    P0 = _free_flow(scene, 0.25)
     chk = trace_condition(P0, scene.model)
-    exact = span * scene.model.sigma ** 2 * trace_q(scene.model)
-    return _result("trace_identity", abs(chk.value - exact) / exact, 1e-8,
+    exact = P0.T * scene.model.sigma ** 2 * trace_q(scene.model)
+    return _result("trace_identity", abs(chk.value - exact) / exact,
+                   TRACE_RTOL,
                    "free flow: integrated trace = span * sigma^2 * tr Q")
 
 
 def check_trace_bound(scene) -> CheckResult:
     """Trace integral against span sigma^2 exp(2 C4 span) tr Q, with the
-    scene's C4; the note also gives its ratio to the C4 = 0 value, which
-    only the norm-preserving flow is bound by."""
+    scene's C4, to the relative tolerance of `TraceCheck.excess`; the note
+    also gives its ratio to the C4 = 0 value, which only the
+    norm-preserving flow is bound by."""
     if scene.model is None:
         return _result("trace_bound", 0, 0,
                        "sigma = 0: Ito checks skipped", skip=True)
     model = scene.model
     chk = trace_condition(scene.P, model, scene.constants)
     flat = (scene.P.T - scene.P.t0) * model.sigma ** 2 * trace_q(model)
-    return _result("trace_bound", max(chk.value - chk.bound, 0.0), 0.0,
+    return _result("trace_bound", chk.excess, 0.0,
                    f"value {chk.value:.6g} vs growth bound {chk.bound:.6g} "
                    f"(C4 = {scene.constants.C4:.5f}); "
                    f"value / C4=0 bound {chk.value / flat:.4f}")
@@ -300,15 +308,8 @@ def check_ito_quadrature(scene) -> CheckResult:
     if scene.model is None:
         return _result("ito_quadrature", 0, 0,
                        "sigma = 0: Ito checks skipped", skip=True)
-    if scene.lam.family != "zero":
-        # closed form needs the free flow; build it on the same grid,
-        # over a whole number of steps so dt tiles the window
-        dt = scene.cfg.dt
-        steps = max(1, int(math.floor(min(scene.cfg.T, 0.1) / dt + 1e-12)))
-        P = build_propagator(TractiveForce.zero(), scene.g, 0.0,
-                             steps * dt, dt)
-    else:
-        P = scene.P
+    # the closed form needs the free flow, the scene's at zero tension
+    P = scene.P if scene.lam.family == "zero" else _free_flow(scene, 0.1)
     t_end = P.T
     h = sine_mode_state(scene.grid, 1, 3, "v")
     quad = ito_variance(P, scene.model, h, t0=0.0, t=t_end)

@@ -19,11 +19,10 @@ from stobeam.grid import (BeamState, bc_value_defect, build_grid, build_grams,
 from stobeam.noise import (build_noise_model, ito_variance, project_increments,
                            trace_condition, trace_q)
 from stobeam.operators import (TractiveForce, build_L0, estimate_constants,
-                               skew_defect)
+                               op_norm_H, skew_defect)
 from stobeam.propagator import (backward_adjoint_apply, build_propagator,
                                 cocycle_defect, duality_defect,
-                                generator_residual, op_norm_H,
-                                picard_evolution)
+                                generator_residual, picard_evolution)
 from stobeam.solver import (Trajectory, bending_mode_state,
                             build_scene, ensemble_run, sine_mode_state,
                             solve_homogeneous, solve_nonhomogeneous,

@@ -2,16 +2,19 @@
 definition in them is referenced, every dataclass field is read, and
 every defaulted parameter is set by some call.
 
-A name bound as `from m import name as name` is an explicit re-export
-and counts as used.  A definition counts as referenced when its name
-appears as a whole word, outside its own definitions, somewhere in the
-Python files of src/, tests/ or bench/; the match is textual, so a name
-inside a string or an f-string counts.  The package `__init__.py` is
-neither checked nor read: a re-export alone is no use.
+A re-export counts as no use: a name is imported from the module that
+defines it, so `from m import name as name` fails like any other unused
+import.  A definition counts as referenced when its name appears as a
+whole word, outside its own definitions, somewhere in the Python files
+of src/, tests/ or bench/; the match is textual, so a name inside a
+string or an f-string counts.  The package `__init__.py` is
+neither checked nor read: a re-export alone is no use, and the root
+holds only `__version__`.
 
-A dataclass field counts as read when some Python file of src/, tests/
-or bench/ loads it as an attribute (`x.field`); this match is syntactic,
-so a field set but never looked up fails even if its name occurs
+A dataclass field, and any attribute that a class assigns as
+`self.attr = ...`, counts as read when some Python file of src/, tests/
+or bench/ loads it as an attribute (`x.attr`); this match is syntactic,
+so an attribute set but never looked up fails even if its name occurs
 elsewhere.
 
 A defaulted parameter of a function or method counts as set when some
@@ -39,8 +42,6 @@ def _unused_imports(tree: ast.Module) -> list:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
-                if alias.asname is not None and alias.asname == alias.name:
-                    continue
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -91,16 +92,20 @@ def test_every_definition_is_referenced(path, corpus):
     assert unused == []
 
 
-def _dataclass_fields(tree: ast.Module) -> list:
-    """(class, field) for each annotated field of a top-level dataclass."""
+def _class_attributes(tree: ast.Module) -> list:
+    """(class, attribute) for each annotated field of a top-level dataclass
+    and each `self.attribute` that a method of a top-level class assigns."""
     out = []
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(
-                getattr(d.func if isinstance(d, ast.Call) else d, "id",
-                        None) == "dataclass"
-                for d in node.decorator_list):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                       None) == "dataclass" for d in node.decorator_list):
             out += [(node.name, item.target.id) for item in node.body
                     if isinstance(item, ast.AnnAssign)]
+        out += [(node.name, n.attr) for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and getattr(n.value, "id", None) == "self"]
     return out
 
 
@@ -109,9 +114,9 @@ def test_every_dataclass_field_is_read():
              for p in (ROOT / d).rglob("*.py")]
     loaded = {n.attr for p in files for n in ast.walk(ast.parse(p.read_text()))
               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f"{cls}.{name}" for p in MODULES
-              for cls, name in _dataclass_fields(ast.parse(p.read_text()))
-              if name not in loaded]
+    unread = sorted({f"{cls}.{name}" for p in MODULES
+                     for cls, name in _class_attributes(ast.parse(p.read_text()))
+                     if name not in loaded})
     assert unread == []
 
 

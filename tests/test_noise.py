@@ -6,9 +6,9 @@ import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError
 from stobeam.grid import build_grid
-from stobeam.noise import (build_noise_model, build_spectrum, ito_variance,
-                           project_increments, trace_condition, trace_q,
-                           trace_tail)
+from stobeam.noise import (TRACE_RTOL, TraceCheck, build_noise_model,
+                           build_spectrum, ito_variance, project_increments,
+                           trace_condition, trace_q, trace_tail)
 from stobeam.operators import TractiveForce, estimate_constants
 from stobeam.propagator import build_propagator
 from stobeam.solver import sine_mode_state
@@ -129,6 +129,18 @@ def test_trace_identity_for_norm_preserving_flow(g16, grid16):
     # the sign of rounding; the strict case is
     # test_trace_bound_inflates_with_constants
     assert chk.bound == pytest.approx(exact, rel=1e-15)
+
+
+def test_trace_excess_allows_rounding_at_the_bound():
+    """The C4 = 0 bound is the exact value, which the quadrature meets only
+    to rounding: a value within TRACE_RTOL of the bound holds, one beyond
+    it does not, and a non-finite value never does."""
+    assert TraceCheck(1.0 + 1e-13, 1.0).excess == 0.0
+    assert TraceCheck(1.0 + 0.5 * TRACE_RTOL, 1.0).excess == 0.0
+    assert TraceCheck(0.5, np.inf).excess == 0.0
+    assert TraceCheck(1.0 + 2 * TRACE_RTOL, 1.0).excess > 0.0
+    assert np.isnan(TraceCheck(np.inf, np.inf).excess)
+    assert np.isnan(TraceCheck(np.nan, 1.0).excess)
 
 
 def test_trace_respects_amplitude_and_window(g16, grid16):

@@ -9,12 +9,12 @@ from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
 from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
                                build_L, build_L0, build_T, estimate_constants,
-                               tension_bands, to_bands)
+                               op_norm_H, tension_bands, to_bands)
 from stobeam import propagator
 from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 backward_adjoint_apply,
                                 build_propagator, cocycle_defect,
-                                duality_defect, generator_residual, op_norm_H,
+                                duality_defect, generator_residual,
                                 picard_evolution, step_map,
                                 _factor_from_bands)
 from stobeam.solver import bending_mode_state

@@ -1,9 +1,11 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stobeam import operators, propagator, solver, verify
+from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
 from stobeam.solver import build_scene, sine_mode_state
@@ -134,3 +136,25 @@ def test_verify_estimates_the_constants_once_per_scene(monkeypatch):
     # own shorter windows
     assert len(calls) == 3
     assert sum(len(t) == 11 for t in calls) == 1
+
+
+def test_zero_tension_default_config_passes_every_check(tmp_path, capsys):
+    """configs/default.cfg with lambda.family = zero: C4 = 0 makes the
+    growth bound of the trace integral its exact value, which the
+    quadrature meets to rounding; Picard reaches its fixed point in one
+    sweep and the variance quadrature runs on the scene's own flow."""
+    text = (Path(__file__).resolve().parents[1] / "configs" /
+            "default.cfg").read_text()
+    text = text.replace("lambda.family = bump", "lambda.family = zero")
+    assert "lambda.family = zero" in text
+    results = {r.name: r for r in run_checks(parse_config(text))}
+    assert [r.name for r in results.values() if r.status == "fail"] == []
+    assert results["trace_bound"].status == "pass"
+    assert results["picard_agreement"].status == "pass"
+    assert "after 1 sweeps" in results["picard_agreement"].note
+    assert results["picard_contraction"].status == "skip"
+    assert results["ito_quadrature"].status == "pass"
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(text)
+    assert main(["trace-check", "--config", str(cfg_path)]) == 0
+    assert "violated" not in capsys.readouterr().err

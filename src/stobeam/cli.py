@@ -117,10 +117,10 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     s_txt = [_baked(_fmt(s)) for s in scene.grid.nodes]
     traj_row = "".join(
         f"%d,{_baked(_fmt(t))},{s},{c},%.17g,%.17g\n"
-        for t in (cfg.dt * np.arange(cfg.n_steps + 1))[1:]
+        for t in scene.P.times[1:]
         for s in s_txt for c in (1, 2, 3))
     obs_row = "".join(f"%d,{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
-                      for t in cfg.dt * scene.obs_steps
+                      for t in scene.P.times[scene.obs_steps]
                       for oid in cfg.observables)
 
     traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
@@ -219,12 +219,12 @@ def cmd_covariance(cfg: SimulationConfig, out_dir: str) -> int:
     h = sine_mode_state(scene.grid, *parse_observable_spec(spec))
     lines = ["t,mc_variance,quadrature_variance,stderr"]
     n_within = 0
-    for ti, t in enumerate(stats.times):
+    for ti, (k, t) in enumerate(zip(scene.obs_steps, stats.times)):
         mc = float(stats.variance[0, ti])
         if scene.model is None:
             quad = 0.0
         else:
-            quad = ito_variance(scene.P, scene.model, h, t0=0.0, t=float(t))
+            quad = ito_variance(scene.P, scene.model, h, i1=k)
         se = mc * np.sqrt(2.0 / (stats.count - 1)) if stats.count > 1 else 0.0
         if abs(mc - quad) <= 3.0 * se or mc == quad:
             n_within += 1

@@ -103,7 +103,6 @@ class GramSet:
 
     M   : lumped L2 mass diagonal, length m = n+1
     W   : trapezoidal weights at all n+2 nodes
-    D1  : cell-midpoint first differences, (n+1) x m
     D2  : second differences at all nodes (ghost rules applied), (n+2) x m
     B   : H2-with-BC Gram b * D2^T W D2, symmetric positive definite
     """
@@ -112,7 +111,6 @@ class GramSet:
     b: float
     M: np.ndarray
     W: np.ndarray
-    D1: np.ndarray
     D2: np.ndarray
     B: np.ndarray
     B_raw: np.ndarray
@@ -183,18 +181,6 @@ def _second_difference(grid: BeamGrid) -> np.ndarray:
     return d2
 
 
-def _first_difference(grid: BeamGrid) -> np.ndarray:
-    """Cell-midpoint differences (u_{j+1} - u_j)/h with u_{n+1} = 0."""
-    n, h = grid.n, grid.h
-    m = grid.n_free
-    d1 = np.zeros((n + 1, m))
-    for j in range(n + 1):
-        d1[j, j] = -1.0 / h
-        if j + 1 <= n:
-            d1[j, j + 1] = 1.0 / h
-    return d1
-
-
 def build_grams(grid: BeamGrid, b: float) -> GramSet:
     """Assemble quadrature weights, difference matrices and the H2 Gram."""
     if not np.isfinite(b) or b <= 0:
@@ -206,14 +192,13 @@ def build_grams(grid: BeamGrid, b: float) -> GramSet:
     m_diag = np.full(grid.n_free, h)
     m_diag[0] = 0.5 * h
     d2 = _second_difference(grid)
-    d1 = _first_difference(grid)
     a = np.sqrt(w_full)[:, None] * d2
     b_raw = a.T @ a
     b_raw = 0.5 * (b_raw + b_raw.T)
     b_mat = b * b_raw
     b_mat = 0.5 * (b_mat + b_mat.T)
     return GramSet(grid=grid, b=float(b), M=m_diag, W=w_full,
-                   D1=d1, D2=d2, B=b_mat, B_raw=b_raw)
+                   D2=d2, B=b_mat, B_raw=b_raw)
 
 
 def _check_same_grid(g1: BeamGrid, g2: BeamGrid):

@@ -217,21 +217,23 @@ class TraceCheck(NamedTuple):
 
 def trace_condition(P: PropagatorFactorization, model: NoiseModel,
                     constants: Optional[StabilityConstants] = None,
-                    t0: float = None, t: float = None) -> TraceCheck:
-    """Integral of Tr(U(t,r) A Q A* U*(t,r)) over r in [t0, t].
+                    i0: int = 0, i1: int = None) -> TraceCheck:
+    """Integral of Tr(U(t,r) A Q A* U*(t,r)) over r from t_i0 to t = t_i1,
+    the steps i0..i1 of P (by default all of them).
 
     Computed as trapezoidal quadrature of
-    sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 on the step grid; the
-    dense tail products U(t, t_j) are accumulated backward as their
+    sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 at r = t_j, j = i0..i1;
+    the dense tail products U(t, t_j) are accumulated backward as their
     transposes U(t, t_j)^T = G_j^T U(t, t_{j+1})^T, so each grid time
     costs one transposed step of a (2m)x(2m) block.  The analytic
-    comparison bound is (t - t0) sigma^2 exp(2 C4 (t - t0)) Tr(Q), with
-    C4 = 0 when no constants are supplied (exact for the norm-preserving
-    flow); a growth factor beyond the float range makes the bound
-    infinite.
+    comparison bound is s sigma^2 exp(2 C4 s) Tr(Q) over the span
+    s = (i1 - i0) dt, with C4 = 0 when no constants are supplied (exact
+    for the norm-preserving flow); a growth factor beyond the float range
+    makes the bound infinite.  A window outside 0..n_steps raises
+    InvalidArgumentError.
     """
     g = P.g
-    i0, i1 = P.span(t0, t)
+    i0, i1 = P.span(i0, i1)
     span = (i1 - i0) * P.dt
     c4 = 0.0 if constants is None else constants.C4
     with np.errstate(over="ignore"):  # a growth factor beyond range is inf
@@ -239,7 +241,7 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     bound = float(span * model.sigma**2 * growth * trace_q(model))
     # psi_j = U(t, t_j)^T, from j = i1 down to i0
     integrand = [_trace_integrand(psi, model, g)
-                 for psi in P.backward_images(np.eye(2 * g.m), t0, t)]
+                 for psi in P.backward_images(np.eye(2 * g.m), i0, i1)]
     value = float(np.trapezoid(integrand[::-1], dx=P.dt))
     return TraceCheck(value=value, bound=bound)
 
@@ -254,13 +256,14 @@ def _trace_integrand(psi: np.ndarray, model: NoiseModel, g: GramSet) -> float:
 
 
 def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
-                 t0: float = None, t: float = None) -> float:
-    """Exact variance of <int_t0^t U(t,r) A dW(r), h>_H at truncation K.
+                 i0: int = 0, i1: int = None) -> float:
+    """Exact variance of <int U(t,r) A dW(r), h>_H at truncation K, r from
+    t_i0 to t = t_i1 over the steps i0..i1 of P (by default all of them).
 
-    Quadrature of sum_{k,c} q_k <A e_{k,c}, U*(t,r) h>_H^2.  The pairings
-    are evaluated through the premetric images z_j = U(t,t_j)^T M_H h,
-    accumulated backward with transposed steps, so no Gram solve enters
-    and duality is exact.
+    Quadrature of sum_{k,c} q_k <A e_{k,c}, U*(t,r) h>_H^2 at r = t_j,
+    j = i0..i1.  The pairings are evaluated through the premetric images
+    z_j = U(t,t_j)^T M_H h, accumulated backward with transposed steps, so
+    no Gram solve enters and duality is exact.
 
     The test function h only needs its stored clamp values to vanish
     (weak-form pairing); this is checked, stencil smoothness is not.
@@ -273,7 +276,7 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
     m = g.m
     # z_j = U(t, t_j)^T M_H h, from j = i1 down to i0
     integrand = [_ito_integrand(z, model, m)
-                 for z in P.backward_images(g.mh_apply(h.packed()), t0, t)]
+                 for z in P.backward_images(g.mh_apply(h.packed()), i0, i1)]
     return float(np.trapezoid(integrand[::-1], dx=P.dt))
 
 

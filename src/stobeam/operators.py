@@ -237,13 +237,6 @@ def build_L0(g: GramSet) -> BlockOperator:
     return BlockOperator(g=g, stiff=True)
 
 
-def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
-    """Weak tractive matrix T(t) = -D1^T W_lambda(t) D1, symmetrized."""
-    wl = g.grid.h * lam.midpoint_values(t, g.grid)
-    tm = -(g.D1.T * wl) @ g.D1
-    return 0.5 * (tm + tm.T)
-
-
 #: half-bandwidth of the stiffness K(t) = B - T(t): B couples nodes up to
 #: three apart (the one-sided moment stencil at s = 0), T only neighbours
 STIFFNESS_BANDWIDTH = 3
@@ -263,9 +256,9 @@ def to_bands(a: np.ndarray) -> np.ndarray:
 
 
 def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
-    """`build_T(lam, t, g)` in the band layout of `to_bands`, in O(m).
+    """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`, O(m).
 
-    Cell j of the midpoint difference couples nodes j and j+1 with weight
+    Cell j of the midpoint difference D1 couples nodes j and j+1 with weight
     p_j = h lambda(s_{j+1/2}) / h^2 (the last cell only node n, since
     u(l) is eliminated), so T is tridiagonal with T[j, j+1] = p_j and
     T[j, j] = -(p_j + p_{j-1}).
@@ -278,6 +271,18 @@ def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     out[bw, 1:] -= p[:-1]
     out[bw - 1, 1:] = p[:-1]
     out[bw + 1, :-1] = p[:-1]
+    return out
+
+
+def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
+    """The dense T(t) of `tension_bands`, exactly symmetric."""
+    bands = tension_bands(lam, t, g)
+    bw, m = STIFFNESS_BANDWIDTH, g.m
+    out = np.zeros((m, m))
+    # every (m+1)-th entry from 0, 1 and m: the diagonal, super-, subdiagonal
+    out.flat[::m + 1] = bands[bw]
+    out.flat[1::m + 1] = bands[bw - 1, 1:]
+    out.flat[m::m + 1] = bands[bw + 1, :-1]
     return out
 
 

@@ -27,10 +27,11 @@ the O(m^3) of a dense (2m)x(2m) LU.  The factors stay dense: stepping a
 block of paths is one dense matmul per step, which beats applying banded
 factors to the block.
 
-A window [t0, T] is kept as the ordered list of its per-step factors.
-Any U(t, tau) on grid times is a partial product of the same stored
-factors, applied as one chain of `step_rule` calls; the cocycle law
-U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
+The family is kept on the grid t_k = k dt as the ordered list of its
+per-step factors; a window is a range i0..i1 of step indices, the only
+name of a grid time.  Any U(t_i1, t_i0) is a partial product of the same
+stored factors, applied as one chain of `step_rule` calls; the cocycle
+law U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
 identical floating point operations, not merely to rounding.
 
 Two independent constructions of the perturbed flow are provided for
@@ -64,20 +65,6 @@ _RCOND_FLOOR = 1e-13
 #: weighted graph norm, and gives up after _PICARD_MAX_ITER sweeps
 _PICARD_TOL = 1e-10
 _PICARD_MAX_ITER = 60
-
-
-def _window_steps(t0: float, T: float, dt: float) -> int:
-    """Number of steps of size dt covering [t0, T]; dt must divide."""
-    if not np.isfinite(dt) or dt <= 0:
-        raise InvalidArgumentError(f"step size must be positive, got {dt}")
-    if not T > t0:
-        raise InvalidArgumentError(f"empty time window [{t0}, {T}]")
-    k = (T - t0) / dt
-    kr = round(k)
-    if kr < 1 or abs(k - kr) > 1e-9 * max(1.0, kr):
-        raise InvalidArgumentError(
-            f"step size {dt} does not divide the window [{t0}, {T}]")
-    return int(kr)
 
 
 def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -197,27 +184,20 @@ def step_map(d: np.ndarray, dt: float) -> np.ndarray:
 @dataclass
 class PropagatorFactorization:
     """Ordered per-step increment factors D_k of the maps
-    G_k ~ U(t_{k+1}, t_k) on a uniform window.
+    G_k ~ U(t_{k+1}, t_k) on the grid t_k = k dt, k = 0..n_steps.
 
-    steps[k], an m x m array, advances packed states from t0 + k dt to
-    t0 + (k+1) dt through `step_rule`; the same array object may be
-    shared between steps when the generator is time independent.  The
-    H-adjoint U*(t, tau) is applied from the same factors by
-    `apply_adjoint`.
+    steps[k], an m x m array, advances packed states from t_k to t_{k+1}
+    through `step_rule`; the same array object may be shared between steps
+    when the generator is time independent.  A window is a range i0..i1 of
+    step indices (see `span`).  The H-adjoint U*(t, tau) is applied from
+    the same factors by `apply_adjoint`.
     """
 
-    t0: float
-    T: float
     dt: float
     steps: List[np.ndarray]
     g: GramSet = field(repr=False)
 
     def __post_init__(self):
-        k = _window_steps(self.t0, self.T, self.dt)
-        if len(self.steps) != k:
-            raise InvalidArgumentError(
-                f"{len(self.steps)} step factors do not cover the window "
-                f"({k} expected)")
         for s in self.steps:
             if not np.all(np.isfinite(s)):
                 raise InvalidArgumentError(
@@ -229,107 +209,94 @@ class PropagatorFactorization:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        """The grid times t_k = k dt, k = 0..n_steps."""
+        return self.dt * np.arange(self.n_steps + 1)
 
-    def index_of(self, t: float) -> int:
-        """Grid index of an aligned time; no interpolation is offered."""
-        k = (t - self.t0) / self.dt
-        kr = int(round(k))
-        if kr < 0 or kr > self.n_steps or abs(k - kr) > 1e-9 * max(1.0, abs(k)):
-            raise InvalidArgumentError(
-                f"time {t} is not on the step grid of [{self.t0}, {self.T}] "
-                f"with dt={self.dt}")
-        return kr
-
-    def span(self, tau: float = None, t: float = None):
-        """Step indices (i0, i1) of the window [tau, t], by default the
-        whole window.
+    def span(self, i0: int = 0, i1: int = None):
+        """The step window (i0, i1), by default the whole one.
 
         Raises:
-            InvalidArgumentError: a time off the step grid, or tau > t.
+            InvalidArgumentError: unless 0 <= i0 <= i1 <= n_steps.
         """
-        i0 = 0 if tau is None else self.index_of(tau)
-        i1 = self.n_steps if t is None else self.index_of(t)
-        if i0 > i1:
-            raise InvalidArgumentError("time window is reversed")
+        i1 = self.n_steps if i1 is None else i1
+        if not 0 <= i0 <= i1 <= self.n_steps:
+            raise InvalidArgumentError(
+                f"step window {i0}..{i1} is not within 0..{self.n_steps}")
         return i0, i1
 
-    def apply(self, y: np.ndarray, tau: float = None, t: float = None) -> np.ndarray:
-        """U(t, tau) y as a chain of per-step products (default full
+    def apply(self, y: np.ndarray, i0: int = 0, i1: int = None) -> np.ndarray:
+        """U(t_i1, t_i0) y as a chain of per-step products (default full
         window); y is packed, (2m, ...)."""
-        i0, i1 = self.span(tau, t)
+        i0, i1 = self.span(i0, i1)
         return _chain(self.steps, self.dt, y, range(i0, i1), False)
 
-    def apply_transpose_premetric(self, z: np.ndarray, tau: float = None,
-                                  t: float = None) -> np.ndarray:
-        """U(t, tau)^T z, the premetric image M_H U*(t,tau) M_H^-1 z.
+    def apply_transpose_premetric(self, z: np.ndarray, i0: int = 0,
+                                  i1: int = None) -> np.ndarray:
+        """U(t_i1, t_i0)^T z, the premetric image M_H U* M_H^-1 z.
 
         Pairing x with this against the identity <U x, y>_H needs no Gram
         solve at all; see `duality_defect`.
         """
-        i0, i1 = self.span(tau, t)
+        i0, i1 = self.span(i0, i1)
         return _chain(self.steps, self.dt, z, reversed(range(i0, i1)), True)
 
-    def backward_images(self, z: np.ndarray, tau: float = None,
-                        t: float = None):
-        """Yield U(t, t_j)^T z for the grid times t_j from t down to tau,
-        the chain that `apply_transpose_premetric` ends with; each yielded
-        array stays valid until the second yield after it."""
-        i0, i1 = self.span(tau, t)
+    def backward_images(self, z: np.ndarray, i0: int = 0, i1: int = None):
+        """Yield U(t_i1, t_j)^T z for j from i1 down to i0, the chain that
+        `apply_transpose_premetric` ends with; each yielded array stays
+        valid until the second yield after it."""
+        i0, i1 = self.span(i0, i1)
         return _walk(self.steps, self.dt, z, reversed(range(i0, i1)), True)
 
-    def apply_adjoint(self, y: np.ndarray, tau: float = None,
-                      t: float = None) -> np.ndarray:
-        """U*(t, tau) y = M_H^-1 U^T M_H y with a single Gram solve."""
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """U*(t_n, 0) y = M_H^-1 U^T M_H y over the whole window, with a
+        single Gram solve."""
         return self.g.mh_solve(
-            self.apply_transpose_premetric(self.g.mh_apply(y), tau, t))
+            self.apply_transpose_premetric(self.g.mh_apply(y)))
 
 
-def build_propagator(lam: TractiveForce, g: GramSet, t0: float, T: float,
+def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
                      dt: float) -> PropagatorFactorization:
-    """Factorize the evolution family over [t0, T] into per-step factors.
+    """Factorize the evolution family over n_steps steps of size dt from
+    t = 0 into per-step factors.
 
     D_k is the increment factor of the Cayley map of L(t_k + dt/2); one
     factor is shared by all steps when the generator does not depend on
     time.
     """
-    k_steps = _window_steps(t0, T, dt)
     b_bands = to_bands(g.B)
 
     def step(t):
         return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
 
     if lam.autonomous:
-        steps = [step(t0 + 0.5 * dt)] * k_steps
+        steps = [step(0.5 * dt)] * n_steps
     else:
-        steps = [step(t0 + (k + 0.5) * dt) for k in range(k_steps)]
-    return PropagatorFactorization(t0=float(t0), T=float(T), dt=float(dt),
-                                   steps=steps, g=g)
+        steps = [step((k + 0.5) * dt) for k in range(n_steps)]
+    return PropagatorFactorization(dt=float(dt), steps=steps, g=g)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
-                           tau: float, t: float, dt: float) -> np.ndarray:
+                           n_steps: int, dt: float) -> np.ndarray:
     """Integrate the adjoint flow backward: d/dtau U*(t,tau)y = -L*(tau) U* y.
 
-    Crank-Nicolson with endpoint averaging of L*, marching from tau = t
-    down to the requested tau.  Deliberately a different discretization
+    Crank-Nicolson with endpoint averaging of L*, marching from tau = t =
+    n_steps dt down to tau = 0.  Deliberately a different discretization
     from the Gram transpose of the midpoint factorization, so agreement
     between the two is an order-of-accuracy statement, not a tautology.
     """
-    k_steps = _window_steps(tau, t, dt)
     m = g.m
     h = 0.5 * dt
     bw = STIFFNESS_BANDWIDTH
     b_bands = to_bands(g.B)
-    mats = [adjoint_H(build_L(lam, tau + j * dt, g)).mat
-            for j in range(k_steps + 1)]
+    mats = [adjoint_H(build_L(lam, j * dt, g)).mat
+            for j in range(n_steps + 1)]
     rho = np.array(y, dtype=float, copy=True)
-    for j in reversed(range(k_steps)):
+    for j in reversed(range(n_steps)):
         rhs = rho + h * (mats[j + 1] @ rho)
         # L*_j = [[0, C_j], [M^-1 B, 0]] with B C_j = -K_j, so the solve
         # (I - h L*_j)(u, v) = rhs reduces to the banded one
         # (M + h^2 K_j) v = M rhs_v + h B rhs_u, then u = rhs_u + h C_j v
-        a = (h * h) * (b_bands - tension_bands(lam, tau + j * dt, g))
+        a = (h * h) * (b_bands - tension_bands(lam, j * dt, g))
         a[bw] += g.M
         w = g.mh_apply(rhs)
         v = solve_banded((bw, bw), a, w[m:] + h * w[:m])
@@ -338,7 +305,7 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
 
 
 def duality_defect(P: PropagatorFactorization, x: np.ndarray, y: np.ndarray,
-                   tau: float = None, t: float = None) -> float:
+                   i0: int = 0, i1: int = None) -> float:
     """Relative defect of <U x, y>_H = <x, U* y>_H for packed states.
 
     x and y are (2m, 3), or stacks (2m, 3, p) of p pairs, which are
@@ -350,30 +317,29 @@ def duality_defect(P: PropagatorFactorization, x: np.ndarray, y: np.ndarray,
     g = P.g
     x, y = (np.reshape(a, (2 * g.m, 3, -1)) for a in (x, y))
     my = np.stack([g.mh_apply(y[..., p]) for p in range(y.shape[2])], axis=2)
-    ux = P.apply(x, tau, t)
-    uty = P.apply_transpose_premetric(my, tau, t)
+    ux = P.apply(x, i0, i1)
+    uty = P.apply_transpose_premetric(my, i0, i1)
     return max(abs(float(np.sum(ux[..., p] * my[..., p]))
                    - float(np.sum(x[..., p] * uty[..., p])))
                / (packed_h_norm(x[..., p], g) * packed_h_norm(y[..., p], g)
                   + 1e-300) for p in range(x.shape[2]))
 
 
-def cocycle_defect(P: PropagatorFactorization, tau: float, r: float,
-                   t: float) -> float:
-    """Probe estimate of the operator norm of U(t,tau) - U(t,r)U(r,tau)
-    over 8 fixed random states, stepped as one (2m, 3, 8) chain.
+def cocycle_defect(P: PropagatorFactorization, i0: int, ir: int,
+                   i1: int) -> float:
+    """Probe estimate of the operator norm of U(t,tau) - U(t,r)U(r,tau) at
+    t_i0, t_ir, t_i1 over 8 fixed random states, one (2m, 3, 8) chain.
 
-    Zero exactly on aligned times: both routes execute the identical
-    sequence of per-step products.
+    Zero exactly: both routes execute the identical sequence of per-step
+    products.
     """
-    i0, ir, i1 = P.index_of(tau), P.index_of(r), P.index_of(t)
-    if not (i0 <= ir <= i1):
-        raise InvalidArgumentError("need tau <= r <= t")
+    if not i0 <= ir <= i1:
+        raise InvalidArgumentError("need i0 <= ir <= i1")
     rng = np.random.default_rng(1234)
     x = np.stack([rng.standard_normal((2 * P.g.m, 3)) for _ in range(8)],
                  axis=2)
-    direct = P.apply(x, tau, t)
-    via = P.apply(P.apply(x, tau, r), r, t)
+    direct = P.apply(x, i0, i1)
+    via = P.apply(P.apply(x, i0, ir), ir, i1)
     return max(packed_h_norm(direct[..., p] - via[..., p], P.g)
                / packed_h_norm(x[..., p], P.g) for p in range(8))
 
@@ -392,7 +358,7 @@ class ResidualCurve:
 
 def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
                        w: BeamState) -> ResidualCurve:
-    """Residual of U(t,t0)w - w - int_t0^t L(r) U(r,t0)w dr over t.
+    """Residual of U(t,0)w - w - int_0^t L(r) U(r,0)w dr at P's grid times.
 
     The integral uses trapezoidal quadrature on the step grid; for the
     midpoint scheme the maximum residual decays at second order in dt.
@@ -427,17 +393,18 @@ class PicardResult:
 
 
 def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
-                     tau: float, t: float, dt: float, alpha: float = None,
+                     n_steps: int, dt: float, alpha: float = None,
                      constants: StabilityConstants = None) -> PicardResult:
-    """Fixed point of u -> S(.-tau) w + int_tau S(.-r) L1(r) u(r) dr.
+    """Fixed point of u -> S(.) w + int_0 S(.-r) L1(r) u(r) dr on the
+    grid t_k = k dt, k = 0..n_steps.
 
     S is the same Cayley kernel used for the stiff part of the one-step
     schemes, so the comparison against `build_propagator` isolates the
     treatment of the tractive term.  Iterates are compared in the
-    weighted graph norm sup_k ||.||_D exp(-alpha (t_k - tau)); successive
+    weighted graph norm sup_k ||.||_D exp(-alpha t_k); successive
     defects contract by about C5/alpha.  alpha=None resolves to
     max(2 C5, 1), which puts that factor at 1/2 or better.  `constants`
-    default to `estimate_constants` at 9 times over [tau, t].
+    default to `estimate_constants` at 9 times over [0, n_steps dt].
 
     Raises:
         PreconditionError: w not in the discrete domain, or alpha <= C5.
@@ -446,9 +413,9 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     """
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
-    k_steps = _window_steps(tau, t, dt)
     if constants is None:
-        constants = estimate_constants(lam, g, np.linspace(tau, t, 9))
+        samples = np.linspace(0.0, n_steps * dt, 9)
+        constants = estimate_constants(lam, g, samples)
     c5 = constants.C5
     alpha = alpha if alpha is not None else max(2.0 * c5, 1.0)
     if alpha <= c5:
@@ -457,15 +424,15 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
 
     s_step = step_map(_factor_from_bands(to_bands(g.B), g.M, dt), dt)
     dim = 2 * g.m
-    l1 = np.stack([build_L1(lam, tau + j * dt, g).mat
-                   for j in range(k_steps + 1)])
+    l1 = np.stack([build_L1(lam, j * dt, g).mat
+                   for j in range(n_steps + 1)])
 
-    flow = np.empty((k_steps + 1, dim, 3))
+    flow = np.empty((n_steps + 1, dim, 3))
     flow[0] = w.packed()
-    for j in range(k_steps):
+    for j in range(n_steps):
         flow[j + 1] = s_step @ flow[j]
 
-    weights = np.exp(-alpha * dt * np.arange(k_steps + 1))
+    weights = np.exp(-alpha * dt * np.arange(n_steps + 1))
     u = flow.copy()
     defects: List[float] = []
     for _ in range(_PICARD_MAX_ITER):
@@ -473,17 +440,17 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         new = np.empty_like(u)
         new[0] = flow[0]
         acc = np.zeros((dim, 3))
-        for j in range(1, k_steps + 1):
+        for j in range(1, n_steps + 1):
             acc = s_step @ acc + 0.5 * (s_step @ gj[j - 1] + gj[j])
             new[j] = flow[j] + dt * acc
         defect = max(
             np.sqrt(packed_d_norm_sq(new[j] - u[j], g)) * weights[j]
-            for j in range(k_steps + 1))
+            for j in range(n_steps + 1))
         defects.append(float(defect))
         u = new
         if defect <= _PICARD_TOL:
             states = [BeamState.from_packed(g.grid, u[j])
-                      for j in range(k_steps + 1)]
+                      for j in range(n_steps + 1)]
             return PicardResult(states=states, defects=defects, alpha=alpha)
     raise NonConvergenceError(
         f"picard iteration still at defect {defects[-1]:.3e} after "

@@ -109,7 +109,7 @@ def build_scene(cfg: SimulationConfig) -> Scene:
     # with the horizon T, evaluation outside [0, T] raises, not extrapolates
     lam = TractiveForce(family=cfg.lam_family, c0=cfg.lam_c0, c1=cfg.lam_c1,
                         freq=cfg.lam_freq, table=cfg.lam_table, horizon=cfg.T)
-    P = build_propagator(lam, g, 0.0, cfg.T, cfg.dt)
+    P = build_propagator(lam, g, cfg.n_steps, cfg.dt)
     model = None
     if cfg.sigma > 0:
         model = build_noise_model(grid, spectrum=cfg.spectrum, K=cfg.K,
@@ -160,9 +160,8 @@ def build_forces(scene: Scene) -> np.ndarray:
     cfg = scene.cfg
     grid = scene.grid
     m = grid.n_free
-    n_steps = cfg.n_steps
     fdet = _fdet_at_nodes(cfg, grid)
-    times = cfg.dt * np.arange(n_steps + 1)
+    times = scene.P.times
     time_dep = cfg.fdet_family == "expression" or (
         scene.shift is not None and not scene.lam.autonomous)
 
@@ -176,7 +175,7 @@ def build_forces(scene: Scene) -> np.ndarray:
         return out
 
     if not time_dep:
-        return np.broadcast_to(one(0.0), (n_steps + 1, 2 * m, 3))
+        return np.broadcast_to(one(0.0), (len(times), 2 * m, 3))
     return np.stack([one(t) for t in times])
 
 
@@ -258,7 +257,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.scene.cfg.dt * np.arange(self.n_steps + 1)
+        return self.scene.P.times
 
 
 def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
@@ -373,7 +372,7 @@ class EnsembleStats:
 
     @property
     def times(self) -> np.ndarray:
-        return self.scene.cfg.dt * self.scene.obs_steps
+        return self.scene.P.times[self.scene.obs_steps]
 
     @property
     def observable_ids(self) -> tuple:

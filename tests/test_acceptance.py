@@ -79,21 +79,20 @@ def test_tension_norm_under_analytic_bound(acceptance):
 
 def test_propagator_axioms_and_generator_order(acceptance):
     g = _grams(16)
-    P = build_propagator(BUMP, g, 0.0, 0.2, 2e-3)
-    ident = max(np.max(np.abs(P.apply(np.eye(2 * g.m), t, t)
+    P = build_propagator(BUMP, g, 100, 2e-3)
+    ident = max(np.max(np.abs(P.apply(np.eye(2 * g.m), i, i)
                               - np.eye(2 * g.m)))
-                for t in (0.0, 0.1, 0.2))
+                for i in (0, 50, 100))
     rng = np.random.default_rng(5)
     coc = 0.0
     for _ in range(5):
         i, j, k = sorted(rng.choice(P.n_steps + 1, size=3, replace=False))
-        coc = max(coc, cocycle_defect(P, float(P.times[i]),
-                                      float(P.times[j]), float(P.times[k])))
+        coc = max(coc, cocycle_defect(P, i, j, k))
     w = bending_mode_state(g, 1)
     vals = []
-    for dt in (4e-3, 2e-3, 1e-3):
+    for n in (50, 100, 200):
         vals.append(generator_residual(
-            build_propagator(BUMP, g, 0.0, 0.2, dt), BUMP, w).max_value)
+            build_propagator(BUMP, g, n, 0.2 / n), BUMP, w).max_value)
     orders = [math.log2(vals[i] / vals[i + 1]) for i in range(2)]
     ok = ident <= 1e-12 and coc <= 1e-12 and min(orders) >= 1.8
     acceptance(4, f"identity {ident:.1e}, cocycle {coc:.1e}, "
@@ -104,7 +103,7 @@ def test_propagator_axioms_and_generator_order(acceptance):
 
 def test_propagator_growth_bound(acceptance):
     g = _grams(16)
-    P = build_propagator(BUMP, g, 0.0, 0.5, 2e-3)
+    P = build_propagator(BUMP, g, 250, 2e-3)
     consts = estimate_constants(BUMP, g, np.linspace(0.0, 0.5, 11))
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -114,7 +113,7 @@ def test_propagator_growth_bound(acceptance):
             i1 = min(i0 + 1, P.n_steps)
             i0 = max(0, i1 - 1)
         ta, tb = float(P.times[i0]), float(P.times[i1])
-        nrm = op_norm_H(g, P.apply(np.eye(2 * g.m), ta, tb))
+        nrm = op_norm_H(g, P.apply(np.eye(2 * g.m), i0, i1))
         worst = max(worst, nrm / math.exp((consts.C4 + 0.05) * (tb - ta)))
     ok = worst <= 1.0
     acceptance(5, f"worst norm/bound ratio {worst:.4f} over 20 random "
@@ -126,8 +125,8 @@ def test_fixed_point_agrees_with_midpoint_stepping(acceptance):
     g = _grams(16)
     w = bending_mode_state(g, 1)
     consts = estimate_constants(BUMP, g, np.linspace(0.0, 0.5, 11))
-    P = build_propagator(BUMP, g, 0.0, 0.5, 1e-3)
-    pr = picard_evolution(BUMP, g, w, 0.0, 0.5, 1e-3, constants=consts)
+    P = build_propagator(BUMP, g, 500, 1e-3)
+    pr = picard_evolution(BUMP, g, w, 500, 1e-3, constants=consts)
     diff = packed_h_norm(pr.states[-1].packed() - P.apply(w.packed()), g)
     floor = 1e-8 * pr.defects[0]
     ratios = [pr.defects[i + 1] / pr.defects[i]
@@ -142,7 +141,7 @@ def test_fixed_point_agrees_with_midpoint_stepping(acceptance):
 
 def test_adjoint_duality_and_backward_order(acceptance):
     g = _grams(16)
-    P = build_propagator(BUMP, g, 0.0, 0.5, 2e-3)
+    P = build_propagator(BUMP, g, 250, 2e-3)
     rng = np.random.default_rng(3)
     dual = 0.0
     for _ in range(10):
@@ -152,10 +151,10 @@ def test_adjoint_duality_and_backward_order(acceptance):
     y = rng.standard_normal((2 * g.m, 3))
     y /= packed_h_norm(y, g)
     defects = []
-    for dt in (2e-3, 1e-3):
-        Pb = build_propagator(BUMP, g, 0.0, 0.1, dt)
-        ref = Pb.apply_adjoint(y, 0.0, 0.1)
-        bwd = backward_adjoint_apply(BUMP, g, y, 0.0, 0.1, dt)
+    for n in (50, 100):
+        Pb = build_propagator(BUMP, g, n, 0.1 / n)
+        ref = Pb.apply_adjoint(y)
+        bwd = backward_adjoint_apply(BUMP, g, y, n, 0.1 / n)
         defects.append(packed_h_norm(ref - bwd, g))
     order = math.log2(defects[0] / defects[1])
     ok = dual <= 1e-11 and order >= 0.9
@@ -195,12 +194,12 @@ def test_noise_trace_closed_form_and_bound(acceptance):
     g = _grams(16)
     model = build_noise_model(g.grid, "k^-2", 12, 1.0, 0)
     # vanishing tension: the integrated trace is exactly linear in time
-    P0 = build_propagator(TractiveForce.zero(), g, 0.0, 0.25, 1e-3)
+    P0 = build_propagator(TractiveForce.zero(), g, 250, 1e-3)
     chk0 = trace_condition(P0, model)
     exact = 0.25 * 1.0 * trace_q(model)
     rel = abs(chk0.value - exact) / exact
     # modulated tension: finite and below the exponential growth bound
-    Pb = build_propagator(BUMP, g, 0.0, 0.25, 1e-3)
+    Pb = build_propagator(BUMP, g, 250, 1e-3)
     consts = estimate_constants(BUMP, g, np.linspace(0.0, 0.25, 11))
     chkb = trace_condition(Pb, model, consts)
     ok = (math.isfinite(chkb.value) and rel <= 1e-8
@@ -240,10 +239,9 @@ def test_monte_carlo_variance_matches_quadrature(acceptance):
           sine_mode_state(sc.grid, 2, 1, "v")]
     n_ok = n_tot = 0
     for oi, h in enumerate(hs):
-        for t in stats.times:
-            mc = float(stats.variance[oi, np.searchsorted(stats.times, t)])
-            quad = 0.0 if t == 0 else ito_variance(sc.P, sc.model, h,
-                                                   0.0, float(t))
+        for ti, k in enumerate(sc.obs_steps):
+            mc = float(stats.variance[oi, ti])
+            quad = ito_variance(sc.P, sc.model, h, 0, k)
             se = mc * math.sqrt(2.0 / (stats.count - 1))
             n_tot += 1
             n_ok += (abs(mc - quad) <= 3 * se or mc == quad)
@@ -289,7 +287,7 @@ def test_weak_residual_nested_refinement(acceptance):
         states = [BeamState.zero(sc.grid)]
         for k in range(ks):
             # the mild update at sigma = 1
-            y = sc.P.apply(y + dt * sc.forces[k], k * dt, (k + 1) * dt)
+            y = sc.P.apply(y + dt * sc.forces[k], k, k + 1)
             y[m:] += inc[k]
             states.append(BeamState.from_packed(sc.grid, y))
         traj = Trajectory(scene=sc, states=states, increments=inc)

@@ -1,6 +1,7 @@
 """Every top-level import in the package modules is used, every
-definition in them is referenced, every dataclass field is read, and
-every defaulted parameter is set by some call.
+definition in them is referenced, every dataclass field is read, every
+defaulted parameter is set by some call, and no parameter without a
+default is given the same literal by every call.
 
 A re-export counts as no use: a name is imported from the module that
 defines it, so `from m import name as name` fails like any other unused
@@ -21,6 +22,12 @@ A defaulted parameter of a function or method counts as set when some
 call in src/, tests/ or bench/ to a callee of that name (an `__init__`
 by its class name) passes it by keyword, or by position, or passes
 `*args` or `**kwargs`; the match is by name, not by resolved object.
+
+A parameter without a default fails when at least two calls in src/,
+tests/ or bench/ reach it, matched by callee name in the same way, and
+every one of them passes the same literal constant: the parameter is a
+constant in disguise.  A name defined more than once in the package is
+skipped, since its calls cannot be told apart.
 """
 
 import ast
@@ -120,8 +127,8 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
-def _defaulted_parameters(tree: ast.Module) -> list:
-    """(callee, parameter, position) for each defaulted parameter of a
+def _parameters(tree: ast.Module) -> list:
+    """(callee, parameter, position, defaulted) for each parameter of a
     top-level function or a method; `__init__` is called by its class name
     and a method's position does not count `self` or `cls`.  Position is
     None for keyword-only parameters."""
@@ -131,11 +138,10 @@ def _defaulted_parameters(tree: ast.Module) -> list:
         a = fn.args
         positional = (a.posonlyargs + a.args)[bound:]
         first = len(positional) - len(a.defaults)
-        out.extend((callee, p.arg, first + i)
-                   for i, p in enumerate(positional[first:]))
-        out.extend((callee, p.arg, None)
-                   for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                   if d is not None)
+        out.extend((callee, p.arg, i, i >= first)
+                   for i, p in enumerate(positional))
+        out.extend((callee, p.arg, None, d is not None)
+                   for p, d in zip(a.kwonlyargs, a.kw_defaults))
 
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -167,11 +173,51 @@ def test_every_defaulted_parameter_is_set_somewhere():
             set_by[name] = (max(count, len(n.args)), names)
     unset = []
     for p in MODULES:
-        for callee, name, pos in _defaulted_parameters(
+        for callee, name, pos, defaulted in _parameters(
                 ast.parse(p.read_text())):
+            if not defaulted:
+                continue
             count, names = set_by.get(callee, (0, set()))
             # a `**kwargs` argument (keyword None) may set any name
             if not (name in names or None in names
                     or (pos is not None and count > pos)):
                 unset.append(f"{callee}({name}=)")
     assert unset == []
+
+
+def _passed_literal(call: ast.Call, name: str, pos):
+    """The literal constant a call passes for a parameter, as its AST dump,
+    or None when it passes another expression or nothing that can be told
+    (through `*args` or `**kwargs`)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return None
+    node = next((k.value for k in call.keywords if k.arg == name), None)
+    if node is None and pos is not None and pos < len(call.args):
+        node = call.args[pos]
+    return ast.dump(node) if isinstance(node, ast.Constant) else None
+
+
+def test_no_required_parameter_takes_one_literal_everywhere(corpus):
+    """A parameter that every call passes the same literal is a constant
+    in disguise."""
+    _, defined = corpus
+    calls = {}  # callee name -> its calls
+    for p in (p for d in ("src", "tests", "bench")
+              for p in (ROOT / d).rglob("*.py")):
+        for n in ast.walk(ast.parse(p.read_text())):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or \
+                    getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    constant = []
+    for p in MODULES:
+        for callee, name, pos, defaulted in _parameters(
+                ast.parse(p.read_text())):
+            if defaulted or defined[callee] != 1:
+                continue
+            made = calls.get(callee, [])
+            passed = {_passed_literal(c, name, pos) for c in made}
+            if len(made) >= 2 and len(passed) == 1 and None not in passed:
+                constant.append(f"{callee}({name})")
+    assert constant == []

@@ -119,7 +119,7 @@ def test_trace_tail_closed_forms(grid16):
 
 
 def test_trace_identity_for_norm_preserving_flow(g16, grid16):
-    P = build_propagator(TractiveForce.zero(), g16, 0.0, 0.25, 1e-3)
+    P = build_propagator(TractiveForce.zero(), g16, 250, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12, sigma=1.0)
     chk = trace_condition(P, model)
     exact = 0.25 * trace_q(model)
@@ -145,20 +145,20 @@ def test_trace_excess_allows_rounding_at_the_bound():
 
 def test_trace_respects_amplitude_and_window(g16, grid16):
     model0 = build_noise_model(grid16, "k^-2", K=12, sigma=0.0)
-    P = build_propagator(TractiveForce.zero(), g16, 0.0, 0.1, 1e-3)
+    P = build_propagator(TractiveForce.zero(), g16, 100, 1e-3)
     chk = trace_condition(P, model0)
     assert chk.value == 0.0 and chk.bound == 0.0
     model = build_noise_model(grid16, "k^-2", K=12, sigma=2.0)
-    a = trace_condition(P, model, t0=0.0, t=0.05)
-    b = trace_condition(P, model, t0=0.0, t=0.1)
+    a = trace_condition(P, model, i0=0, i1=50)
+    b = trace_condition(P, model, i0=0, i1=100)
     assert 0.0 < a.value < b.value
     with pytest.raises(InvalidArgumentError):
-        trace_condition(P, model, t0=0.1, t=0.0)
+        trace_condition(P, model, i0=100, i1=0)
 
 
 def test_trace_bound_inflates_with_constants(g16, grid16):
     lam = TractiveForce.bump(c0=1.0, c1=0.3)
-    P = build_propagator(lam, g16, 0.0, 0.25, 1e-3)
+    P = build_propagator(lam, g16, 250, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
     cst = estimate_constants(lam, g16, np.linspace(0.0, 0.25, 11))
     plain = trace_condition(P, model)
@@ -169,20 +169,20 @@ def test_trace_bound_inflates_with_constants(g16, grid16):
 
 
 def test_variance_quadrature_guards(g16, grid16):
-    P = build_propagator(TractiveForce.zero(), g16, 0.0, 0.1, 1e-3)
+    P = build_propagator(TractiveForce.zero(), g16, 100, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
     bad = sine_mode_state(grid16, 1, 3, "v")
     bad.v[-1, 2] = 0.5
     with pytest.raises(PreconditionError):
         ito_variance(P, model, bad)
     h = sine_mode_state(grid16, 1, 3, "v")
-    assert ito_variance(P, model, h, t0=0.05, t=0.05) == 0.0
+    assert ito_variance(P, model, h, i0=50, i1=50) == 0.0
     model0 = build_noise_model(grid16, "k^-2", K=12, sigma=0.0)
     assert ito_variance(P, model0, h) == 0.0
 
 
 def test_variance_scales_with_sigma_squared(g16, grid16):
-    P = build_propagator(TractiveForce.zero(), g16, 0.0, 0.1, 1e-3)
+    P = build_propagator(TractiveForce.zero(), g16, 100, 1e-3)
     h = sine_mode_state(grid16, 1, 3, "v")
     v1 = ito_variance(P, build_noise_model(grid16, "k^-2", K=12, sigma=1.0), h)
     v2 = ito_variance(P, build_noise_model(grid16, "k^-2", K=12, sigma=2.0), h)
@@ -192,7 +192,7 @@ def test_variance_scales_with_sigma_squared(g16, grid16):
 
 def test_trace_bound_overflow_is_infinite_without_warning(g16, grid16):
     lam = TractiveForce.bump(c0=1.0, c1=0.3)
-    P = build_propagator(lam, g16, 0.0, 0.1, 1e-3)
+    P = build_propagator(lam, g16, 100, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
     cst = estimate_constants(lam, g16, [0.0])
     huge = dataclasses.replace(cst, C4=1e6)

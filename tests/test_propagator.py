@@ -7,6 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
 from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
+from stobeam.noise import build_noise_model, ito_variance, trace_condition
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
                                build_L, build_L0, build_T, estimate_constants,
                                op_norm_H, tension_bands, to_bands)
@@ -17,7 +18,7 @@ from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 duality_defect, generator_residual,
                                 picard_evolution, step_map,
                                 _factor_from_bands)
-from stobeam.solver import bending_mode_state
+from stobeam.solver import bending_mode_state, sine_mode_state
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
 
@@ -84,7 +85,7 @@ def test_step_maps_match_dense_oracle(grams):
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(cayley_step(op, dt) - ref)) <= 1e-11 * scale
     # build_propagator takes the O(m) tension bands, not the dense T
-    P = build_propagator(LAM, grams, 0.0, 2 * dt, dt)
+    P = build_propagator(LAM, grams, 2, dt)
     mid = _dense_cayley(build_L(LAM, 1.5 * dt, grams), dt)
     assert np.max(np.abs(step_map(P.steps[1], dt) - mid)) <= \
         1e-11 * np.max(np.abs(mid))
@@ -106,22 +107,20 @@ def test_step_maps_are_no_less_accurate_than_dense_oracle(grams):
 def test_transposed_rule_is_the_transposed_map(g16):
     """A step stores one m x m factor, and the transposed rule applies the
     transpose of the map that the forward rule materializes."""
-    P = build_propagator(LAM, g16, 0.0, 2e-3, 1e-3)
+    P = build_propagator(LAM, g16, 2, 1e-3)
     assert all(d.shape == (g16.m, g16.m) for d in P.steps)
     G = step_map(P.steps[1], P.dt)
     eye = np.eye(2 * g16.m)
-    GT = P.apply_transpose_premetric(eye, 1e-3, 2e-3)
+    GT = P.apply_transpose_premetric(eye, 1, 2)
     assert np.max(np.abs(GT - G.T)) <= 1e-15 * np.max(np.abs(G))
-    assert np.array_equal(P.apply(eye, 1e-3, 2e-3), G)
+    assert np.array_equal(P.apply(eye, 1, 2), G)
 
 
 def test_tension_bands_are_the_bands_of_build_T(grams):
     bw = STIFFNESS_BANDWIDTH
     for t in (0.0, 0.123, 0.5):
         tmat = build_T(LAM, t, grams)
-        ref = to_bands(tmat)
-        assert np.max(np.abs(tension_bands(LAM, t, grams) - ref)) <= \
-            1e-15 * np.max(np.abs(ref))
+        assert np.array_equal(tension_bands(LAM, t, grams), to_bands(tmat))
         k = grams.B - tmat
         assert not np.any(np.triu(k, bw + 1)) and not np.any(np.tril(k, -bw - 1))
 
@@ -163,10 +162,10 @@ def test_operator_norm_rejects_non_finite(g16):
 
 
 def test_autonomous_factorization_shares_steps(g16):
-    P = build_propagator(TractiveForce.bump(c0=1.0), g16, 0.0, 0.1, 1e-2)
+    P = build_propagator(TractiveForce.bump(c0=1.0), g16, 10, 1e-2)
     assert P.n_steps == 10
     assert all(s is P.steps[0] for s in P.steps)
-    Pt = build_propagator(LAM, g16, 0.0, 0.1, 1e-2)
+    Pt = build_propagator(LAM, g16, 10, 1e-2)
     assert Pt.steps[0] is not Pt.steps[1]
 
 
@@ -174,53 +173,59 @@ def test_unmodulated_tabulated_profile_shares_steps(g16):
     table = TractiveForce.bump(c0=1.0).node_values(0.0, g16.grid)
     lam = TractiveForce(family="tabulated", table=table, c0=2.0, c1=0.0)
     assert lam.autonomous
-    P = build_propagator(lam, g16, 0.0, 0.1, 1e-2)
+    P = build_propagator(lam, g16, 10, 1e-2)
     assert all(s is P.steps[0] for s in P.steps)
 
 
 def test_factorization_guards(g16):
+    P = build_propagator(LAM, g16, 10, 1e-2)
+    steps = [s.copy() for s in P.steps]
+    steps[3][0, 0] = np.nan
     with pytest.raises(InvalidArgumentError):
-        build_propagator(LAM, g16, 0.0, 0.1, 3e-2)  # dt must tile the window
-    P = build_propagator(LAM, g16, 0.0, 0.1, 1e-2)
-    with pytest.raises(InvalidArgumentError):
-        PropagatorFactorization(t0=0.0, T=0.1, dt=1e-2, steps=P.steps[:3],
-                                g=g16)
+        PropagatorFactorization(dt=1e-2, steps=steps, g=g16)
 
 
-def test_time_index_lookup(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.1, 1e-2)
-    assert P.index_of(0.0) == 0
-    assert P.index_of(0.05) == 5
-    assert P.index_of(0.1) == 10
-    with pytest.raises(InvalidArgumentError):
-        P.index_of(0.055)
-    with pytest.raises(InvalidArgumentError):
-        P.index_of(0.2)
-    assert np.allclose(P.times, np.linspace(0.0, 0.1, 11))
+def test_windows_are_step_ranges_within_the_grid(g16, grid16):
+    """A window is a range 0 <= i0 <= i1 <= n_steps of step indices; one
+    outside it is refused, where a negative index would otherwise wrap
+    round to the last step factors."""
+    P = build_propagator(LAM, g16, 10, 1e-2)
+    assert np.array_equal(P.times, 1e-2 * np.arange(11))
+    y = np.ones((2 * g16.m, 3))
+    model = build_noise_model(grid16, "k^-2", K=12)
+    h = sine_mode_state(grid16, 1, 3, "v")
+    calls = [lambda i0, i1: P.apply(y, i0, i1),
+             lambda i0, i1: P.backward_images(y, i0, i1),
+             lambda i0, i1: ito_variance(P, model, h, i0, i1),
+             lambda i0, i1: trace_condition(P, model, None, i0, i1)]
+    for call in calls:
+        for i0, i1 in ((-1, 10), (0, 11), (6, 5)):
+            with pytest.raises(InvalidArgumentError):
+                call(i0, i1)
 
 
 def test_apply_matches_matrix(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.05, 1e-2)
+    P = build_propagator(LAM, g16, 5, 1e-2)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((2 * g16.m, 3))
     G = [step_map(d, P.dt) for d in P.steps]
     full = np.linalg.multi_dot(G[::-1])
     window = G[3] @ G[2] @ G[1]
     assert np.allclose(P.apply(y), full @ y, atol=1e-12)
-    assert np.allclose(P.apply(y, 0.01, 0.04), window @ y, atol=1e-12)
+    assert np.allclose(P.apply(y, 1, 4), window @ y, atol=1e-12)
 
 
 def test_identity_and_cocycle_are_exact(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.1, 2e-3)
+    P = build_propagator(LAM, g16, 50, 2e-3)
     rng = np.random.default_rng(9)
     y = rng.standard_normal((2 * g16.m, 3))
-    for t in (0.0, 0.05, 0.1):
-        assert np.array_equal(P.apply(y, t, t), y)
-    assert cocycle_defect(P, 0.0, 0.04, 0.1) == 0.0
+    for i in (0, 25, 50):
+        assert np.array_equal(P.apply(y, i, i), y)
+    assert cocycle_defect(P, 0, 20, 50) == 0.0
 
 
 def test_generator_residual_starts_at_zero(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.05, 1e-3)
+    P = build_propagator(LAM, g16, 50, 1e-3)
     w = bending_mode_state(g16, 1)
     r = generator_residual(P, LAM, w)
     assert r.values[0] == 0.0
@@ -229,7 +234,7 @@ def test_generator_residual_starts_at_zero(g16):
 
 
 def test_generator_residual_needs_domain_data(g16, grid16):
-    P = build_propagator(LAM, g16, 0.0, 0.05, 1e-3)
+    P = build_propagator(LAM, g16, 50, 1e-3)
     rng = np.random.default_rng(10)
     vals = rng.standard_normal((grid16.n + 2, 3))
     vals[-1] = 0.0
@@ -243,17 +248,17 @@ def test_residual_curve_max_uses_magnitude():
 
 
 def test_duality_identity(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.1, 2e-3)
+    P = build_propagator(LAM, g16, 50, 2e-3)
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.standard_normal((2 * g16.m, 3))
         y = rng.standard_normal((2 * g16.m, 3))
         assert duality_defect(P, x, y) < 1e-11
-        assert duality_defect(P, x, y, 0.02, 0.08) < 1e-11
+        assert duality_defect(P, x, y, 10, 40) < 1e-11
 
 
 def test_adjoint_factorization_pairing(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.1, 2e-3)
+    P = build_propagator(LAM, g16, 50, 2e-3)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2 * g16.m, 3))
     y = rng.standard_normal((2 * g16.m, 3))
@@ -265,26 +270,26 @@ def test_adjoint_factorization_pairing(g16):
 
 def test_backward_integration_free_flow_matches_transpose(g16):
     lam0 = TractiveForce.zero()
-    P = build_propagator(lam0, g16, 0.0, 0.05, 1e-3)
+    P = build_propagator(lam0, g16, 50, 1e-3)
     rng = np.random.default_rng(13)
     y = rng.standard_normal((2 * g16.m, 3))
     y /= packed_h_norm(y, g16)
     ref = P.apply_adjoint(y)
-    bwd = backward_adjoint_apply(lam0, g16, y, 0.0, 0.05, 1e-3)
+    bwd = backward_adjoint_apply(lam0, g16, y, 50, 1e-3)
     assert packed_h_norm(ref - bwd, g16) < 1e-10
 
 
 def test_cocycle_rejects_misordered_times(g16):
-    P = build_propagator(LAM, g16, 0.0, 0.1, 2e-3)
+    P = build_propagator(LAM, g16, 50, 2e-3)
     with pytest.raises(InvalidArgumentError):
-        cocycle_defect(P, 0.05, 0.0, 0.1)
+        cocycle_defect(P, 25, 0, 50)
 
 
 def test_picard_requires_contraction_margin(g16):
     w = bending_mode_state(g16, 1)
     cst = estimate_constants(LAM, g16, np.linspace(0.0, 0.1, 5))
     with pytest.raises(PreconditionError):
-        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3, alpha=0.5,
+        picard_evolution(LAM, g16, w, 100, 1e-3, alpha=0.5,
                          constants=cst)
 
 
@@ -294,7 +299,7 @@ def test_picard_rejects_rough_initial_data(g16, grid16):
     vals[-1] = 0.0
     w = BeamState(grid16, vals, np.zeros_like(vals))
     with pytest.raises(PreconditionError):
-        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3)
+        picard_evolution(LAM, g16, w, 100, 1e-3)
 
 
 def test_picard_nonconvergence_reports(g16, monkeypatch):
@@ -302,4 +307,4 @@ def test_picard_nonconvergence_reports(g16, monkeypatch):
     monkeypatch.setattr(propagator, "_PICARD_MAX_ITER", 2)
     w = bending_mode_state(g16, 1)
     with pytest.raises(NonConvergenceError):
-        picard_evolution(LAM, g16, w, 0.0, 0.1, 1e-3)
+        picard_evolution(LAM, g16, w, 100, 1e-3)

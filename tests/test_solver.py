@@ -207,7 +207,7 @@ def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
     forces = build_forces(sc)
     # step 1 lands near 1e158, beyond a plain squared norm; step 2 overflows
     last = 1e160 * packed_h_norm(
-        sc.P.apply(cfg.dt * forces[0], 0.0, cfg.dt), sc.g)
+        sc.P.apply(cfg.dt * forces[0], 0, 1), sc.g)
     msg = _blowup_message(monkeypatch, sc, 5, 8, 0)
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
@@ -223,7 +223,7 @@ def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
     kick = np.zeros_like(y)
     kick[sc.g.m:] = cfg.sigma * inc[0, 40]
     last = 1e160 * packed_h_norm(
-        sc.P.apply(y, 40 * cfg.dt, 41 * cfg.dt) + 1e-160 * kick, sc.g)
+        sc.P.apply(y, 40, 41) + 1e-160 * kick, sc.g)
     msg = _blowup_message(monkeypatch, sc, 5, 8, 40)
     assert msg.startswith("path 5 became non-finite at step 42;")
     norm = re.search(r"last finite H-norm (\S+) at step 41;", msg)

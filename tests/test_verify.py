@@ -46,10 +46,9 @@ def test_suite_green_on_well_posed_config():
 
 
 def test_generator_integral_orders_clear_the_rounding_floor():
-    """On the n = 8 grid of the CLI tests (time.T = 0.02, so dt goes down
-    to 1e-4) both Richardson orders read second order, well clear of the
-    check's 1.8 threshold: the finest probe is not at the rounding
-    floor."""
+    """On the n = 8 grid of the CLI tests both Richardson orders read
+    second order, well clear of the check's 1.8 threshold: the finest
+    probe is not at the rounding floor."""
     tiny = (SMALL.replace("grid.n = 16", "grid.n = 8")
             .replace("time.T = 0.1", "time.T = 0.02")
             .replace("time.dt = 0.001", "time.dt = 0.005")
@@ -60,6 +59,17 @@ def test_generator_integral_orders_clear_the_rounding_floor():
     orders = [float(o) for o in re.findall(r"'(\d\.\d+)'", res.note)]
     assert len(orders) == 2 and min(orders) >= 1.95, res.note
     assert res.defect >= 1.95
+
+
+@pytest.mark.parametrize("horizon", ["0.001", "0.01"])
+def test_generator_integral_probe_ignores_a_short_horizon(horizon):
+    """The identity belongs to L(t), not to the run: a horizon of one or
+    ten steps still probes the window [0, 0.2] at second order, where a
+    probe clamped to the horizon would sit at the rounding floor."""
+    cfg = parse_config(SMALL.replace("time.T = 0.1", f"time.T = {horizon}"))
+    res = verify.check_generator_integral(build_scene(cfg))
+    assert res.status == "pass" and res.threshold == 1.8
+    assert res.defect >= 1.95, res.note
 
 
 def test_suite_skips_noise_checks_when_deterministic():
@@ -89,10 +99,10 @@ def test_closed_form_variance_matches_quadrature():
     cfg = parse_config(SMALL.replace("lambda.family = bump",
                                      "lambda.family = zero"))
     sc = build_scene(cfg)
-    for mode, ch, t_end in ((1, 3, 0.1), (2, 1, 0.05)):
+    for mode, ch, k in ((1, 3, 100), (2, 1, 50)):
         h = sine_mode_state(sc.grid, mode, ch, "v")
-        quad = ito_variance(sc.P, sc.model, h, t0=0.0, t=t_end)
-        closed = free_variance_closed_form(sc, h, t_end, cfg.dt)
+        quad = ito_variance(sc.P, sc.model, h, i0=0, i1=k)
+        closed = free_variance_closed_form(sc, h, k, cfg.dt)
         assert quad == pytest.approx(closed, rel=1e-8)
 
 
@@ -101,8 +111,8 @@ def test_closed_form_variance_handles_displacement_parts():
                                      "lambda.family = zero"))
     sc = build_scene(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
-    quad = ito_variance(sc.P, sc.model, h, t0=0.0, t=0.1)
-    closed = free_variance_closed_form(sc, h, 0.1, cfg.dt)
+    quad = ito_variance(sc.P, sc.model, h)
+    closed = free_variance_closed_form(sc, h, 100, cfg.dt)
     assert quad == pytest.approx(closed, rel=1e-8)
     assert closed > 0.0
 

@@ -32,7 +32,8 @@ per-step factors; a window is a range i0..i1 of step indices, the only
 name of a grid time.  Any U(t_i1, t_i0) is a partial product of the same
 stored factors, applied as one chain of `step_rule` calls; the cocycle
 law U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
-identical floating point operations, not merely to rounding.
+identical floating point operations, not merely to rounding.  One loop,
+`_walk`, runs every chain, the solver's blocks of paths included.
 
 Two independent constructions of the perturbed flow are provided for
 cross-checks: the midpoint scheme above and a Picard iteration for the
@@ -91,18 +92,14 @@ def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
                        dt: float) -> np.ndarray:
-    """Increment factor D of the Cayley map of L = [[0, I], [-M^-1 K, 0]]
-    from the bands of K.
+    """Increment factor D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
+    Cayley map of L = [[0, I], [-M^-1 K, 0]], from the bands of K; the
+    module docstring gives the map G that D fixes and `step_rule` applies.
 
-    With h = dt/2 and A = M + h^2 K, D = S - I = -h^2 A^-1 K for
-    S = A^-1 M, and the Cayley map is G = [[I + 2D, dt (I + D)],
-    [(4/dt) D, I + 2D]] (the trapezoidal split of the second-order
-    system), which `step_rule` applies.  D is solved for directly, with
-    the dense -h^2 K as the right-hand side of one banded LU of A (LU,
-    not Cholesky, so that an indefinite K still factors) and one
-    refinement sweep D += A^-1 (-h^2 K - A D), which brings the map to the
-    rounding level of its defining identities.  Cost O(m^2 bw) instead of
-    O(m^3).
+    D is solved for directly, with the dense -h^2 K as the right-hand side
+    of one banded LU of A (LU, not Cholesky, so that an indefinite K still
+    factors) and one refinement sweep D += A^-1 (-h^2 K - A D), which
+    brings the map to the rounding level of its defining identities.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
@@ -140,8 +137,7 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     y = d w, then u + dt v + y and v + (2/dt) y.  Transposed, on (a, b):
     w = dt a + 2b, r = d^T w, then a + (2/dt) r and b + dt a + r.  Both
     are exactly the products with the map of `_factor_from_bands`, done
-    as three matrix products and no temporaries; every caller steps
-    through here.
+    as three matrix products and no temporaries; `_walk` is the caller.
     """
     if transpose:
         d, w_rows, out_rows = d.T, [[dt, 2.0]], [[1.0, 0.0, 2.0 / dt],
@@ -157,11 +153,13 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
 
 def _walk(steps, dt: float, y: np.ndarray, order, transpose: bool):
     """Yield y (packed, (2m, ...)), then y after each step of `order` in
-    turn.  The yielded arrays are views of two reused buffers: each stays
-    valid until the second yield after it."""
+    turn.  The yielded arrays are views of two reused [u; v; scratch]
+    buffers: each stays valid until the second yield after it, and an
+    array written into the latest yielded state is the input of the next
+    step.  A broadcast y is copied in without a buffer-sized temporary."""
     m = y.shape[0] // 2
     bufs = np.empty((2, 3, m, y[0].size))
-    bufs[0, :2] = y.reshape(2, m, -1)
+    bufs[0, :2].reshape(y.shape)[...] = y
     yield bufs[0, :2].reshape(y.shape)
     for i, k in enumerate(order):
         cur = i % 2
@@ -239,6 +237,11 @@ class PropagatorFactorization:
         """
         i0, i1 = self.span(i0, i1)
         return _chain(self.steps, self.dt, z, reversed(range(i0, i1)), True)
+
+    def forward_images(self, y: np.ndarray):
+        """Yield U(t_j, 0) y for j = 0..n_steps on `_walk`'s terms: what
+        is written into the latest image is what the next step advances."""
+        return _walk(self.steps, self.dt, y, range(self.n_steps), False)
 
     def backward_images(self, z: np.ndarray, i0: int = 0, i1: int = None):
         """Yield U(t_i1, t_j)^T z for j from i1 down to i0, the chain that
@@ -369,8 +372,7 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     x0 = w.packed()
     integral = np.zeros_like(x0)
     values, y_prev = [], None
-    walk = _walk(P.steps, P.dt, x0, range(P.n_steps), False)
-    for t, cur in zip(P.times, walk):
+    for t, cur in zip(P.times, P.forward_images(x0)):
         y = build_L(lam, float(t), g).mat @ cur
         if values:
             integral = integral + 0.5 * P.dt * (y_prev + y)

@@ -13,13 +13,14 @@ emission.
 A run is one `Scene`: what `build_scene` assembles from the config, plus
 the loads, initial state and observables it builds on first use.  One
 kernel, `_block_worker`, advances the scene's paths: a block of paths is
-one matrix, stepped with one `step_rule` call per step, whose one large
-product is the (m x m) step factor times the block's (m x 3 pb) sums.  The
-single-path solvers run it on a block of width one and keep the path's
-history and the Wiener increments the kernel projected; `ensemble_blocks`
-runs fixed-size blocks and hands them out in block order, and
-`ensemble_run`, the one moment fold, merges their accumulators in that
-order, so results do not depend on the number of worker threads.
+one matrix that walks the propagator's chain (`P.forward_images`) in
+step with the noise's (`noise.step_increments`), adding the load before
+each step and the kick after it.  The single-path solvers run it on a
+block of width one and keep the path's history and the Wiener
+increments the kernel projected; `ensemble_blocks` runs fixed-size
+blocks and hands them out in block order, and `ensemble_run`, the one
+moment fold, merges their accumulators in that order, so results do not
+depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -39,20 +40,15 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
-from .noise import NoiseModel, build_noise_model, project_increments
+from .noise import NoiseModel, build_noise_model, step_increments
 from .operators import (StabilityConstants, TractiveForce, build_L,
                         estimate_constants)
 from .propagator import (PropagatorFactorization, ResidualCurve,
-                         build_propagator, step_rule)
+                         build_propagator)
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
 #: so that per-block arithmetic is identical for any worker pool size.
 BLOCK_PATHS = 256
-
-#: time steps per noise chunk: a block draws and holds the draws of this
-#: many steps at a time.  Below 16 the per-call cost of the draws shows in
-#: the wall time.
-CHUNK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -375,10 +371,6 @@ class EnsembleStats:
         return self.scene.P.times[self.scene.obs_steps]
 
     @property
-    def observable_ids(self) -> tuple:
-        return self.scene.cfg.observables
-
-    @property
     def variance_defined(self) -> bool:
         """False with one path, where the sample variance is undefined."""
         return self.count > 1
@@ -402,18 +394,9 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     0..n, (p1 - p0, n_steps, m, 3) (None without noise); else None and
     None.
 
-    Noise is drawn in chunks of CHUNK_STEPS steps: each path keeps one
-    generator for the whole block, and per chunk the block draws into one
-    (p1 - p0, CHUNK_STEPS, K, 3) buffer and copies the draws once into a
-    (CHUNK_STEPS, K, 3, p1 - p0) buffer.  Each step then projects its own
-    draws with one (m, K) by (K, 3 (p1 - p0)) product, whose result is
-    already in the (m, 3, p1 - p0) layout of the block's velocity rows.
-    The state is the first two thirds of a (3m, 3, p1 - p0) buffer, whose
-    last third is `step_rule`'s scratch; dt F is added to its velocity
-    rows in place, and the step writes into a second such buffer, which
-    holds the state for the next step.  Without history the block holds
-    the two step buffers, the two draw buffers and one step's kick,
-    whatever n_steps.
+    The block walks the propagator's chain (`P.forward_images`), adding
+    dt F_k to each state before it steps on, in step with the noise's
+    (`step_increments`); without history it holds only what they hold.
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
@@ -424,58 +407,42 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     n_steps = cfg.n_steps
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
-    # two (3m, 3, pb) buffers, rows [u; v; step_rule's scratch]: the state
-    # is the first 2m rows of one, and the step writes those of the other
-    buf, buf_next = np.empty((2, 3 * m, 3, pb))
-    X = buf[:2 * m]
-    X[...] = scene.x0p[:, :, None]
-    inc = None
+    walk = scene.P.forward_images(
+        np.broadcast_to(scene.x0p[:, :, None], (2 * m, 3, pb)))
+    kicks = inc = None
     if model is not None:
-        streams = [model.stream(p) for p in range(p0, p1)]
-        c = min(CHUNK_STEPS, n_steps)
-        xi = np.empty((pb, c, model.K, 3))
-        xit = np.empty((c, model.K, 3, pb))  # xit[j]: step j, every path
-        if keep_history:
-            inc = np.empty((pb, n_steps, m, 3))
+        kicks = step_increments(model, p0, p1, n_steps, cfg.dt)
+        inc = np.empty((pb, n_steps, m, 3)) if keep_history else None
     pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
     vals = np.empty((len(mh), len(pos), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
+    X = next(walk)
     if keep_history:
         history[0] = X
     vals[:, 0] = np.einsum("oic,icp->op", mh, X)  # obs_steps starts at 0
-    steps = scene.P.steps
     for k in range(n_steps):
-        j = k % CHUNK_STEPS
-        if model is not None and j == 0:
-            c = min(CHUNK_STEPS, n_steps - k)
-            model.draw_xi(streams, xi[:, :c])
-            xit[:c] = xi[:, :c].transpose(1, 2, 3, 0)
         # X + dt F in place: the load acts on the velocity rows only
         load = cfg.dt * forces[k][m:, :, None]
         X[m:] += load
-        X_next = buf_next[:2 * m]
-        step_rule(steps[k], cfg.dt, buf.reshape(3, m, -1),
-                  X_next.reshape(2, m, -1))
-        if model is not None:
-            # (m, 3, pb) increments of step k
-            kick = project_increments(
-                model, xit[j].reshape(model.K, -1), cfg.dt).reshape(m, 3, pb)
+        X_prev, X = X, next(walk)  # X_prev stays valid until the next step
+        if kicks is not None:
+            kick = next(kicks)  # (m, 3, pb) increments of step k
             if keep_history:
                 inc[:, k] = kick.transpose(2, 0, 1)
             np.multiply(kick, cfg.sigma, out=kick)  # velocity kick A dW
-            X_next[m:] += kick
+            X[m:] += kick
         # one sum tests the block; a finite block whose sum overflows
         # falls through to the per-path test
         with np.errstate(over="ignore", invalid="ignore"):
-            total = X_next.sum()
+            total = X.sum()
         if not np.isfinite(total):
-            finite = np.isfinite(X_next).all(axis=(0, 1))
+            finite = np.isfinite(X).all(axis=(0, 1))
             if not finite.all():
                 i = int(np.argmin(finite))
-                # the last state, to rounding, is X with the load taken
-                # off again; scaled so that a last state near the overflow
-                # threshold still has a finite norm
-                last = X[:, :, i].copy()
+                # the last state, to rounding, is X_prev with the load
+                # taken off again; scaled so that a last state near the
+                # overflow threshold still has a finite norm
+                last = X_prev[:, :, i].copy()
                 last[m:] -= load[..., 0]
                 scale = float(np.max(np.abs(last))) or 1.0
                 norm = scale * packed_h_norm(last / scale, scene.g)
@@ -483,7 +450,6 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
                     f"path {p0 + i} became non-finite at step {k + 1}; last "
                     f"finite H-norm {norm:.6e} at step {k}; reduce dt or "
                     "check the load")
-        buf, buf_next, X = buf_next, buf, X_next
         if keep_history:
             history[k + 1] = X
         ti = pos.get(k + 1)

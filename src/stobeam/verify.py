@@ -104,8 +104,13 @@ def check_propagator_identity(scene) -> CheckResult:
 
 
 def check_propagator_cocycle(scene) -> CheckResult:
-    P = scene.P
-    d = cocycle_defect(P, 0, P.n_steps // 3, 2 * P.n_steps // 3)
+    """U(t,r)U(r,tau) vs U(t,tau) at the steps 0, n/3, 2n/3, or 0, 1, 2
+    at n = 2, so that r splits the chain; one step has no such split."""
+    P, n = scene.P, scene.P.n_steps
+    if n < 2:
+        return _result("propagator_cocycle", 0, 0,
+                       "one step: no interior split of the chain", skip=True)
+    d = cocycle_defect(P, 0, max(1, n // 3), max(2, 2 * n // 3))
     return _result("propagator_cocycle", d, 1e-12,
                    "U(t,r)U(r,tau) vs U(t,tau), shared factor chain")
 
@@ -172,12 +177,12 @@ def check_adjoint_backward(scene) -> CheckResult:
 
     The two discretizations differ at O(dt^2) only through the time
     dependence of the tension; when it is constant they coincide up to
-    roundoff, so the check degrades to an equality test.
+    roundoff, so the check degrades to an equality test.  The probe is
+    smooth; a random one is still pre-asymptotic here on finer grids.
     """
     g = scene.g
     lam = scene.lam
-    rng = np.random.default_rng(_RNG_SEED + 4)
-    y = rng.standard_normal((2 * g.m, 3))
+    y = bending_mode_state(g, 1).packed()
     y /= packed_h_norm(y, g)
     span = min(0.1, scene.cfg.T)
 
@@ -224,8 +229,9 @@ def check_picard_contraction(scene) -> CheckResult:
     w = bending_mode_state(g, 1)
     pr = picard_evolution(lam, g, w, 200, span / 200.0,
                           alpha=2.0 * consts.C5, constants=consts)
-    # only ratios measured well above the roundoff floor are meaningful
-    floor = 1e-8 * pr.defects[0]
+    # only ratios well above the graph norm's rounding floor count; the
+    # defects stall near 2e-10 d0 at n = 16 and 3e-7 d0 at n = 128
+    floor = 1e-8 * (g.grid.n / 16) ** 3 * pr.defects[0]
     ratios = [pr.defects[i + 1] / pr.defects[i]
               for i in range(len(pr.defects) - 1) if pr.defects[i] > floor]
     if not ratios:

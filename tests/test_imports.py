@@ -7,7 +7,8 @@ A re-export counts as no use: a name is imported from the module that
 defines it, so `from m import name as name` fails like any other unused
 import.  A definition counts as referenced when its name appears as a
 whole word, outside its own definitions, somewhere in the Python files
-of src/, tests/ or bench/; the match is textual, so a name inside a
+of src/ or bench/; tests do not count, since library code that only
+tests use is dead weight.  The match is textual, so a name inside a
 string or an f-string counts.  The package `__init__.py` is
 neither checked nor read: a re-export alone is no use, and the root
 holds only `__version__`.
@@ -80,9 +81,9 @@ def _definitions(tree: ast.Module) -> list:
 @pytest.fixture(scope="module")
 def corpus():
     """How often each word occurs in the text the references may come
-    from, and every definition name of the checked modules (one entry per
-    definition)."""
-    files = [p for d in ("src", "tests", "bench")
+    from (src/ and bench/, not tests/), and every definition name of the
+    checked modules (one entry per definition)."""
+    files = [p for d in ("src", "bench")
              for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
     words = Counter(re.findall(r"\w+", "\n".join(p.read_text()
                                                   for p in files)))

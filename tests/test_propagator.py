@@ -16,7 +16,7 @@ from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 backward_adjoint_apply,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
-                                picard_evolution, step_map,
+                                picard_evolution, step_map, step_rule,
                                 _factor_from_bands)
 from stobeam.solver import bending_mode_state, sine_mode_state
 
@@ -213,6 +213,30 @@ def test_apply_matches_matrix(g16):
     window = G[3] @ G[2] @ G[1]
     assert np.allclose(P.apply(y), full @ y, atol=1e-12)
     assert np.allclose(P.apply(y, 1, 4), window @ y, atol=1e-12)
+
+
+def test_forward_images_step_what_is_written_into_them(g16):
+    """An array written into the latest state of `forward_images` is the
+    input of the next step: each state is `step_rule` applied by hand to
+    the one before it, write included, bit for bit.  The walk starts from
+    a broadcast block, as the solver's kernel hands it one."""
+    P = build_propagator(LAM, g16, 4, 1e-2)
+    m = g16.m
+    x = np.random.default_rng(10).standard_normal((2 * m, 3, 1))
+    y = np.broadcast_to(x, (2 * m, 3, 2))
+    walk = P.forward_images(y)
+    cur = next(walk)
+    assert np.array_equal(cur, y)
+    for k in range(P.n_steps):
+        cur[m:] += 1.0 + k  # a load on the velocity rows
+        buf = np.zeros((3, m, 6))
+        buf[:2] = cur.reshape(2, m, -1)
+        want = np.empty((2, m, 6))
+        step_rule(P.steps[k], P.dt, buf, want)
+        cur = next(walk)
+        assert np.array_equal(cur, want.reshape(y.shape))
+    assert not np.allclose(cur, P.apply(y))
+    assert next(walk, None) is None
 
 
 def test_identity_and_cocycle_are_exact(g16):

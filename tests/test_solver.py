@@ -14,7 +14,7 @@ from stobeam.errors import (BlowupError, InvalidArgumentError,
                             PreconditionError, ShapeError)
 from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
                          packed_h_norm)
-from stobeam import solver
+from stobeam import noise, propagator, solver
 from stobeam.noise import project_increments
 from stobeam.propagator import step_rule
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
@@ -174,13 +174,14 @@ def test_initial_state_families(g16):
 
 def _substitute_rule(monkeypatch, rule):
     """Step the kernel with `rule(k, buf, out)` in place of the step rule
-    of step k (the kernel's k-th call), for a single block."""
+    of step k (the rule's k-th call, made by the chain walk of a single
+    block)."""
     calls = itertools.count()
 
     def substitute(d, dt, buf, out, transpose=False):
         rule(next(calls), buf, out)
 
-    monkeypatch.setattr(solver, "step_rule", substitute)
+    monkeypatch.setattr(propagator, "step_rule", substitute)
 
 
 def _blowup_message(monkeypatch, sc, p0, p1, first_big):
@@ -217,7 +218,7 @@ def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
     cfg = parse_config(LOADED.replace("noise.sigma = 0.0",
                                       "noise.sigma = 1.0"))
     sc = build_scene(cfg)
-    assert solver.CHUNK_STEPS < 41 < cfg.n_steps
+    assert noise.CHUNK_STEPS < 41 < cfg.n_steps
     _, history, inc = _block_worker(sc, 5, 8, True)
     y = history[40][..., 0] + cfg.dt * sc.forces[40]
     kick = np.zeros_like(y)
@@ -338,6 +339,29 @@ def test_nonhomogeneous_path_matches_ensemble_bitwise():
     assert np.array_equal(ref.increments, inc)
 
 
+def test_width_one_block_is_the_mild_recursion():
+    """A path run as a block of width one is, bit for bit, the recursion
+    y <- U(t_{k+1}, t_k)(y + dt F_k), then y_v += sigma dW_k, with dW the
+    path's whole-horizon draws projected alone: loaded (gravity and a
+    time-dependent load), noisy and modulated, over 70 steps, past two
+    noise chunks."""
+    cfg = parse_config(STOCH.replace("time.T = 0.05", "time.T = 0.175")
+                       .replace("init.family = zero",
+                                "init.family = mode\ninit.mode = 1")
+                       + "fdet.family = expression\nfdet.expr3 = 10*t\n")
+    sc = build_scene(cfg)
+    n, m, p = cfg.n_steps, sc.g.m, 3
+    assert n > 2 * noise.CHUNK_STEPS and not sc.lam.autonomous
+    _, history, _ = _block_worker(sc, p, p + 1, True)
+    dw = project_increments(sc.model, sc.model.path_xi(n, p), cfg.dt)
+    y = sc.x0p
+    assert np.array_equal(history[0, ..., 0], y)
+    for k in range(n):
+        y = sc.P.apply(y + cfg.dt * sc.forces[k], k, k + 1)
+        y[m:] += cfg.sigma * dw[k]
+        assert np.array_equal(history[k + 1, ..., 0], y), k
+
+
 def _zero(k, buf, out):
     out.fill(0.0)
 
@@ -363,7 +387,7 @@ def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
             # with a zero step each state is exactly the last kick
             kicks = history[1:, m:, :, p]
             assert np.array_equal(kicks, cfg.sigma * alone)
-    assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
+    assert 2 * noise.CHUNK_STEPS < cfg.n_steps < 3 * noise.CHUNK_STEPS
 
 
 def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
@@ -380,7 +404,7 @@ def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
     _substitute_rule(monkeypatch, _zero)
     pb = solver.BLOCK_PATHS
     _, history, inc = _block_worker(sc, 0, pb, True)
-    assert 2 * solver.CHUNK_STEPS < cfg.n_steps < 3 * solver.CHUNK_STEPS
+    assert 2 * noise.CHUNK_STEPS < cfg.n_steps < 3 * noise.CHUNK_STEPS
     m = sc.g.m
     for p in (0, pb // 2, pb - 1):
         alone = project_increments(
@@ -449,7 +473,7 @@ def test_ensemble_observable_times_include_endpoint():
     stats = ensemble_run(cfg)
     assert stats.times[0] == 0.0
     assert stats.times[-1] == pytest.approx(0.05)
-    assert stats.observable_ids == ("1:3:v", "2:1:v")
+    assert stats.scene.cfg.observables == ("1:3:v", "2:1:v")
 
 
 def test_ensemble_single_path_has_undefined_variance():
@@ -531,9 +555,9 @@ def test_block_without_history_holds_one_step_kick():
     state."""
     cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
     sc, peak = _block_peak(cfg)
-    assert cfg.n_steps > solver.CHUNK_STEPS
+    assert cfg.n_steps > noise.CHUNK_STEPS
     state = 2 * sc.g.m * 3 * 64 * 8
-    draws = 64 * solver.CHUNK_STEPS * cfg.K * 3 * 8
+    draws = 64 * noise.CHUNK_STEPS * cfg.K * 3 * 8
     kick = sc.g.m * 3 * 64 * 8
     held = 3 * state + 2 * draws + kick
     assert peak < 1.5 * held, (peak, held)

@@ -1,4 +1,5 @@
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,18 @@ lambda.c1 = 0.3
 init.family = zero
 bc.kind = homogeneous
 """
+
+
+def _default_text(edits):
+    """configs/default.cfg with the `key = value` lines of `edits`
+    replaced."""
+    text = (Path(__file__).resolve().parents[1] / "configs" /
+            "default.cfg").read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
+                              text, flags=re.M)
+        assert count == 1, key
+    return text
 
 
 def test_check_result_status():
@@ -153,10 +166,7 @@ def test_zero_tension_default_config_passes_every_check(tmp_path, capsys):
     growth bound of the trace integral its exact value, which the
     quadrature meets to rounding; Picard reaches its fixed point in one
     sweep and the variance quadrature runs on the scene's own flow."""
-    text = (Path(__file__).resolve().parents[1] / "configs" /
-            "default.cfg").read_text()
-    text = text.replace("lambda.family = bump", "lambda.family = zero")
-    assert "lambda.family = zero" in text
+    text = _default_text({"lambda.family": "zero"})
     results = {r.name: r for r in run_checks(parse_config(text))}
     assert [r.name for r in results.values() if r.status == "fail"] == []
     assert results["trace_bound"].status == "pass"
@@ -168,3 +178,52 @@ def test_zero_tension_default_config_passes_every_check(tmp_path, capsys):
     cfg_path.write_text(text)
     assert main(["trace-check", "--config", str(cfg_path)]) == 0
     assert "violated" not in capsys.readouterr().err
+
+
+def test_cocycle_splits_the_chain_on_a_two_step_run(monkeypatch):
+    """At T = 2 dt the check still splits the chain at an interior step,
+    so a propagator whose windows from a later step are wrong fails it;
+    a one-step run has no interior step and is skipped."""
+    sc = build_scene(parse_config(_default_text({"time.T": "0.002"})))
+    assert sc.P.n_steps == 2
+    assert verify.check_propagator_cocycle(sc).status == "pass"
+    apply = sc.P.apply
+
+    def perturbed(y, i0=0, i1=None):
+        out = apply(y, i0, i1)
+        return out * (1.0 + 1e-6) if i0 > 0 else out
+
+    monkeypatch.setattr(sc.P, "apply", perturbed)
+    assert verify.check_propagator_cocycle(sc).status == "fail"
+    one = build_scene(parse_config(_default_text({"time.T": "0.001"})))
+    assert verify.check_propagator_cocycle(one).status == "skip"
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_adjoint_and_contraction_pass_on_finer_grids(n):
+    """Both checks stay above their rounding floors when only grid.n
+    grows: the adjoint probe is a smooth mode, and the contraction ratios
+    are counted only above a floor that grows with the grid."""
+    sc = build_scene(parse_config(_default_text({"grid.n": str(n)})))
+    adjoint = verify.check_adjoint_backward(sc)
+    assert adjoint.status == "pass" and adjoint.defect > 1.9, adjoint.note
+    contraction = verify.check_picard_contraction(sc)
+    assert contraction.status == "pass", contraction.note
+    assert "over 3 sweeps" in contraction.note
+
+
+def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
+    """The weight alpha = 2 C5 is too small for a map whose tractive term
+    is 300 times the one C5 was estimated for: successive defects shrink
+    by a factor of up to 0.86, above the C5/alpha + 0.1 = 0.6 the check
+    allows.  (Scaling C5 itself down does not fail the check: on the 0.2
+    window the sweeps converge faster than any alpha predicts.)"""
+    build_l1 = propagator.build_L1
+
+    def amplified(*args):
+        return types.SimpleNamespace(mat=300.0 * build_l1(*args).mat)
+
+    monkeypatch.setattr(propagator, "build_L1", amplified)
+    res = verify.check_picard_contraction(
+        build_scene(parse_config(_default_text({}))))
+    assert res.status == "fail" and res.defect > 0.8, res.note

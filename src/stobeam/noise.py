@@ -250,12 +250,12 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 at r = t_j, j = i0..i1;
     the dense tail products U(t, t_j) are accumulated backward as their
     transposes U(t, t_j)^T = G_j^T U(t, t_{j+1})^T, so each grid time
-    costs one transposed step of a (2m)x(2m) block.  The analytic
-    comparison bound is s sigma^2 exp(2 C4 s) Tr(Q) over the span
-    s = (i1 - i0) dt, with C4 = 0 when no constants are supplied (exact
-    for the norm-preserving flow); a growth factor beyond the float range
-    makes the bound infinite.  A window outside 0..n_steps raises
-    InvalidArgumentError.
+    costs one transposed `step_rule` on a (2m, 2m) stack, whose large
+    product is m x m.  The analytic comparison bound is
+    s sigma^2 exp(2 C4 s) Tr(Q) over the span s = (i1 - i0) dt, with
+    C4 = 0 when no constants are supplied (exact for the norm-preserving
+    flow); a growth factor beyond the float range makes the bound
+    infinite.  A window outside 0..n_steps raises InvalidArgumentError.
     """
     g = P.g
     i0, i1 = P.span(i0, i1)

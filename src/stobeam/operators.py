@@ -255,6 +255,18 @@ def to_bands(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def from_bands(ab: np.ndarray) -> np.ndarray:
+    """The square matrix whose `to_bands` layout, of any bandwidth, is ab."""
+    bw = (ab.shape[0] - 1) // 2
+    m = ab.shape[1]
+    out = np.zeros((m, m))
+    for d in range(-bw, bw + 1):  # d = j - i; diagonal d has m - |d| entries
+        first = d if d >= 0 else -d * m  # flat index of (0, d) or (-d, 0)
+        cols = slice(d, m) if d >= 0 else slice(0, m + d)
+        out.flat[first:first + (m - abs(d)) * (m + 1):m + 1] = ab[bw - d, cols]
+    return out
+
+
 def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`, O(m).
 
@@ -276,14 +288,7 @@ def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
 
 def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     """The dense T(t) of `tension_bands`, exactly symmetric."""
-    bands = tension_bands(lam, t, g)
-    bw, m = STIFFNESS_BANDWIDTH, g.m
-    out = np.zeros((m, m))
-    # every (m+1)-th entry from 0, 1 and m: the diagonal, super-, subdiagonal
-    out.flat[::m + 1] = bands[bw]
-    out.flat[1::m + 1] = bands[bw - 1, 1:]
-    out.flat[m::m + 1] = bands[bw + 1, :-1]
-    return out
+    return from_bands(tension_bands(lam, t, g))
 
 
 def build_L1(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:

@@ -57,7 +57,7 @@ from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
     packed_h_norm
 from .operators import StabilityConstants, TractiveForce, \
     STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L1, estimate_constants, \
-    tension_bands, to_bands
+    from_bands, tension_bands, to_bands
 
 #: reciprocal condition number of M + h^2 K below which a step factor warns
 _RCOND_FLOOR = 1e-13
@@ -96,10 +96,10 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
     Cayley map of L = [[0, I], [-M^-1 K, 0]], from the bands of K; the
     module docstring gives the map G that D fixes and `step_rule` applies.
 
-    D is solved for directly, with the dense -h^2 K as the right-hand side
-    of one banded LU of A (LU, not Cholesky, so that an indefinite K still
-    factors) and one refinement sweep D += A^-1 (-h^2 K - A D), which
-    brings the map to the rounding level of its defining identities.
+    D is solved for directly: the dense -h^2 K, placed from its bands, not
+    computed, is the right-hand side of one banded LU of A (LU, not
+    Cholesky, so that an indefinite K still factors), and one refinement
+    sweep D += A^-1 (-h^2 K - A D) brings the map to rounding level.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
@@ -119,7 +119,7 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
             "reduce dt", stacklevel=3)
-    rhs = -_band_matmul(hk, np.eye(m))  # the dense -h^2 K
+    rhs = -from_bands(hk)
     d = _gbtrs(lu, bw, bw, rhs, piv)[0]
     d += _gbtrs(lu, bw, bw, rhs - _band_matmul(a, d), piv)[0]
     return d
@@ -291,11 +291,11 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
     h = 0.5 * dt
     bw = STIFFNESS_BANDWIDTH
     b_bands = to_bands(g.B)
-    mats = [adjoint_H(build_L(lam, j * dt, g)).mat
-            for j in range(n_steps + 1)]
+    cur = adjoint_H(build_L(lam, n_steps * dt, g)).mat
     rho = np.array(y, dtype=float, copy=True)
-    for j in reversed(range(n_steps)):
-        rhs = rho + h * (mats[j + 1] @ rho)
+    for j in reversed(range(n_steps)):  # only L*_{j+1} and L*_j are held
+        nxt, cur = cur, adjoint_H(build_L(lam, j * dt, g)).mat
+        rhs = rho + h * (nxt @ rho)
         # L*_j = [[0, C_j], [M^-1 B, 0]] with B C_j = -K_j, so the solve
         # (I - h L*_j)(u, v) = rhs reduces to the banded one
         # (M + h^2 K_j) v = M rhs_v + h B rhs_u, then u = rhs_u + h C_j v
@@ -303,7 +303,7 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
         a[bw] += g.M
         w = g.mh_apply(rhs)
         v = solve_banded((bw, bw), a, w[m:] + h * w[:m])
-        rho = np.concatenate([rhs[:m] + h * (mats[j][:m, m:] @ v), v])
+        rho = np.concatenate([rhs[:m] + h * (cur[:m, m:] @ v), v])
     return rho
 
 

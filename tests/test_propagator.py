@@ -1,5 +1,7 @@
 """Per-step factorization of the evolution family and its adjoint."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -10,7 +12,7 @@ from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
 from stobeam.noise import build_noise_model, ito_variance, trace_condition
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
                                build_L, build_L0, build_T, estimate_constants,
-                               op_norm_H, tension_bands, to_bands)
+                               from_bands, op_norm_H, tension_bands, to_bands)
 from stobeam import propagator
 from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 backward_adjoint_apply,
@@ -123,6 +125,13 @@ def test_tension_bands_are_the_bands_of_build_T(grams):
         assert np.array_equal(tension_bands(LAM, t, grams), to_bands(tmat))
         k = grams.B - tmat
         assert not np.any(np.triu(k, bw + 1)) and not np.any(np.tril(k, -bw - 1))
+    # T is tridiagonal: only B's diagonals |d| = 2, 3 catch a strided write
+    # that runs past the end of a diagonal, at m = 5 as at the fixture's m
+    for g in (grams, build_grams(build_grid(1.0, 4), 1.0)):
+        assert np.array_equal(from_bands(to_bands(g.B)), g.B)
+    h = 0.5e-3
+    k = grams.B - build_T(LAM, 0.123, grams)
+    assert np.array_equal(-from_bands(h * h * to_bands(k)), -(h * h) * k)
 
 
 def test_kernel_warns_on_singular_resolvent(g16):
@@ -301,6 +310,20 @@ def test_backward_integration_free_flow_matches_transpose(g16):
     ref = P.apply_adjoint(y)
     bwd = backward_adjoint_apply(lam0, g16, y, 50, 1e-3)
     assert packed_h_norm(ref - bwd, g16) < 1e-10
+
+
+def test_backward_integration_holds_two_dense_generators():
+    """The backward march keeps L*_{j+1} and L*_j, not every step's dense
+    (2m)x(2m) adjoint: at 200 steps its peak stays below ten of them."""
+    g = build_grams(build_grid(1.0, 64), 1.0)
+    y = bending_mode_state(g, 1).packed()
+    tracemalloc.start()
+    try:
+        backward_adjoint_apply(LAM, g, y, 200, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (2 * g.m) ** 2 * 8
 
 
 def test_cocycle_rejects_misordered_times(g16):

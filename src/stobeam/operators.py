@@ -1,4 +1,4 @@
-"""Discrete beam generators: stiff part, tractive part, adjoints, bounds.
+"""Discrete beam generators: stiff part, tractive part, weak pairing, bounds.
 
 Per channel the state is packed as y = (u, v) of length 2m.  The stiff
 generator realizes the fourth-derivative term weakly through the H2 Gram,
@@ -15,12 +15,12 @@ with the tension coefficient sampled at cell midpoints, so T(t) is
 symmetric negative semidefinite and the weak pairing has no boundary
 terms (the coefficient vanishes at both ends).
 
-A `BlockOperator` is L0, L1(t) or L(t) = L0 + L1(t), or the H-adjoint of
-one of them: the stiff part flips sign and the tractive part moves to
-[[0, B^-1 T], [0, 0]].  Adjoint identities are exact in weak-pairing form
-(see `BlockOperator.pair`); the dense adjoint matrices carry the
-eps * cond(B) roundoff of B^-1 T and are meant for propagator
-cross-checks, not for machine-precision identity tests.
+The generator is kept in no matrix form of its own.  `apply_L0` and
+`apply_L1` apply the stiff and the tractive part to packed states, and
+`weak_pair` evaluates <L x, y>_H exactly from the quadratic forms.  Where
+a dense matrix is needed (the stability constants, the skewness defect),
+it is one of these functions applied to the identity; the step factors
+take the bands of K = B - T(t) (`to_bands`, `tension_bands`).
 
 The stability constants are exact operator norms (`op_norm_H`): C4 is the
 H-norm of L1(t), and C5 its graph-norm, taken through L0 as the H-norm of
@@ -30,7 +30,7 @@ L0 L1(t) L0^-1 because ||x||_D = ||L0 x||_H.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -169,72 +169,41 @@ class TractiveForce:
         return out
 
 
-def _assemble(g: GramSet, stiff: bool, tmat: Optional[np.ndarray],
-              adjoint: bool) -> np.ndarray:
-    """Dense matrix of the stiff part, the tractive part or their sum, or
-    of its H-adjoint M_H^-1 op^T M_H with the Gram transpose reduced
-    algebraically (see the module docstring)."""
+def apply_L0(g: GramSet, y: np.ndarray) -> np.ndarray:
+    """L0 y = (v, -M^-1 B u) for packed states y of shape (2m, k); on the
+    identity this is the dense L0.  Raises AssemblyError unless M > 0."""
+    if np.min(g.M) <= 0:
+        raise AssemblyError("mass matrix is not positive")
     m = g.m
-    mat = np.zeros((2 * m, 2 * m))
-    if stiff:
-        if np.min(g.M) <= 0:
-            raise AssemblyError("mass matrix is not positive")
-        sign = -1.0 if adjoint else 1.0
-        mat[:m, m:] = sign * np.eye(m)
-        mat[m:, :m] = -sign * (g.B / g.M[:, None])
-    if tmat is not None:
-        if adjoint:
-            mat[:m, m:] += g.B_solve(tmat)
-        else:
-            mat[m:, :m] += tmat / g.M[:, None]
-    return mat
+    out = np.empty(y.shape)
+    out[:m] = y[m:]
+    out[m:] = -(g.B @ y[:m]) / g.M[:, None]
+    return out
 
 
-@dataclass
-class BlockOperator:
-    """A 2x2-block generator acting on packed (u, v) states.
+def apply_L1(T: np.ndarray, g: GramSet, y: np.ndarray) -> np.ndarray:
+    """L1 y = (0, M^-1 T u) for packed states y of shape (2m, k), with the
+    weak tractive matrix T of `build_T`."""
+    m = g.m
+    out = np.zeros(y.shape)
+    out[m:] = (T @ y[:m]) / g.M[:, None]
+    return out
 
-    The operator is the stiff part L0 (`stiff`), the tractive part L1
-    built from the weak tractive matrix `T`, or their sum L, or the
-    H-adjoint of one of these (`adjoint`).  `mat` is the dense
-    single-channel matrix; the same block acts on each of the three
-    components.
+
+def weak_pair(g: GramSet, T: np.ndarray, x: np.ndarray,
+              y: np.ndarray) -> float:
+    """Exact weak-form evaluation of <L x, y>_H for packed states, with
+    L = L0 + L1 built from the weak tractive matrix T (T = 0 gives L0).
+
+    Uses the defining quadratic forms <v_x, u_y>_B - <u_x, v_y>_B +
+    (T u_x) . v_y instead of a matrix, so skewness holds to rounding of
+    well-scaled dot products (no mass solves, no 1/M roundtrips).
     """
-
-    g: GramSet
-    stiff: bool
-    T: Optional[np.ndarray] = None
-    adjoint: bool = False
-    mat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.mat = _assemble(self.g, self.stiff, self.T, self.adjoint)
-
-    def pair(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Exact weak-form evaluation of <op x, y>_H for packed states.
-
-        Uses the defining quadratic forms instead of `mat`, so skewness
-        and adjoint identities hold to rounding of well-scaled dot
-        products (no mass solves, no 1/M roundtrips).  An adjoint pairs
-        as <op y, x>_H.
-        """
-        if self.adjoint:
-            x, y = y, x
-        m = self.g.m
-        xu, xv = x[:m], x[m:]
-        yu, yv = y[:m], y[m:]
-        out = 0.0
-        if self.stiff:
-            B = self.g.B
-            out = float(np.sum(xv * (B @ yu)) - np.sum(xu * (B @ yv)))
-        if self.T is not None:
-            out += float(np.sum((self.T @ xu) * yv))
-        return out
-
-
-def build_L0(g: GramSet) -> BlockOperator:
-    """Stiff generator; raises AssemblyError on a degenerate mass matrix."""
-    return BlockOperator(g=g, stiff=True)
+    m = g.m
+    xu, xv = x[:m], x[m:]
+    yu, yv = y[:m], y[m:]
+    out = float(np.sum(xv * (g.B @ yu)) - np.sum(xu * (g.B @ yv)))
+    return out + float(np.sum((T @ xu) * yv))
 
 
 #: half-bandwidth of the stiffness K(t) = B - T(t): B couples nodes up to
@@ -291,22 +260,6 @@ def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     return from_bands(tension_bands(lam, t, g))
 
 
-def build_L1(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    return BlockOperator(g=g, stiff=False, T=build_T(lam, t, g))
-
-
-def build_L(lam: TractiveForce, t: float, g: GramSet) -> BlockOperator:
-    return BlockOperator(g=g, stiff=True, T=build_T(lam, t, g))
-
-
-def adjoint_H(op: BlockOperator) -> BlockOperator:
-    """H-adjoint M_H^-1 op^T M_H, assembled as in `_assemble`.
-
-    Applying `adjoint_H` twice restores the original operator exactly.
-    """
-    return replace(op, adjoint=not op.adjoint)
-
-
 def skew_defect(g: GramSet) -> float:
     """Normalized defect of the Gram antisymmetry identity for L0.
 
@@ -315,13 +268,13 @@ def skew_defect(g: GramSet) -> float:
     entries (about 1/h^3) times machine epsilon regardless of assembly
     order, so only the relative quantity is meaningful.
     """
-    l0 = build_L0(g)
     m = g.m
+    l0 = apply_L0(g, np.eye(2 * m))
     mh = np.zeros((2 * m, 2 * m))
     mh[:m, :m] = g.B
     mh[m:, m:] = np.diag(g.M)
-    prod = mh @ l0.mat
-    defect = np.max(np.abs(prod + l0.mat.T @ mh))
+    prod = mh @ l0
+    defect = np.max(np.abs(prod + l0.T @ mh))
     return float(defect / np.max(np.abs(prod)))
 
 
@@ -376,14 +329,15 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
         np.sqrt(4.0 * g.grid.l * lam.ds_l2_norm_sq(t, g.grid) / g.b)
         for t in t_samples)
     m = g.m
-    l0 = build_L0(g).mat
+    eye = np.eye(2 * m)
+    l0 = apply_L0(g, eye)
     l0_inv = np.zeros((2 * m, 2 * m))
     l0_inv[:m, m:] = -g.B_solve(np.diag(g.M))
     l0_inv[m:, :m] = np.eye(m)
     c4_num = 0.0
     c5_num = 0.0
     for t in t_samples:
-        l1 = build_L1(lam, t, g).mat
+        l1 = apply_L1(build_T(lam, t, g), g, eye)
         c4_num = max(c4_num, op_norm_H(g, l1))
         c5_num = max(c5_num, op_norm_H(g, l0 @ l1 @ l0_inv))
     c4 = max(float(c4_formula), c4_num)

@@ -56,7 +56,7 @@ from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
     packed_h_norm
 from .operators import StabilityConstants, TractiveForce, \
-    STIFFNESS_BANDWIDTH, adjoint_H, build_L, build_L1, estimate_constants, \
+    STIFFNESS_BANDWIDTH, apply_L0, apply_L1, build_T, estimate_constants, \
     from_bands, tension_bands, to_bands
 
 #: reciprocal condition number of M + h^2 K below which a step factor warns
@@ -291,19 +291,21 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
     h = 0.5 * dt
     bw = STIFFNESS_BANDWIDTH
     b_bands = to_bands(g.B)
-    cur = adjoint_H(build_L(lam, n_steps * dt, g)).mat
+    t_cur = build_T(lam, n_steps * dt, g)
     rho = np.array(y, dtype=float, copy=True)
-    for j in reversed(range(n_steps)):  # only L*_{j+1} and L*_j are held
-        nxt, cur = cur, adjoint_H(build_L(lam, j * dt, g)).mat
-        rhs = rho + h * (nxt @ rho)
-        # L*_j = [[0, C_j], [M^-1 B, 0]] with B C_j = -K_j, so the solve
-        # (I - h L*_j)(u, v) = rhs reduces to the banded one
-        # (M + h^2 K_j) v = M rhs_v + h B rhs_u, then u = rhs_u + h C_j v
+    for j in reversed(range(n_steps)):  # only T_{j+1} and T_j are held
+        t_nxt, t_cur = t_cur, build_T(lam, j * dt, g)
+        # L*_j = -L0 + [[0, B^-1 T_j], [0, 0]] = [[0, C_j], [M^-1 B, 0]]
+        rhs = rho - h * apply_L0(g, rho)
+        rhs[:m] += h * g.B_solve(t_nxt @ rho[m:])
+        # B C_j = -K_j, so the solve (I - h L*_j)(u, v) = rhs reduces to
+        # the banded one (M + h^2 K_j) v = M rhs_v + h B rhs_u, then
+        # u = rhs_u + h C_j v with C_j v = B^-1 (T_j v) - v
         a = (h * h) * (b_bands - tension_bands(lam, j * dt, g))
         a[bw] += g.M
         w = g.mh_apply(rhs)
         v = solve_banded((bw, bw), a, w[m:] + h * w[:m])
-        rho = np.concatenate([rhs[:m] + h * (cur[:m, m:] @ v), v])
+        rho = np.concatenate([rhs[:m] + h * (g.B_solve(t_cur @ v) - v), v])
     return rho
 
 
@@ -373,7 +375,7 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     integral = np.zeros_like(x0)
     values, y_prev = [], None
     for t, cur in zip(P.times, P.forward_images(x0)):
-        y = build_L(lam, float(t), g).mat @ cur
+        y = apply_L0(g, cur) + apply_L1(build_T(lam, float(t), g), g, cur)
         if values:
             integral = integral + 0.5 * P.dt * (y_prev + y)
         values.append(packed_h_norm(cur - x0 - integral, g))
@@ -425,11 +427,13 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
 
     s_step = step_map(_factor_from_bands(to_bands(g.B), g.M, dt), dt)
-    dim = 2 * g.m
-    l1 = np.stack([build_L1(lam, j * dt, g).mat
-                   for j in range(n_steps + 1)])
+    m = g.m
+    # the lower-left block M^-1 T(t_j) of L1, the only one that is nonzero
+    tm = np.empty((n_steps + 1, m, m))
+    for j in range(n_steps + 1):
+        tm[j] = build_T(lam, j * dt, g) / g.M[:, None]
 
-    flow = np.empty((n_steps + 1, dim, 3))
+    flow = np.empty((n_steps + 1, 2 * m, 3))
     flow[0] = w.packed()
     for j in range(n_steps):
         flow[j + 1] = s_step @ flow[j]
@@ -437,11 +441,12 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     weights = np.exp(-alpha * dt * np.arange(n_steps + 1))
     u = flow.copy()
     defects: List[float] = []
+    gj = np.zeros_like(u)
     for _ in range(_PICARD_MAX_ITER):
-        gj = np.matmul(l1, u)
+        gj[:, m:] = np.matmul(tm, u[:, :m])
         new = np.empty_like(u)
         new[0] = flow[0]
-        acc = np.zeros((dim, 3))
+        acc = np.zeros((2 * m, 3))
         for j in range(1, n_steps + 1):
             acc = s_step @ acc + 0.5 * (s_step @ gj[j - 1] + gj[j])
             new[j] = flow[j] + dt * acc

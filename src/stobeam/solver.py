@@ -41,8 +41,8 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
 from .noise import NoiseModel, build_noise_model, step_increments
-from .operators import (StabilityConstants, TractiveForce, build_L,
-                        estimate_constants)
+from .operators import (StabilityConstants, TractiveForce, build_T,
+                        estimate_constants, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
                          build_propagator)
 
@@ -338,8 +338,9 @@ def weak_residual(traj: Trajectory, h: BeamState) -> ResidualCurve:
     pair_vals = np.array([packed_h_inner(y, hp, g) for y in packed])
     gen = np.empty(n_steps + 1)
     for j in range(n_steps + 1):
-        op = build_L(scene.lam, float(times[j]), g)
-        gen[j] = op.pair(packed[j], hp) + packed_h_inner(scene.forces[j], hp, g)
+        tmat = build_T(scene.lam, float(times[j]), g)
+        gen[j] = weak_pair(g, tmat, packed[j], hp) \
+            + packed_h_inner(scene.forces[j], hp, g)
 
     integral = np.zeros(n_steps + 1)
     integral[1:] = np.cumsum(0.5 * scene.cfg.dt * (gen[:-1] + gen[1:]))

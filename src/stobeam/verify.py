@@ -26,7 +26,7 @@ from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
                    packed_h_norm)
 from .noise import (TRACE_RTOL, ito_variance, project_increments,
                     trace_condition, trace_q)
-from .operators import (TractiveForce, build_L0, estimate_constants,
+from .operators import (TractiveForce, apply_L0, estimate_constants,
                         op_norm_H, skew_defect)
 from .propagator import (PropagatorFactorization, backward_adjoint_apply,
                          build_propagator, cocycle_defect, duality_defect,
@@ -62,7 +62,7 @@ def check_skew_adjoint(scene) -> CheckResult:
 def check_norm_identity(scene) -> CheckResult:
     """|<L0 x, L0 x>_H - ||x||_D^2| on random packed states."""
     g = scene.g
-    l0 = build_L0(g).mat
+    l0 = apply_L0(g, np.eye(2 * g.m))
     rng = np.random.default_rng(_RNG_SEED)
     worst = 0.0
     for _ in range(100):

@@ -18,7 +18,7 @@ from stobeam.grid import (BeamState, bc_value_defect, build_grid, build_grams,
                           h_norm, packed_d_norm_sq, packed_h_norm)
 from stobeam.noise import (build_noise_model, ito_variance, project_increments,
                            trace_condition, trace_q)
-from stobeam.operators import (TractiveForce, build_L0, estimate_constants,
+from stobeam.operators import (TractiveForce, apply_L0, estimate_constants,
                                op_norm_H, skew_defect)
 from stobeam.propagator import (backward_adjoint_apply, build_propagator,
                                 cocycle_defect, duality_defect,
@@ -47,7 +47,7 @@ def test_stiff_block_skewness_across_grids(acceptance):
 
 def test_graph_norm_equals_stiff_image_norm(acceptance):
     g = _grams(16)
-    l0 = build_L0(g).mat
+    l0 = apply_L0(g, np.eye(2 * g.m))
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):

@@ -29,10 +29,16 @@ tests/ or bench/ reach it, matched by callee name in the same way, and
 every one of them passes the same literal constant: the parameter is a
 constant in disguise.  A name defined more than once in the package is
 skipped, since its calls cannot be told apart.
+
+Every stobeam name that `bench/child.py` patches or calls exists:
+`install_tracer` runs in a subprocess, so that its patches stay out of
+this one, and the names the child calls outside it are looked up.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -222,3 +228,29 @@ def test_no_required_parameter_takes_one_literal_everywhere(corpus):
             if len(made) >= 2 and len(passed) == 1 and None not in passed:
                 constant.append(f"{callee}({name})")
     assert constant == []
+
+
+#: run with -B, so that neither bench/ nor src/ gets a bytecode cache
+_BENCH_NAMES = """
+import importlib.util, sys
+sys.path.insert(0, {src!r})
+spec = importlib.util.spec_from_file_location("bench_child", {child!r})
+child = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = child
+spec.loader.exec_module(child)
+child.install_tracer()
+from stobeam import cli, config, solver, verify
+for owner, name in ((cli, "main"), (config, "parse_config"),
+                    (solver, "build_scene"), (solver, "solve_homogeneous"),
+                    (verify, "_CHECKS")):
+    assert hasattr(owner, name), owner.__name__ + "." + name
+assert verify._CHECKS
+"""
+
+
+def test_bench_child_finds_every_name_it_patches_or_calls():
+    code = _BENCH_NAMES.format(src=str(ROOT / "src"),
+                               child=str(ROOT / "bench" / "child.py"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,20 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stobeam.errors import InvalidArgumentError
+from stobeam.errors import AssemblyError, InvalidArgumentError
 from stobeam.grid import build_grams, build_grid, packed_h_norm
-from stobeam.operators import (TractiveForce, adjoint_H, build_L, build_L0,
-                               build_L1, build_T, estimate_constants,
-                               skew_defect)
+from stobeam.operators import (TractiveForce, apply_L0, apply_L1, build_T,
+                               estimate_constants, skew_defect, weak_pair)
 
 
 def test_stiff_block_structure(g16):
-    l0 = build_L0(g16)
     m = g16.m
-    assert np.array_equal(l0.mat[:m, :m], np.zeros((m, m)))
-    assert np.array_equal(l0.mat[:m, m:], np.eye(m))
-    assert np.allclose(l0.mat[m:, :m], -(g16.B / g16.M[:, None]))
-    assert np.array_equal(l0.mat[m:, m:], np.zeros((m, m)))
+    eye, zero = np.eye(m), np.zeros((m, m))
+    tmat = build_T(TractiveForce.bump(c0=1.0, c1=0.2), 0.4, g16)
+    assert np.array_equal(apply_L0(g16, np.eye(2 * m)),
+                          np.block([[zero, eye],
+                                    [-(g16.B / g16.M[:, None]), zero]]))
+    assert np.array_equal(apply_L1(tmat, g16, np.eye(2 * m)),
+                          np.block([[zero, zero],
+                                    [tmat / g16.M[:, None], zero]]))
+    massless = dataclasses.replace(g16, M=np.where(np.arange(m) == 3, 0.0,
+                                                   g16.M))
+    with pytest.raises(AssemblyError):
+        apply_L0(massless, np.eye(2 * m))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -24,24 +32,24 @@ def test_skew_defect_tiny(n):
 
 
 def test_pair_skewness(g16):
-    l0 = build_L0(g16)
+    """<L0 x, y>_H is skew in (x, y).  L1, the difference of the L and L0
+    pairings, and L itself pair with the symmetric part
+    (T u_x) . v_y + (T u_y) . v_x."""
+    tmat = build_T(TractiveForce.bump(c0=1.0, c1=0.2), 0.4, g16)
+    zero = np.zeros_like(tmat)
+    m = g16.m
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = rng.standard_normal((2 * g16.m, 3))
-        y = rng.standard_normal((2 * g16.m, 3))
-        a = l0.pair(x, y)
-        b = l0.pair(y, x)
+        x = rng.standard_normal((2 * m, 3))
+        y = rng.standard_normal((2 * m, 3))
         scale = packed_h_norm(x, g16) * packed_h_norm(y, g16)
-        assert abs(a + b) < 1e-13 * scale
-
-
-def test_adjoint_of_stiff_block_is_negation(g16):
-    l0 = build_L0(g16)
-    adj = adjoint_H(l0)
-    assert adj.stiff and adj.T is None and adj.adjoint
-    scale = np.max(np.abs(l0.mat))
-    assert np.max(np.abs(adj.mat + l0.mat)) < 1e-12 * scale
-    assert not adjoint_H(adj).adjoint
+        l0 = weak_pair(g16, zero, x, y) + weak_pair(g16, zero, y, x)
+        full = weak_pair(g16, tmat, x, y) + weak_pair(g16, tmat, y, x)
+        sym = float(np.sum((tmat @ x[:m]) * y[m:])
+                    + np.sum((tmat @ y[:m]) * x[m:]))
+        assert abs(l0) < 1e-13 * scale
+        assert abs((full - l0) - sym) < 1e-13 * scale
+        assert abs(full - sym) < 1e-13 * scale
 
 
 def test_pair_matches_metric_route(g16):
@@ -49,10 +57,15 @@ def test_pair_matches_metric_route(g16):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2 * g16.m, 3))
     y = rng.standard_normal((2 * g16.m, 3))
-    ops = [build_L0(g16), build_L1(lam, 0.4, g16), build_L(lam, 0.4, g16)]
-    for op in ops + [adjoint_H(op) for op in ops]:
-        weak = op.pair(x, y)
-        metric = float(np.sum((op.mat @ x) * g16.mh_apply(y)))
+    tmat = build_T(lam, 0.4, g16)
+    zero = np.zeros_like(tmat)
+    l0 = weak_pair(g16, zero, x, y)
+    full = weak_pair(g16, tmat, x, y)
+    my = g16.mh_apply(y)
+    for weak, image in ((l0, apply_L0(g16, x)),
+                        (full - l0, apply_L1(tmat, g16, x)),
+                        (full, apply_L0(g16, x) + apply_L1(tmat, g16, x))):
+        metric = float(np.sum(image * my))
         assert weak == pytest.approx(metric, rel=1e-10, abs=1e-10)
 
 

@@ -8,10 +8,11 @@ from scipy.linalg import lu_factor, lu_solve
 
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
-from stobeam.grid import BeamState, build_grams, build_grid, packed_h_norm
+from stobeam.grid import (BeamState, GramSet, build_grams, build_grid,
+                          packed_h_norm)
 from stobeam.noise import build_noise_model, ito_variance, trace_condition
-from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, adjoint_H,
-                               build_L, build_L0, build_T, estimate_constants,
+from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, apply_L0,
+                               apply_L1, build_T, estimate_constants,
                                from_bands, op_norm_H, tension_bands, to_bands)
 from stobeam import propagator
 from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
@@ -25,45 +26,55 @@ from stobeam.solver import bending_mode_state, sine_mode_state
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
 
 
-def cayley_step(op, dt):
-    """Step map of the generator L or L0 from the banded kernel, the step
-    rule of its increment factor materialized on the identity."""
-    if op.adjoint or not op.stiff:
-        raise InvalidArgumentError("a step map needs the generator L or L0")
-    stiff = op.g.B if op.T is None else op.g.B - op.T
-    return step_map(_factor_from_bands(to_bands(stiff), op.g.M, dt), dt)
+def _generator(g, T):
+    """The dense L = L0 + L1 of the weak tractive matrix T (T = 0 gives
+    L0): the two generator functions applied to the identity."""
+    eye = np.eye(2 * g.m)
+    return apply_L0(g, eye) + apply_L1(T, g, eye)
+
+
+def cayley_step(g, T, dt):
+    """Step map of the generator of T (T = 0 gives L0) from the banded
+    kernel, the step rule of its increment factor materialized on the
+    identity."""
+    return step_map(_factor_from_bands(to_bands(g.B - T), g.M, dt), dt)
+
+
+def _zero(g):
+    return np.zeros((g.m, g.m))
 
 
 def test_cayley_step_trapezoid_identity(g16):
-    op = build_L(LAM, 0.123, g16)
+    tmat = build_T(LAM, 0.123, g16)
     dt = 1e-3
-    G = cayley_step(op, dt)
+    G = cayley_step(g16, tmat, dt)
     lhs = G - np.eye(2 * g16.m)
-    rhs = 0.5 * dt * (op.mat @ (np.eye(2 * g16.m) + G))
+    rhs = 0.5 * dt * (_generator(g16, tmat) @ (np.eye(2 * g16.m) + G))
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(lhs))
 
 
 def test_cayley_step_of_skew_part_is_isometric(g16):
-    G = cayley_step(build_L0(g16), 1e-3)
+    G = cayley_step(g16, _zero(g16), 1e-3)
     assert abs(op_norm_H(g16, G) - 1.0) < 5e-12
 
 
-def _dense_cayley(op, dt):
+def _dense_cayley(g, T, dt):
     """The dense construction the banded kernel replaced: one LU of the
-    (2m)x(2m) resolvent I - dt/2 op, solved against I + dt/2 op."""
-    dim = op.mat.shape[0]
-    half = 0.5 * dt * op.mat
+    (2m)x(2m) resolvent I - dt/2 L, solved against I + dt/2 L."""
+    dim = 2 * g.m
+    half = 0.5 * dt * _generator(g, T)
     return lu_solve(lu_factor(np.eye(dim) - half), np.eye(dim) + half)
 
 
-def _extended_cayley(op, dt):
+def _extended_cayley(g, T, dt):
     """The Cayley map of the same float64 generator to about long double
     accuracy: the dense LU solution refined twice with residuals
     evaluated in np.longdouble."""
-    dim = op.mat.shape[0]
-    half = 0.5 * dt * op.mat
+    dim = 2 * g.m
+    mat = _generator(g, T)
+    half = 0.5 * dt * mat
     lu = lu_factor(np.eye(dim) - half)
-    hl = np.longdouble(0.5) * np.longdouble(dt) * op.mat.astype(np.longdouble)
+    hl = np.longdouble(0.5) * np.longdouble(dt) * mat.astype(np.longdouble)
     eye = np.eye(dim, dtype=np.longdouble)
     G = lu_solve(lu, np.eye(dim) + half).astype(np.longdouble)
     for _ in range(2):
@@ -82,13 +93,14 @@ def grams(request):
 
 def test_step_maps_match_dense_oracle(grams):
     dt = 1e-3
-    op = build_L(LAM, 0.123, grams)
-    ref = _dense_cayley(op, dt)
+    tmat = build_T(LAM, 0.123, grams)
+    ref = _dense_cayley(grams, tmat, dt)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(cayley_step(op, dt) - ref)) <= 1e-11 * scale
+    assert np.max(np.abs(cayley_step(grams, tmat, dt) - ref)) <= \
+        1e-11 * scale
     # build_propagator takes the O(m) tension bands, not the dense T
     P = build_propagator(LAM, grams, 2, dt)
-    mid = _dense_cayley(build_L(LAM, 1.5 * dt, grams), dt)
+    mid = _dense_cayley(grams, build_T(LAM, 1.5 * dt, grams), dt)
     assert np.max(np.abs(step_map(P.steps[1], dt) - mid)) <= \
         1e-11 * np.max(np.abs(mid))
 
@@ -97,13 +109,13 @@ def test_step_maps_are_no_less_accurate_than_dense_oracle(grams):
     """Max error against an extended-precision Cayley map of the same
     generator, and the free flow's isometry defect."""
     dt = 1e-3
-    op = build_L(LAM, 0.123, grams)
-    ref = _extended_cayley(op, dt)
-    assert _max_error(cayley_step(op, dt), ref) <= \
-        _max_error(_dense_cayley(op, dt), ref)
-    free = build_L0(grams)
-    assert abs(op_norm_H(grams, cayley_step(free, dt)) - 1.0) <= \
-        abs(op_norm_H(grams, _dense_cayley(free, dt)) - 1.0)
+    tmat = build_T(LAM, 0.123, grams)
+    ref = _extended_cayley(grams, tmat, dt)
+    assert _max_error(cayley_step(grams, tmat, dt), ref) <= \
+        _max_error(_dense_cayley(grams, tmat, dt), ref)
+    free = _zero(grams)
+    assert abs(op_norm_H(grams, cayley_step(grams, free, dt)) - 1.0) <= \
+        abs(op_norm_H(grams, _dense_cayley(grams, free, dt)) - 1.0)
 
 
 def test_transposed_rule_is_the_transposed_map(g16):
@@ -148,11 +160,9 @@ def test_kernel_warns_on_singular_resolvent(g16):
         _factor_from_bands(kb, g16.M, dt)
 
 
-def test_cayley_step_rejects_other_roles(g16):
+def test_cayley_step_rejects_a_zero_step(g16):
     with pytest.raises(InvalidArgumentError):
-        cayley_step(adjoint_H(build_L0(g16)), 1e-3)
-    with pytest.raises(InvalidArgumentError):
-        cayley_step(build_L0(g16), 0.0)
+        cayley_step(g16, _zero(g16), 0.0)
 
 
 def test_operator_norm_basics(g16):
@@ -312,18 +322,31 @@ def test_backward_integration_free_flow_matches_transpose(g16):
     assert packed_h_norm(ref - bwd, g16) < 1e-10
 
 
-def test_backward_integration_holds_two_dense_generators():
-    """The backward march keeps L*_{j+1} and L*_j, not every step's dense
-    (2m)x(2m) adjoint: at 200 steps its peak stays below ten of them."""
+def test_backward_integration_solves_only_state_columns(monkeypatch):
+    """The backward march applies C_j v = B^-1 (T_j v) - v to its (m, 3)
+    state: every Gram solve has at most 3 right-hand sides, and at 200
+    steps its peak stays below two dense (2m)x(2m) matrices."""
     g = build_grams(build_grid(1.0, 64), 1.0)
     y = bending_mode_state(g, 1).packed()
+    shapes = []
+    solve = GramSet.B_solve
+
+    def recorded(self, rhs):
+        shapes.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GramSet, "B_solve", recorded)
+        backward_adjoint_apply(LAM, g, y, 200, 1e-3)
+    assert len(shapes) == 400
+    assert max(shape[1] for shape in shapes) <= 3
     tracemalloc.start()
     try:
         backward_adjoint_apply(LAM, g, y, 200, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * (2 * g.m) ** 2 * 8
+    assert peak < 2 * (2 * g.m) ** 2 * 8
 
 
 def test_cocycle_rejects_misordered_times(g16):
@@ -355,3 +378,19 @@ def test_picard_nonconvergence_reports(g16, monkeypatch):
     w = bending_mode_state(g16, 1)
     with pytest.raises(NonConvergenceError):
         picard_evolution(LAM, g16, w, 100, 1e-3)
+
+
+def test_picard_holds_no_dense_tractive_generators():
+    """Picard keeps the m x m blocks M^-1 T(t_j), not a stack of dense
+    (2m)x(2m) L1(t_j): at n = 64 and 200 steps its peak stays below the
+    size of that stack alone."""
+    g = build_grams(build_grid(1.0, 64), 1.0)
+    w = bending_mode_state(g, 1)
+    n_steps = 200
+    tracemalloc.start()
+    try:
+        picard_evolution(LAM, g, w, n_steps, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_steps + 1) * (2 * g.m) ** 2 * 8

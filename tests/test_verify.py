@@ -1,5 +1,4 @@
 import re
-import types
 from pathlib import Path
 
 import numpy as np
@@ -218,12 +217,12 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     by a factor of up to 0.86, above the C5/alpha + 0.1 = 0.6 the check
     allows.  (Scaling C5 itself down does not fail the check: on the 0.2
     window the sweeps converge faster than any alpha predicts.)"""
-    build_l1 = propagator.build_L1
+    build_t = propagator.build_T
 
     def amplified(*args):
-        return types.SimpleNamespace(mat=300.0 * build_l1(*args).mat)
+        return 300.0 * build_t(*args)
 
-    monkeypatch.setattr(propagator, "build_L1", amplified)
+    monkeypatch.setattr(propagator, "build_T", amplified)
     res = verify.check_picard_contraction(
         build_scene(parse_config(_default_text({}))))
     assert res.status == "fail" and res.defect > 0.8, res.note

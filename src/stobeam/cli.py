@@ -49,6 +49,11 @@ from .solver import (build_scene, ensemble_blocks, ensemble_run,
                      sine_mode_state)
 from .verify import run_checks
 
+#: CSV rows that `simulate` formats and writes at once, in whole paths.
+#: Peak RSS of the simulate-csv bench workload on a 2-CPU host: 2048 to
+#: 65536 rows gave 77, 82, 72, 70, 75, 84 MiB (whole blocks: 112 MiB)
+ROWS = 16384
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -87,6 +92,12 @@ def _rows(row: str, cols: np.ndarray) -> bytes:
     return text.encode("ascii")
 
 
+def _slices(p0: int, p1: int, row: str):
+    """(a, b) ranges of whole paths over p0..p1, ROWS rows or one path."""
+    width = max(1, ROWS // row.count("\n"))
+    return ((a, min(p1, a + width)) for a in range(p0, p1, width))
+
+
 def _baked(text: str) -> str:
     """`text` as a literal inside a %-template."""
     return text.replace("%", "%%")
@@ -102,15 +113,17 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     H-pairings at the sampled times.
 
     Each block of `ensemble_blocks` is written as it arrives, in path
-    order, so memory does not grow with N.  Both files are written under a
-    '.part' name and renamed when the run has finished, so a failed run
-    leaves earlier output in place.
+    order, in slices of whole paths of at most ROWS rows (or one path),
+    and released before the next block is stepped: the run holds the
+    history of each block in flight and one slice of text, whatever N.
+    Both files are written under a '.part' name and renamed when the run
+    has finished, so a failed run leaves earlier output in place.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
     scene = build_scene(cfg)
-    m = scene.grid.n_free
+    m, n_nodes = scene.grid.n_free, scene.grid.n + 2
 
     # one row template per path: the t, s, channel and observable texts
     # are baked in once; the path index and the values are slots
@@ -135,25 +148,27 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
         with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh:
             write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
             write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
-            for p0, p1, vals, history, _ in ensemble_blocks(
+            for p0, p1, vals, history, inc in ensemble_blocks(
                     scene, keep_history=True):
-                paths = np.arange(p0, p1, dtype=float)
-                # (path, step, node, channel, [path, u, v]); the node at
-                # s = l is eliminated and written as 0 (plus the lift)
-                cols = np.zeros((p1 - p0, cfg.n_steps, scene.grid.n + 2, 3, 3))
-                cols[..., 0] = paths[:, None, None, None]
-                hist = history[1:].transpose(3, 0, 1, 2)
-                cols[:, :, :m, :, 1] = hist[:, :, :m]
-                cols[:, :, :m, :, 2] = hist[:, :, m:]
-                if scene.shift is not None:
-                    cols[..., 1] += scene.shift
-                write(traj_fh, traj_sha, _rows(traj_row, cols))
-                # (path, time, observable, [path, value])
-                cols = np.empty((p1 - p0, len(scene.obs_steps),
-                                 len(cfg.observables), 2))
-                cols[..., 0] = paths[:, None, None]
-                cols[..., 1] = vals.transpose(2, 1, 0)
-                write(obs_fh, obs_sha, _rows(obs_row, cols))
+                for a, b in _slices(p0, p1, traj_row):
+                    # (path, step, node, channel, [path, u, v]); the node at
+                    # s = l is eliminated and written as 0 (plus the lift)
+                    hist = history[1:, ..., a - p0:b - p0].transpose(3, 0, 1, 2)
+                    cols = np.zeros((b - a, cfg.n_steps, n_nodes, 3, 3))
+                    cols[..., 0] = np.arange(a, b)[:, None, None, None]
+                    cols[:, :, :m, :, 1] = hist[:, :, :m]
+                    cols[:, :, :m, :, 2] = hist[:, :, m:]
+                    if scene.shift is not None:
+                        cols[..., 1] += scene.shift
+                    write(traj_fh, traj_sha, _rows(traj_row, cols))
+                for a, b in _slices(p0, p1, obs_row):
+                    # (path, time, observable, [path, value])
+                    cols = np.empty((b - a, len(scene.obs_steps),
+                                     len(cfg.observables), 2))
+                    cols[..., 0] = np.arange(a, b)[:, None, None]
+                    cols[..., 1] = vals[..., a - p0:b - p0].transpose(2, 1, 0)
+                    write(obs_fh, obs_sha, _rows(obs_row, cols))
+                del vals, history, inc, hist, cols  # before the next block
         os.replace(parts[0], traj_path)
         os.replace(parts[1], obs_path)
     finally:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stobeam import solver
+from stobeam import cli, solver
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.errors import BlowupError
@@ -399,15 +399,19 @@ def _oracle_csvs(cfg):
     return "\n".join(traj_lines) + "\n", "\n".join(obs_lines) + "\n"
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("kind", ["homogeneous", "nonhomogeneous"])
-def test_simulate_matches_per_value_writer(tmp_path, kind, threads):
+def _two_block_text(kind, threads):
     # 300 paths: one full block of 256 and a partial one; the
     # nonhomogeneous run adds the lift to u and its pairing to observables
-    text = (TINY.replace("bc.kind = homogeneous", f"bc.kind = {kind}")
+    return (TINY.replace("bc.kind = homogeneous", f"bc.kind = {kind}")
             .replace("run.N = 2", f"run.N = 300\nrun.threads = {threads}")
             .replace("run.observables = 1:3:v",
                      "run.observables = 1:3:v,2:3:u"))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("kind", ["homogeneous", "nonhomogeneous"])
+def test_simulate_matches_per_value_writer(tmp_path, kind, threads):
+    text = _two_block_text(kind, threads)
     cfg_path = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
@@ -418,11 +422,49 @@ def test_simulate_matches_per_value_writer(tmp_path, kind, threads):
         "manifest.json", "observables.csv", "trajectory.csv"]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
-    cfg_path = _write_cfg(tmp_path, TINY + f"run.threads = {threads}\n")
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("kind", ["homogeneous", "nonhomogeneous"])
+def test_simulate_slices_match_per_value_writer(tmp_path, monkeypatch,
+                                                kind, threads):
+    """The CSVs do not depend on how the blocks are cut into slices of
+    whole paths.  A path has 4 * 10 * 3 = 120 trajectory rows and
+    3 * 2 = 6 observable rows."""
+    text = _two_block_text(kind, threads)
+    cfg_path = _write_cfg(tmp_path, text)
+    traj_text, obs_text = _oracle_csvs(parse_config(text))
+    real, cut = cli._slices, {}
+
+    def slices(p0, p1, row):
+        ranges = list(real(p0, p1, row))
+        cut.setdefault(row.count("\n"), []).extend(ranges)
+        return ranges
+
+    monkeypatch.setattr(cli, "_slices", slices)
+    # 600 rows: 5 trajectory paths a slice, so block 0 ends in a slice of
+    # 1 and block 1 in one of 4; 100 observable paths a slice, so the
+    # blocks end in slices of 56 and 44.  5 rows: less than one path of
+    # either file, so every slice holds one path.
+    for budget, widths in ((600, {120: {5, 1, 4}, 6: {100, 56, 44}}),
+                           (5, {120: {1}, 6: {1}})):
+        monkeypatch.setattr(cli, "ROWS", budget)
+        cut.clear()
+        out = tmp_path / f"out{budget}"
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == traj_text.encode()
+        assert (out / "observables.csv").read_bytes() == obs_text.encode()
+        assert set(cut) == {120, 6}
+        for rows, ranges in cut.items():
+            starts = [a for a, _ in ranges]
+            assert starts == [0] + [b for _, b in ranges[:-1]]
+            assert 256 in starts and ranges[-1][1] == 300
+            assert {b - a for a, b in ranges} == widths[rows]
+
+
+def _simulate_peaks(tmp_path, cfg_path, sizes):
+    """tracemalloc peak of one `simulate` run at each path count."""
     peaks = []
-    for n in (256, 1024):
+    for n in sizes:
         tracemalloc.start()
         try:
             assert main(["simulate", "--config", cfg_path,
@@ -431,7 +473,38 @@ def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
+    # both sizes fill the pipeline: 2 * threads blocks in flight and one
+    # being written, which at two threads outweighs one slice of text
+    cfg_path = _write_cfg(tmp_path, TINY + f"run.threads = {threads}\n")
+    n = (2 * threads + 1) * solver.BLOCK_PATHS
+    peaks = _simulate_peaks(tmp_path, cfg_path, (n, 2 * n))
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_simulate_holds_one_block_and_a_slice_of_text(tmp_path):
+    """At the simulate-csv bench sizes (n = 8, 20 steps, K = 6) the
+    traced peak stays within a small multiple of one block's history and
+    increments (3.27 MiB), and does not grow from one block to two: the
+    text is formatted a slice at a time and a finished block is released
+    before the next one is stepped."""
+    text = (TINY.replace("time.T = 0.02", "time.T = 0.05")
+            .replace("time.dt = 0.005", "time.dt = 0.0025")
+            .replace("run.observables = 1:3:v",
+                     "run.observables = 1:3:v,2:1:v")
+            .replace("run.obs_stride = 2", "run.obs_stride = 5"))
+    cfg_path = _write_cfg(tmp_path, text)
+    cfg = parse_config(text)
+    m = build_scene(cfg).grid.n_free
+    block = 8 * solver.BLOCK_PATHS * 3 * m * (
+        2 * (cfg.n_steps + 1) + cfg.n_steps)       # history + increments
+    peaks = _simulate_peaks(tmp_path, cfg_path, (256, 512))
+    assert peaks[0] < 4 * block, (peaks, block)
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):

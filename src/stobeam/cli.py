@@ -20,10 +20,12 @@ naming the flag.
 
 All CSV numbers use 17-significant-digit formatting, and path blocks
 merge in a fixed order, so outputs are byte-stable across repeated runs
-and across thread counts.  manifest.json records the resolved config,
-version, seed, wall-clock and the SHA-256 of every file written next to
-it (the wall-clock field is the only part that varies between identical
-runs).
+and across thread counts.  `simulate` builds one row template per path
+and file, with every field but the path values baked in (the path
+index, and the clamped node's u, v = 0, 0), and formats only those
+values.  manifest.json records the resolved config, version, seed,
+wall-clock and the SHA-256 of every file written next to it (the
+wall-clock field is the only part that varies between identical runs).
 """
 
 from __future__ import annotations
@@ -85,16 +87,18 @@ def _emit_manifest(out: Path, manifest: dict):
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _rows(row: str, cols: np.ndarray) -> bytes:
-    """One copy of the row template per leading index of `cols`, filled
-    with the values along its other axes.  '%.17g' % x equals _fmt(x)."""
-    text = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
-    return text.encode("ascii")
+def _text(pieces: list, a: int, b: int, values: np.ndarray) -> bytes:
+    """Rows of paths a..b-1: each path's index joins the row template
+    `pieces`, and `values` fill its '%.17g' slots in order.  '%.17g' % x
+    equals _fmt(x)."""
+    row = "".join(str(p).join(pieces) for p in range(a, b))
+    return (row % tuple(values.ravel().tolist())).encode("ascii")
 
 
-def _slices(p0: int, p1: int, row: str):
-    """(a, b) ranges of whole paths over p0..p1, ROWS rows or one path."""
-    width = max(1, ROWS // row.count("\n"))
+def _slices(p0: int, p1: int, pieces: list):
+    """(a, b) ranges of whole paths over p0..p1, ROWS rows or one path;
+    a path has len(pieces) - 1 rows, one per path index it joins."""
+    width = max(1, ROWS // (len(pieces) - 1))
     return ((a, min(p1, a + width)) for a in range(p0, p1, width))
 
 
@@ -123,18 +127,20 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
     scene = build_scene(cfg)
-    m, n_nodes = scene.grid.n_free, scene.grid.n + 2
+    m = scene.grid.n_free
 
-    # one row template per path: the t, s, channel and observable texts
-    # are baked in once; the path index and the values are slots
+    # one row template per path, split at the path index: the t, s,
+    # channel and observable texts are baked in, and so is u, v = 0, 0 at
+    # the clamped node s = l (the lift vanishes there too, since the last
+    # node is l); the free nodes' u and v are the only slots
     s_txt = [_baked(_fmt(s)) for s in scene.grid.nodes]
-    traj_row = "".join(
-        f"%d,{_baked(_fmt(t))},{s},{c},%.17g,%.17g\n"
-        for t in scene.P.times[1:]
-        for s in s_txt for c in (1, 2, 3))
-    obs_row = "".join(f"%d,{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
+    slots = ["%.17g,%.17g"] * m + ["0,0"]
+    traj_row = [""] + [f",{_baked(_fmt(t))},{s},{c},{uv}\n"
+                       for t in scene.P.times[1:]
+                       for s, uv in zip(s_txt, slots) for c in (1, 2, 3)]
+    obs_row = [""] + [f",{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
                       for t in scene.P.times[scene.obs_steps]
-                      for oid in cfg.observables)
+                      for oid in cfg.observables]
 
     traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
     parts = [p.with_name(p.name + ".part") for p in (traj_path, obs_path)]
@@ -148,27 +154,20 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
         with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh:
             write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
             write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
-            for p0, p1, vals, history, inc in ensemble_blocks(
+            for p0, p1, vals, history in ensemble_blocks(
                     scene, keep_history=True):
                 for a, b in _slices(p0, p1, traj_row):
-                    # (path, step, node, channel, [path, u, v]); the node at
-                    # s = l is eliminated and written as 0 (plus the lift)
+                    # (path, step, free node, channel, [u, v])
                     hist = history[1:, ..., a - p0:b - p0].transpose(3, 0, 1, 2)
-                    cols = np.zeros((b - a, cfg.n_steps, n_nodes, 3, 3))
-                    cols[..., 0] = np.arange(a, b)[:, None, None, None]
-                    cols[:, :, :m, :, 1] = hist[:, :, :m]
-                    cols[:, :, :m, :, 2] = hist[:, :, m:]
+                    cols = np.stack((hist[:, :, :m], hist[:, :, m:]), axis=-1)
                     if scene.shift is not None:
-                        cols[..., 1] += scene.shift
-                    write(traj_fh, traj_sha, _rows(traj_row, cols))
+                        cols[..., 0] += scene.shift[:m]
+                    write(traj_fh, traj_sha, _text(traj_row, a, b, cols))
                 for a, b in _slices(p0, p1, obs_row):
-                    # (path, time, observable, [path, value])
-                    cols = np.empty((b - a, len(scene.obs_steps),
-                                     len(cfg.observables), 2))
-                    cols[..., 0] = np.arange(a, b)[:, None, None]
-                    cols[..., 1] = vals[..., a - p0:b - p0].transpose(2, 1, 0)
-                    write(obs_fh, obs_sha, _rows(obs_row, cols))
-                del vals, history, inc, hist, cols  # before the next block
+                    # (path, time, observable)
+                    cols = vals[..., a - p0:b - p0].transpose(2, 1, 0)
+                    write(obs_fh, obs_sha, _text(obs_row, a, b, cols))
+                del vals, history, hist, cols  # before the next block
         os.replace(parts[0], traj_path)
         os.replace(parts[1], obs_path)
     finally:

@@ -16,11 +16,12 @@ kernel, `_block_worker`, advances the scene's paths: a block of paths is
 one matrix that walks the propagator's chain (`P.forward_images`) in
 step with the noise's (`noise.step_increments`), adding the load before
 each step and the kick after it.  The single-path solvers run it on a
-block of width one and keep the path's history and the Wiener
-increments the kernel projected; `ensemble_blocks` runs fixed-size
-blocks and hands them out in block order, and `ensemble_run`, the one
-moment fold, merges their accumulators in that order, so results do not
-depend on the number of worker threads.
+block of width one and keep the path's history, and its Wiener
+increments as its whole-horizon draws projected alone (bitwise the
+increments the kernel drew); `ensemble_blocks` runs fixed-size blocks
+and hands them out in block order, and `ensemble_run`, the one moment
+fold, merges their accumulators in that order, so results do not depend
+on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
-from .noise import NoiseModel, build_noise_model, step_increments
+from .noise import (NoiseModel, build_noise_model, project_increments,
+                    step_increments)
 from .operators import (StabilityConstants, TractiveForce, build_T,
                         estimate_constants, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
@@ -237,8 +239,9 @@ class Trajectory:
     `states` are the emitted states (shift included for nonhomogeneous
     runs); `homogeneous_states` keeps the raw remainder in that case so
     the lift can be audited bitwise.  `increments` are the path's Wiener
-    increments W(t_{k+1}) - W(t_k) on the nodes 0..n, (n_steps, m, 3), as
-    the kernel projected them; None without noise.
+    increments W(t_{k+1}) - W(t_k) on the nodes 0..n, (n_steps, m, 3):
+    its `path_xi` projected alone, bitwise the increments the kernel
+    projected; None without noise.
     """
 
     scene: Scene = field(repr=False)
@@ -259,15 +262,17 @@ class Trajectory:
 def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
     """Run path `path_index` as a block of width one, history kept."""
     scene = build_scene(cfg)
-    grid = scene.grid
-    _, history, inc = _block_worker(scene, path_index, path_index + 1, True)
+    grid, model = scene.grid, scene.model
+    _, history = _block_worker(scene, path_index, path_index + 1, True)
+    inc = None if model is None else project_increments(
+        model, model.path_xi(cfg.n_steps, path_index), cfg.dt)
     states = [BeamState.from_packed(grid, y) for y in history[..., 0]]
     homog = None
     if scene.shift is not None:
         homog = states
         states = [BeamState(grid, x.u + scene.shift, x.v) for x in homog]
     return Trajectory(scene=scene, states=states,
-                      increments=None if inc is None else inc[0],
+                      increments=inc,
                       homogeneous_states=homog)
 
 
@@ -390,10 +395,8 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
 
     Returns the emitted observables, shape (n_obs, n_times, p1 - p0): the
     pairings with `scene.obs_mh` at the steps `scene.obs_steps`, lift
-    included.  Then, when `keep_history`, the packed history
-    (n_steps+1, 2m, 3, p1 - p0) and the Wiener increments on the nodes
-    0..n, (p1 - p0, n_steps, m, 3) (None without noise); else None and
-    None.
+    included, and, when `keep_history`, the packed history
+    (n_steps+1, 2m, 3, p1 - p0), else None.
 
     The block walks the propagator's chain (`P.forward_images`), adding
     dt F_k to each state before it steps on, in step with the noise's
@@ -410,10 +413,9 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
     walk = scene.P.forward_images(
         np.broadcast_to(scene.x0p[:, :, None], (2 * m, 3, pb)))
-    kicks = inc = None
+    kicks = None
     if model is not None:
         kicks = step_increments(model, p0, p1, n_steps, cfg.dt)
-        inc = np.empty((pb, n_steps, m, 3)) if keep_history else None
     pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
     vals = np.empty((len(mh), len(pos), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
@@ -428,8 +430,6 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
         X_prev, X = X, next(walk)  # X_prev stays valid until the next step
         if kicks is not None:
             kick = next(kicks)  # (m, 3, pb) increments of step k
-            if keep_history:
-                inc[:, k] = kick.transpose(2, 0, 1)
             np.multiply(kick, cfg.sigma, out=kick)  # velocity kick A dW
             X[m:] += kick
         # one sum tests the block; a finite block whose sum overflows
@@ -461,7 +461,7 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     lift = np.zeros((2 * m, 3))
     if scene.shift is not None:
         lift[:m] = scene.shift[:m]
-    return vals + np.einsum("oic,ic->o", mh, lift)[:, None, None], history, inc
+    return vals + np.einsum("oic,ic->o", mh, lift)[:, None, None], history
 
 
 def _merge_moments(count_a, mean_a, m2_a, vals_b):
@@ -481,13 +481,13 @@ def _merge_moments(count_a, mean_a, m2_a, vals_b):
 def ensemble_blocks(scene: Scene,
                     keep_history: bool = False) -> Iterator[tuple]:
     """Run the scene's paths in blocks of BLOCK_PATHS and yield
-    (p0, p1, vals, history, increments) per block, in block-index order.
+    (p0, p1, vals, history) per block, in block-index order.
 
-    `vals`, `history` and `increments` are `_block_worker`'s; the last two
-    are None unless `keep_history`.  With `cfg.threads > 1` at most
-    2 * threads blocks are in flight, and the next one is submitted only
-    when the oldest is handed out, so a slow consumer holds memory for a
-    bounded number of blocks.  A failing block raises when its turn comes,
+    `vals` and `history` are `_block_worker`'s; `history` is None unless
+    `keep_history`.  With `cfg.threads > 1` at most 2 * threads blocks
+    are in flight, and the next one is submitted only when the oldest is
+    handed out, so a slow consumer holds memory for a bounded number of
+    blocks.  A failing block raises when its turn comes,
     so the error is the same for every thread count.
     """
     threads, n = scene.cfg.threads, scene.cfg.n_paths
@@ -531,6 +531,6 @@ def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
     """
     scene = build_scene(cfg)
     count, mean, m2 = 0, None, None
-    for _, _, vals, _, _ in ensemble_blocks(scene):
+    for _, _, vals, _ in ensemble_blocks(scene):
         count, mean, m2 = _merge_moments(count, mean, m2, vals)
     return EnsembleStats(count=count, mean=mean, m2=m2, scene=scene)

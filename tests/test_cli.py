@@ -381,7 +381,7 @@ def _oracle_csvs(cfg):
     nodes = sc.grid.nodes
     traj_lines = ["path,t,s,channel,u,v"]
     obs_lines = ["path,t,observable_id,value"]
-    for p0, p1, vals, history, _ in ensemble_blocks(sc, keep_history=True):
+    for p0, p1, vals, history in ensemble_blocks(sc, keep_history=True):
         for i, p in enumerate(range(p0, p1)):
             for k in range(1, len(times)):
                 st = BeamState.from_packed(sc.grid, history[k, ..., i])
@@ -422,6 +422,24 @@ def test_simulate_matches_per_value_writer(tmp_path, kind, threads):
         "manifest.json", "observables.csv", "trajectory.csv"]
 
 
+def test_simulate_matches_per_value_writer_off_unit_length(tmp_path):
+    """At l = 0.7 the nonhomogeneous lift (s - l) e3 differs from the unit
+    length's, and it is exactly zero at the last node, s = l, whose rows
+    the template writes as a literal u, v = 0, 0."""
+    text = _two_block_text("nonhomogeneous", 1).replace("beam.l = 1.0",
+                                                        "beam.l = 0.7")
+    cfg = parse_config(text)
+    sc = build_scene(cfg)
+    assert cfg.l == 0.7 and sc.grid.nodes[-1] == cfg.l
+    assert np.all(sc.shift[-1] == 0.0) and sc.shift[0, 2] == -cfg.l
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    traj_text, obs_text = _oracle_csvs(cfg)
+    assert (out / "trajectory.csv").read_bytes() == traj_text.encode()
+    assert (out / "observables.csv").read_bytes() == obs_text.encode()
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("kind", ["homogeneous", "nonhomogeneous"])
 def test_simulate_slices_match_per_value_writer(tmp_path, monkeypatch,
@@ -434,9 +452,9 @@ def test_simulate_slices_match_per_value_writer(tmp_path, monkeypatch,
     traj_text, obs_text = _oracle_csvs(parse_config(text))
     real, cut = cli._slices, {}
 
-    def slices(p0, p1, row):
-        ranges = list(real(p0, p1, row))
-        cut.setdefault(row.count("\n"), []).extend(ranges)
+    def slices(p0, p1, pieces):
+        ranges = list(real(p0, p1, pieces))
+        cut.setdefault(len(pieces) - 1, []).extend(ranges)
         return ranges
 
     monkeypatch.setattr(cli, "_slices", slices)
@@ -488,10 +506,10 @@ def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
 
 def test_simulate_holds_one_block_and_a_slice_of_text(tmp_path):
     """At the simulate-csv bench sizes (n = 8, 20 steps, K = 6) the
-    traced peak stays within a small multiple of one block's history and
-    increments (3.27 MiB), and does not grow from one block to two: the
-    text is formatted a slice at a time and a finished block is released
-    before the next one is stepped."""
+    traced peak stays within a small multiple of one block's history
+    (2.21 MiB), and does not grow from one block to two: the text is
+    formatted a slice at a time, a finished block is released before the
+    next one is stepped, and no block stores its Wiener increments."""
     text = (TINY.replace("time.T = 0.02", "time.T = 0.05")
             .replace("time.dt = 0.005", "time.dt = 0.0025")
             .replace("run.observables = 1:3:v",
@@ -500,10 +518,9 @@ def test_simulate_holds_one_block_and_a_slice_of_text(tmp_path):
     cfg_path = _write_cfg(tmp_path, text)
     cfg = parse_config(text)
     m = build_scene(cfg).grid.n_free
-    block = 8 * solver.BLOCK_PATHS * 3 * m * (
-        2 * (cfg.n_steps + 1) + cfg.n_steps)       # history + increments
+    block = 8 * solver.BLOCK_PATHS * 3 * m * 2 * (cfg.n_steps + 1)  # history
     peaks = _simulate_peaks(tmp_path, cfg_path, (256, 512))
-    assert peaks[0] < 4 * block, (peaks, block)
+    assert peaks[0] < 3 * block, (peaks, block)
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError
 from stobeam.grid import build_grid
-from stobeam.noise import (TRACE_RTOL, TraceCheck, build_noise_model,
-                           build_spectrum, ito_variance, project_increments,
+from stobeam.noise import (CHUNK_STEPS, TRACE_RTOL, TraceCheck,
+                           build_noise_model, build_spectrum, ito_variance,
+                           project_increments, step_increments,
                            trace_condition, trace_q, trace_tail)
 from stobeam.operators import TractiveForce, estimate_constants
 from stobeam.propagator import build_propagator
@@ -106,6 +107,19 @@ def test_increments_expand_the_drawn_coefficients(grid16):
     assert np.allclose(inc, recon, atol=1e-15)
     with pytest.raises(InvalidArgumentError):
         project_increments(model, xi, -1e-3)
+
+
+def test_step_increments_are_each_paths_draws_projected_alone(grid16):
+    """Stacked over the steps, the increments of a block of 256 paths
+    (3..258) over two full noise chunks and a partial one are, for every
+    path, its whole-horizon draws projected alone, bit for bit."""
+    model = build_noise_model(grid16, "k^-2", K=8, seed=7)
+    n_steps, dt, p0, p1 = 2 * CHUNK_STEPS + 6, 2e-3, 3, 259
+    got = np.stack(list(step_increments(model, p0, p1, n_steps, dt)))
+    assert got.shape == (n_steps, grid16.n + 1, 3, p1 - p0)
+    for p in range(p0, p1):
+        alone = project_increments(model, model.path_xi(n_steps, p), dt)
+        assert np.array_equal(got[..., p - p0], alone), p
 
 
 def test_trace_tail_closed_forms(grid16):

@@ -219,10 +219,11 @@ def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
                                       "noise.sigma = 1.0"))
     sc = build_scene(cfg)
     assert noise.CHUNK_STEPS < 41 < cfg.n_steps
-    _, history, inc = _block_worker(sc, 5, 8, True)
+    _, history = _block_worker(sc, 5, 8, True)
     y = history[40][..., 0] + cfg.dt * sc.forces[40]
     kick = np.zeros_like(y)
-    kick[sc.g.m:] = cfg.sigma * inc[0, 40]
+    kick[sc.g.m:] = cfg.sigma * project_increments(
+        sc.model, sc.model.path_xi(cfg.n_steps, 5), cfg.dt)[40]
     last = 1e160 * packed_h_norm(
         sc.P.apply(y, 40, 41) + 1e-160 * kick, sc.g)
     msg = _blowup_message(monkeypatch, sc, 5, 8, 40)
@@ -304,14 +305,17 @@ def test_stochastic_path_carries_increments():
 
 
 def _first_ensemble_path(cfg):
-    """States, remainders and increments of path 0 as the ensemble blocks
-    hand it out (history kept)."""
+    """States and remainders of path 0 as the ensemble blocks hand it
+    out (history kept), and its increments as its draws projected alone,
+    bitwise those the kernel kicks it with (see the kick tests below)."""
     sc = build_scene(cfg)
-    _, _, _, history, inc = next(ensemble_blocks(sc, keep_history=True))
+    _, _, _, history = next(ensemble_blocks(sc, keep_history=True))
     homog = [BeamState.from_packed(sc.grid, y) for y in history[..., 0]]
     states = homog if sc.shift is None else \
         [BeamState(sc.grid, x.u + sc.shift, x.v) for x in homog]
-    return states, homog, inc[0]
+    inc = project_increments(sc.model, sc.model.path_xi(cfg.n_steps, 0),
+                             cfg.dt)
+    return states, homog, inc
 
 
 def test_ensemble_matches_single_path_solver():
@@ -352,7 +356,7 @@ def test_width_one_block_is_the_mild_recursion():
     sc = build_scene(cfg)
     n, m, p = cfg.n_steps, sc.g.m, 3
     assert n > 2 * noise.CHUNK_STEPS and not sc.lam.autonomous
-    _, history, _ = _block_worker(sc, p, p + 1, True)
+    _, history = _block_worker(sc, p, p + 1, True)
     dw = project_increments(sc.model, sc.model.path_xi(n, p), cfg.dt)
     y = sc.x0p
     assert np.array_equal(history[0, ..., 0], y)
@@ -367,10 +371,10 @@ def _zero(k, buf, out):
 
 
 def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
-    """The increments the kernel returns for a path inside a wide block
-    are that path's whole-horizon draws projected alone, and its velocity
-    kick is sigma times them, bit for bit: at 20 steps, one chunk, and at
-    70 steps, two full chunks and a partial one."""
+    """The velocity kick the kernel adds to a path inside a wide block is
+    sigma times that path's whole-horizon draws projected alone, bit for
+    bit: at 20 steps, one chunk, and at 70 steps, two full chunks and a
+    partial one."""
     for T in ("0.05", "0.175"):
         cfg = parse_config(STOCH.replace("lambda.family = bump",
                                          "lambda.family = zero")
@@ -378,12 +382,11 @@ def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
                            .replace("time.T = 0.05", f"time.T = {T}"))
         sc = build_scene(cfg)
         _substitute_rule(monkeypatch, _zero)
-        _, history, inc = _block_worker(sc, 0, 5, True)
+        _, history = _block_worker(sc, 0, 5, True)
         m = sc.g.m
         for p in (0, 4):
             alone = project_increments(
                 sc.model, sc.model.path_xi(cfg.n_steps, p), cfg.dt)
-            assert np.array_equal(inc[p], alone)
             # with a zero step each state is exactly the last kick
             kicks = history[1:, m:, :, p]
             assert np.array_equal(kicks, cfg.sigma * alone)
@@ -393,9 +396,8 @@ def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
 def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
     """In a block of BLOCK_PATHS paths over 70 steps (two full chunks and
     a partial one), each step projects every path's draws in one product;
-    the increments of the first, a middle and the last path are still
-    each path's own draws projected alone, and its kicks sigma times
-    them, bit for bit."""
+    the kicks of the first, a middle and the last path are still sigma
+    times each path's own draws projected alone, bit for bit."""
     cfg = parse_config(STOCH.replace("lambda.family = bump",
                                      "lambda.family = zero")
                        .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
@@ -403,13 +405,12 @@ def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
     sc = build_scene(cfg)
     _substitute_rule(monkeypatch, _zero)
     pb = solver.BLOCK_PATHS
-    _, history, inc = _block_worker(sc, 0, pb, True)
+    _, history = _block_worker(sc, 0, pb, True)
     assert 2 * noise.CHUNK_STEPS < cfg.n_steps < 3 * noise.CHUNK_STEPS
     m = sc.g.m
     for p in (0, pb // 2, pb - 1):
         alone = project_increments(
             sc.model, sc.model.path_xi(cfg.n_steps, p), cfg.dt)
-        assert np.array_equal(inc[p], alone)
         assert np.array_equal(history[1:, m:, :, p], cfg.sigma * alone)
 
 
@@ -428,7 +429,7 @@ def test_finite_block_with_overflowing_sum_steps_on(monkeypatch):
     sc.__dict__["x0p"] = big  # the cached initial state
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(np.repeat(big[..., None], 4, axis=2).sum())
-        _, history, _ = _block_worker(sc, 0, 4, True)
+        _, history = _block_worker(sc, 0, 4, True)
     assert np.array_equal(history[-1], history[0])
     assert np.array_equal(history[0][..., 3], big)
 
@@ -436,7 +437,7 @@ def test_finite_block_with_overflowing_sum_steps_on(monkeypatch):
 def _block_values(cfg):
     """Every path's observables (n_obs, n_times, N), concatenated from the
     blocks of `ensemble_blocks` in the order they are handed out."""
-    return np.concatenate([vals for _, _, vals, _, _ in
+    return np.concatenate([vals for _, _, vals, _ in
                            ensemble_blocks(build_scene(cfg))], axis=2)
 
 
@@ -490,7 +491,7 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
                        .replace("lambda.family = zero",
                                 "lambda.family = bump\nlambda.c0 = 1.0"))
     sc = build_scene(cfg)
-    _, _, vals, _, _ = next(ensemble_blocks(build_scene(
+    _, _, vals, _ = next(ensemble_blocks(build_scene(
         dataclasses.replace(cfg, observables=("1:3:u",)))))
     traj = solve_nonhomogeneous(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
@@ -524,11 +525,11 @@ def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
 
     monkeypatch.setattr(solver, "_block_worker", counting)
     handed = []
-    for p0, p1, vals, history, inc in ensemble_blocks(sc):
+    for p0, p1, vals, history in ensemble_blocks(sc):
         # a slow consumer: workers may run ahead by 2 * threads blocks only
         time.sleep(0.02)
         assert len(started) <= len(handed) + 1 + 2 * threads
-        assert history is None and inc is None
+        assert history is None
         assert vals.shape == (1, len(sc.obs_steps), p1 - p0)
         handed.append((p0, p1))
     assert handed == [(p0, min(2600, p0 + 256)) for p0 in range(0, 2600, 256)]

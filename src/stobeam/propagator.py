@@ -22,10 +22,11 @@ since M^-1 K S = (I - S)/h^2.  The one m x m increment factor D fixes all
 four blocks, so a step stores D, not G: a quarter of the storage, and
 `step_rule` applies G or G^T with one (m x m) product instead of a
 (2m x 2m) one.  D comes from one banded LU of A, solved against -h^2 K,
-plus one refinement sweep, so a step costs O(m^2) to build instead of
-the O(m^3) of a dense (2m)x(2m) LU.  The factors stay dense: stepping a
-block of paths is one dense matmul per step, which beats applying banded
-factors to the block.
+plus one refinement sweep whose residual A D is a CSR product (each row
+summed in ascending column order) on a sparsity pattern built once per
+propagator, so a step costs O(m^2) to build instead of the O(m^3) of a
+dense (2m)x(2m) LU.  The factors stay dense: stepping a block of paths is
+one dense matmul per step, which beats applying banded factors to it.
 
 The family is kept on the grid t_k = k dt as the ordered list of its
 per-step factors; a window is a range i0..i1 of step indices, the only
@@ -51,6 +52,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbcon as _gbcon, dgbtrf as _gbtrf, \
     dgbtrs as _gbtrs
+from scipy.sparse import csr_array
 
 from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
@@ -68,30 +70,19 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_ITER = 60
 
 
-def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for A in the band layout of `to_bands` and dense x (m, k).
-
-    Each row sums its terms in ascending column order, the order of a
-    row-by-row sparse product.  Layout entries outside the matrix are
-    zero, so every row takes 2 bw + 1 terms.  The work runs on x^T, whose
-    rows are contiguous for the Fortran-ordered solves of `gbtrs`.
-    """
-    bw = (ab.shape[0] - 1) // 2
-    m = ab.shape[1]
-    abp = np.zeros((2 * bw + 1, m + 2 * bw))
-    abp[:, bw:bw + m] = ab
-    xpt = np.zeros((x.shape[1], m + 2 * bw))
-    xpt[:, bw:bw + m] = x.T
-    out = np.zeros((x.shape[1], m))
-    term = np.empty_like(out)
-    for d in range(-bw, bw + 1):  # A[i, i + d] = ab[bw - d, i + d]
-        cols = slice(bw + d, bw + d + m)
-        out += np.multiply(xpt[:, cols], abp[bw - d, cols], out=term)
-    return out.T
+def _band_csr(m: int):
+    """The CSR pattern of an m x m matrix of K's half-bandwidth, each row's
+    columns ascending (the order in which a CSR product sums), and the
+    flat indices into a `to_bands` layout that refill its data."""
+    bw = STIFFNESS_BANDWIDTH
+    i, j = np.nonzero(from_bands(np.ones((2 * bw + 1, m))))  # row by row
+    indptr = np.searchsorted(i, np.arange(m + 1))
+    csr = csr_array((np.zeros(j.size), j, indptr), shape=(m, m))
+    return csr, (bw + i - j) * m + j  # A[i, j] is ab[bw + i - j, j]
 
 
-def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
-                       dt: float) -> np.ndarray:
+def _factor_from_bands(kb: np.ndarray, mass: np.ndarray, dt: float,
+                       pattern: tuple) -> np.ndarray:
     """Increment factor D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
     Cayley map of L = [[0, I], [-M^-1 K, 0]], from the bands of K; the
     module docstring gives the map G that D fixes and `step_rule` applies.
@@ -99,18 +90,20 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
     D is solved for directly: the dense -h^2 K, placed from its bands, not
     computed, is the right-hand side of one banded LU of A (LU, not
     Cholesky, so that an indefinite K still factors), and one refinement
-    sweep D += A^-1 (-h^2 K - A D) brings the map to rounding level.
+    sweep D += A^-1 (-h^2 K - A D) brings the map to rounding level.  The
+    residual A D is one CSR product on `pattern`, a `_band_csr` of K's
+    size whose data is refilled with A: each row sums its terms in
+    ascending column order.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
     bw = (kb.shape[0] - 1) // 2
-    m = mass.size
     h = 0.5 * dt
     hk = (h * h) * kb
     a = hk.copy()
     a[bw] += mass
     # gbtrf keeps the fill-in of row pivoting in bw extra leading rows
-    ab = np.zeros((3 * bw + 1, m))
+    ab = np.zeros((3 * bw + 1, mass.size), order="F")
     ab[bw:] = a
     lu, piv, info = _gbtrf(ab, bw, bw, overwrite_ab=1)
     rcond = 0.0 if info > 0 else \
@@ -119,9 +112,12 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
             "reduce dt", stacklevel=3)
-    rhs = -from_bands(hk)
+    rhs = from_bands(-hk)
     d = _gbtrs(lu, bw, bw, rhs, piv)[0]
-    d += _gbtrs(lu, bw, bw, rhs - _band_matmul(a, d), piv)[0]
+    csr, take = pattern
+    np.take(a, take, out=csr.data)
+    res = csr @ d
+    d += _gbtrs(lu, bw, bw, np.subtract(rhs, res, out=res), piv)[0]
     return d
 
 
@@ -196,7 +192,7 @@ class PropagatorFactorization:
     g: GramSet = field(repr=False)
 
     def __post_init__(self):
-        for s in self.steps:
+        for s in {id(s): s for s in self.steps}.values():
             if not np.all(np.isfinite(s)):
                 raise InvalidArgumentError(
                     "step factor has non-finite entries")
@@ -267,9 +263,11 @@ def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
     time.
     """
     b_bands = to_bands(g.B)
+    pattern = _band_csr(g.m)
 
     def step(t):
-        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
+        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt,
+                                  pattern)
 
     if lam.autonomous:
         steps = [step(0.5 * dt)] * n_steps
@@ -426,7 +424,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         raise PreconditionError(
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
 
-    s_step = step_map(_factor_from_bands(to_bands(g.B), g.M, dt), dt)
+    s_step = step_map(
+        _factor_from_bands(to_bands(g.B), g.M, dt, _band_csr(g.m)), dt)
     m = g.m
     # the lower-left block M^-1 T(t_j) of L1, the only one that is nonzero
     tm = np.empty((n_steps + 1, m, m))

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse._base import _spbase
 
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
@@ -20,7 +22,7 @@ from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
                                 picard_evolution, step_map, step_rule,
-                                _factor_from_bands)
+                                _band_csr, _factor_from_bands)
 from stobeam.solver import bending_mode_state, sine_mode_state
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
@@ -37,7 +39,8 @@ def cayley_step(g, T, dt):
     """Step map of the generator of T (T = 0 gives L0) from the banded
     kernel, the step rule of its increment factor materialized on the
     identity."""
-    return step_map(_factor_from_bands(to_bands(g.B - T), g.M, dt), dt)
+    return step_map(
+        _factor_from_bands(to_bands(g.B - T), g.M, dt, _band_csr(g.m)), dt)
 
 
 def _zero(g):
@@ -146,6 +149,72 @@ def test_tension_bands_are_the_bands_of_build_T(grams):
     assert np.array_equal(-from_bands(h * h * to_bands(k)), -(h * h) * k)
 
 
+def _band_matmul(ab, x):
+    """A @ x for A in the band layout of `to_bands` and dense x (m, k),
+    each row summed in ascending column order over all 2 bw + 1 layout
+    entries (zero outside the matrix): the residual product the step
+    factors were built with before the CSR product."""
+    bw = (ab.shape[0] - 1) // 2
+    m = ab.shape[1]
+    abp = np.zeros((2 * bw + 1, m + 2 * bw))
+    abp[:, bw:bw + m] = ab
+    xpt = np.zeros((x.shape[1], m + 2 * bw))
+    xpt[:, bw:bw + m] = x.T
+    out = np.zeros((x.shape[1], m))
+    for d in range(-bw, bw + 1):  # A[i, i + d] = ab[bw - d, i + d]
+        cols = slice(bw + d, bw + d + m)
+        out += xpt[:, cols] * abp[bw - d, cols]
+    return out.T
+
+
+def _band_product_factor(kb, mass, dt):
+    """D = -h^2 A^-1 K from the banded LU of A, refined once with the
+    residual of `_band_matmul`."""
+    bw = (kb.shape[0] - 1) // 2
+    h = 0.5 * dt
+    hk = (h * h) * kb
+    a = hk.copy()
+    a[bw] += mass
+    ab = np.zeros((3 * bw + 1, mass.size))
+    ab[bw:] = a
+    lu, piv, _ = dgbtrf(ab, bw, bw)
+    rhs = -from_bands(hk)
+    d = dgbtrs(lu, bw, bw, rhs, piv)[0]
+    return d + dgbtrs(lu, bw, bw, rhs - _band_matmul(a, d), piv)[0]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lam", [TractiveForce.bump(c0=1.0), LAM],
+                         ids=["autonomous", "modulated"])
+def test_factors_equal_the_band_product_route_bit_for_bit(n, lam):
+    """The CSR residual sums each row in the order of the band product,
+    so every factor of a propagator, built on one refilled pattern, keeps
+    the band product's bits."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    dt = 1e-3
+    P = build_propagator(lam, g, 4, dt)
+    b_bands = to_bands(g.B)
+    for k, d in enumerate(P.steps):
+        kb = b_bands - tension_bands(lam, (k + 0.5) * dt, g)
+        assert np.array_equal(d, _band_product_factor(kb, g.M, dt))
+
+
+def test_propagator_builds_one_sparse_pattern(g16, monkeypatch):
+    """The residual's CSR pattern is built once per propagator and only
+    its data is refilled per step."""
+    made = []
+    init = _spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counting)
+    P = build_propagator(LAM, g16, 50, 1e-3)
+    assert len({id(d) for d in P.steps}) == 50
+    assert made == ["csr_array"]
+
+
 def test_kernel_warns_on_singular_resolvent(g16):
     dt = 1e-3
     h = 0.5 * dt
@@ -157,7 +226,7 @@ def test_kernel_warns_on_singular_resolvent(g16):
     for d in range(1, bw + 1):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
     with pytest.warns(UserWarning, match="nearly singular"):
-        _factor_from_bands(kb, g16.M, dt)
+        _factor_from_bands(kb, g16.M, dt, _band_csr(g16.m))
 
 
 def test_cayley_step_rejects_a_zero_step(g16):
@@ -197,11 +266,15 @@ def test_unmodulated_tabulated_profile_shares_steps(g16):
 
 
 def test_factorization_guards(g16):
-    P = build_propagator(LAM, g16, 10, 1e-2)
-    steps = [s.copy() for s in P.steps]
-    steps[3][0, 0] = np.nan
-    with pytest.raises(InvalidArgumentError):
-        PropagatorFactorization(dt=1e-2, steps=steps, g=g16)
+    """A non-finite entry is refused in the one factor that an autonomous
+    family shares, and in the last of many distinct factors."""
+    shared = build_propagator(TractiveForce.bump(c0=1.0), g16, 1, 1e-2).steps
+    shared = [shared[0].copy()] * 40
+    steps = [s.copy() for s in build_propagator(LAM, g16, 40, 1e-2).steps]
+    for bad in (shared, steps):
+        bad[-1][0, 0] = np.nan
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            PropagatorFactorization(dt=1e-2, steps=bad, g=g16)
 
 
 def test_windows_are_step_ranges_within_the_grid(g16, grid16):

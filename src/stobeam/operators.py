@@ -17,14 +17,16 @@ terms (the coefficient vanishes at both ends).
 
 The generator is kept in no matrix form of its own.  `apply_L0` and
 `apply_L1` apply the stiff and the tractive part to packed states, and
-`weak_pair` evaluates <L x, y>_H exactly from the quadratic forms.  Where
-a dense matrix is needed (the stability constants, the skewness defect),
-it is one of these functions applied to the identity; the step factors
-take the bands of K = B - T(t) (`to_bands`, `tension_bands`).
+`weak_pair` evaluates <L x, y>_H exactly from the quadratic forms; the
+step factors take the bands of K = B - T(t) (`to_bands`, `tension_bands`).
 
-The stability constants are exact operator norms (`op_norm_H`): C4 is the
-H-norm of L1(t), and C5 its graph-norm, taken through L0 as the H-norm of
-L0 L1(t) L0^-1 because ||x||_D = ||L0 x||_H.
+The tension is separable, lambda(s, t) = c(t) p(s), so T(t) = c(t) T_p
+with one profile matrix T_p (`profile_T`), and the stability constants
+are exact operator norms from one m x m singular value each: with
+B = C^T C (Cholesky), L1 acting on u alone and ||x||_D = ||L0 x||_H,
+
+    C4 = ||L1(t)||_H = |c(t)| s_max(M^-1/2 T_p C^-1),
+    C5 = ||L0 L1(t) L0^-1||_H = |c(t)| s_max(C M^-1 T_p B^-1 M^1/2).
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ TRACTIVE_FAMILIES = ("zero", "bump", "tabulated")
 
 @dataclass
 class TractiveForce:
-    """Tension coefficient lambda(s, t) = c(t) * profile(s).
+    """Tension coefficient lambda(s, t) = c(t) * profile(s), and through
+    it the interface: T(t) = c(t) T_p with T_p = `profile_T`.  Every time
+    read passes through `c`, which refuses times outside [0, horizon].
 
     The built-in bump profile s^2 (l-s)^2 / l^4 satisfies all endpoint
     requirements (value and slope vanish at both ends) for any bounded
@@ -91,15 +95,13 @@ class TractiveForce:
         return self.family == "zero" or self.c1 == 0.0
 
     def c(self, t: float) -> float:
-        """Time modulation c(t) = c0 + c1 sin(2 pi freq t)."""
-        if self.family == "zero":
-            return 0.0
-        return self.c0 + self.c1 * np.sin(2.0 * np.pi * self.freq * t)
-
-    def _check_time(self, t: float):
+        """Time modulation c(t) = c0 + c1 sin(2 pi freq t) on [0, horizon]."""
         if self.horizon is not None and not (0.0 <= t <= self.horizon * (1 + 1e-12)):
             raise InvalidArgumentError(
                 f"time {t} outside the configured window [0, {self.horizon}]")
+        if self.family == "zero":
+            return 0.0
+        return self.c0 + self.c1 * np.sin(2.0 * np.pi * self.freq * t)
 
     def _profile(self, s: np.ndarray, grid: BeamGrid) -> np.ndarray:
         if self.family == "zero":
@@ -114,34 +116,26 @@ class TractiveForce:
                 f"needs {grid.n + 2}")
         return np.interp(s, grid.nodes, self.table)
 
-    def values_at(self, s: np.ndarray, t: float, grid: BeamGrid) -> np.ndarray:
-        self._check_time(t)
-        return self.c(t) * self._profile(np.asarray(s, dtype=float), grid)
-
     def node_values(self, t: float, grid: BeamGrid) -> np.ndarray:
-        return self.values_at(grid.nodes, t, grid)
+        return self.c(t) * self._profile(grid.nodes, grid)
+
+    def profile_midpoint_values(self, grid: BeamGrid) -> np.ndarray:
+        """The profile at the cell midpoints, where T_p samples it."""
+        return self._profile(grid.nodes[:-1] + 0.5 * grid.h, grid)
 
     def midpoint_values(self, t: float, grid: BeamGrid) -> np.ndarray:
-        mids = grid.nodes[:-1] + 0.5 * grid.h
-        return self.values_at(mids, t, grid)
+        return self.c(t) * self.profile_midpoint_values(grid)
 
     def ds_node_values(self, t: float, grid: BeamGrid) -> np.ndarray:
         """Spatial derivative at the nodes (analytic for the bump family)."""
-        self._check_time(t)
-        s = grid.nodes
-        if self.family == "zero":
-            return np.zeros_like(s)
+        c, s = self.c(t), grid.nodes
         if self.family == "bump":
             l = grid.l
-            return self.c(t) * 2.0 * s * (l - s) * (l - 2.0 * s) / l**4
-        prof = self.c(t) * self._profile(s, grid)
-        return np.gradient(prof, grid.h)
+            return c * 2.0 * s * (l - s) * (l - 2.0 * s) / l**4
+        return np.gradient(c * self._profile(s, grid), grid.h)
 
     def ds_l2_norm_sq(self, t: float, grid: BeamGrid) -> float:
         """Integral of (d lambda/ds)^2 over the beam at time t."""
-        self._check_time(t)
-        if self.family == "zero":
-            return 0.0
         if self.family == "bump":
             # int_0^l [2 s (l-s)(l-2s)]^2 ds / l^8 = (4/210) / l, times c^2
             return self.c(t) ** 2 * (4.0 / 210.0) / grid.l
@@ -162,7 +156,7 @@ class TractiveForce:
             out["endpoint_slope"] = max(out["endpoint_slope"],
                                         abs(dvals[0]), abs(dvals[-1]))
             out["negativity"] = max(out["negativity"], float(-np.min(vals, initial=0.0)))
-            if self.c(t) > 0 and self.family != "zero":
+            if self.c(t) > 0:
                 interior = vals[1:-1]
                 if interior.size and np.min(interior) <= 0:
                     out["interior_nonpositive"] = 1.0
@@ -236,16 +230,17 @@ def from_bands(ab: np.ndarray) -> np.ndarray:
     return out
 
 
-def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
-    """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`, O(m).
+def _tension_fill(mid_values: np.ndarray, g: GramSet) -> np.ndarray:
+    """-D1^T W D1 for tension values at the cell midpoints, in the band
+    layout of `to_bands`, O(m).
 
     Cell j of the midpoint difference D1 couples nodes j and j+1 with weight
     p_j = h lambda(s_{j+1/2}) / h^2 (the last cell only node n, since
-    u(l) is eliminated), so T is tridiagonal with T[j, j+1] = p_j and
-    T[j, j] = -(p_j + p_{j-1}).
+    u(l) is eliminated), so the matrix is tridiagonal with
+    [j, j+1] = p_j and [j, j] = -(p_j + p_{j-1}).
     """
     c = 1.0 / g.grid.h
-    p = (c * (g.grid.h * lam.midpoint_values(t, g.grid))) * c
+    p = (c * (g.grid.h * mid_values)) * c
     bw = STIFFNESS_BANDWIDTH
     out = np.zeros((2 * bw + 1, g.m))
     out[bw] = -p
@@ -253,6 +248,17 @@ def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     out[bw - 1, 1:] = p[:-1]
     out[bw + 1, :-1] = p[:-1]
     return out
+
+
+def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
+    """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`."""
+    return _tension_fill(lam.midpoint_values(t, g.grid), g)
+
+
+def profile_T(lam: TractiveForce, g: GramSet) -> np.ndarray:
+    """The dense weak tractive matrix T_p of the profile, T(t) = c(t) T_p,
+    exactly symmetric."""
+    return from_bands(_tension_fill(lam.profile_midpoint_values(g.grid), g))
 
 
 def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
@@ -312,35 +318,25 @@ class StabilityConstants:
 
 
 def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityConstants:
-    """Bound the tractive operator over the sampled times.
-
-    The state-space bound is the larger of the analytic formula
-    sup_t sqrt(4 l int (ds lambda)^2 ds / b) and the exact H-norms of
-    L1(t).  The graph norm is ||x||_D = ||L0 x||_H, so the D-norm of L1
-    is the H-norm of L0 L1 L0^-1, with L0^-1 = [[0, -B^-1 M], [I, 0]];
-    it has no closed form and the bound carries a 10 percent margin.
+    """Bound the tractive operator over the sampled times: the module's
+    two profile norms at the largest |c(t_i)|.  C4 is the larger of the
+    exact norm and the analytic sup_t sqrt(4 l int (ds lambda)^2 ds / b);
+    C5 has no closed form and carries a 10 percent margin.
     """
     t_samples = tuple(float(t) for t in t_samples)
     if not t_samples:
         raise InvalidArgumentError("need at least one sample time")
-    if lam.family == "zero":
-        return StabilityConstants(0.0, 0.0, 0.0, 0.0, 0.0)
-    c4_formula = max(
-        np.sqrt(4.0 * g.grid.l * lam.ds_l2_norm_sq(t, g.grid) / g.b)
-        for t in t_samples)
-    m = g.m
-    eye = np.eye(2 * m)
-    l0 = apply_L0(g, eye)
-    l0_inv = np.zeros((2 * m, 2 * m))
-    l0_inv[:m, m:] = -g.B_solve(np.diag(g.M))
-    l0_inv[m:, :m] = np.eye(m)
-    c4_num = 0.0
-    c5_num = 0.0
-    for t in t_samples:
-        l1 = apply_L1(build_T(lam, t, g), g, eye)
-        c4_num = max(c4_num, op_norm_H(g, l1))
-        c5_num = max(c5_num, op_norm_H(g, l0 @ l1 @ l0_inv))
-    c4 = max(float(c4_formula), c4_num)
+    t_max = max(t_samples, key=lambda t: abs(lam.c(t)))
+    c_max = abs(lam.c(t_max))
+    c4_formula = float(np.sqrt(4.0 * g.grid.l
+                               * lam.ds_l2_norm_sq(t_max, g.grid) / g.b))
+    tp, sq = profile_T(lam, g), np.sqrt(g.M)
+    cu = cholesky(g.B, lower=False)
+    # the transpose of M^-1/2 T_p C^-1, and C M^-1 T_p B^-1 M^1/2
+    h_form = solve_triangular(cu, tp / sq, trans="T", check_finite=False)
+    d_form = cu @ (g.B_solve(tp / g.M).T * sq)
+    c4_num, c5_num = (c_max * float(svdvals(a)[0]) for a in (h_form, d_form))
+    c4 = max(c4_formula, c4_num)
     c5 = 1.10 * c5_num
-    return StabilityConstants(C4=c4, C5=c5, C4_formula=float(c4_formula),
+    return StabilityConstants(C4=c4, C5=c5, C4_formula=c4_formula,
                               C4_numeric=c4_num, C5_numeric=c5_num)

@@ -58,8 +58,8 @@ from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
     packed_h_norm
 from .operators import StabilityConstants, TractiveForce, \
-    STIFFNESS_BANDWIDTH, apply_L0, apply_L1, build_T, estimate_constants, \
-    from_bands, tension_bands, to_bands
+    STIFFNESS_BANDWIDTH, apply_L0, apply_L1, estimate_constants, from_bands, \
+    profile_T, tension_bands, to_bands
 
 #: reciprocal condition number of M + h^2 K below which a step factor warns
 _RCOND_FLOOR = 1e-13
@@ -289,13 +289,13 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
     h = 0.5 * dt
     bw = STIFFNESS_BANDWIDTH
     b_bands = to_bands(g.B)
-    t_cur = build_T(lam, n_steps * dt, g)
+    tp = profile_T(lam, g)  # T_j = c(t_j) T_p
+    c = [lam.c(j * dt) for j in range(n_steps + 1)]
     rho = np.array(y, dtype=float, copy=True)
-    for j in reversed(range(n_steps)):  # only T_{j+1} and T_j are held
-        t_nxt, t_cur = t_cur, build_T(lam, j * dt, g)
+    for j in reversed(range(n_steps)):
         # L*_j = -L0 + [[0, B^-1 T_j], [0, 0]] = [[0, C_j], [M^-1 B, 0]]
         rhs = rho - h * apply_L0(g, rho)
-        rhs[:m] += h * g.B_solve(t_nxt @ rho[m:])
+        rhs[:m] += h * g.B_solve(c[j + 1] * (tp @ rho[m:]))
         # B C_j = -K_j, so the solve (I - h L*_j)(u, v) = rhs reduces to
         # the banded one (M + h^2 K_j) v = M rhs_v + h B rhs_u, then
         # u = rhs_u + h C_j v with C_j v = B^-1 (T_j v) - v
@@ -303,7 +303,8 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
         a[bw] += g.M
         w = g.mh_apply(rhs)
         v = solve_banded((bw, bw), a, w[m:] + h * w[:m])
-        rho = np.concatenate([rhs[:m] + h * (g.B_solve(t_cur @ v) - v), v])
+        rho = np.concatenate([rhs[:m] + h * (g.B_solve(c[j] * (tp @ v)) - v),
+                              v])
     return rho
 
 
@@ -370,10 +371,11 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
     x0 = w.packed()
+    tp = profile_T(lam, g)
     integral = np.zeros_like(x0)
     values, y_prev = [], None
     for t, cur in zip(P.times, P.forward_images(x0)):
-        y = apply_L0(g, cur) + apply_L1(build_T(lam, float(t), g), g, cur)
+        y = apply_L0(g, cur) + lam.c(float(t)) * apply_L1(tp, g, cur)
         if values:
             integral = integral + 0.5 * P.dt * (y_prev + y)
         values.append(packed_h_norm(cur - x0 - integral, g))
@@ -383,9 +385,9 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
 
 @dataclass
 class PicardResult:
-    """Trajectory from the fixed-point construction plus iteration record."""
+    """Final packed (2m, 3) state of the fixed point, plus iteration record."""
 
-    states: List[BeamState]
+    final: np.ndarray
     defects: List[float]
     alpha: float
 
@@ -402,11 +404,13 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
 
     S is the same Cayley kernel used for the stiff part of the one-step
     schemes, so the comparison against `build_propagator` isolates the
-    treatment of the tractive term.  Iterates are compared in the
-    weighted graph norm sup_k ||.||_D exp(-alpha t_k); successive
-    defects contract by about C5/alpha.  alpha=None resolves to
-    max(2 C5, 1), which puts that factor at 1/2 or better.  `constants`
-    default to `estimate_constants` at 9 times over [0, n_steps dt].
+    treatment of the tractive term.  L1(t_j) u = (0, c(t_j) M^-1 T_p u), so
+    a sweep applies the one block M^-1 T_p to all steps in one product.
+    Iterates are compared in the weighted graph norm sup_k ||.||_D
+    exp(-alpha t_k); successive defects contract by about C5/alpha.
+    alpha=None resolves to max(2 C5, 1), which puts that factor at 1/2 or
+    better.  `constants` default to `estimate_constants` at 9 times over
+    [0, n_steps dt].
 
     Raises:
         PreconditionError: w not in the discrete domain, or alpha <= C5.
@@ -427,10 +431,9 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     s_step = step_map(
         _factor_from_bands(to_bands(g.B), g.M, dt, _band_csr(g.m)), dt)
     m = g.m
-    # the lower-left block M^-1 T(t_j) of L1, the only one that is nonzero
-    tm = np.empty((n_steps + 1, m, m))
-    for j in range(n_steps + 1):
-        tm[j] = build_T(lam, j * dt, g) / g.M[:, None]
+    # the lower-left block c(t_j) M^-1 T_p of L1, the only one that is nonzero
+    mt = profile_T(lam, g) / g.M[:, None]
+    c = np.array([lam.c(j * dt) for j in range(n_steps + 1)])
 
     flow = np.empty((n_steps + 1, 2 * m, 3))
     flow[0] = w.packed()
@@ -442,7 +445,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     defects: List[float] = []
     gj = np.zeros_like(u)
     for _ in range(_PICARD_MAX_ITER):
-        gj[:, m:] = np.matmul(tm, u[:, :m])
+        gj[:, m:] = np.tensordot(mt, u[:, :m], axes=(1, 1)).transpose(1, 0, 2)
+        gj[:, m:] *= c[:, None, None]
         new = np.empty_like(u)
         new[0] = flow[0]
         acc = np.zeros((2 * m, 3))
@@ -455,9 +459,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         defects.append(float(defect))
         u = new
         if defect <= _PICARD_TOL:
-            states = [BeamState.from_packed(g.grid, u[j])
-                      for j in range(n_steps + 1)]
-            return PicardResult(states=states, defects=defects, alpha=alpha)
+            return PicardResult(final=u[-1].copy(), defects=defects,
+                                alpha=alpha)
     raise NonConvergenceError(
         f"picard iteration still at defect {defects[-1]:.3e} after "
         f"{_PICARD_MAX_ITER} sweeps (tol {_PICARD_TOL:.1e})")

@@ -212,7 +212,7 @@ def check_picard_agreement(scene) -> CheckResult:
     P = build_propagator(lam, g, 100, dt)
     direct = P.apply(w.packed())
     pr = picard_evolution(lam, g, w, 100, dt)
-    diff = packed_h_norm(direct - pr.states[-1].packed(), g)
+    diff = packed_h_norm(direct - pr.final, g)
     return _result("picard_agreement", diff / packed_h_norm(direct, g), 1e-5,
                    f"fixed point vs midpoint flow after {pr.iterations} sweeps")
 

@@ -127,7 +127,7 @@ def test_fixed_point_agrees_with_midpoint_stepping(acceptance):
     consts = estimate_constants(BUMP, g, np.linspace(0.0, 0.5, 11))
     P = build_propagator(BUMP, g, 500, 1e-3)
     pr = picard_evolution(BUMP, g, w, 500, 1e-3, constants=consts)
-    diff = packed_h_norm(pr.states[-1].packed() - P.apply(w.packed()), g)
+    diff = packed_h_norm(pr.final - P.apply(w.packed()), g)
     floor = 1e-8 * pr.defects[0]
     ratios = [pr.defects[i + 1] / pr.defects[i]
               for i in range(len(pr.defects) - 1) if pr.defects[i] > floor]

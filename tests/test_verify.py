@@ -217,12 +217,12 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     by a factor of up to 0.86, above the C5/alpha + 0.1 = 0.6 the check
     allows.  (Scaling C5 itself down does not fail the check: on the 0.2
     window the sweeps converge faster than any alpha predicts.)"""
-    build_t = propagator.build_T
+    profile_t = propagator.profile_T
 
     def amplified(*args):
-        return 300.0 * build_t(*args)
+        return 300.0 * profile_t(*args)
 
-    monkeypatch.setattr(propagator, "build_T", amplified)
+    monkeypatch.setattr(propagator, "profile_T", amplified)
     res = verify.check_picard_contraction(
         build_scene(parse_config(_default_text({}))))
     assert res.status == "fail" and res.defect > 0.8, res.note

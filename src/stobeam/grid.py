@@ -232,20 +232,21 @@ def packed_h_norm(y: np.ndarray, g: GramSet) -> float:
     return float(np.sqrt(max(packed_h_inner(y, y, g), 0.0)))
 
 
-def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float:
+def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float | np.ndarray:
     """Squared graph norm b^2 ||u''''||_L2^2 + b ||v''||_L2^2 of a packed
-    reduced state, shape (2m, 3) (no validation).
+    reduced state (2m, 3), or of each state of a stack (k, 2m, 3) summed
+    alone, bit for bit as one at a time (no validation).
 
     The fourth difference is the weak composition M^-1 (D2^T W D2), so the
     value agrees with the generator-based norm up to pure roundoff.
     """
     m = g.m
-    u, v = y[:m], y[m:]
+    u, v = y[..., :m, :], y[..., m:, :]
     d4 = (g.B_raw @ u) / g.M[:, None]
-    val = g.b**2 * np.sum(g.M[:, None] * d4 * d4)
+    val = g.b**2 * np.sum(g.M[:, None] * d4 * d4, axis=(-2, -1))
     d2v = g.D2 @ v
-    val += g.b * np.sum(d2v * (g.W[:, None] * d2v))
-    return float(val)
+    val += g.b * np.sum(d2v * (g.W[:, None] * d2v), axis=(-2, -1))
+    return val
 
 
 def bc_value_defect(x: BeamState) -> float:

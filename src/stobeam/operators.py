@@ -176,8 +176,8 @@ def apply_L0(g: GramSet, y: np.ndarray) -> np.ndarray:
 
 
 def apply_L1(T: np.ndarray, g: GramSet, y: np.ndarray) -> np.ndarray:
-    """L1 y = (0, M^-1 T u) for packed states y of shape (2m, k), with the
-    weak tractive matrix T of `build_T`."""
+    """L1 y = (0, M^-1 T u) for packed states y of shape (2m, k), with a
+    weak tractive matrix T, such as c(t) T_p of `profile_T`."""
     m = g.m
     out = np.zeros(y.shape)
     out[m:] = (T @ y[:m]) / g.M[:, None]
@@ -259,11 +259,6 @@ def profile_T(lam: TractiveForce, g: GramSet) -> np.ndarray:
     """The dense weak tractive matrix T_p of the profile, T(t) = c(t) T_p,
     exactly symmetric."""
     return from_bands(_tension_fill(lam.profile_midpoint_values(g.grid), g))
-
-
-def build_T(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
-    """The dense T(t) of `tension_bands`, exactly symmetric."""
-    return from_bands(tension_bands(lam, t, g))
 
 
 def skew_defect(g: GramSet) -> float:

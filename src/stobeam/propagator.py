@@ -34,7 +34,7 @@ name of a grid time.  Any U(t_i1, t_i0) is a partial product of the same
 stored factors, applied as one chain of `step_rule` calls; the cocycle
 law U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
 identical floating point operations, not merely to rounding.  One loop,
-`_walk`, runs every chain, the solver's blocks of paths included.
+`_walk`, runs every chain, the solver's path blocks and Picard's sweeps too.
 
 Two independent constructions of the perturbed flow are provided for
 cross-checks: the midpoint scheme above and a Picard iteration for the
@@ -168,11 +168,6 @@ def _chain(steps, dt: float, y: np.ndarray, order, transpose: bool):
     for z in _walk(steps, dt, y, order, transpose):
         pass
     return z.copy()
-
-
-def step_map(d: np.ndarray, dt: float) -> np.ndarray:
-    """The dense (2m)x(2m) map G of one step, `step_rule` applied to I."""
-    return _chain([d], dt, np.eye(2 * d.shape[0]), [0], False)
 
 
 @dataclass
@@ -402,10 +397,12 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
     """Fixed point of u -> S(.) w + int_0 S(.-r) L1(r) u(r) dr on the
     grid t_k = k dt, k = 0..n_steps.
 
-    S is the same Cayley kernel used for the stiff part of the one-step
-    schemes, so the comparison against `build_propagator` isolates the
-    treatment of the tractive term.  L1(t_j) u = (0, c(t_j) M^-1 T_p u), so
-    a sweep applies the one block M^-1 T_p to all steps in one product.
+    S is `build_propagator` of the zero tension, so the comparison against
+    `build_propagator` isolates the treatment of the tractive term.  The
+    free flow S(t_j) w is walked once; a sweep walks S's chain once more
+    for the trapezoidal sum acc_j = S (acc_{j-1} + g_{j-1}/2) + g_j/2 of
+    g_j = L1(t_j) u_j = (0, c(t_j) M^-1 T_p u_j), with one M^-1 T_p product
+    for all steps and one stacked graph norm of the sweep's change.
     Iterates are compared in the weighted graph norm sup_k ||.||_D
     exp(-alpha t_k); successive defects contract by about C5/alpha.
     alpha=None resolves to max(2 C5, 1), which puts that factor at 1/2 or
@@ -428,37 +425,40 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         raise PreconditionError(
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
 
-    s_step = step_map(
-        _factor_from_bands(to_bands(g.B), g.M, dt, _band_csr(g.m)), dt)
     m = g.m
-    # the lower-left block c(t_j) M^-1 T_p of L1, the only one that is nonzero
-    mt = profile_T(lam, g) / g.M[:, None]
-    c = np.array([lam.c(j * dt) for j in range(n_steps + 1)])
-
+    P0 = build_propagator(TractiveForce.zero(), g, n_steps, dt)
     flow = np.empty((n_steps + 1, 2 * m, 3))
-    flow[0] = w.packed()
-    for j in range(n_steps):
-        flow[j + 1] = s_step @ flow[j]
+    for j, y in enumerate(P0.forward_images(w.packed())):
+        flow[j] = y
+    # the lower-left block c(t_j) M^-1 T_p of L1, the only nonzero one
+    mt = profile_T(lam, g) / g.M[:, None]
+    half_c = np.array([0.5 * lam.c(j * dt) for j in range(n_steps + 1)])
 
     weights = np.exp(-alpha * dt * np.arange(n_steps + 1))
     u = flow.copy()
+    acc = np.empty_like(u)
+    half = np.empty_like(u)  # the half loads g_j / 2, then the change
     defects: List[float] = []
-    gj = np.zeros_like(u)
     for _ in range(_PICARD_MAX_ITER):
-        gj[:, m:] = np.tensordot(mt, u[:, :m], axes=(1, 1)).transpose(1, 0, 2)
-        gj[:, m:] *= c[:, None, None]
-        new = np.empty_like(u)
-        new[0] = flow[0]
-        acc = np.zeros((2 * m, 3))
-        for j in range(1, n_steps + 1):
-            acc = s_step @ acc + 0.5 * (s_step @ gj[j - 1] + gj[j])
-            new[j] = flow[j] + dt * acc
-        defect = max(
-            np.sqrt(packed_d_norm_sq(new[j] - u[j], g)) * weights[j]
-            for j in range(n_steps + 1))
-        defects.append(float(defect))
-        u = new
-        if defect <= _PICARD_TOL:
+        half[:, :m] = 0.0  # a load acts on the velocity rows only
+        half[:, m:] = np.tensordot(mt, u[:, :m],
+                                   axes=(1, 1)).transpose(1, 0, 2)
+        half[:, m:] *= half_c[:, None, None]
+        # acc_j = S (acc_{j-1} + g_{j-1}/2) + g_j / 2, walked from g_0 / 2
+        walk = P0.forward_images(half[0])
+        next(walk)
+        acc[0] = 0.0
+        for j, z in enumerate(walk, 1):
+            z[m:] += half[j, m:]
+            acc[j] = z
+            z[m:] += half[j, m:]
+        acc *= dt
+        acc += flow  # the new iterate
+        np.subtract(acc, u, out=half)
+        defects.append(
+            float(np.max(np.sqrt(packed_d_norm_sq(half, g)) * weights)))
+        u, acc = acc, u
+        if defects[-1] <= _PICARD_TOL:
             return PicardResult(final=u[-1].copy(), defects=defects,
                                 alpha=alpha)
     raise NonConvergenceError(

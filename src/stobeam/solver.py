@@ -43,8 +43,8 @@ from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
 from .noise import (NoiseModel, build_noise_model, project_increments,
                     step_increments)
-from .operators import (StabilityConstants, TractiveForce, build_T,
-                        estimate_constants, weak_pair)
+from .operators import (StabilityConstants, TractiveForce,
+                        estimate_constants, profile_T, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
                          build_propagator)
 
@@ -341,9 +341,10 @@ def weak_residual(traj: Trajectory, h: BeamState) -> ResidualCurve:
 
     packed = [x.packed() for x in traj.states]
     pair_vals = np.array([packed_h_inner(y, hp, g) for y in packed])
+    tp = profile_T(scene.lam, g)  # T(t_j) = c(t_j) T_p
     gen = np.empty(n_steps + 1)
     for j in range(n_steps + 1):
-        tmat = build_T(scene.lam, float(times[j]), g)
+        tmat = scene.lam.c(float(times[j])) * tp
         gen[j] = weak_pair(g, tmat, packed[j], hp) \
             + packed_h_inner(scene.forces[j], hp, g)
 

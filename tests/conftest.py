@@ -10,6 +10,13 @@ import numpy as np
 import pytest
 
 from stobeam.grid import build_grid, build_grams
+from stobeam.operators import from_bands, tension_bands
+
+
+def build_T(lam, t, g):
+    """The dense weak tractive matrix T(t) of `tension_bands`, exactly
+    symmetric: the oracle that the banded and profile routes are held to."""
+    return from_bands(tension_bands(lam, t, g))
 
 
 @pytest.fixture(scope="session")

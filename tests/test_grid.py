@@ -127,6 +127,11 @@ def test_graph_norm_rejects_rough_displacement(grid16, g16):
         check_membership(x.u, "h4bc", g16)
     # the unchecked packed variant still evaluates
     assert packed_d_norm_sq(x.packed(), g16) > 0
+    # a stack (k, 2m, 3) gives each state's value, bit for bit
+    stack = np.stack([x.packed(), rng.standard_normal((2 * g16.m, 3)),
+                      np.zeros((2 * g16.m, 3))])
+    assert np.array_equal(packed_d_norm_sq(stack, g16),
+                          [packed_d_norm_sq(y, g16) for y in stack])
 
 
 def test_membership_smooth_passes_rough_fails(grid16, g16):

@@ -6,9 +6,11 @@ import pytest
 
 from stobeam.errors import AssemblyError, InvalidArgumentError
 from stobeam.grid import build_grams, build_grid, packed_h_norm
-from stobeam.operators import (TractiveForce, apply_L0, apply_L1, build_T,
+from stobeam.operators import (TractiveForce, apply_L0, apply_L1,
                                estimate_constants, op_norm_H, skew_defect,
                                weak_pair)
+
+from conftest import build_T
 
 
 def test_stiff_block_structure(g16):

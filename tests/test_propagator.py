@@ -11,19 +11,21 @@ from scipy.sparse._base import _spbase
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
 from stobeam.grid import (BeamState, GramSet, build_grams, build_grid,
-                          packed_h_norm)
+                          packed_d_norm_sq, packed_h_norm)
 from stobeam.noise import build_noise_model, ito_variance, trace_condition
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, apply_L0,
-                               apply_L1, build_T, estimate_constants,
-                               from_bands, op_norm_H, tension_bands, to_bands)
+                               apply_L1, estimate_constants, from_bands,
+                               op_norm_H, profile_T, tension_bands, to_bands)
 from stobeam import propagator
 from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
                                 backward_adjoint_apply,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
-                                picard_evolution, step_map, step_rule,
+                                picard_evolution, step_rule,
                                 _band_csr, _factor_from_bands)
 from stobeam.solver import bending_mode_state, sine_mode_state
+
+from conftest import build_T
 
 LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
 
@@ -35,12 +37,18 @@ def _generator(g, T):
     return apply_L0(g, eye) + apply_L1(T, g, eye)
 
 
+def step_matrix(P, k):
+    """The dense (2m)x(2m) map of step k of P: its chain over the one step
+    k..k+1, applied to the identity."""
+    return P.apply(np.eye(2 * P.g.m), k, k + 1)
+
+
 def cayley_step(g, T, dt):
     """Step map of the generator of T (T = 0 gives L0) from the banded
     kernel, the step rule of its increment factor materialized on the
     identity."""
-    return step_map(
-        _factor_from_bands(to_bands(g.B - T), g.M, dt, _band_csr(g.m)), dt)
+    d = _factor_from_bands(to_bands(g.B - T), g.M, dt, _band_csr(g.m))
+    return step_matrix(PropagatorFactorization(dt=dt, steps=[d], g=g), 0)
 
 
 def _zero(g):
@@ -104,7 +112,7 @@ def test_step_maps_match_dense_oracle(grams):
     # build_propagator takes the O(m) tension bands, not the dense T
     P = build_propagator(LAM, grams, 2, dt)
     mid = _dense_cayley(grams, build_T(LAM, 1.5 * dt, grams), dt)
-    assert np.max(np.abs(step_map(P.steps[1], dt) - mid)) <= \
+    assert np.max(np.abs(step_matrix(P, 1) - mid)) <= \
         1e-11 * np.max(np.abs(mid))
 
 
@@ -126,11 +134,9 @@ def test_transposed_rule_is_the_transposed_map(g16):
     transpose of the map that the forward rule materializes."""
     P = build_propagator(LAM, g16, 2, 1e-3)
     assert all(d.shape == (g16.m, g16.m) for d in P.steps)
-    G = step_map(P.steps[1], P.dt)
-    eye = np.eye(2 * g16.m)
-    GT = P.apply_transpose_premetric(eye, 1, 2)
+    G = step_matrix(P, 1)
+    GT = P.apply_transpose_premetric(np.eye(2 * g16.m), 1, 2)
     assert np.max(np.abs(GT - G.T)) <= 1e-15 * np.max(np.abs(G))
-    assert np.array_equal(P.apply(eye, 1, 2), G)
 
 
 def test_tension_bands_are_the_bands_of_build_T(grams):
@@ -300,7 +306,7 @@ def test_apply_matches_matrix(g16):
     P = build_propagator(LAM, g16, 5, 1e-2)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((2 * g16.m, 3))
-    G = [step_map(d, P.dt) for d in P.steps]
+    G = [step_matrix(P, k) for k in range(P.n_steps)]
     full = np.linalg.multi_dot(G[::-1])
     window = G[3] @ G[2] @ G[1]
     assert np.allclose(P.apply(y), full @ y, atol=1e-12)
@@ -468,3 +474,80 @@ def test_picard_holds_no_dense_tractive_generators():
     finally:
         tracemalloc.stop()
     assert peak < (n_steps + 1) * g.m ** 2 * 8, peak
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_picard_without_tension_is_the_free_flow(n):
+    """With no tractive term the first sweep leaves the free flow as it
+    is, and the fixed point is the free propagator's chain itself, bit
+    for bit."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    w = bending_mode_state(g, 1)
+    zero = TractiveForce.zero()
+    pr = picard_evolution(zero, g, w, 100, 1e-3)
+    assert pr.iterations == 1
+    P0 = build_propagator(zero, g, 100, 1e-3)
+    assert np.array_equal(pr.final, P0.apply(w.packed()))
+
+
+def test_picard_steps_only_through_the_step_rule(g16, monkeypatch):
+    """Picard walks the free propagator's chain: one walk for the free
+    flow and one per sweep, each step one `step_rule` call."""
+    calls = []
+    rule = propagator.step_rule
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        rule(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "step_rule", counted)
+    pr = picard_evolution(LAM, g16, bending_mode_state(g16, 1), 100, 1e-3)
+    assert pr.iterations > 1
+    assert len(calls) == (pr.iterations + 1) * 100
+
+
+def _dense_picard(lam, g, w, n_steps, dt, alpha):
+    """Picard's sweeps as the dense recurrence acc_j = S acc_{j-1} +
+    (S g_{j-1} + g_j) / 2, two (2m)x(2m) products per step, with S the
+    free step map materialized on the identity.  Returns the final state
+    and the defects."""
+    m = g.m
+    P0 = build_propagator(TractiveForce.zero(), g, n_steps, dt)
+    S = P0.apply(np.eye(2 * m), 0, 1)
+    mt = profile_T(lam, g) / g.M[:, None]
+    c = np.array([lam.c(j * dt) for j in range(n_steps + 1)])
+    flow = np.empty((n_steps + 1, 2 * m, 3))
+    flow[0] = w.packed()
+    for j in range(n_steps):
+        flow[j + 1] = S @ flow[j]
+    weights = np.exp(-alpha * dt * np.arange(n_steps + 1))
+    u, defects = flow, []
+    for _ in range(propagator._PICARD_MAX_ITER):
+        gj = np.zeros_like(u)
+        for j in range(n_steps + 1):
+            gj[j, m:] = c[j] * (mt @ u[j, :m])
+        new = flow.copy()
+        acc = np.zeros((2 * m, 3))
+        for j in range(1, n_steps + 1):
+            acc = S @ acc + 0.5 * (S @ gj[j - 1] + gj[j])
+            new[j] += dt * acc
+        defects.append(max(np.sqrt(packed_d_norm_sq(new[j] - u[j], g))
+                           * weights[j] for j in range(n_steps + 1)))
+        u = new
+        if defects[-1] <= propagator._PICARD_TOL:
+            break
+    return u[-1], defects
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_picard_matches_the_dense_step_recurrence(n):
+    """The walked sweeps agree with the dense two-product recurrence they
+    replaced: measured gaps of 9.3e-13 (n = 16) and 1.7e-11 (n = 64) for
+    the final state, and at most 1.1e-8 for the first two defects, which
+    the rounding of the walk moves relative to the dense products."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    w = bending_mode_state(g, 1)
+    pr = picard_evolution(LAM, g, w, 100, 1e-3)
+    final, defects = _dense_picard(LAM, g, w, 100, 1e-3, pr.alpha)
+    assert np.max(np.abs(pr.final - final)) <= 1e-10 * np.max(np.abs(final))
+    assert np.allclose(pr.defects[:2], defects[:2], rtol=1e-6, atol=0.0)

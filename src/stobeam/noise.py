@@ -29,7 +29,7 @@ increments at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,32 +241,28 @@ class TraceCheck(NamedTuple):
 
 
 def trace_condition(P: PropagatorFactorization, model: NoiseModel,
-                    constants: Optional[StabilityConstants] = None,
-                    i0: int = 0, i1: int = None) -> TraceCheck:
-    """Integral of Tr(U(t,r) A Q A* U*(t,r)) over r from t_i0 to t = t_i1,
-    the steps i0..i1 of P (by default all of them).
+                    constants: StabilityConstants = None) -> TraceCheck:
+    """Integral of Tr(U(t,r) A Q A* U*(t,r)) over r from 0 to t = t_n.
 
     Computed as trapezoidal quadrature of
-    sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 at r = t_j, j = i0..i1;
+    sum_{k,c} ||U(t,r) A sqrt(q_k) e_{k,c}||_H^2 at r = t_j, j = 0..n;
     the dense tail products U(t, t_j) are accumulated backward as their
     transposes U(t, t_j)^T = G_j^T U(t, t_{j+1})^T, so each grid time
     costs one transposed `step_rule` on a (2m, 2m) stack, whose large
     product is m x m.  The analytic comparison bound is
-    s sigma^2 exp(2 C4 s) Tr(Q) over the span s = (i1 - i0) dt, with
-    C4 = 0 when no constants are supplied (exact for the norm-preserving
-    flow); a growth factor beyond the float range makes the bound
-    infinite.  A window outside 0..n_steps raises InvalidArgumentError.
+    s sigma^2 exp(2 C4 s) Tr(Q) over the span s = n dt, with C4 = 0 when
+    no constants are supplied (exact for the norm-preserving flow); a
+    growth factor beyond the float range makes the bound infinite.
     """
     g = P.g
-    i0, i1 = P.span(i0, i1)
-    span = (i1 - i0) * P.dt
+    span = P.n_steps * P.dt
     c4 = 0.0 if constants is None else constants.C4
     with np.errstate(over="ignore"):  # a growth factor beyond range is inf
         growth = np.exp(2.0 * c4 * span)
     bound = float(span * model.sigma**2 * growth * trace_q(model))
-    # psi_j = U(t, t_j)^T, from j = i1 down to i0
+    # psi_j = U(t, t_j)^T, from j = n down to 0
     integrand = [_trace_integrand(psi, model, g)
-                 for psi in P.backward_images(np.eye(2 * g.m), i0, i1)]
+                 for psi in P.backward_images(np.eye(2 * g.m))]
     value = float(np.trapezoid(integrand[::-1], dx=P.dt))
     return TraceCheck(value=value, bound=bound)
 
@@ -281,31 +277,36 @@ def _trace_integrand(psi: np.ndarray, model: NoiseModel, g: GramSet) -> float:
 
 
 def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
-                 i0: int = 0, i1: int = None) -> float:
-    """Exact variance of <int U(t,r) A dW(r), h>_H at truncation K, r from
-    t_i0 to t = t_i1 over the steps i0..i1 of P (by default all of them).
+                 steps) -> np.ndarray:
+    """Exact variances of <int_0^t U(t,r) A dW(r), h>_H at truncation K,
+    at t = t_k for each sample step k of `steps`, as a float array.
 
     Quadrature of sum_{k,c} q_k <A e_{k,c}, U*(t,r) h>_H^2 at r = t_j,
-    j = i0..i1.  The pairings are evaluated through the premetric images
-    z_j = U(t,t_j)^T M_H h, accumulated backward with transposed steps, so
-    no Gram solve enters and duality is exact.
+    j = 0..k, through the premetric images z_j = U(t,t_j)^T M_H h, so no
+    Gram solve enters and duality is exact.  The sorted distinct steps
+    share one backward walk over a stack of 3 columns each that starts at
+    zero: M_H h enters a step's columns when the walk reaches it, so they
+    and their integrand are exactly zero until then, and the trapezoid is
+    summed one interval per step of the walk: a call makes n_steps
+    transposed steps, whatever len(steps) is.
 
-    The test function h only needs its stored clamp values to vanish
-    (weak-form pairing); this is checked, stencil smoothness is not.
+    h must vanish at the stored clamp values (checked; its smoothness is
+    not), and a step outside 0..n_steps raises InvalidArgumentError.
     """
-    g = P.g
-    if float(np.max(np.abs(h.u[-1]), initial=0.0)) > 0 or \
-            float(np.max(np.abs(h.v[-1]), initial=0.0)) > 0:
+    if np.max(np.abs([h.u[-1], h.v[-1]]), initial=0.0) > 0:
         raise PreconditionError(
             "test function must satisfy the clamped value conditions")
-    m = g.m
-    # z_j = U(t, t_j)^T M_H h, from j = i1 down to i0
-    integrand = [_ito_integrand(z, model, m)
-                 for z in P.backward_images(g.mh_apply(h.packed()), i0, i1)]
-    return float(np.trapezoid(integrand[::-1], dx=P.dt))
-
-
-def _ito_integrand(z: np.ndarray, model: NoiseModel, m: int) -> float:
-    """sum_{k,c} q_k (sigma e_k . z_v(:,c))^2 at one quadrature node."""
-    dots = model.e_red.T @ z[m:]            # (K, 3)
-    return float(model.sigma**2 * np.sum(model.q[:, None] * dots * dots))
+    k, back = np.unique(np.asarray(steps, dtype=int), return_inverse=True)
+    if not np.all((k >= 0) & (k <= P.n_steps)):
+        raise InvalidArgumentError(f"sample step outside 0..{P.n_steps}")
+    m, mh = P.g.m, P.g.mh_apply(h.packed())[..., None]
+    acc, f = np.zeros(k.size), np.zeros(k.size)
+    # z_j = U(t_k, t_j)^T M_H h in column k, from j = n_steps down to 0
+    for j, z in zip(range(P.n_steps, -1, -1),
+                    P.backward_images(np.zeros((2 * m, 3, k.size)))):
+        z[..., k == j] = mh
+        dots = (model.e_red.T @ z[m:].reshape(m, -1)).reshape(-1, 3, k.size)
+        f, f1 = model.sigma**2 * np.sum(model.q[:, None, None] * dots * dots,
+                                        axis=(0, 1)), f
+        acc += (j < k) * (P.dt * (f + f1) / 2.0)  # the interval j..j+1
+    return acc[back]

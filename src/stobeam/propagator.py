@@ -234,12 +234,12 @@ class PropagatorFactorization:
         is written into the latest image is what the next step advances."""
         return _walk(self.steps, self.dt, y, range(self.n_steps), False)
 
-    def backward_images(self, z: np.ndarray, i0: int = 0, i1: int = None):
-        """Yield U(t_i1, t_j)^T z for j from i1 down to i0, the chain that
-        `apply_transpose_premetric` ends with; each yielded array stays
-        valid until the second yield after it."""
-        i0, i1 = self.span(i0, i1)
-        return _walk(self.steps, self.dt, z, reversed(range(i0, i1)), True)
+    def backward_images(self, z: np.ndarray):
+        """Yield U(t_n, t_j)^T z for j = n_steps down to 0, the mirror of
+        `forward_images` on the same terms: what is written into the
+        latest image is what the next transposed step advances."""
+        return _walk(self.steps, self.dt, z, reversed(range(self.n_steps)),
+                     True)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """U*(t_n, 0) y = M_H^-1 U^T M_H y over the whole window, with a

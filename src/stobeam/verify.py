@@ -312,7 +312,7 @@ def check_ito_quadrature(scene) -> CheckResult:
     # the closed form needs the free flow, the scene's at zero tension
     P = scene.P if scene.lam.family == "zero" else _free_flow(scene, 0.1)
     h = sine_mode_state(scene.grid, 1, 3, "v")
-    quad = ito_variance(P, scene.model, h)
+    quad = ito_variance(P, scene.model, h, [P.n_steps])[0]
     closed = free_variance_closed_form(scene, h, P.n_steps, P.dt)
     return _result("ito_quadrature", abs(quad - closed) / max(closed, 1e-30),
                    1e-8, "backward-chain quadrature vs modal closed form")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stobeam import cli, solver
+from stobeam import cli, propagator, solver
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.errors import BlowupError
@@ -266,6 +266,49 @@ def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):
     assert main(["covariance", "--config", cfg_path,
                  "--out", str(tmp_path / "c")]) == 0
     assert len(calls) == 1
+    capsys.readouterr()
+
+
+#: the acceptance Monte Carlo config of the mc-covariance bench workload:
+#: 250 steps, 11 sample times
+MC_COVARIANCE = """
+beam.l = 1.0
+beam.b = 1.0
+grid.n = 16
+time.T = 0.25
+time.dt = 0.001
+noise.sigma = 1.0
+noise.K = 12
+lambda.family = bump
+lambda.c0 = 1.0
+lambda.c1 = 0.3
+init.family = zero
+bc.kind = homogeneous
+run.N = 16
+run.threads = 2
+run.observables = 1:3:v,2:1:v
+run.obs_stride = 25
+"""
+
+
+def test_covariance_quadrature_is_one_backward_walk(tmp_path, monkeypatch,
+                                                    capsys):
+    """All sample times share one walk back from t = T: n_steps transposed
+    steps, not one walk per sample time (1 375 steps here)."""
+    calls = []
+    rule = propagator.step_rule
+
+    def counted(d, dt, buf, out, transpose=False):
+        calls.append(transpose)
+        rule(d, dt, buf, out, transpose)
+
+    monkeypatch.setattr(propagator, "step_rule", counted)
+    cfg_path = _write_cfg(tmp_path, MC_COVARIANCE)
+    assert main(["covariance", "--config", cfg_path,
+                 "--out", str(tmp_path / "c")]) == 0
+    assert sum(calls) == 250
+    rows = (tmp_path / "c" / "covariance.csv").read_text().splitlines()
+    assert len(rows) == 1 + 11
     capsys.readouterr()
 
 

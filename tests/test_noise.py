@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from stobeam.errors import InvalidArgumentError, PreconditionError
-from stobeam.grid import build_grid
+from stobeam.grid import build_grams, build_grid
 from stobeam.noise import (CHUNK_STEPS, TRACE_RTOL, TraceCheck,
                            build_noise_model, build_spectrum, ito_variance,
                            project_increments, step_increments,
                            trace_condition, trace_q, trace_tail)
 from stobeam.operators import TractiveForce, estimate_constants
-from stobeam.propagator import build_propagator
+from stobeam.propagator import PropagatorFactorization, build_propagator
 from stobeam.solver import sine_mode_state
 
 ZETA2 = np.pi ** 2 / 6.0
@@ -163,11 +163,10 @@ def test_trace_respects_amplitude_and_window(g16, grid16):
     chk = trace_condition(P, model0)
     assert chk.value == 0.0 and chk.bound == 0.0
     model = build_noise_model(grid16, "k^-2", K=12, sigma=2.0)
-    a = trace_condition(P, model, i0=0, i1=50)
-    b = trace_condition(P, model, i0=0, i1=100)
+    half = build_propagator(TractiveForce.zero(), g16, 50, 1e-3)
+    a = trace_condition(half, model)
+    b = trace_condition(P, model)
     assert 0.0 < a.value < b.value
-    with pytest.raises(InvalidArgumentError):
-        trace_condition(P, model, i0=100, i1=0)
 
 
 def test_trace_bound_inflates_with_constants(g16, grid16):
@@ -188,20 +187,55 @@ def test_variance_quadrature_guards(g16, grid16):
     bad = sine_mode_state(grid16, 1, 3, "v")
     bad.v[-1, 2] = 0.5
     with pytest.raises(PreconditionError):
-        ito_variance(P, model, bad)
+        ito_variance(P, model, bad, [100])
     h = sine_mode_state(grid16, 1, 3, "v")
-    assert ito_variance(P, model, h, i0=50, i1=50) == 0.0
+    assert ito_variance(P, model, h, [0])[0] == 0.0
     model0 = build_noise_model(grid16, "k^-2", K=12, sigma=0.0)
-    assert ito_variance(P, model0, h) == 0.0
+    assert ito_variance(P, model0, h, [100])[0] == 0.0
 
 
 def test_variance_scales_with_sigma_squared(g16, grid16):
     P = build_propagator(TractiveForce.zero(), g16, 100, 1e-3)
     h = sine_mode_state(grid16, 1, 3, "v")
-    v1 = ito_variance(P, build_noise_model(grid16, "k^-2", K=12, sigma=1.0), h)
-    v2 = ito_variance(P, build_noise_model(grid16, "k^-2", K=12, sigma=2.0), h)
+    v1, v2 = (ito_variance(P, build_noise_model(grid16, "k^-2", K=12,
+                                                sigma=sigma), h, [100])[0]
+              for sigma in (1.0, 2.0))
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
     assert v1 > 0
+
+
+def _per_time_variance(P, model, h, k):
+    """The variance at step k by its own route: walk the truncated chain
+    of the first k factors back from t_k and apply `np.trapezoid` to the
+    integrand at every node."""
+    m = P.g.m
+    Pk = PropagatorFactorization(P.dt, P.steps[:k], P.g)
+    integrand = []
+    for z in Pk.backward_images(P.g.mh_apply(h.packed())):
+        dots = model.e_red.T @ z[m:]
+        integrand.append(model.sigma**2 * np.sum(model.q[:, None] * dots**2))
+    return float(np.trapezoid(integrand[::-1], dx=P.dt))
+
+
+@pytest.mark.parametrize("n, stride", [(16, 25), (64, 5)])
+def test_variance_sweep_matches_per_time_chains(n, stride):
+    """One backward sweep gives every sample time's variance as its own
+    truncated chain does, to 1e-11 relative; step 0 gives exactly 0.0,
+    and repeated or unsorted steps give the sorted steps' values."""
+    grid = build_grid(1.0, n)
+    P = build_propagator(TractiveForce.bump(c0=1.0, c1=0.3),
+                         build_grams(grid, 1.0), 250, 1e-3)
+    model = build_noise_model(grid, "k^-2", K=12)
+    steps = np.arange(0, P.n_steps + 1, stride)
+    for spec in ((1, 3, "v"), (2, 1, "v"), (1, 3, "u")):
+        h = sine_mode_state(grid, *spec)
+        sweep = ito_variance(P, model, h, steps)
+        assert sweep.shape == steps.shape and sweep[0] == 0.0
+        oracle = [_per_time_variance(P, model, h, k) for k in steps[1:]]
+        np.testing.assert_allclose(sweep[1:], oracle, rtol=1e-11, atol=0.0)
+        shuffled = np.concatenate([steps[::-1], steps[1::2]])
+        assert np.array_equal(ito_variance(P, model, h, shuffled),
+                              np.concatenate([sweep[::-1], sweep[1::2]]))
 
 
 def test_trace_bound_overflow_is_infinite_without_warning(g16, grid16):

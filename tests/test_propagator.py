@@ -12,7 +12,7 @@ from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
 from stobeam.grid import (BeamState, GramSet, build_grams, build_grid,
                           packed_d_norm_sq, packed_h_norm)
-from stobeam.noise import build_noise_model, ito_variance, trace_condition
+from stobeam.noise import build_noise_model, ito_variance
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, apply_L0,
                                apply_L1, estimate_constants, from_bands,
                                op_norm_H, profile_T, tension_bands, to_bands)
@@ -284,22 +284,21 @@ def test_factorization_guards(g16):
 
 
 def test_windows_are_step_ranges_within_the_grid(g16, grid16):
-    """A window is a range 0 <= i0 <= i1 <= n_steps of step indices; one
-    outside it is refused, where a negative index would otherwise wrap
-    round to the last step factors."""
+    """A window is a range 0 <= i0 <= i1 <= n_steps of step indices, and a
+    variance sample step lies in 0..n_steps; one outside is refused, where
+    a negative index would otherwise wrap round to the last step factors
+    or give a silent zero variance."""
     P = build_propagator(LAM, g16, 10, 1e-2)
     assert np.array_equal(P.times, 1e-2 * np.arange(11))
     y = np.ones((2 * g16.m, 3))
+    for i0, i1 in ((-1, 10), (0, 11), (6, 5)):
+        with pytest.raises(InvalidArgumentError):
+            P.apply(y, i0, i1)
     model = build_noise_model(grid16, "k^-2", K=12)
     h = sine_mode_state(grid16, 1, 3, "v")
-    calls = [lambda i0, i1: P.apply(y, i0, i1),
-             lambda i0, i1: P.backward_images(y, i0, i1),
-             lambda i0, i1: ito_variance(P, model, h, i0, i1),
-             lambda i0, i1: trace_condition(P, model, None, i0, i1)]
-    for call in calls:
-        for i0, i1 in ((-1, 10), (0, 11), (6, 5)):
-            with pytest.raises(InvalidArgumentError):
-                call(i0, i1)
+    for k in (-1, 11):
+        with pytest.raises(InvalidArgumentError):
+            ito_variance(P, model, h, [0, k])
 
 
 def test_apply_matches_matrix(g16):

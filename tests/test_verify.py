@@ -111,11 +111,12 @@ def test_closed_form_variance_matches_quadrature():
     cfg = parse_config(SMALL.replace("lambda.family = bump",
                                      "lambda.family = zero"))
     sc = build_scene(cfg)
-    for mode, ch, k in ((1, 3, 100), (2, 1, 50)):
+    for mode, ch in ((1, 3), (2, 1)):
         h = sine_mode_state(sc.grid, mode, ch, "v")
-        quad = ito_variance(sc.P, sc.model, h, i0=0, i1=k)
-        closed = free_variance_closed_form(sc, h, k, cfg.dt)
-        assert quad == pytest.approx(closed, rel=1e-8)
+        quads = ito_variance(sc.P, sc.model, h, [100, 50])
+        for k, quad in zip((100, 50), quads):
+            closed = free_variance_closed_form(sc, h, k, cfg.dt)
+            assert quad == pytest.approx(closed, rel=1e-8)
 
 
 def test_closed_form_variance_handles_displacement_parts():
@@ -123,7 +124,7 @@ def test_closed_form_variance_handles_displacement_parts():
                                      "lambda.family = zero"))
     sc = build_scene(cfg)
     h = sine_mode_state(sc.grid, 1, 3, "u")
-    quad = ito_variance(sc.P, sc.model, h)
+    quad = ito_variance(sc.P, sc.model, h, [sc.P.n_steps])[0]
     closed = free_variance_closed_form(sc, h, 100, cfg.dt)
     assert quad == pytest.approx(closed, rel=1e-8)
     assert closed > 0.0

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import InvalidArgumentError, PreconditionError, ShapeError
 
@@ -114,17 +115,17 @@ class GramSet:
     D2: np.ndarray
     B: np.ndarray
     B_raw: np.ndarray
-    _B_cho: tuple = field(default=None, repr=False)
+    _B_cho: np.ndarray = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return self.grid.n_free
 
     def B_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve B x = rhs via cached Cholesky factorization."""
+        """Solve B x = rhs by LAPACK potrs on the cached Cholesky factor."""
         if self._B_cho is None:
-            self._B_cho = cho_factor(self.B, lower=False)
-        return cho_solve(self._B_cho, rhs)
+            self._B_cho = cho_factor(self.B, lower=False)[0]
+        return _potrs(self._B_cho, rhs)[0]
 
     def mh_apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the block Gram of the state inner product to packed y."""

@@ -44,14 +44,14 @@ weighted graph norm.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbcon as _gbcon, dgbtrf as _gbtrf, \
-    dgbtrs as _gbtrs
+from scipy.linalg.lapack import dgbcon as _gbcon, dgbsv as _gbsv, \
+    dgbtrf as _gbtrf, dgbtrs as _gbtrs
 from scipy.sparse import csr_array
 
 from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
@@ -121,6 +121,19 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray, dt: float,
     return d
 
 
+@functools.lru_cache
+def _step_rows(dt: float, transpose: bool):
+    """The row that forms w and the two rows that form the result in
+    `step_rule` at dt, built once per (dt, direction) and read-only."""
+    if transpose:
+        rows = [[dt, 2.0]], [[1.0, 0.0, 2.0 / dt], [dt, 1.0, 1.0]]
+    else:
+        rows = [[2.0, dt]], [[1.0, dt, 1.0], [0.0, 1.0, 2.0 / dt]]
+    pair = tuple(map(np.array, rows))
+    pair[0].flags.writeable = pair[1].flags.writeable = False
+    return pair
+
+
 def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
               transpose: bool = False) -> None:
     """One Cayley step G of the increment factor d, or its transpose G^T,
@@ -135,16 +148,12 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     are exactly the products with the map of `_factor_from_bands`, done
     as three matrix products and no temporaries; `_walk` is the caller.
     """
-    if transpose:
-        d, w_rows, out_rows = d.T, [[dt, 2.0]], [[1.0, 0.0, 2.0 / dt],
-                                                  [dt, 1.0, 1.0]]
-    else:
-        w_rows, out_rows = [[2.0, dt]], [[1.0, dt, 1.0], [0.0, 1.0, 2.0 / dt]]
+    w_rows, out_rows = _step_rows(dt, transpose)
     flat = buf.reshape(3, -1)
     w = out[0]
-    np.matmul(np.array(w_rows), flat[:2], out=w.reshape(1, -1))
-    np.matmul(d, w, out=buf[2])
-    np.matmul(np.array(out_rows), flat, out=out.reshape(2, -1))
+    np.matmul(w_rows, flat[:2], out=w.reshape(1, -1))
+    np.matmul(d.T if transpose else d, w, out=buf[2])
+    np.matmul(out_rows, flat, out=out.reshape(2, -1))
 
 
 def _walk(steps, dt: float, y: np.ndarray, order, transpose: bool):
@@ -248,15 +257,13 @@ class PropagatorFactorization:
             self.apply_transpose_premetric(self.g.mh_apply(y)))
 
 
-def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
-                     dt: float) -> PropagatorFactorization:
-    """Factorize the evolution family over n_steps steps of size dt from
-    t = 0 into per-step factors.
-
-    D_k is the increment factor of the Cayley map of L(t_k + dt/2); one
-    factor is shared by all steps when the generator does not depend on
-    time.
-    """
+def extend_chain(steps: list, lam: TractiveForce, g: GramSet, n_steps: int,
+                 dt: float) -> list:
+    """Append the factors D_k, k = len(steps)..n_steps-1, of `lam` at dt
+    to `steps`, which holds those of k < len(steps), and return it.  D_k
+    is the increment factor of the Cayley map of L(t_k + dt/2): it depends
+    on lam's c(t) and profile, the Grams, dt and k alone, and is one shared
+    factor when the generator does not depend on time."""
     b_bands = to_bands(g.B)
     pattern = _band_csr(g.m)
 
@@ -265,10 +272,18 @@ def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
                                   pattern)
 
     if lam.autonomous:
-        steps = [step(0.5 * dt)] * n_steps
+        one = steps[0] if steps else step(0.5 * dt)
+        steps += [one] * (n_steps - len(steps))
     else:
-        steps = [step((k + 0.5) * dt) for k in range(n_steps)]
-    return PropagatorFactorization(dt=float(dt), steps=steps, g=g)
+        steps += [step((k + 0.5) * dt) for k in range(len(steps), n_steps)]
+    return steps
+
+
+def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
+                     dt: float) -> PropagatorFactorization:
+    """The factors of n_steps steps of dt from t = 0; see `extend_chain`."""
+    return PropagatorFactorization(float(dt),
+                                   extend_chain([], lam, g, n_steps, dt), g)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
@@ -294,10 +309,14 @@ def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,
         # B C_j = -K_j, so the solve (I - h L*_j)(u, v) = rhs reduces to
         # the banded one (M + h^2 K_j) v = M rhs_v + h B rhs_u, then
         # u = rhs_u + h C_j v with C_j v = B^-1 (T_j v) - v
-        a = (h * h) * (b_bands - tension_bands(lam, j * dt, g))
-        a[bw] += g.M
+        # gbsv keeps the fill-in of row pivoting in bw extra leading rows
+        ab = np.zeros((3 * bw + 1, m), order="F")
+        ab[bw:] = (h * h) * (b_bands - tension_bands(lam, j * dt, g))
+        ab[2 * bw] += g.M
         w = g.mh_apply(rhs)
-        v = solve_banded((bw, bw), a, w[m:] + h * w[:m])
+        v, info = _gbsv(bw, bw, ab, w[m:] + h * w[:m], overwrite_ab=1)[2:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         rho = np.concatenate([rhs[:m] + h * (g.B_solve(c[j] * (tp @ v)) - v),
                               v])
     return rho

@@ -30,7 +30,7 @@ import collections
 import concurrent.futures
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ from .noise import (NoiseModel, build_noise_model, project_increments,
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
-                         build_propagator)
+                         build_propagator, extend_chain)
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
 #: so that per-block arithmetic is identical for any worker pool size.
@@ -59,7 +59,9 @@ class Scene:
 
     The fields are assembled by `build_scene`; the cached properties are
     built on first use and then kept, so a command that never steps a
-    path builds no loads, initial state or observables.
+    path builds no loads, initial state or observables.  The scene also
+    keeps a store of step factors, one chain per tension and dt, from
+    which `propagator` hands out propagators of other lengths and steps.
     """
 
     cfg: SimulationConfig
@@ -69,6 +71,24 @@ class Scene:
     P: PropagatorFactorization = field(repr=False)
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
+    _chains: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def propagator(self, n_steps: int, dt: float,
+                   free: bool = False) -> PropagatorFactorization:
+        """The first n_steps factors of step dt of the scene's tension, its
+        horizon lifted, or with `free` of the zero tension: a prefix of
+        the store's chain for (tension, dt), sharing its arrays.  P seeds
+        the scene's chain at cfg.dt, and a request for more steps extends
+        the chain, so each factor is built once; a factor depends on
+        neither n_steps nor the horizon, so it is a fresh build's bits.
+        """
+        own = not free or self.lam.family == "zero"
+        chain = self._chains.setdefault((own, dt), list(
+            self.P.steps if own and dt == self.cfg.dt else ()))
+        lam = replace(self.lam, horizon=None) if own else TractiveForce.zero()
+        extend_chain(chain, lam, self.g, n_steps, dt)
+        return PropagatorFactorization(float(dt), chain[:n_steps], self.g)
 
     @functools.cached_property
     def constants(self) -> StabilityConstants:

@@ -8,7 +8,9 @@ when sigma = 0; checks that need a time-varying tension degrade to their
 autonomous exact-identity form when the modulation is constant.
 
 `run_checks` is what the command line `verify` subcommand executes; the
-test suite calls individual checks directly.
+test suite calls individual checks directly.  Checks take propagators
+of other lengths and steps from the scene's factor store
+(`Scene.propagator`), which builds each step factor once per scene.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
                    packed_h_norm)
 from .noise import (TRACE_RTOL, ito_variance, project_increments,
                     trace_condition, trace_q)
-from .operators import (TractiveForce, apply_L0, estimate_constants,
-                        op_norm_H, skew_defect)
+from .operators import apply_L0, estimate_constants, op_norm_H, skew_defect
 from .propagator import (PropagatorFactorization, backward_adjoint_apply,
-                         build_propagator, cocycle_defect, duality_defect,
-                         generator_residual, picard_evolution)
+                         cocycle_defect, duality_defect, generator_residual,
+                         picard_evolution)
 from . import solver as _solver
 from .solver import (bending_mode_state, build_scene, sine_mode_state,
                      solve_homogeneous)
@@ -126,14 +127,14 @@ def check_generator_integral(scene) -> CheckResult:
     lam = replace(scene.lam, horizon=None)
     w = bending_mode_state(g, 1)
     if lam.autonomous:
-        P = build_propagator(lam, g, 100, 0.2 / 100.0)
+        P = scene.propagator(100, 0.2 / 100.0)
         res = generator_residual(P, lam, w)
         return _result("generator_integral",
                        res.max_value / h_norm(w, g), 1e-8,
                        "autonomous case: trapezoid identity is exact")
     maxes = []
     for n in (50, 100, 200):
-        P = build_propagator(lam, g, n, 0.2 / n)
+        P = scene.propagator(n, 0.2 / n)
         maxes.append(generator_residual(P, lam, w).max_value)
     orders = [math.log2(maxes[i] / maxes[i + 1]) for i in range(2)]
     worst = min(orders)
@@ -187,8 +188,7 @@ def check_adjoint_backward(scene) -> CheckResult:
     span = min(0.1, scene.cfg.T)
 
     def defect(n):
-        P = build_propagator(lam, g, n, span / n)
-        via_chain = P.apply_adjoint(y)
+        via_chain = scene.propagator(n, span / n).apply_adjoint(y)
         via_ode = backward_adjoint_apply(lam, g, y, n, span / n)
         return packed_h_norm(via_chain - via_ode, g)
 
@@ -209,8 +209,7 @@ def check_picard_agreement(scene) -> CheckResult:
     w = bending_mode_state(g, 1)
     span = min(0.1, scene.cfg.T)
     dt = span / 100.0
-    P = build_propagator(lam, g, 100, dt)
-    direct = P.apply(w.packed())
+    direct = scene.propagator(100, dt).apply(w.packed())
     pr = picard_evolution(lam, g, w, 100, dt)
     diff = packed_h_norm(direct - pr.final, g)
     return _result("picard_agreement", diff / packed_h_norm(direct, g), 1e-5,
@@ -271,7 +270,7 @@ def _free_flow(scene, cap: float) -> PropagatorFactorization:
     dt that fit in min(T, cap), at least one."""
     dt = scene.cfg.dt
     steps = max(1, int(math.floor(min(scene.cfg.T, cap) / dt + 1e-12)))
-    return build_propagator(TractiveForce.zero(), scene.g, steps, dt)
+    return scene.propagator(steps, dt, free=True)
 
 
 def check_trace_identity(scene) -> CheckResult:

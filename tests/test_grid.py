@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from stobeam.errors import InvalidArgumentError, PreconditionError, ShapeError
 from stobeam.grid import (BeamState, bc_value_defect, build_grams, build_grid,
@@ -156,3 +157,13 @@ def test_membership_value_clamp(grid16, g16):
     assert d["value_at_l"] > 1.0
     vals[-1, 1] = 0.0
     assert membership_defects(vals, "h2bc", g16)["value_at_l"] == 0.0
+
+
+def test_b_solve_is_cho_solve(g16):
+    """B_solve calls LAPACK potrs on the cached factor directly: the bits
+    of `scipy.linalg.cho_solve` for one, three and m right-hand sides."""
+    c = cho_factor(g16.B, lower=False)
+    rng = np.random.default_rng(5)
+    for shape in ((g16.m,), (g16.m, 3), (g16.m, g16.m)):
+        rhs = rng.standard_normal(shape)
+        assert np.array_equal(g16.B_solve(rhs), cho_solve(c, rhs))

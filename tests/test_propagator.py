@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._base import _spbase
 
@@ -137,6 +137,41 @@ def test_transposed_rule_is_the_transposed_map(g16):
     G = step_matrix(P, 1)
     GT = P.apply_transpose_premetric(np.eye(2 * g16.m), 1, 2)
     assert np.max(np.abs(GT - G.T)) <= 1e-15 * np.max(np.abs(G))
+
+
+def _uncached_step_rule(d, dt, buf, out, transpose=False):
+    """`step_rule` in its uncached form, two `np.array` calls of its
+    coefficient rows per step: the oracle of the cached rule."""
+    if transpose:
+        d, w_rows, out_rows = d.T, [[dt, 2.0]], [[1.0, 0.0, 2.0 / dt],
+                                                  [dt, 1.0, 1.0]]
+    else:
+        w_rows, out_rows = [[2.0, dt]], [[1.0, dt, 1.0], [0.0, 1.0, 2.0 / dt]]
+    flat = buf.reshape(3, -1)
+    w = out[0]
+    np.matmul(np.array(w_rows), flat[:2], out=w.reshape(1, -1))
+    np.matmul(d, w, out=buf[2])
+    np.matmul(np.array(out_rows), flat, out=out.reshape(2, -1))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("cols", [3, 34, 768])
+def test_step_rule_is_bitwise_its_uncached_form(g16, cols, transpose):
+    P = build_propagator(LAM, g16, 2, 1e-3)
+    buf = np.random.default_rng(cols).standard_normal((3, g16.m, cols))
+    want, got = np.empty((2, 2, g16.m, cols))
+    _uncached_step_rule(P.steps[1], P.dt, buf.copy(), want, transpose)
+    step_rule(P.steps[1], P.dt, buf.copy(), got, transpose)
+    assert np.array_equal(got, want)
+
+
+def test_step_rule_rows_are_cached_and_read_only():
+    for transpose in (False, True):
+        rows = propagator._step_rows(1e-3, transpose)
+        assert rows is propagator._step_rows(1e-3, transpose)
+        for a in rows:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
 
 def test_tension_bands_are_the_bands_of_build_T(grams):
@@ -425,6 +460,24 @@ def test_backward_integration_solves_only_state_columns(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (2 * g.m) ** 2 * 8
+
+
+def test_backward_integration_solves_as_solve_banded(g16, monkeypatch):
+    """Each banded solve of the backward march, LAPACK gbsv called
+    directly, returns the bits of `scipy.linalg.solve_banded` on the same
+    band and right-hand side."""
+    gbsv, same = propagator._gbsv, []
+
+    def checked(kl, ku, ab, b, **kwargs):
+        want = solve_banded((kl, ku), ab[kl:], b)  # before gbsv overwrites
+        out = gbsv(kl, ku, ab, b, **kwargs)
+        same.append(np.array_equal(out[2], want))
+        return out
+
+    monkeypatch.setattr(propagator, "_gbsv", checked)
+    backward_adjoint_apply(LAM, g16, bending_mode_state(g16, 1).packed(), 20,
+                           1e-3)
+    assert same == [True] * 20
 
 
 def test_cocycle_rejects_misordered_times(g16):

@@ -1,4 +1,7 @@
+import collections
 import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from stobeam import operators, propagator, solver, verify
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
+from stobeam.operators import TractiveForce
 from stobeam.solver import build_scene, sine_mode_state
 from stobeam.verify import (_result, check_trace_bound,
                             free_variance_closed_form, run_checks)
@@ -227,3 +231,80 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     res = verify.check_picard_contraction(
         build_scene(parse_config(_default_text({}))))
     assert res.status == "fail" and res.defect > 0.8, res.note
+
+
+def test_verify_builds_each_factor_once(monkeypatch):
+    """One suite on configs/default.cfg builds 424 step factors (875
+    when each check built its own propagators): the scene's 250 at
+    dt = 0.001, which `generator_integral`, `adjoint_backward` and
+    `picard_agreement` share; 50 at 0.2/50 and 100 at 0.2/100 == 0.1/50;
+    the free flow's one; and, outside the store, one in each Picard run
+    and 21 in the scenes of `bc_conformity` and `weak_identity_null`."""
+    dts = []
+    build = propagator._factor_from_bands
+
+    def counted(kb, mass, dt, pattern):
+        dts.append(dt)
+        return build(kb, mass, dt, pattern)
+
+    monkeypatch.setattr(propagator, "_factor_from_bands", counted)
+    run_checks(parse_config(_default_text({})))
+    assert collections.Counter(dts) == {0.001: 274, 0.2 / 50: 50,
+                                        0.2 / 100: 100}
+
+
+@pytest.mark.parametrize("text", [_default_text({}), SMALL],
+                         ids=["default", "small"])
+def test_store_propagators_equal_fresh_builds(monkeypatch, text):
+    """Every propagator a check gets from the scene's store equals a
+    fresh `build_propagator` of its tension (the scene's with the horizon
+    lifted, or the zero one), n_steps and dt, step by step.  On SMALL
+    (T = 0.1) the 200-step probe of `generator_integral` extends the
+    scene's chain past its horizon."""
+    got = []
+    request = solver.Scene.propagator
+
+    def recorded(scene, n_steps, dt, free=False):
+        P = request(scene, n_steps, dt, free)
+        got.append((scene, free, P))
+        return P
+
+    monkeypatch.setattr(solver.Scene, "propagator", recorded)
+    run_checks(parse_config(text))
+    assert len(got) == 8
+    for scene, free, P in got:
+        lam = TractiveForce.zero() if free else replace(scene.lam,
+                                                        horizon=None)
+        fresh = propagator.build_propagator(lam, scene.g, P.n_steps, P.dt)
+        assert P.dt == fresh.dt and P.n_steps == fresh.n_steps
+        assert all(np.array_equal(a, b) for a, b in zip(P.steps, fresh.steps))
+    past = [P.n_steps for scene, free, P in got
+            if not free and P.n_steps > scene.P.n_steps]
+    assert past == ([200] if text == SMALL else [])
+
+
+def test_factor_store_belongs_to_its_scene():
+    """A suite run after another in the same process, on a grid of 32
+    with the same dt, gives the results of a run on that grid alone: no
+    factor of one scene's store reaches a later scene."""
+    finer = parse_config(_default_text({"grid.n": "32"}))
+    alone = run_checks(finer)
+    run_checks(parse_config(_default_text({})))
+    assert run_checks(finer) == alone
+
+
+def test_factor_store_peak_stays_below_the_probes_it_replaces():
+    """At n = 64 the suite's traced peak stays below the scene's 250
+    factors plus the 300 that the 100- and 200-step probes of
+    `generator_integral` held at once when each check built its own
+    (18.1 MiB, 561 factors' worth).  The store keeps its 150 extra
+    factors to the end, and the peak (16.6 MiB, 514 factors' worth) is
+    set in `picard_contraction`."""
+    cfg = parse_config(_default_text({"grid.n": "64"}))
+    tracemalloc.start()
+    try:
+        run_checks(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (250 + 300) * 65 ** 2 * 8

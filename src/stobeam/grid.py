@@ -28,10 +28,11 @@ M, and the full state form adds them over the three channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg import cholesky, eigh
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import InvalidArgumentError, PreconditionError, ShapeError
@@ -115,17 +116,24 @@ class GramSet:
     D2: np.ndarray
     B: np.ndarray
     B_raw: np.ndarray
-    _B_cho: np.ndarray = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return self.grid.n_free
 
+    @functools.cached_property
+    def B_chol(self) -> np.ndarray:
+        """Upper Cholesky factor C of B = C^T C, lower triangle zero."""
+        return cholesky(self.B, lower=False)
+
+    @functools.cached_property
+    def bending_modes(self) -> tuple:
+        """Ascending eigenvalues and M-orthonormal eigenvectors of (B, M)."""
+        return eigh(self.B, np.diag(self.M))
+
     def B_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve B x = rhs by LAPACK potrs on the cached Cholesky factor."""
-        if self._B_cho is None:
-            self._B_cho = cho_factor(self.B, lower=False)[0]
-        return _potrs(self._B_cho, rhs)[0]
+        """Solve B x = rhs by LAPACK potrs on `B_chol`."""
+        return _potrs(self.B_chol, rhs)[0]
 
     def mh_apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the block Gram of the state inner product to packed y."""
@@ -196,10 +204,8 @@ def build_grams(grid: BeamGrid, b: float) -> GramSet:
     a = np.sqrt(w_full)[:, None] * d2
     b_raw = a.T @ a
     b_raw = 0.5 * (b_raw + b_raw.T)
-    b_mat = b * b_raw
-    b_mat = 0.5 * (b_mat + b_mat.T)
     return GramSet(grid=grid, b=float(b), M=m_diag, W=w_full,
-                   D2=d2, B=b_mat, B_raw=b_raw)
+                   D2=d2, B=b * b_raw, B_raw=b_raw)
 
 
 def _check_same_grid(g1: BeamGrid, g2: BeamGrid):

@@ -23,7 +23,8 @@ step factors take the bands of K = B - T(t) (`to_bands`, `tension_bands`).
 The tension is separable, lambda(s, t) = c(t) p(s), so T(t) = c(t) T_p
 with one profile matrix T_p (`profile_T`), and the stability constants
 are exact operator norms from one m x m singular value each: with
-B = C^T C (Cholesky), L1 acting on u alone and ||x||_D = ||L0 x||_H,
+B = C^T C (Cholesky, `GramSet.B_chol`), L1 acting on u alone and
+||x||_D = ||L0 x||_H,
 
     C4 = ||L1(t)||_H = |c(t)| s_max(M^-1/2 T_p C^-1),
     C5 = ||L0 L1(t) L0^-1||_H = |c(t)| s_max(C M^-1 T_p B^-1 M^1/2).
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, svdvals
+from scipy.linalg import solve_triangular, svdvals
 
 from .errors import AssemblyError, InvalidArgumentError
 from .grid import BeamGrid, GramSet
@@ -83,11 +84,6 @@ class TractiveForce:
     @classmethod
     def zero(cls) -> "TractiveForce":
         return cls(family="zero")
-
-    @classmethod
-    def bump(cls, **fields) -> "TractiveForce":
-        """The bump profile; keyword arguments set the other fields."""
-        return cls(family="bump", **fields)
 
     @property
     def autonomous(self) -> bool:
@@ -283,12 +279,11 @@ def op_norm_H(g: GramSet, mat: np.ndarray) -> float:
     """H-operator norm of a packed-state matrix.
 
     Computed exactly as the largest singular value of C mat C^-1 where
-    M_H = C^T C is the block Cholesky of the state Gram.  The triangular
-    solve skips its finite check; `svdvals` still rejects non-finite input.
+    M_H = C^T C is the block Cholesky of the state Gram (B's block is
+    `B_chol`).  The triangular solve skips its finite check; `svdvals`
+    still rejects non-finite input.
     """
-    m = g.m
-    cu = cholesky(g.B, lower=False)
-    sq = np.sqrt(g.M)
+    m, cu, sq = g.m, g.B_chol, np.sqrt(g.M)
     cm = np.vstack([cu @ mat[:m], sq[:, None] * mat[m:]])
     left = solve_triangular(cu.T, cm[:, :m].T, lower=True,
                             check_finite=False).T
@@ -325,8 +320,7 @@ def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityCo
     c_max = abs(lam.c(t_max))
     c4_formula = float(np.sqrt(4.0 * g.grid.l
                                * lam.ds_l2_norm_sq(t_max, g.grid) / g.b))
-    tp, sq = profile_T(lam, g), np.sqrt(g.M)
-    cu = cholesky(g.B, lower=False)
+    tp, sq, cu = profile_T(lam, g), np.sqrt(g.M), g.B_chol
     # the transpose of M^-1/2 T_p C^-1, and C M^-1 T_p B^-1 M^1/2
     h_form = solve_triangular(cu, tp / sq, trans="T", check_finite=False)
     d_form = cu @ (g.B_solve(tp / g.M).T * sq)

@@ -410,18 +410,19 @@ class PicardResult:
         return len(self.defects)
 
 
-def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
-                     n_steps: int, dt: float, alpha: float = None,
+def picard_evolution(lam: TractiveForce, S: PropagatorFactorization,
+                     w: BeamState, alpha: float = None,
                      constants: StabilityConstants = None) -> PicardResult:
-    """Fixed point of u -> S(.) w + int_0 S(.-r) L1(r) u(r) dr on the
-    grid t_k = k dt, k = 0..n_steps.
+    """Fixed point of u -> S(.) w + int_0 S(.-r) L1 u(r) dr on S's grid
+    t_k = k dt, k = 0..n_steps, with L1 the tractive term of `lam`.
 
-    S is `build_propagator` of the zero tension, so the comparison against
-    `build_propagator` isolates the treatment of the tractive term.  The
-    free flow S(t_j) w is walked once; a sweep walks S's chain once more
-    for the trapezoidal sum acc_j = S (acc_{j-1} + g_{j-1}/2) + g_j/2 of
-    g_j = L1(t_j) u_j = (0, c(t_j) M^-1 T_p u_j), with one M^-1 T_p product
-    for all steps and one stacked graph norm of the sweep's change.
+    S is the caller's propagator of the zero tension, so the comparison
+    against the midpoint flow of `lam` isolates the treatment of the
+    tractive term.  The free flow S(t_j) w is walked once; a sweep walks
+    S's chain once more for the trapezoidal sum acc_j = S (acc_{j-1} +
+    g_{j-1}/2) + g_j/2 of g_j = L1(t_j) u_j = (0, c(t_j) M^-1 T_p u_j),
+    with one M^-1 T_p product for all steps and one stacked graph norm of
+    the sweep's change.
     Iterates are compared in the weighted graph norm sup_k ||.||_D
     exp(-alpha t_k); successive defects contract by about C5/alpha.
     alpha=None resolves to max(2 C5, 1), which puts that factor at 1/2 or
@@ -433,6 +434,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
         NonConvergenceError: defect above _PICARD_TOL after _PICARD_MAX_ITER
             sweeps.
     """
+    g, n_steps, dt = S.g, S.n_steps, S.dt
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
     if constants is None:
@@ -445,9 +447,8 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
             f"weight alpha={alpha} must exceed the graph-norm bound C5={c5}")
 
     m = g.m
-    P0 = build_propagator(TractiveForce.zero(), g, n_steps, dt)
     flow = np.empty((n_steps + 1, 2 * m, 3))
-    for j, y in enumerate(P0.forward_images(w.packed())):
+    for j, y in enumerate(S.forward_images(w.packed())):
         flow[j] = y
     # the lower-left block c(t_j) M^-1 T_p of L1, the only nonzero one
     mt = profile_T(lam, g) / g.M[:, None]
@@ -464,7 +465,7 @@ def picard_evolution(lam: TractiveForce, g: GramSet, w: BeamState,
                                    axes=(1, 1)).transpose(1, 0, 2)
         half[:, m:] *= half_c[:, None, None]
         # acc_j = S (acc_{j-1} + g_{j-1}/2) + g_j / 2, walked from g_0 / 2
-        walk = P0.forward_images(half[0])
+        walk = S.forward_images(half[0])
         next(walk)
         acc[0] = 0.0
         for j, z in enumerate(walk, 1):

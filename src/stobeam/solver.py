@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .config import SimulationConfig, compile_expression, parse_observable_spec
 from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
@@ -76,19 +75,24 @@ class Scene:
 
     def propagator(self, n_steps: int, dt: float,
                    free: bool = False) -> PropagatorFactorization:
-        """The first n_steps factors of step dt of the scene's tension, its
-        horizon lifted, or with `free` of the zero tension: a prefix of
-        the store's chain for (tension, dt), sharing its arrays.  P seeds
-        the scene's chain at cfg.dt, and a request for more steps extends
-        the chain, so each factor is built once; a factor depends on
-        neither n_steps nor the horizon, so it is a fresh build's bits.
+        """The first n_steps factors of step dt of `lifted`, or with
+        `free` of the zero tension: a prefix of the store's chain for
+        (tension, dt), sharing its arrays.  P seeds the scene's chain at
+        cfg.dt, and a request for more steps extends the chain, so each
+        factor is built once; a factor depends on neither n_steps nor the
+        horizon, so it is a fresh build's bits.
         """
         own = not free or self.lam.family == "zero"
         chain = self._chains.setdefault((own, dt), list(
             self.P.steps if own and dt == self.cfg.dt else ()))
-        lam = replace(self.lam, horizon=None) if own else TractiveForce.zero()
+        lam = self.lifted if own else TractiveForce.zero()
         extend_chain(chain, lam, self.g, n_steps, dt)
         return PropagatorFactorization(float(dt), chain[:n_steps], self.g)
+
+    @functools.cached_property
+    def lifted(self) -> TractiveForce:
+        """The tension without its horizon, for probes beyond the run."""
+        return replace(self.lam, horizon=None)
 
     @functools.cached_property
     def constants(self) -> StabilityConstants:
@@ -225,7 +229,7 @@ def bending_mode_state(g: GramSet, mode: int,
     """Transverse (channel 3) displacement eigenmode of the bending pencil
     (B, M), unit H-energy direction, deterministic sign (positive free-end
     deflection)."""
-    vals, vecs = scipy.linalg.eigh(g.B, np.diag(g.M))
+    vecs = g.bending_modes[1]
     if mode < 1 or mode > g.m:
         raise InvalidArgumentError(f"bending mode {mode} out of range 1..{g.m}")
     shape = vecs[:, mode - 1]

@@ -8,9 +8,15 @@ when sigma = 0; checks that need a time-varying tension degrade to their
 autonomous exact-identity form when the modulation is constant.
 
 `run_checks` is what the command line `verify` subcommand executes; the
-test suite calls individual checks directly.  Checks take propagators
-of other lengths and steps from the scene's factor store
-(`Scene.propagator`), which builds each step factor once per scene.
+test suite calls individual checks directly.
+
+The identities of L(t) belong to the generator, not to the run, so one
+probe rule holds for the checks that test them (generator integral,
+backward adjoint, Picard agreement and contraction, trace identity, Ito
+quadrature): each spans its own fixed window whatever the horizon, so
+that short runs do not probe at the rounding floor, reads the tension
+with its horizon lifted (`Scene.lifted`), and walks chains from the
+scene's factor store (`Scene.propagator`), Picard's free flow included.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .config import SimulationConfig
 from .errors import StobeamError
@@ -117,25 +122,20 @@ def check_propagator_cocycle(scene) -> CheckResult:
 
 
 def check_generator_integral(scene) -> CheckResult:
-    """Residual of U w - w - int L U w; order 2 when the tension varies.
-
-    The identity belongs to L(t), not to the run: the probe window is
-    [0, 0.2] whatever the configured horizon, which is lifted from the
-    tension for it, so that short runs do not probe at the rounding floor.
-    """
+    """Residual of U w - w - int L U w on [0, 0.2]; order 2 when the
+    tension varies."""
     g = scene.g
-    lam = replace(scene.lam, horizon=None)
+    lam = scene.lifted
     w = bending_mode_state(g, 1)
+
+    def residual(n):
+        return generator_residual(scene.propagator(n, 0.2 / n), lam,
+                                  w).max_value
+
     if lam.autonomous:
-        P = scene.propagator(100, 0.2 / 100.0)
-        res = generator_residual(P, lam, w)
-        return _result("generator_integral",
-                       res.max_value / h_norm(w, g), 1e-8,
-                       "autonomous case: trapezoid identity is exact")
-    maxes = []
-    for n in (50, 100, 200):
-        P = scene.propagator(n, 0.2 / n)
-        maxes.append(generator_residual(P, lam, w).max_value)
+        return _result("generator_integral", residual(100) / h_norm(w, g),
+                       1e-8, "autonomous case: trapezoid identity is exact")
+    maxes = [residual(n) for n in (50, 100, 200)]
     orders = [math.log2(maxes[i] / maxes[i + 1]) for i in range(2)]
     worst = min(orders)
     return CheckResult("generator_integral",
@@ -182,14 +182,13 @@ def check_adjoint_backward(scene) -> CheckResult:
     smooth; a random one is still pre-asymptotic here on finer grids.
     """
     g = scene.g
-    lam = scene.lam
+    lam = scene.lifted
     y = bending_mode_state(g, 1).packed()
     y /= packed_h_norm(y, g)
-    span = min(0.1, scene.cfg.T)
 
     def defect(n):
-        via_chain = scene.propagator(n, span / n).apply_adjoint(y)
-        via_ode = backward_adjoint_apply(lam, g, y, n, span / n)
+        via_chain = scene.propagator(n, 0.1 / n).apply_adjoint(y)
+        via_ode = backward_adjoint_apply(lam, g, y, n, 0.1 / n)
         return packed_h_norm(via_chain - via_ode, g)
 
     if lam.autonomous:
@@ -205,12 +204,11 @@ def check_adjoint_backward(scene) -> CheckResult:
 
 def check_picard_agreement(scene) -> CheckResult:
     g = scene.g
-    lam = scene.lam
     w = bending_mode_state(g, 1)
-    span = min(0.1, scene.cfg.T)
-    dt = span / 100.0
+    dt = 0.1 / 100.0
     direct = scene.propagator(100, dt).apply(w.packed())
-    pr = picard_evolution(lam, g, w, 100, dt)
+    pr = picard_evolution(scene.lifted, scene.propagator(100, dt, free=True),
+                          w)
     diff = packed_h_norm(direct - pr.final, g)
     return _result("picard_agreement", diff / packed_h_norm(direct, g), 1e-5,
                    f"fixed point vs midpoint flow after {pr.iterations} sweeps")
@@ -218,16 +216,15 @@ def check_picard_agreement(scene) -> CheckResult:
 
 def check_picard_contraction(scene) -> CheckResult:
     g = scene.g
-    lam = scene.lam
+    lam = scene.lifted
     if lam.family == "zero":
         return _result("picard_contraction", 0, 0,
                        "no tractive term: fixed point reached in one sweep",
                        skip=True)
-    span = min(0.2, scene.cfg.T)
-    consts = estimate_constants(lam, g, np.linspace(0.0, span, 9))
-    w = bending_mode_state(g, 1)
-    pr = picard_evolution(lam, g, w, 200, span / 200.0,
-                          alpha=2.0 * consts.C5, constants=consts)
+    consts = estimate_constants(lam, g, np.linspace(0.0, 0.2, 9))
+    pr = picard_evolution(lam, scene.propagator(200, 0.2 / 200.0, free=True),
+                          bending_mode_state(g, 1), alpha=2.0 * consts.C5,
+                          constants=consts)
     # only ratios well above the graph norm's rounding floor count; the
     # defects stall near 2e-10 d0 at n = 16 and 3e-7 d0 at n = 128
     floor = 1e-8 * (g.grid.n / 16) ** 3 * pr.defects[0]
@@ -265,11 +262,10 @@ def check_increment_determinism(scene) -> CheckResult:
                    "same (seed, path) draws are bitwise identical")
 
 
-def _free_flow(scene, cap: float) -> PropagatorFactorization:
-    """The tension-free flow on the scene's grid over the whole steps of
-    dt that fit in min(T, cap), at least one."""
+def _free_flow(scene, span: float) -> PropagatorFactorization:
+    """The free flow over the whole steps of dt in span, at least one."""
     dt = scene.cfg.dt
-    steps = max(1, int(math.floor(min(scene.cfg.T, cap) / dt + 1e-12)))
+    steps = max(1, int(math.floor(span / dt + 1e-12)))
     return scene.propagator(steps, dt, free=True)
 
 
@@ -308,8 +304,7 @@ def check_ito_quadrature(scene) -> CheckResult:
     if scene.model is None:
         return _result("ito_quadrature", 0, 0,
                        "sigma = 0: Ito checks skipped", skip=True)
-    # the closed form needs the free flow, the scene's at zero tension
-    P = scene.P if scene.lam.family == "zero" else _free_flow(scene, 0.1)
+    P = _free_flow(scene, 0.1)
     h = sine_mode_state(scene.grid, 1, 3, "v")
     quad = ito_variance(P, scene.model, h, [P.n_steps])[0]
     closed = free_variance_closed_form(scene, h, P.n_steps, P.dt)
@@ -328,7 +323,7 @@ def free_variance_closed_form(scene, h: BeamState, n_steps: int,
     """
     g = scene.g
     model = scene.model
-    evals, evecs = scipy.linalg.eigh(g.B, np.diag(g.M))
+    evals, evecs = g.bending_modes
     omega = np.sqrt(np.maximum(evals, 0.0))
     phi = 2.0 * np.arctan(0.5 * omega * dt)
     m = g.m

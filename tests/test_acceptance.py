@@ -28,7 +28,7 @@ from stobeam.solver import (Trajectory, bending_mode_state,
                             solve_homogeneous, solve_nonhomogeneous,
                             weak_residual)
 
-BUMP = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
+BUMP = TractiveForce(family="bump", c0=1.0, c1=0.3, freq=1.0)
 
 
 def _grams(n):
@@ -65,7 +65,7 @@ def test_tension_norm_under_analytic_bound(acceptance):
     # constant modulation c(t) = 1 at unit length/stiffness, where the
     # closed form of the bound is sqrt(8/105)
     g = _grams(16)
-    lam = TractiveForce.bump(c0=1.0, c1=0.0)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.0)
     consts = estimate_constants(lam, g, np.linspace(0.0, 1.0, 11))
     exact = math.sqrt(8.0 / 105.0)
     formula_ok = abs(consts.C4_formula - exact) <= 1e-12 * exact
@@ -126,7 +126,8 @@ def test_fixed_point_agrees_with_midpoint_stepping(acceptance):
     w = bending_mode_state(g, 1)
     consts = estimate_constants(BUMP, g, np.linspace(0.0, 0.5, 11))
     P = build_propagator(BUMP, g, 500, 1e-3)
-    pr = picard_evolution(BUMP, g, w, 500, 1e-3, constants=consts)
+    S = build_propagator(TractiveForce.zero(), g, 500, 1e-3)
+    pr = picard_evolution(BUMP, S, w, constants=consts)
     diff = packed_h_norm(pr.final - P.apply(w.packed()), g)
     floor = 1e-8 * pr.defects[0]
     ratios = [pr.defects[i + 1] / pr.defects[i]
@@ -324,7 +325,7 @@ bc.kind = %(bc)s
 
 def test_slope_shift_stationarity_and_consistency(acceptance):
     grid = build_grid(1.0, 16)
-    lam = TractiveForce.bump(c0=1.0)
+    lam = TractiveForce(family="bump", c0=1.0)
     # balance gravity against the tension gradient so the lifted state
     # should not move at all
     table = 9.81 - lam.ds_node_values(0.0, grid)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from stobeam.errors import InvalidArgumentError, PreconditionError, ShapeError
 from stobeam.grid import (BeamState, bc_value_defect, build_grams, build_grid,
@@ -167,3 +167,21 @@ def test_b_solve_is_cho_solve(g16):
     for shape in ((g16.m,), (g16.m, 3), (g16.m, g16.m)):
         rhs = rng.standard_normal(shape)
         assert np.array_equal(g16.B_solve(rhs), cho_solve(c, rhs))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_grams_factor_b_once_as_the_routines_did(n):
+    """B is exactly symmetric as assembled.  `B_chol` is the bits of the
+    upper `cho_factor` with its lower triangle zeroed, and `B_solve` on it
+    the bits of `cho_solve`; `bending_modes` is `eigh` of the pencil.  Both
+    are built on first use and kept."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    assert np.array_equal(g.B, g.B.T)
+    c = cho_factor(g.B, lower=False)
+    assert np.array_equal(g.B_chol, np.triu(c[0]))
+    rhs = np.random.default_rng(n).standard_normal((g.m, 3))
+    assert np.array_equal(g.B_solve(rhs), cho_solve(c, rhs))
+    vals, vecs = eigh(g.B, np.diag(g.M))
+    assert np.array_equal(g.bending_modes[0], vals)
+    assert np.array_equal(g.bending_modes[1], vecs)
+    assert g.B_chol is g.B_chol and g.bending_modes is g.bending_modes

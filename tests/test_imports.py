@@ -5,13 +5,16 @@ default is given the same literal by every call.
 
 A re-export counts as no use: a name is imported from the module that
 defines it, so `from m import name as name` fails like any other unused
-import.  A definition counts as referenced when its name appears as a
-whole word, outside its own definitions, somewhere in the Python files
-of src/ or bench/; tests do not count, since library code that only
-tests use is dead weight.  The match is textual, so a name inside a
-string or an f-string counts.  The package `__init__.py` is
-neither checked nor read: a re-export alone is no use, and the root
-holds only `__version__`.
+import.  A top-level function or class counts as referenced when its
+name appears as a whole word, outside its own definitions, somewhere in
+the Python files of src/ or bench/; tests do not count, since library
+code that only tests use is dead weight.  That match is textual, so a
+name inside a string or an f-string counts.  A method or property counts
+as referenced only when the syntax trees of those files look it up as
+an attribute (`x.name`): a word match would let any local variable or
+keyword argument of the same name keep it alive.  The package
+`__init__.py` is neither checked nor read: a re-export alone is no use,
+and the root holds only `__version__`.
 
 A dataclass field, and any attribute that a class assigns as
 `self.attr = ...`, counts as read when some Python file of src/, tests/
@@ -70,14 +73,14 @@ def test_no_unused_top_level_imports(path):
 
 
 def _definitions(tree: ast.Module) -> list:
-    """Top-level functions and classes, and the non-dunder methods and
-    properties of those classes."""
+    """(name, is_method) of each top-level function and class, and of each
+    non-dunder method and property of those classes."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, False))
         if isinstance(node, ast.ClassDef):
-            names += [item.name for item in node.body
+            names += [(item.name, True) for item in node.body
                       if isinstance(item, ast.FunctionDef)
                       and not (item.name.startswith("__")
                                and item.name.endswith("__"))]
@@ -87,22 +90,27 @@ def _definitions(tree: ast.Module) -> list:
 @pytest.fixture(scope="module")
 def corpus():
     """How often each word occurs in the text the references may come
-    from (src/ and bench/, not tests/), and every definition name of the
-    checked modules (one entry per definition)."""
+    from (src/ and bench/, not tests/), the attribute names that text looks
+    up, and every definition name of the checked modules (one entry per
+    definition)."""
     files = [p for d in ("src", "bench")
              for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
     words = Counter(re.findall(r"\w+", "\n".join(p.read_text()
                                                   for p in files)))
+    looked_up = {n.attr for p in files for n in ast.walk(ast.parse(
+        p.read_text())) if isinstance(n, ast.Attribute)}
     defined = Counter(name for p in MODULES
-                      for name in _definitions(ast.parse(p.read_text())))
-    return words, defined
+                      for name, _ in _definitions(ast.parse(p.read_text())))
+    return words, looked_up, defined
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, corpus):
-    words, defined = corpus
-    unused = [name for name in _definitions(ast.parse(path.read_text()))
-              if words[name] <= defined[name]]
+    words, looked_up, defined = corpus
+    tree = ast.parse(path.read_text())
+    unused = [name for name, method in _definitions(tree)
+              if (name not in looked_up if method
+                  else words[name] <= defined[name])]
     assert unused == []
 
 
@@ -208,7 +216,7 @@ def _passed_literal(call: ast.Call, name: str, pos):
 def test_no_required_parameter_takes_one_literal_everywhere(corpus):
     """A parameter that every call passes the same literal is a constant
     in disguise."""
-    _, defined = corpus
+    _, _, defined = corpus
     calls = {}  # callee name -> its calls
     for p in (p for d in ("src", "tests", "bench")
               for p in (ROOT / d).rglob("*.py")):

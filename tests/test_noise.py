@@ -170,7 +170,7 @@ def test_trace_respects_amplitude_and_window(g16, grid16):
 
 
 def test_trace_bound_inflates_with_constants(g16, grid16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     P = build_propagator(lam, g16, 250, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
     cst = estimate_constants(lam, g16, np.linspace(0.0, 0.25, 11))
@@ -223,7 +223,7 @@ def test_variance_sweep_matches_per_time_chains(n, stride):
     truncated chain does, to 1e-11 relative; step 0 gives exactly 0.0,
     and repeated or unsorted steps give the sorted steps' values."""
     grid = build_grid(1.0, n)
-    P = build_propagator(TractiveForce.bump(c0=1.0, c1=0.3),
+    P = build_propagator(TractiveForce(family="bump", c0=1.0, c1=0.3),
                          build_grams(grid, 1.0), 250, 1e-3)
     model = build_noise_model(grid, "k^-2", K=12)
     steps = np.arange(0, P.n_steps + 1, stride)
@@ -239,7 +239,7 @@ def test_variance_sweep_matches_per_time_chains(n, stride):
 
 
 def test_trace_bound_overflow_is_infinite_without_warning(g16, grid16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     P = build_propagator(lam, g16, 100, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
     cst = estimate_constants(lam, g16, [0.0])

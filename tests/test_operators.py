@@ -16,7 +16,7 @@ from conftest import build_T
 def test_stiff_block_structure(g16):
     m = g16.m
     eye, zero = np.eye(m), np.zeros((m, m))
-    tmat = build_T(TractiveForce.bump(c0=1.0, c1=0.2), 0.4, g16)
+    tmat = build_T(TractiveForce(family="bump", c0=1.0, c1=0.2), 0.4, g16)
     assert np.array_equal(apply_L0(g16, np.eye(2 * m)),
                           np.block([[zero, eye],
                                     [-(g16.B / g16.M[:, None]), zero]]))
@@ -39,7 +39,7 @@ def test_pair_skewness(g16):
     """<L0 x, y>_H is skew in (x, y).  L1, the difference of the L and L0
     pairings, and L itself pair with the symmetric part
     (T u_x) . v_y + (T u_y) . v_x."""
-    tmat = build_T(TractiveForce.bump(c0=1.0, c1=0.2), 0.4, g16)
+    tmat = build_T(TractiveForce(family="bump", c0=1.0, c1=0.2), 0.4, g16)
     zero = np.zeros_like(tmat)
     m = g16.m
     rng = np.random.default_rng(5)
@@ -57,7 +57,7 @@ def test_pair_skewness(g16):
 
 
 def test_pair_matches_metric_route(g16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.2)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.2)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2 * g16.m, 3))
     y = rng.standard_normal((2 * g16.m, 3))
@@ -74,7 +74,7 @@ def test_pair_matches_metric_route(g16):
 
 
 def test_tractive_modulation():
-    lam = TractiveForce.bump(c0=2.0, c1=0.5, freq=3.0)
+    lam = TractiveForce(family="bump", c0=2.0, c1=0.5, freq=3.0)
     assert lam.c(0.0) == 2.0
     t = 0.11
     assert lam.c(t) == pytest.approx(2.0 + 0.5 * np.sin(2 * np.pi * 3.0 * t))
@@ -88,7 +88,7 @@ def test_tractive_constructor_guards():
     with pytest.raises(InvalidArgumentError):
         TractiveForce(family="spline")
     with pytest.raises(InvalidArgumentError):
-        TractiveForce.bump(c0=0.1, c1=0.5)
+        TractiveForce(family="bump", c0=0.1, c1=0.5)
     with pytest.raises(InvalidArgumentError):
         TractiveForce(family="tabulated")
 
@@ -103,7 +103,7 @@ def test_tractive_bad_table_warns_instead_of_raising(grid16):
 
 
 def test_tractive_horizon_window(grid16, g16):
-    lam = TractiveForce.bump(c0=1.0, horizon=0.5)
+    lam = TractiveForce(family="bump", c0=1.0, horizon=0.5)
     lam.node_values(0.5, grid16)
     with pytest.raises(InvalidArgumentError):
         lam.node_values(0.7, grid16)
@@ -121,13 +121,13 @@ def test_tractive_horizon_window(grid16, g16):
 
 
 def test_bump_invariants_clean(grid16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     d = lam.invariant_defects(grid16, np.linspace(0.0, 1.0, 5))
     assert max(d.values()) < 1e-12
 
 
 def test_bump_derivative_norm_closed_form(grid16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     t = 0.37
     # trapezoid on a fine auxiliary grid as the independent route
     fine = build_grid(1.0, 4000)
@@ -139,7 +139,7 @@ def test_bump_derivative_norm_closed_form(grid16):
 
 
 def test_tabulated_profile_interpolates(grid16):
-    lam_b = TractiveForce.bump(c0=1.0)
+    lam_b = TractiveForce(family="bump", c0=1.0)
     table = lam_b.node_values(0.0, grid16)
     lam_t = TractiveForce(family="tabulated", table=table, c0=1.0)
     assert np.allclose(lam_t.node_values(0.0, grid16), table)
@@ -149,7 +149,7 @@ def test_tabulated_profile_interpolates(grid16):
 
 
 def test_weak_tractive_matrix_symmetric_nonpositive(g16):
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     tm = build_T(lam, 0.2, g16)
     assert np.array_equal(tm, tm.T)
     assert np.linalg.eigvalsh(tm)[-1] < 1e-10
@@ -162,7 +162,7 @@ def test_weak_tractive_pairing_converges():
     continuum integral evaluates to a rational number.
     """
     exact = 0.026334776334776322
-    lam = TractiveForce.bump(c0=1.0)
+    lam = TractiveForce(family="bump", c0=1.0)
     defects = []
     for n in (32, 64, 128):
         g = build_grams(build_grid(1.0, n), 1.0)
@@ -185,7 +185,7 @@ def test_estimate_constants_zero_family(g16):
 def test_estimate_constants_formula_scaling(g16):
     # at t = 0.25 the modulation peaks at c0 + c1, and the closed form
     # scales linearly with it: sqrt(4 l / b * c^2 * 4/210) = c sqrt(8/105)
-    lam = TractiveForce.bump(c0=1.0, c1=0.3)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     cst = estimate_constants(lam, g16, [0.25])
     assert cst.C4_formula == pytest.approx(1.3 * np.sqrt(8.0 / 105.0), rel=1e-12)
     assert cst.C4_numeric <= cst.C4_formula
@@ -218,7 +218,7 @@ def test_constants_equal_the_dense_operator_norms(n, family):
     1e-12 relative; measured: at most 2.1e-14 for C4 and 1.1e-13 for C5,
     both at n = 64, and exact zeros for the zero family."""
     g = build_grams(build_grid(1.0, n), 1.0)
-    bump = TractiveForce.bump(c0=1.0, c1=0.3, freq=2.0)
+    bump = TractiveForce(family="bump", c0=1.0, c1=0.3, freq=2.0)
     lam = {"bump": bump, "zero": TractiveForce.zero(),
            "tabulated": TractiveForce(family="tabulated", c0=0.8, c1=0.5,
                                       table=1.7 * bump.node_values(0.0, g.grid))
@@ -238,7 +238,7 @@ def test_constants_form_no_dense_generator():
     the traced peak stays below three 2m x 2m matrices (0.39 MiB), where
     the dense per-time route peaks near 1.3 MiB."""
     g = build_grams(build_grid(1.0, 64), 1.0)
-    lam = TractiveForce.bump(c0=1.0, c1=0.3, freq=2.0)
+    lam = TractiveForce(family="bump", c0=1.0, c1=0.3, freq=2.0)
     tracemalloc.start()
     try:
         estimate_constants(lam, g, np.linspace(0.0, 1.0, 11))

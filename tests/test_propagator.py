@@ -27,7 +27,7 @@ from stobeam.solver import bending_mode_state, sine_mode_state
 
 from conftest import build_T
 
-LAM = TractiveForce.bump(c0=1.0, c1=0.3, freq=1.0)
+LAM = TractiveForce(family="bump", c0=1.0, c1=0.3, freq=1.0)
 
 
 def _generator(g, T):
@@ -225,7 +225,7 @@ def _band_product_factor(kb, mass, dt):
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("lam", [TractiveForce.bump(c0=1.0), LAM],
+@pytest.mark.parametrize("lam", [TractiveForce(family="bump", c0=1.0), LAM],
                          ids=["autonomous", "modulated"])
 def test_factors_equal_the_band_product_route_bit_for_bit(n, lam):
     """The CSR residual sums each row in the order of the band product,
@@ -291,7 +291,7 @@ def test_operator_norm_rejects_non_finite(g16):
 
 
 def test_autonomous_factorization_shares_steps(g16):
-    P = build_propagator(TractiveForce.bump(c0=1.0), g16, 10, 1e-2)
+    P = build_propagator(TractiveForce(family="bump", c0=1.0), g16, 10, 1e-2)
     assert P.n_steps == 10
     assert all(s is P.steps[0] for s in P.steps)
     Pt = build_propagator(LAM, g16, 10, 1e-2)
@@ -299,7 +299,7 @@ def test_autonomous_factorization_shares_steps(g16):
 
 
 def test_unmodulated_tabulated_profile_shares_steps(g16):
-    table = TractiveForce.bump(c0=1.0).node_values(0.0, g16.grid)
+    table = TractiveForce(family="bump", c0=1.0).node_values(0.0, g16.grid)
     lam = TractiveForce(family="tabulated", table=table, c0=2.0, c1=0.0)
     assert lam.autonomous
     P = build_propagator(lam, g16, 10, 1e-2)
@@ -309,7 +309,8 @@ def test_unmodulated_tabulated_profile_shares_steps(g16):
 def test_factorization_guards(g16):
     """A non-finite entry is refused in the one factor that an autonomous
     family shares, and in the last of many distinct factors."""
-    shared = build_propagator(TractiveForce.bump(c0=1.0), g16, 1, 1e-2).steps
+    shared = build_propagator(TractiveForce(family="bump", c0=1.0), g16, 1,
+                              1e-2).steps
     shared = [shared[0].copy()] * 40
     steps = [s.copy() for s in build_propagator(LAM, g16, 40, 1e-2).steps]
     for bad in (shared, steps):
@@ -486,11 +487,16 @@ def test_cocycle_rejects_misordered_times(g16):
         cocycle_defect(P, 25, 0, 50)
 
 
+def _free(g, n_steps, dt):
+    """The zero-tension propagator that Picard takes as its free flow."""
+    return build_propagator(TractiveForce.zero(), g, n_steps, dt)
+
+
 def test_picard_requires_contraction_margin(g16):
     w = bending_mode_state(g16, 1)
     cst = estimate_constants(LAM, g16, np.linspace(0.0, 0.1, 5))
     with pytest.raises(PreconditionError):
-        picard_evolution(LAM, g16, w, 100, 1e-3, alpha=0.5,
+        picard_evolution(LAM, _free(g16, 100, 1e-3), w, alpha=0.5,
                          constants=cst)
 
 
@@ -500,7 +506,7 @@ def test_picard_rejects_rough_initial_data(g16, grid16):
     vals[-1] = 0.0
     w = BeamState(grid16, vals, np.zeros_like(vals))
     with pytest.raises(PreconditionError):
-        picard_evolution(LAM, g16, w, 100, 1e-3)
+        picard_evolution(LAM, _free(g16, 100, 1e-3), w)
 
 
 def test_picard_nonconvergence_reports(g16, monkeypatch):
@@ -508,7 +514,7 @@ def test_picard_nonconvergence_reports(g16, monkeypatch):
     monkeypatch.setattr(propagator, "_PICARD_MAX_ITER", 2)
     w = bending_mode_state(g16, 1)
     with pytest.raises(NonConvergenceError):
-        picard_evolution(LAM, g16, w, 100, 1e-3)
+        picard_evolution(LAM, _free(g16, 100, 1e-3), w)
 
 
 def test_picard_holds_no_dense_tractive_generators():
@@ -519,9 +525,10 @@ def test_picard_holds_no_dense_tractive_generators():
     g = build_grams(build_grid(1.0, 64), 1.0)
     w = bending_mode_state(g, 1)
     n_steps = 200
+    S = _free(g, n_steps, 1e-3)
     tracemalloc.start()
     try:
-        picard_evolution(LAM, g, w, n_steps, 1e-3)
+        picard_evolution(LAM, S, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -535,10 +542,9 @@ def test_picard_without_tension_is_the_free_flow(n):
     for bit."""
     g = build_grams(build_grid(1.0, n), 1.0)
     w = bending_mode_state(g, 1)
-    zero = TractiveForce.zero()
-    pr = picard_evolution(zero, g, w, 100, 1e-3)
+    P0 = _free(g, 100, 1e-3)
+    pr = picard_evolution(TractiveForce.zero(), P0, w)
     assert pr.iterations == 1
-    P0 = build_propagator(zero, g, 100, 1e-3)
     assert np.array_equal(pr.final, P0.apply(w.packed()))
 
 
@@ -552,8 +558,9 @@ def test_picard_steps_only_through_the_step_rule(g16, monkeypatch):
         calls.append(1)
         rule(*args, **kwargs)
 
+    S = _free(g16, 100, 1e-3)
     monkeypatch.setattr(propagator, "step_rule", counted)
-    pr = picard_evolution(LAM, g16, bending_mode_state(g16, 1), 100, 1e-3)
+    pr = picard_evolution(LAM, S, bending_mode_state(g16, 1))
     assert pr.iterations > 1
     assert len(calls) == (pr.iterations + 1) * 100
 
@@ -599,7 +606,7 @@ def test_picard_matches_the_dense_step_recurrence(n):
     the rounding of the walk moves relative to the dense products."""
     g = build_grams(build_grid(1.0, n), 1.0)
     w = bending_mode_state(g, 1)
-    pr = picard_evolution(LAM, g, w, 100, 1e-3)
+    pr = picard_evolution(LAM, _free(g, 100, 1e-3), w)
     final, defects = _dense_picard(LAM, g, w, 100, 1e-3, pr.alpha)
     assert np.max(np.abs(pr.final - final)) <= 1e-10 * np.max(np.abs(final))
     assert np.allclose(pr.defects[:2], defects[:2], rtol=1e-6, atol=0.0)

@@ -1,3 +1,4 @@
+import ast
 import collections
 import re
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stobeam import operators, propagator, solver, verify
+from stobeam import grid, operators, propagator, solver, verify
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
@@ -160,7 +161,7 @@ def test_verify_estimates_the_constants_once_per_scene(monkeypatch):
     run_checks(parse_config(SMALL))
     # one scene-wide estimate over [0, T], shared by tractive_norm_bound,
     # growth_bound and trace_bound; the two Picard checks sample their
-    # own shorter windows
+    # own fixed windows
     assert len(calls) == 3
     assert sum(len(t) == 11 for t in calls) == 1
 
@@ -169,7 +170,8 @@ def test_zero_tension_default_config_passes_every_check(tmp_path, capsys):
     """configs/default.cfg with lambda.family = zero: C4 = 0 makes the
     growth bound of the trace integral its exact value, which the
     quadrature meets to rounding; Picard reaches its fixed point in one
-    sweep and the variance quadrature runs on the scene's own flow."""
+    sweep and the variance quadrature runs on the 0.1 prefix of the
+    scene's own chain."""
     text = _default_text({"lambda.family": "zero"})
     results = {r.name: r for r in run_checks(parse_config(text))}
     assert [r.name for r in results.values() if r.status == "fail"] == []
@@ -234,12 +236,13 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
 
 
 def test_verify_builds_each_factor_once(monkeypatch):
-    """One suite on configs/default.cfg builds 424 step factors (875
+    """One suite on configs/default.cfg builds 422 step factors (875
     when each check built its own propagators): the scene's 250 at
     dt = 0.001, which `generator_integral`, `adjoint_backward` and
     `picard_agreement` share; 50 at 0.2/50 and 100 at 0.2/100 == 0.1/50;
-    the free flow's one; and, outside the store, one in each Picard run
-    and 21 in the scenes of `bc_conformity` and `weak_identity_null`."""
+    the free flow's one, which both Picard checks, `trace_identity` and
+    `ito_quadrature` share; and, outside the store, 21 in the scenes of
+    `bc_conformity` and `weak_identity_null`."""
     dts = []
     build = propagator._factor_from_bands
 
@@ -249,7 +252,7 @@ def test_verify_builds_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(propagator, "_factor_from_bands", counted)
     run_checks(parse_config(_default_text({})))
-    assert collections.Counter(dts) == {0.001: 274, 0.2 / 50: 50,
+    assert collections.Counter(dts) == {0.001: 272, 0.2 / 50: 50,
                                         0.2 / 100: 100}
 
 
@@ -260,7 +263,8 @@ def test_store_propagators_equal_fresh_builds(monkeypatch, text):
     fresh `build_propagator` of its tension (the scene's with the horizon
     lifted, or the zero one), n_steps and dt, step by step.  On SMALL
     (T = 0.1) the 200-step probe of `generator_integral` extends the
-    scene's chain past its horizon."""
+    scene's chain past its horizon.  The two Picard checks ask for their
+    free flows too, so a suite makes 10 requests."""
     got = []
     request = solver.Scene.propagator
 
@@ -271,7 +275,7 @@ def test_store_propagators_equal_fresh_builds(monkeypatch, text):
 
     monkeypatch.setattr(solver.Scene, "propagator", recorded)
     run_checks(parse_config(text))
-    assert len(got) == 8
+    assert len(got) == 10
     for scene, free, P in got:
         lam = TractiveForce.zero() if free else replace(scene.lam,
                                                         horizon=None)
@@ -281,6 +285,58 @@ def test_store_propagators_equal_fresh_builds(monkeypatch, text):
     past = [P.n_steps for scene, free, P in got
             if not free and P.n_steps > scene.P.n_steps]
     assert past == ([200] if text == SMALL else [])
+
+
+@pytest.mark.parametrize("horizon", ["0.001", "0.002"])
+def test_suite_passes_on_runs_of_one_and_two_steps(horizon):
+    """Every probe of L(t) spans its fixed window whatever the horizon: with
+    the windows clamped to T, `adjoint_backward` read its order from
+    defects at the rounding floor (1.6e-13 to 4.6e-13) and failed on these
+    runs."""
+    results = run_checks(parse_config(_default_text({"time.T": horizon})))
+    assert [r.name for r in results if r.status == "fail"] == []
+    adjoint = next(r for r in results if r.name == "adjoint_backward")
+    assert adjoint.defect > 1.9, adjoint.note
+
+
+def test_picard_checks_do_not_depend_on_the_horizon():
+    """Both Picard checks probe fixed windows of the lifted tension on the
+    store's chains, so a run of one step, of 0.1 and of 0.25 reports the
+    same sweeps, alpha and defects."""
+    by_horizon = {}
+    for horizon in ("0.001", "0.1", "0.25"):
+        sc = build_scene(parse_config(_default_text({"time.T": horizon})))
+        by_horizon[horizon] = [verify.check_picard_agreement(sc),
+                               verify.check_picard_contraction(sc)]
+    assert by_horizon["0.001"] == by_horizon["0.1"] == by_horizon["0.25"]
+    assert all(r.status == "pass" for r in by_horizon["0.001"])
+
+
+def test_verify_factors_b_once(monkeypatch):
+    """One suite on configs/default.cfg computes B's Cholesky factor once
+    and the eigenpairs of (B, M) once: the Grams keep both (23 `cholesky`,
+    1 `cho_factor` and 6 `eigh` calls when each caller made its own), and
+    no package module other than `grid` calls either routine."""
+    calls = collections.Counter()
+
+    def counting(name):
+        routine = getattr(grid, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return counted
+
+    for name in ("cholesky", "eigh"):
+        monkeypatch.setattr(grid, name, counting(name))
+    run_checks(parse_config(_default_text({})))
+    assert calls == {"cholesky": 1, "eigh": 1}
+    src = Path(grid.__file__).parent
+    others = [p for p in src.glob("*.py") if p.name != "grid.py"]
+    routines = {"cholesky", "cho_factor", "eigh"}
+    assert [p.name for p in others
+            if routines & {getattr(n, "attr", getattr(n, "id", None))
+                           for n in ast.walk(ast.parse(p.read_text()))}] == []
 
 
 def test_factor_store_belongs_to_its_scene():

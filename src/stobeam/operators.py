@@ -99,6 +99,13 @@ class TractiveForce:
             return 0.0
         return self.c0 + self.c1 * np.sin(2.0 * np.pi * self.freq * t)
 
+    def extreme_times(self, span: float) -> tuple:
+        """Times of the least and the largest c on [0, span]: an end, or the
+        first crest (k + 1/4)/f or trough (k + 3/4)/f inside the window."""
+        f = abs(self.freq)
+        times = [0.0, *(q / f for q in (0.25, 0.75) if q < span * f), span]
+        return min(times, key=self.c), max(times, key=self.c)
+
     def _profile(self, s: np.ndarray, grid: BeamGrid) -> np.ndarray:
         if self.family == "zero":
             return np.zeros_like(s)
@@ -119,9 +126,6 @@ class TractiveForce:
         """The profile at the cell midpoints, where T_p samples it."""
         return self._profile(grid.nodes[:-1] + 0.5 * grid.h, grid)
 
-    def midpoint_values(self, t: float, grid: BeamGrid) -> np.ndarray:
-        return self.c(t) * self.profile_midpoint_values(grid)
-
     def ds_node_values(self, t: float, grid: BeamGrid) -> np.ndarray:
         """Spatial derivative at the nodes (analytic for the bump family)."""
         c, s = self.c(t), grid.nodes
@@ -140,11 +144,12 @@ class TractiveForce:
         w[0] = w[-1] = 0.5 * grid.h
         return float(np.sum(w * d * d))
 
-    def invariant_defects(self, grid: BeamGrid, t_samples) -> dict:
-        """Pointwise invariant violations, worst case over the samples."""
+    def invariant_defects(self, grid: BeamGrid, span: float) -> dict:
+        """Pointwise invariant violations, worst case over [0, span]: each
+        reads t through c(t) alone and is worst at one of `extreme_times`."""
         out = {"endpoint_value": 0.0, "endpoint_slope": 0.0,
                "negativity": 0.0, "interior_nonpositive": 0.0}
-        for t in t_samples:
+        for t in self.extreme_times(span):
             vals = self.node_values(t, grid)
             dvals = self.ds_node_values(t, grid)
             out["endpoint_value"] = max(out["endpoint_value"],
@@ -248,7 +253,7 @@ def _tension_fill(mid_values: np.ndarray, g: GramSet) -> np.ndarray:
 
 def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
     """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`."""
-    return _tension_fill(lam.midpoint_values(t, g.grid), g)
+    return _tension_fill(lam.c(t) * lam.profile_midpoint_values(g.grid), g)
 
 
 def profile_T(lam: TractiveForce, g: GramSet) -> np.ndarray:
@@ -297,7 +302,7 @@ class StabilityConstants:
 
     C4 bounds the state-space norm, C5 the graph-norm.
     The analytic value comes from the closed-form derivative integral,
-    the numeric ones are exact operator norms at the sampled times.
+    the numeric ones are exact operator norms, both at sup |c(t)|.
     """
 
     C4: float
@@ -307,16 +312,14 @@ class StabilityConstants:
     C5_numeric: float
 
 
-def estimate_constants(lam: TractiveForce, g: GramSet, t_samples) -> StabilityConstants:
-    """Bound the tractive operator over the sampled times: the module's
-    two profile norms at the largest |c(t_i)|.  C4 is the larger of the
-    exact norm and the analytic sup_t sqrt(4 l int (ds lambda)^2 ds / b);
-    C5 has no closed form and carries a 10 percent margin.
+def estimate_constants(lam: TractiveForce, g: GramSet, span: float) -> StabilityConstants:
+    """Bound the tractive operator over [0, span] by the module's two
+    profile norms at sup |c(t)|, the larger |c| at `extreme_times`.
+    C4 is the larger of the exact norm and the analytic
+    sup_t sqrt(4 l int (ds lambda)^2 ds / b); C5 has no closed form and
+    carries a 10 percent margin.
     """
-    t_samples = tuple(float(t) for t in t_samples)
-    if not t_samples:
-        raise InvalidArgumentError("need at least one sample time")
-    t_max = max(t_samples, key=lambda t: abs(lam.c(t)))
+    t_max = max(lam.extreme_times(span), key=lambda t: abs(lam.c(t)))
     c_max = abs(lam.c(t_max))
     c4_formula = float(np.sqrt(4.0 * g.grid.l
                                * lam.ds_l2_norm_sq(t_max, g.grid) / g.b))

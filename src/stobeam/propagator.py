@@ -426,8 +426,8 @@ def picard_evolution(lam: TractiveForce, S: PropagatorFactorization,
     Iterates are compared in the weighted graph norm sup_k ||.||_D
     exp(-alpha t_k); successive defects contract by about C5/alpha.
     alpha=None resolves to max(2 C5, 1), which puts that factor at 1/2 or
-    better.  `constants` default to `estimate_constants` at 9 times over
-    [0, n_steps dt].
+    better.  `constants` default to `estimate_constants` at sup |c(t)|
+    over S's span [0, n_steps dt].
 
     Raises:
         PreconditionError: w not in the discrete domain, or alpha <= C5.
@@ -438,8 +438,7 @@ def picard_evolution(lam: TractiveForce, S: PropagatorFactorization,
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
     if constants is None:
-        samples = np.linspace(0.0, n_steps * dt, 9)
-        constants = estimate_constants(lam, g, samples)
+        constants = estimate_constants(lam, g, n_steps * dt)
     c5 = constants.C5
     alpha = alpha if alpha is not None else max(2.0 * c5, 1.0)
     if alpha <= c5:

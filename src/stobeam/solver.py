@@ -96,9 +96,8 @@ class Scene:
 
     @functools.cached_property
     def constants(self) -> StabilityConstants:
-        """Stability constants of the tension at 11 times over [0, T]."""
-        return estimate_constants(self.lam, self.g,
-                                  np.linspace(0.0, self.cfg.T, 11))
+        """Stability constants of the tension at sup |c(t)| over [0, T]."""
+        return estimate_constants(self.lam, self.g, self.cfg.T)
 
     @functools.cached_property
     def forces(self) -> np.ndarray:

@@ -81,9 +81,7 @@ def check_norm_identity(scene) -> CheckResult:
 
 
 def check_tractive_invariants(scene) -> CheckResult:
-    lam = scene.lam
-    t_samples = np.linspace(0.0, scene.cfg.T, 7)
-    defects = lam.invariant_defects(scene.grid, t_samples)
+    defects = scene.lam.invariant_defects(scene.grid, scene.cfg.T)
     worst = max(defects.values())
     return _result("tractive_invariants", worst, 1e-9,
                    "endpoint values/slopes and sign of the tension profile")
@@ -221,7 +219,7 @@ def check_picard_contraction(scene) -> CheckResult:
         return _result("picard_contraction", 0, 0,
                        "no tractive term: fixed point reached in one sweep",
                        skip=True)
-    consts = estimate_constants(lam, g, np.linspace(0.0, 0.2, 9))
+    consts = estimate_constants(lam, g, 0.2)
     pr = picard_evolution(lam, scene.propagator(200, 0.2 / 200.0, free=True),
                           bending_mode_state(g, 1), alpha=2.0 * consts.C5,
                           constants=consts)

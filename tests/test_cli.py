@@ -253,8 +253,12 @@ def test_trace_check_bound_carries_the_growth_constant(tmp_path, capsys):
     rows = dict(line.rsplit(None, 1) for line in
                 capsys.readouterr().out.splitlines())
     value, bound = float(rows["trace integral"]), float(rows["growth bound"])
-    assert value > float(rows["trQ (retained)"])  # the C4 = 0 value
+    trq = float(rows["trQ (retained)"])
+    assert value > trq  # the C4 = 0 value
     assert value <= bound
+    # T = 1, sigma = 1: the bound is exp(2 C4) trQ, with C4 at least the
+    # closed form at sup c = 400 (the crest t = 1/80), not at c = 200
+    assert bound / trq >= np.exp(2 * 400 * np.sqrt(8 / 105)) * (1 - 1e-9)
 
 
 def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):

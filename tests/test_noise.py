@@ -173,7 +173,7 @@ def test_trace_bound_inflates_with_constants(g16, grid16):
     lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     P = build_propagator(lam, g16, 250, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
-    cst = estimate_constants(lam, g16, np.linspace(0.0, 0.25, 11))
+    cst = estimate_constants(lam, g16, 0.25)
     plain = trace_condition(P, model)
     inflated = trace_condition(P, model, cst)
     assert inflated.value == plain.value
@@ -242,7 +242,7 @@ def test_trace_bound_overflow_is_infinite_without_warning(g16, grid16):
     lam = TractiveForce(family="bump", c0=1.0, c1=0.3)
     P = build_propagator(lam, g16, 100, 1e-3)
     model = build_noise_model(grid16, "k^-2", K=12)
-    cst = estimate_constants(lam, g16, [0.0])
+    cst = estimate_constants(lam, g16, 0.0)
     huge = dataclasses.replace(cst, C4=1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -494,7 +494,7 @@ def _free(g, n_steps, dt):
 
 def test_picard_requires_contraction_margin(g16):
     w = bending_mode_state(g16, 1)
-    cst = estimate_constants(LAM, g16, np.linspace(0.0, 0.1, 5))
+    cst = estimate_constants(LAM, g16, 0.1)
     with pytest.raises(PreconditionError):
         picard_evolution(LAM, _free(g16, 100, 1e-3), w, alpha=0.5,
                          constants=cst)

@@ -12,10 +12,12 @@ from stobeam import grid, operators, propagator, solver, verify
 from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.noise import ito_variance
-from stobeam.operators import TractiveForce
+from stobeam.operators import TractiveForce, apply_L1, op_norm_H
 from stobeam.solver import build_scene, sine_mode_state
 from stobeam.verify import (_result, check_trace_bound,
                             free_variance_closed_form, run_checks)
+
+from conftest import build_T
 
 SMALL = """
 beam.l = 1.0
@@ -110,6 +112,26 @@ def test_suite_flags_broken_tension_table():
     assert by_name["tractive_invariants"].status == "fail"
 
 
+def test_suite_flags_a_tension_negative_between_samples():
+    """c(t) = 0.5 + sin(48 pi t) dips to -0.5 at its troughs, where the
+    bump profile (max 0.0621 at the nodes) turns negative by 0.0310; at
+    t = k/6 the modulation is 0.5, so a sampled check saw only the
+    near-flat ends (1e-12 next to each end, slope 8.5e-12)."""
+    table = TractiveForce(family="bump").node_values(
+        0.0, grid.build_grid(1.0, 16))
+    table[1] = table[-2] = 1e-12
+    cfg_text = SMALL.replace("time.T = 0.1", "time.T = 1.0").replace(
+        "lambda.family = bump\nlambda.c0 = 1.0\nlambda.c1 = 0.3",
+        "lambda.family = tabulated\nlambda.c0 = 0.5\nlambda.c1 = 1.0\n"
+        "lambda.freq = 24.0\nlambda.table = "
+        + ",".join(repr(float(v)) for v in table))
+    by_name = {r.name: r for r in run_checks(parse_config(cfg_text))}
+    res = by_name["tractive_invariants"]
+    assert res.status == "fail"
+    assert res.defect == pytest.approx(0.5 * max(table), rel=1e-12)
+    assert round(res.defect, 4) == 0.0310
+
+
 def test_closed_form_variance_matches_quadrature():
     """Two independent routes to the same Ito integral: backward premetric
     quadrature against the eigenmode rotation sum."""
@@ -159,11 +181,25 @@ def test_verify_estimates_the_constants_once_per_scene(monkeypatch):
     for module in (operators, propagator, solver, verify):
         monkeypatch.setattr(module, "estimate_constants", counted)
     run_checks(parse_config(SMALL))
-    # one scene-wide estimate over [0, T], shared by tractive_norm_bound,
-    # growth_bound and trace_bound; the two Picard checks sample their
-    # own fixed windows
-    assert len(calls) == 3
-    assert sum(len(t) == 11 for t in calls) == 1
+    # one scene-wide estimate over [0, T] = [0, 0.1], shared by
+    # tractive_norm_bound, growth_bound and trace_bound; the two Picard
+    # checks estimate over their own fixed windows, 0.1 and 0.2
+    assert sorted(calls) == [0.1, 0.1, 0.2]
+
+
+@pytest.mark.parametrize("freq, c1, T", [(20.0, 1.0, 1.0), (7.0, 0.9, 0.25)])
+def test_constants_read_the_crest_between_samples(freq, c1, T):
+    """c(t) = 1 + c1 sin(2 pi freq t) peaks at 1 + c1 on its first crest
+    t = 1/(4 freq).  Eleven even samples of [0, T] all hit sin = 0 at
+    freq 20, T = 1, and miss the crest by 0.58 % at freq 7, T = 0.25."""
+    sc = build_scene(parse_config(_default_text(
+        {"lambda.freq": freq, "lambda.c1": c1, "time.T": T})))
+    eye = np.eye(2 * sc.g.m)
+    l1 = apply_L1(build_T(sc.lam, 1.0 / (4.0 * freq), sc.g), sc.g, eye)
+    assert sc.constants.C4_numeric == pytest.approx(
+        op_norm_H(sc.g, l1), rel=1e-12, abs=0.0)
+    assert sc.constants.C4_formula == pytest.approx(
+        (1.0 + c1) * np.sqrt(8.0 / 105.0), rel=1e-12, abs=0.0)
 
 
 def test_zero_tension_default_config_passes_every_check(tmp_path, capsys):

@@ -21,12 +21,10 @@ lumped mass M, so for h = dt/2 the Cayley map is the trapezoidal
 since M^-1 K S = (I - S)/h^2.  The one m x m increment factor D fixes all
 four blocks, so a step stores D, not G: a quarter of the storage, and
 `step_rule` applies G or G^T with one (m x m) product instead of a
-(2m x 2m) one.  D comes from one banded LU of A, solved against -h^2 K,
-plus one refinement sweep whose residual A D is a CSR product (each row
-summed in ascending column order) on a sparsity pattern built once per
-propagator, so a step costs O(m^2) to build instead of the O(m^3) of a
-dense (2m)x(2m) LU.  The factors stay dense: stepping a block of paths is
-one dense matmul per step, which beats applying banded factors to it.
+(2m x 2m) one.  D is one banded LU of A solved against -h^2 K, so a step
+costs O(m^2) to build instead of the O(m^3) of a dense (2m)x(2m) LU.  The
+factors stay dense: stepping a block of paths is one dense matmul per
+step, which beats applying banded factors to it.
 
 The family is kept on the grid t_k = k dt as the ordered list of its
 per-step factors; a window is a range i0..i1 of step indices, the only
@@ -52,7 +50,6 @@ from typing import List
 import numpy as np
 from scipy.linalg.lapack import dgbcon as _gbcon, dgbsv as _gbsv, \
     dgbtrf as _gbtrf, dgbtrs as _gbtrs
-from scipy.sparse import csr_array
 
 from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
@@ -70,30 +67,18 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_ITER = 60
 
 
-def _band_csr(m: int):
-    """The CSR pattern of an m x m matrix of K's half-bandwidth, each row's
-    columns ascending (the order in which a CSR product sums), and the
-    flat indices into a `to_bands` layout that refill its data."""
-    bw = STIFFNESS_BANDWIDTH
-    i, j = np.nonzero(from_bands(np.ones((2 * bw + 1, m))))  # row by row
-    indptr = np.searchsorted(i, np.arange(m + 1))
-    csr = csr_array((np.zeros(j.size), j, indptr), shape=(m, m))
-    return csr, (bw + i - j) * m + j  # A[i, j] is ab[bw + i - j, j]
-
-
-def _factor_from_bands(kb: np.ndarray, mass: np.ndarray, dt: float,
-                       pattern: tuple) -> np.ndarray:
+def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
+                       dt: float) -> np.ndarray:
     """Increment factor D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
     Cayley map of L = [[0, I], [-M^-1 K, 0]], from the bands of K; the
     module docstring gives the map G that D fixes and `step_rule` applies.
 
     D is solved for directly: the dense -h^2 K, placed from its bands, not
     computed, is the right-hand side of one banded LU of A (LU, not
-    Cholesky, so that an indefinite K still factors), and one refinement
-    sweep D += A^-1 (-h^2 K - A D) brings the map to rounding level.  The
-    residual A D is one CSR product on `pattern`, a `_band_csr` of K's
-    size whose data is refilled with A: each row sums its terms in
-    ascending column order.
+    Cholesky, so that an indefinite K still factors).  The one solve is
+    the whole build: a refinement sweep in working precision lowers the
+    backward error only, and leaves the map no closer to an
+    extended-precision Cayley map than the solve alone.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
@@ -112,13 +97,7 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray, dt: float,
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
             "reduce dt", stacklevel=3)
-    rhs = from_bands(-hk)
-    d = _gbtrs(lu, bw, bw, rhs, piv)[0]
-    csr, take = pattern
-    np.take(a, take, out=csr.data)
-    res = csr @ d
-    d += _gbtrs(lu, bw, bw, np.subtract(rhs, res, out=res), piv)[0]
-    return d
+    return _gbtrs(lu, bw, bw, from_bands(-hk), piv)[0]
 
 
 @functools.lru_cache
@@ -265,11 +244,9 @@ def extend_chain(steps: list, lam: TractiveForce, g: GramSet, n_steps: int,
     on lam's c(t) and profile, the Grams, dt and k alone, and is one shared
     factor when the generator does not depend on time."""
     b_bands = to_bands(g.B)
-    pattern = _band_csr(g.m)
 
     def step(t):
-        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt,
-                                  pattern)
+        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
 
     if lam.autonomous:
         one = steps[0] if steps else step(0.5 * dt)

@@ -282,9 +282,9 @@ def test_verify_builds_each_factor_once(monkeypatch):
     dts = []
     build = propagator._factor_from_bands
 
-    def counted(kb, mass, dt, pattern):
+    def counted(kb, mass, dt):
         dts.append(dt)
-        return build(kb, mass, dt, pattern)
+        return build(kb, mass, dt)
 
     monkeypatch.setattr(propagator, "_factor_from_bands", counted)
     run_checks(parse_config(_default_text({})))

@@ -78,7 +78,9 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
     Cholesky, so that an indefinite K still factors).  The one solve is
     the whole build: a refinement sweep in working precision lowers the
     backward error only, and leaves the map no closer to an
-    extended-precision Cayley map than the solve alone.
+    extended-precision Cayley map than the solve alone.  A factor with a
+    non-finite entry is refused here, where it is built, so no view of a
+    chain scans it again.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
@@ -97,7 +99,10 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
             "reduce dt", stacklevel=3)
-    return _gbtrs(lu, bw, bw, from_bands(-hk), piv)[0]
+    d = _gbtrs(lu, bw, bw, from_bands(-hk), piv)[0]
+    if not np.all(np.isfinite(d)):
+        raise InvalidArgumentError("step factor has non-finite entries")
+    return d
 
 
 @functools.lru_cache
@@ -173,12 +178,6 @@ class PropagatorFactorization:
     dt: float
     steps: List[np.ndarray]
     g: GramSet = field(repr=False)
-
-    def __post_init__(self):
-        for s in {id(s): s for s in self.steps}.values():
-            if not np.all(np.isfinite(s)):
-                raise InvalidArgumentError(
-                    "step factor has non-finite entries")
 
     @property
     def n_steps(self) -> int:

@@ -15,13 +15,13 @@ the loads, initial state and observables it builds on first use.  One
 kernel, `_block_worker`, advances the scene's paths: a block of paths is
 one matrix that walks the propagator's chain (`P.forward_images`) in
 step with the noise's (`noise.step_increments`), adding the load before
-each step and the kick after it.  The single-path solvers run it on a
-block of width one and keep the path's history, and its Wiener
-increments as its whole-horizon draws projected alone (bitwise the
-increments the kernel drew); `ensemble_blocks` runs fixed-size blocks
-and hands them out in block order, and `ensemble_run`, the one moment
-fold, merges their accumulators in that order, so results do not depend
-on the number of worker threads.
+each step and the kick after it.  A single path is a block of width one
+with its packed history kept: `solve_homogeneous` returns it as states,
+and `weak_residual` pairs such a history, with the increments its caller
+projects, against a test function.  `ensemble_blocks` runs fixed-size
+blocks and hands them out in block order, and `ensemble_run`, the one
+moment fold, merges their accumulators in that order, so results do not
+depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
                      ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
-from .noise import (NoiseModel, build_noise_model, project_increments,
-                    step_increments)
+from .noise import NoiseModel, build_noise_model, step_increments
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
@@ -257,50 +256,16 @@ def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
 
 @dataclass
 class Trajectory:
-    """One sample path of `scene` on the uniform step grid.
-
-    `states` are the emitted states (shift included for nonhomogeneous
-    runs); `homogeneous_states` keeps the raw remainder in that case so
-    the lift can be audited bitwise.  `increments` are the path's Wiener
-    increments W(t_{k+1}) - W(t_k) on the nodes 0..n, (n_steps, m, 3):
-    its `path_xi` projected alone, bitwise the increments the kernel
-    projected; None without noise.
-    """
+    """One sample path of `scene` on the uniform step grid: its states at
+    t_k = k dt, k = 0..n_steps."""
 
     scene: Scene = field(repr=False)
     states: List[BeamState]
-    increments: Optional[np.ndarray] = field(repr=False, default=None)
-    homogeneous_states: Optional[List[BeamState]] = field(repr=False,
-                                                          default=None)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.scene.P.times
-
-
-def _single_path(cfg: SimulationConfig, path_index: int) -> Trajectory:
-    """Run path `path_index` as a block of width one, history kept."""
-    scene = build_scene(cfg)
-    grid, model = scene.grid, scene.model
-    _, history = _block_worker(scene, path_index, path_index + 1, True)
-    inc = None if model is None else project_increments(
-        model, model.path_xi(cfg.n_steps, path_index), cfg.dt)
-    states = [BeamState.from_packed(grid, y) for y in history[..., 0]]
-    homog = None
-    if scene.shift is not None:
-        homog = states
-        states = [BeamState(grid, x.u + scene.shift, x.v) for x in homog]
-    return Trajectory(scene=scene, states=states,
-                      increments=inc,
-                      homogeneous_states=homog)
 
 
 def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
-    """Single path of the clamped-free evolution from the configured data.
+    """Path `path_index` of the clamped-free evolution from the configured
+    data, run as a block of width one with its history kept.
 
     Raises:
         PreconditionError: config is not the homogeneous boundary kind, or
@@ -309,74 +274,69 @@ def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
     """
     if cfg.bc_kind != "homogeneous":
         raise PreconditionError(
-            "solve_homogeneous needs bc.kind = homogeneous; use "
-            "solve_nonhomogeneous for the slope-driven problem")
-    return _single_path(cfg, path_index)
+            "solve_homogeneous needs bc.kind = homogeneous; the slope-driven "
+            "problem runs as an ensemble, whose histories hold the remainder")
+    scene = build_scene(cfg)
+    _, history = _block_worker(scene, path_index, path_index + 1, True)
+    return Trajectory(scene, [BeamState.from_packed(scene.grid, y)
+                              for y in history[..., 0]])
 
 
-def solve_nonhomogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
-    """Single path of the slope-driven problem via the stationary lift.
-
-    The emitted states are x = u + (s - l) e3 where the remainder u runs
-    through the homogeneous stepper with the tension-adjusted load.
-
-    Raises:
-        PreconditionError: config is not the nonhomogeneous kind.
-    """
-    if cfg.bc_kind != "nonhomogeneous":
-        raise PreconditionError(
-            "solve_nonhomogeneous needs bc.kind = nonhomogeneous")
-    return _single_path(cfg, path_index)
-
-
-def weak_residual(traj: Trajectory, h: BeamState) -> ResidualCurve:
+def weak_residual(scene: Scene, history: np.ndarray,
+                  increments: Optional[np.ndarray],
+                  h: BeamState) -> ResidualCurve:
     """Pathwise defect of the time-integrated weak identity.
 
-    For each step time t_k this evaluates
+    `history` is one path's packed states X_k, (n_steps+1, 2m, 3), as
+    `_block_worker` keeps them, and `increments` its Wiener increments
+    W(t_{k+1}) - W(t_k), (n_steps, m, 3), or None without noise.  For each
+    step time t_k this evaluates
 
         r(t_k) = <X_k, h> - <X_0, h>
                  - trapz_j { <L(t_j) X_j, h> + <F_j, h> }
                  - sigma <h_v, W(t_k) - W(t_0)>
 
     with all pairings in exact weak form, and the tension, loads and
-    sigma of the path's scene.  The test function h must lie in the
-    adjoint domain: displacement part passing the h4bc stencils, velocity
-    part clamped (h2bc), both with zero stored boundary value.
+    sigma of the scene.  For a nonhomogeneous scene the history is the
+    homogeneous remainder, whose loads carry the lift's tension term.  The
+    test function h must lie in the adjoint domain: displacement part
+    passing the h4bc stencils, velocity part clamped (h2bc), both with
+    zero stored boundary value.
 
     Raises:
-        PreconditionError: nonhomogeneous trajectory (the identity is
-            stated for the homogeneous problem) or h fails the stencils.
+        ShapeError: history, increments or h do not fit the scene.
+        PreconditionError: h fails the stencils.
     """
-    scene = traj.scene
-    if scene.shift is not None:
-        raise PreconditionError(
-            "weak residual is defined for homogeneous trajectories; pass "
-            "the remainder of a nonhomogeneous run instead")
     g = scene.g
+    n_steps = scene.cfg.n_steps
+    if history.shape != (n_steps + 1, 2 * g.m, 3):
+        raise ShapeError(f"history shape {history.shape}, expected "
+                         f"({n_steps + 1}, {2 * g.m}, 3)")
+    if increments is not None and increments.shape != (n_steps, g.m, 3):
+        raise ShapeError(f"increments shape {increments.shape}, expected "
+                         f"({n_steps}, {g.m}, 3)")
     if h.grid.n != g.grid.n or h.grid.l != g.grid.l:
         raise ShapeError("test function lives on a different grid")
     check_membership(h.u, "h4bc", g, what="test displacement")
     check_membership(h.u, "h2bc", g, what="test displacement")
     check_membership(h.v, "h2bc", g, what="test velocity")
-    n_steps = traj.n_steps
-    times = traj.times
+    times = scene.P.times
     hp = h.packed()
 
-    packed = [x.packed() for x in traj.states]
-    pair_vals = np.array([packed_h_inner(y, hp, g) for y in packed])
+    pair_vals = np.array([packed_h_inner(y, hp, g) for y in history])
     tp = profile_T(scene.lam, g)  # T(t_j) = c(t_j) T_p
     gen = np.empty(n_steps + 1)
     for j in range(n_steps + 1):
         tmat = scene.lam.c(float(times[j])) * tp
-        gen[j] = weak_pair(g, tmat, packed[j], hp) \
+        gen[j] = weak_pair(g, tmat, history[j], hp) \
             + packed_h_inner(scene.forces[j], hp, g)
 
     integral = np.zeros(n_steps + 1)
     integral[1:] = np.cumsum(0.5 * scene.cfg.dt * (gen[:-1] + gen[1:]))
 
     stoch = np.zeros(n_steps + 1)
-    if traj.increments is not None:
-        cum = np.cumsum(traj.increments, axis=0)
+    if increments is not None:
+        cum = np.cumsum(increments, axis=0)
         weights = g.M[:, None] * h.v[:g.m]
         stoch[1:] = scene.cfg.sigma * np.einsum("ic,jic->j", weights, cum)
     values = pair_vals - pair_vals[0] - integral - stoch

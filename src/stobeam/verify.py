@@ -360,11 +360,12 @@ def check_weak_identity_null(scene) -> CheckResult:
     """Free, noiseless, unforced, zero data: the weak residual vanishes."""
     cfg = replace(scene.cfg, T=20 * scene.cfg.dt, sigma=0.0, g_const=0.0,
                   lam_family="zero", fdet_family="zero", fdet_table=None,
-                  init_family="zero", bc_kind="homogeneous")
-    traj = solve_homogeneous(cfg)
+                  init_family="zero", bc_kind="homogeneous", n_paths=1)
+    zero = build_scene(cfg)
+    _, _, _, history = next(_solver.ensemble_blocks(zero, keep_history=True))
     h = BeamState(scene.grid, bending_mode_state(scene.g, 1).u,
                   sine_mode_state(scene.grid, 1, 3, "v").v)
-    r = _solver.weak_residual(traj, h)
+    r = _solver.weak_residual(zero, history[..., 0], None, h)
     return _result("weak_identity_null", r.max_value, 0.0,
                    "zero data must give an exactly zero residual")
 

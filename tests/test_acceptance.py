@@ -23,9 +23,8 @@ from stobeam.operators import (TractiveForce, apply_L0, estimate_constants,
 from stobeam.propagator import (backward_adjoint_apply, build_propagator,
                                 cocycle_defect, duality_defect,
                                 generator_residual, picard_evolution)
-from stobeam.solver import (Trajectory, bending_mode_state,
-                            build_scene, ensemble_run, sine_mode_state,
-                            solve_homogeneous, solve_nonhomogeneous,
+from stobeam.solver import (_block_worker, bending_mode_state, build_scene,
+                            ensemble_run, sine_mode_state, solve_homogeneous,
                             weak_residual)
 
 BUMP = TractiveForce(family="bump", c0=1.0, c1=0.3, freq=1.0)
@@ -285,16 +284,15 @@ def test_weak_residual_nested_refinement(acceptance):
         m = sc.g.m
         inc = inc_f.reshape(ks, gs, m, 3).sum(axis=1)
         y = np.zeros((2 * m, 3))
-        states = [BeamState.zero(sc.grid)]
+        states = [y]
         for k in range(ks):
             # the mild update at sigma = 1
             y = sc.P.apply(y + dt * sc.forces[k], k, k + 1)
             y[m:] += inc[k]
-            states.append(BeamState.from_packed(sc.grid, y))
-        traj = Trajectory(scene=sc, states=states, increments=inc)
+            states.append(y)
         h = BeamState(sc.grid, bending_mode_state(sc.g, 1).u,
                       sine_mode_state(sc.grid, 1, 3, "v").v)
-        res.append(weak_residual(traj, h).max_value)
+        res.append(weak_residual(sc, np.stack(states), inc, h).max_value)
     ratios = [res[i] / res[i + 1] for i in range(2)]
     ok = all(1.6 <= r <= 2.6 for r in ratios)
     acceptance(11, f"residual maxima {res[0]:.4f}/{res[1]:.4f}/"
@@ -323,6 +321,16 @@ bc.kind = %(bc)s
 """
 
 
+def _path(sc, p):
+    """Path p's packed history and its emitted states, the lift added to
+    the remainder when the scene has one."""
+    history = _block_worker(sc, p, p + 1, True)[1][..., 0]
+    states = [BeamState.from_packed(sc.grid, y) for y in history]
+    if sc.shift is not None:
+        states = [BeamState(sc.grid, x.u + sc.shift, x.v) for x in states]
+    return history, states
+
+
 def test_slope_shift_stationarity_and_consistency(acceptance):
     grid = build_grid(1.0, 16)
     lam = TractiveForce(family="bump", c0=1.0)
@@ -334,10 +342,10 @@ def test_slope_shift_stationarity_and_consistency(acceptance):
     cfg = parse_config(SHIFT_BASE % dict(sigma="0.0", table=ttxt,
                                          bc="nonhomogeneous"))
     sc = build_scene(cfg)
-    traj = solve_nonhomogeneous(cfg)
+    _, states = _path(sc, 0)
     dev = max(max(float(np.max(np.abs(x.u - sc.shift))),
-                  float(np.max(np.abs(x.v)))) for x in traj.states)
-    em = traj.states[-1]
+                  float(np.max(np.abs(x.v)))) for x in states)
+    em = states[-1]
     bc_def = bc_value_defect(em)
     slope = (em.u[-1, 2] - em.u[-2, 2]) / sc.grid.h
     slope_def = abs(slope - 1.0)
@@ -345,16 +353,15 @@ def test_slope_shift_stationarity_and_consistency(acceptance):
     # same Wiener path, shifted vs unshifted formulation
     cfgn = parse_config(SHIFT_BASE % dict(sigma="1.0", table=ttxt,
                                           bc="nonhomogeneous"))
-    trn = solve_nonhomogeneous(cfgn, path_index=3)
+    remainder, shifted = _path(build_scene(cfgn), 3)
     table2 = table + lam.ds_node_values(0.0, grid)
     t2txt = ",".join(repr(float(v)) for v in table2)
     cfgh = parse_config(SHIFT_BASE % dict(sigma="1.0", table=t2txt,
                                           bc="homogeneous"))
-    trh = solve_homogeneous(cfgh, path_index=3)
-    internal = all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-                   for a, b in zip(trn.homogeneous_states, trh.states))
+    twin, unshifted = _path(build_scene(cfgh), 3)
+    internal = np.array_equal(remainder, twin)
     emitted = all(np.array_equal(a.u, b.u + sc.shift)
-                  for a, b in zip(trn.states, trh.states))
+                  for a, b in zip(shifted, unshifted))
 
     ok = (dev <= 1e-9 and bc_def == 0.0 and slope_def <= 1e-12
           and internal and emitted)

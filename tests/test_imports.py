@@ -5,14 +5,16 @@ default is given the same literal by every call.
 
 A re-export counts as no use: a name is imported from the module that
 defines it, so `from m import name as name` fails like any other unused
-import.  A top-level function or class counts as referenced when its
-name appears as a whole word, outside its own definitions, somewhere in
-the Python files of src/ or bench/; tests do not count, since library
-code that only tests use is dead weight.  That match is textual, so a
-name inside a string or an f-string counts.  A method or property counts
-as referenced only when the syntax trees of those files look it up as
-an attribute (`x.name`): a word match would let any local variable or
-keyword argument of the same name keep it alive.  The package
+import.  A top-level function or class counts as referenced when the
+code of the Python files of src/ or bench/ names it outside its own
+definition: as a name, as an attribute (`m.name`), in an import, or as
+a whole string constant (the names the bench patches by string); tests
+do not count, since library code that only tests use is dead weight.
+The match reads the syntax trees, so the name as a word inside a longer
+string, a comment or a docstring does not count.  A method or property
+counts as referenced only when the syntax trees of those files look it
+up as an attribute (`x.name`): a plain name match would let any local
+variable or keyword argument of the same name keep it alive.  The package
 `__init__.py` is neither checked nor read: a re-export alone is no use,
 and the root holds only `__version__`.
 
@@ -39,7 +41,6 @@ this one, and the names the child calls outside it are looked up.
 """
 
 import ast
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -87,30 +88,53 @@ def _definitions(tree: ast.Module) -> list:
     return names
 
 
+def _named(node: ast.AST) -> list:
+    """The names a node of a syntax tree refers to: a name, an attribute,
+    the parts of an imported name and its alias, or a string constant."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".") + [node.asname]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _references(tree: ast.Module) -> set:
+    """The names a module's code refers to, a top-level definition's own
+    name left out within that definition."""
+    out = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        out |= {name for n in ast.walk(top) for name in _named(n)
+                if name != own}
+    return out
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    """How often each word occurs in the text the references may come
-    from (src/ and bench/, not tests/), the attribute names that text looks
+    """The names that the code of the files the references may come from
+    (src/ and bench/, not tests/) refers to, the attribute names it looks
     up, and every definition name of the checked modules (one entry per
     definition)."""
-    files = [p for d in ("src", "bench")
+    trees = [ast.parse(p.read_text()) for d in ("src", "bench")
              for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
-    words = Counter(re.findall(r"\w+", "\n".join(p.read_text()
-                                                  for p in files)))
-    looked_up = {n.attr for p in files for n in ast.walk(ast.parse(
-        p.read_text())) if isinstance(n, ast.Attribute)}
+    named = set().union(*map(_references, trees))
+    looked_up = {n.attr for t in trees for n in ast.walk(t)
+                 if isinstance(n, ast.Attribute)}
     defined = Counter(name for p in MODULES
                       for name, _ in _definitions(ast.parse(p.read_text())))
-    return words, looked_up, defined
+    return named, looked_up, defined
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, corpus):
-    words, looked_up, defined = corpus
+    named, looked_up, defined = corpus
     tree = ast.parse(path.read_text())
     unused = [name for name, method in _definitions(tree)
-              if (name not in looked_up if method
-                  else words[name] <= defined[name])]
+              if name not in (looked_up if method else named)]
     assert unused == []
 
 

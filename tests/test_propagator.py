@@ -289,17 +289,28 @@ def test_unmodulated_tabulated_profile_shares_steps(g16):
     assert all(s is P.steps[0] for s in P.steps)
 
 
-def test_factorization_guards(g16):
-    """A non-finite entry is refused in the one factor that an autonomous
-    family shares, and in the last of many distinct factors."""
-    shared = build_propagator(TractiveForce(family="bump", c0=1.0), g16, 1,
-                              1e-2).steps
-    shared = [shared[0].copy()] * 40
-    steps = [s.copy() for s in build_propagator(LAM, g16, 40, 1e-2).steps]
-    for bad in (shared, steps):
-        bad[-1][0, 0] = np.nan
-        with pytest.raises(InvalidArgumentError, match="non-finite"):
-            PropagatorFactorization(dt=1e-2, steps=bad, g=g16)
+def test_factorization_guards(g16, monkeypatch):
+    """A band with an infinite entry is refused where its factor is built:
+    in the one factor that an autonomous family shares, and in the last of
+    many distinct factors of a modulated one."""
+    real = propagator.tension_bands
+    times = []
+
+    def infinite_last(lam, t, g):
+        times.append(t)
+        bands = real(lam, t, g)
+        if lam.autonomous or t > 0.39:  # the last of 40 midpoints is 0.395
+            bands = bands.copy()
+            bands[STIFFNESS_BANDWIDTH, 0] = np.inf
+        return bands
+
+    monkeypatch.setattr(propagator, "tension_bands", infinite_last)
+    for lam, built in ((TractiveForce(family="bump", c0=1.0), 1), (LAM, 40)):
+        times.clear()
+        with pytest.raises(InvalidArgumentError, match="non-finite"), \
+                pytest.warns(UserWarning, match="nearly singular"):
+            build_propagator(lam, g16, 40, 1e-2)
+        assert len(times) == built
 
 
 def test_windows_are_step_ranges_within_the_grid(g16, grid16):

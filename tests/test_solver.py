@@ -16,12 +16,12 @@ from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
                          packed_h_norm)
 from stobeam import noise, propagator, solver
 from stobeam.noise import project_increments
+from stobeam.operators import TractiveForce
 from stobeam.propagator import step_rule
 from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             build_scene, ensemble_blocks, ensemble_run,
                             initial_state, sine_mode_state,
-                            solve_homogeneous, solve_nonhomogeneous,
-                            weak_residual)
+                            solve_homogeneous, weak_residual)
 
 FREE = """
 beam.l = 1.0
@@ -239,9 +239,7 @@ def test_energy_conserved_without_forcing():
     base = h_norm(traj.states[0], g)
     drift = max(abs(h_norm(x, g) - base) for x in traj.states) / base
     assert drift < 1e-10
-    assert traj.increments is None
     assert len(traj.states) == cfg.n_steps + 1
-    assert traj.times[-1] == pytest.approx(cfg.T)
 
 
 def test_solver_rejects_mismatched_bc_kind():
@@ -249,8 +247,6 @@ def test_solver_rejects_mismatched_bc_kind():
                              "bc.kind = nonhomogeneous")
     with pytest.raises(PreconditionError):
         solve_homogeneous(parse_config(flipped))
-    with pytest.raises(PreconditionError):
-        solve_nonhomogeneous(parse_config(LOADED))
 
 
 def test_solver_rejects_rough_initial_mode():
@@ -260,87 +256,127 @@ def test_solver_rejects_rough_initial_mode():
         solve_homogeneous(cfg)
 
 
+def _history(sc, p):
+    """Path p's packed history (n_steps+1, 2m, 3), run as a block of width
+    one."""
+    return _block_worker(sc, p, p + 1, True)[1][..., 0]
+
+
 def test_weak_identity_exact_for_velocity_test_functions():
     """With an autonomous generator the one-step map satisfies the
     trapezoid form of the weak identity exactly, so pairing against a
     velocity-only test function leaves pure roundoff."""
-    cfg = parse_config(LOADED)
-    traj = solve_homogeneous(cfg)
-    sc = build_scene(cfg)
+    sc = build_scene(parse_config(LOADED))
     h = sine_mode_state(sc.grid, 1, 3, "v")
-    r = weak_residual(traj, h)
+    r = weak_residual(sc, _history(sc, 0), None, h)
     assert r.max_value < 1e-12
+
+
+# the summed-table twin of a nonhomogeneous run: noisy, with a tension
+# gradient, constant in time, that the lift turns into a load
+SLOPE = """
+beam.l = 1.0
+beam.b = 1.0
+grid.n = 8
+time.T = 0.05
+time.dt = 0.0025
+noise.sigma = 1.0
+noise.K = 6
+noise.seed = 5
+lambda.family = bump
+lambda.c0 = 1.0
+fdet.family = tabulated
+fdet.table = %s
+init.family = zero
+bc.kind = %s
+"""
 
 
 def test_weak_residual_guards():
     cfg = parse_config(LOADED)
-    traj = solve_homogeneous(cfg)
     sc = build_scene(cfg)
+    history = _history(sc, 0)
     other = build_grid(1.0, 8)
     with pytest.raises(ShapeError):
-        weak_residual(traj, sine_mode_state(other, 1, 3, "v"))
+        weak_residual(sc, history, None, sine_mode_state(other, 1, 3, "v"))
     # displacement parts must satisfy the free-end stencils; a raw sine
     # does not (its third derivative survives at s = 0)
     with pytest.raises(PreconditionError):
-        weak_residual(traj, sine_mode_state(sc.grid, 1, 3, "u"))
-    ncfg = parse_config(LOADED.replace("bc.kind = homogeneous",
-                                       "bc.kind = nonhomogeneous"))
-    ntraj = solve_nonhomogeneous(ncfg)
-    with pytest.raises(PreconditionError):
-        weak_residual(ntraj, sine_mode_state(sc.grid, 1, 3, "v"))
+        weak_residual(sc, history, None, sine_mode_state(sc.grid, 1, 3, "u"))
+    # a nonhomogeneous history is the remainder, and its residual is that
+    # of the homogeneous run whose table adds the lift's tension term
+    ds = TractiveForce(family="bump", c0=1.0).ds_node_values(0.0, other)
+    lifted = build_scene(parse_config(SLOPE % (",".join(["0.0"] * 10),
+                                               "nonhomogeneous")))
+    twin = build_scene(parse_config(SLOPE % (
+        ",".join(repr(float(v)) for v in ds), "homogeneous")))
+    assert lifted.shift is not None
+    inc = project_increments(lifted.model, lifted.model.path_xi(
+        lifted.cfg.n_steps, 3), lifted.cfg.dt)
+    h = BeamState(other, bending_mode_state(lifted.g, 1).u,
+                  sine_mode_state(other, 1, 3, "v").v)
+    a, b = _history(lifted, 3), _history(twin, 3)
+    assert np.array_equal(a, b)
+    assert np.array_equal(weak_residual(lifted, a, inc, h).values,
+                          weak_residual(twin, b, inc, h).values)
+
+
+def test_weak_residual_refuses_histories_of_another_run():
+    """A history or increments that do not fit the scene are refused, not
+    paired against the wrong loads."""
+    sc = build_scene(parse_config(STOCH))
+    n, m = sc.cfg.n_steps, sc.g.m
+    history = _history(sc, 0)
+    inc = project_increments(sc.model, sc.model.path_xi(n, 0), sc.cfg.dt)
+    h = sine_mode_state(sc.grid, 1, 3, "v")
+    fine = build_scene(parse_config(STOCH.replace("grid.n = 8",
+                                                  "grid.n = 16")))
+    for bad_history, bad_inc in ((history[:-1], inc),
+                                 (_history(fine, 0), inc),
+                                 (history, inc[:-1]),
+                                 (history, inc[:, :m - 1])):
+        with pytest.raises(ShapeError):
+            weak_residual(sc, bad_history, bad_inc, h)
+    assert weak_residual(sc, history, inc, h).values.shape == (n + 1,)
 
 
 def test_stochastic_path_carries_increments():
     cfg = parse_config(STOCH)
-    traj = solve_homogeneous(cfg, path_index=4)
-    sc = traj.scene
-    want = project_increments(sc.model, sc.model.path_xi(cfg.n_steps, 4),
-                              cfg.dt)
-    assert want.shape == (cfg.n_steps, sc.g.m, 3)
-    assert np.array_equal(traj.increments, want)
+    sc = build_scene(cfg)
+    inc = project_increments(sc.model, sc.model.path_xi(cfg.n_steps, 4),
+                             cfg.dt)
+    assert inc.shape == (cfg.n_steps, sc.g.m, 3)
     # the stochastic weak residual is small but not zero at finite dt
     h = sine_mode_state(sc.grid, 1, 3, "v")
-    r = weak_residual(traj, h)
+    r = weak_residual(sc, _history(sc, 4), inc, h)
     assert 0.0 < r.max_value < 0.1
 
 
-def _first_ensemble_path(cfg):
-    """States and remainders of path 0 as the ensemble blocks hand it
-    out (history kept), and its increments as its draws projected alone,
-    bitwise those the kernel kicks it with (see the kick tests below)."""
-    sc = build_scene(cfg)
-    _, _, _, history = next(ensemble_blocks(sc, keep_history=True))
-    homog = [BeamState.from_packed(sc.grid, y) for y in history[..., 0]]
-    states = homog if sc.shift is None else \
-        [BeamState(sc.grid, x.u + sc.shift, x.v) for x in homog]
-    inc = project_increments(sc.model, sc.model.path_xi(cfg.n_steps, 0),
-                             cfg.dt)
-    return states, homog, inc
-
-
 def test_ensemble_matches_single_path_solver():
+    """A single path is the ensemble's path: at N = 1 the same width-one
+    block, bitwise; at N = 8, paths 0 and 3 of one 8-wide block, to the
+    1e-12 relative (per field, against its largest magnitude) that the
+    simulate gate of the benchmark allows."""
     cfg = parse_config(STOCH)  # run.N defaults to 1
+    _, _, _, history = next(ensemble_blocks(build_scene(cfg),
+                                            keep_history=True))
     ref = solve_homogeneous(cfg, 0)
-    states, _, inc = _first_ensemble_path(cfg)
-    # N = 1: both sides are the same width-one block, so bitwise equal
-    assert len(ref.states) == len(states)
-    assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-               for a, b in zip(ref.states, states))
-    assert np.array_equal(ref.increments, inc)
-
-
-def test_nonhomogeneous_path_matches_ensemble_bitwise():
-    cfg = parse_config(STOCH.replace("bc.kind = homogeneous",
-                                     "bc.kind = nonhomogeneous"))
-    states, homog, inc = _first_ensemble_path(cfg)
-    ref = solve_nonhomogeneous(cfg, 0)
-    assert ref.scene.shift is not None
-    for a_list, b_list in ((ref.states, states),
-                           (ref.homogeneous_states, homog)):
-        assert len(a_list) == cfg.n_steps + 1 == len(b_list)
-        assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-                   for a, b in zip(a_list, b_list))
-    assert np.array_equal(ref.increments, inc)
+    assert len(ref.states) == len(history)
+    assert all(np.array_equal(a.packed(), y)
+               for a, y in zip(ref.states, history[..., 0]))
+    wide = dataclasses.replace(cfg, n_paths=8)
+    p0, p1, _, history = next(ensemble_blocks(build_scene(wide),
+                                              keep_history=True))
+    assert (p0, p1) == (0, 8)
+    m = ref.scene.g.m
+    for p in (0, 3):
+        want = np.stack([x.packed() for x in
+                         solve_homogeneous(wide, p).states])
+        got = history[..., p]
+        for rows in (slice(0, m), slice(m, 2 * m)):
+            scale = np.max(np.abs(want[:, rows]))
+            assert np.max(np.abs(got[:, rows] - want[:, rows])) <= \
+                1e-12 * scale
 
 
 def test_width_one_block_is_the_mild_recursion():
@@ -493,9 +529,9 @@ def test_nonhomogeneous_ensemble_reports_lifted_observable():
     sc = build_scene(cfg)
     _, _, vals, _ = next(ensemble_blocks(build_scene(
         dataclasses.replace(cfg, observables=("1:3:u",)))))
-    traj = solve_nonhomogeneous(cfg)
+    last = BeamState.from_packed(sc.grid, _history(sc, 0)[-1])
     h = sine_mode_state(sc.grid, 1, 3, "u")
-    want = h_inner(traj.states[-1], h, sc.g)
+    want = h_inner(BeamState(sc.grid, last.u + sc.shift, last.v), h, sc.g)
     assert vals[0, -1, 0] == pytest.approx(want, rel=1e-10)
 
 

@@ -18,12 +18,10 @@ run.observables with that one spec).  The config's own rules read and
 check each override, and a refused value exits 2 with a short message
 naming the flag.
 
-All CSV numbers use 17-significant-digit formatting, and path blocks
-merge in a fixed order, so outputs are byte-stable across repeated runs
-and across thread counts.  `simulate` builds one row template per path
-and file, with every field but the path values baked in (the path
-index, and the clamped node's u, v = 0, 0), and formats only those
-values.  manifest.json records the resolved config, version, seed,
+All CSV numbers are '%.17g' text, and path blocks merge in a fixed
+order, so outputs are byte-stable across repeated runs and across thread
+counts; `simulate` computes its digits in numpy (`_g17`), byte for byte
+as '%.17g'.  manifest.json records the resolved config, version, seed,
 wall-clock and the SHA-256 of every file written next to it (the
 wall-clock field is the only part that varies between identical runs).
 """
@@ -31,6 +29,7 @@ wall-clock field is the only part that varies between identical runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -52,9 +51,39 @@ from .solver import (build_scene, ensemble_blocks, ensemble_run,
 from .verify import run_checks
 
 #: CSV rows that `simulate` formats and writes at once, in whole paths.
-#: Peak RSS of the simulate-csv bench workload on a 2-CPU host: 2048 to
-#: 65536 rows gave 77, 82, 72, 70, 75, 84 MiB (whole blocks: 112 MiB)
-ROWS = 16384
+#: Peak RSS of the simulate-csv bench workload on a 2-CPU host: 1024 to
+#: 65536 rows gave 64, 64, 64, 66, 70, 93 MiB (whole blocks: 134 MiB)
+ROWS = 4096
+
+_W = 32  # bytes of one value's text in `_g17`
+_GROUPS = 10 ** np.arange(12, -1, -4)  # the 4-digit groups of 16 digits
+#: the doubles nearest 10**k, k = -6..22: exact for k >= 0, and the least
+#: double above 10**k for k = -5..-1 (1e-6 is below 10**-6, and below
+#: every |v| whose digits `_g17` computes)
+_TEN = np.array([float(f"1e{k}") for k in range(-6, 23)])
+
+
+def _halves(a):  # Veltkamp's split into 26-bit halves h + l = a
+    t = 134217729.0 * a  # 2**27 + 1
+    return t - (t - a), a - (t - (t - a))
+
+
+@functools.cache
+def _tables():
+    """`_g17`'s tables, built by its first call: the 4-digit groups
+    0000-9999, then the same with trailing zeros blank; bytes 0-7 of the
+    text by sign, e, blank (every later digit is 0) and first digit d
+    (0: v = 0), right-aligned: sign, "0.000" if -4 <= e < 0, d, point;
+    bytes 24-27, the exponent, by e; and the halves of `_TEN`."""
+    quads = np.strings.zfill(np.arange(10000).astype("S4"), 4)
+    quads = np.concatenate([quads, np.strings.rstrip(quads, b"0")])
+    heads = np.frombuffer(b"".join(
+        ("-" * neg + ("0." + "0" * (-e - 1)) * (-4 <= e < 0) + str(d)
+         + "." * (not blank and e in (0, -5, -6)) if d else "-" * neg + "0")
+        .encode().rjust(8, b"\0") for neg in (0, 1) for e in range(-6, 17)
+        for blank in (0, 1) for d in range(10)), np.uint64)
+    tails = np.frombuffer(b"e-06e-05".ljust(4 * 23, b"\0"), np.uint32)
+    return np.frombuffer(quads.tobytes(), "u4"), heads, tails, *_halves(_TEN)
 
 
 def _fmt(x: float) -> str:
@@ -87,24 +116,83 @@ def _emit_manifest(out: Path, manifest: dict):
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _text(pieces: list, a: int, b: int, values: np.ndarray) -> bytes:
-    """Rows of paths a..b-1: each path's index joins the row template
-    `pieces`, and `values` fill its '%.17g' slots in order.  '%.17g' % x
-    equals _fmt(x)."""
-    row = "".join(str(p).join(pieces) for p in range(a, b))
-    return (row % tuple(values.ravel().tolist())).encode("ascii")
+def _g17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for every v of `x`, as rows of _W bytes: the text with
+    NUL bytes around and inside it, which the caller drops.
+
+    For 1e-6 < |v| < 1e16 the digits are exact: e = floor(log10|v|),
+    moved by one where |v| is outside [10**e, 10**(e+1)), which `_TEN`
+    tells exactly, and |v| * 10**(16 - e) = hi + lo exactly, by Dekker's
+    product of 26-bit halves (10**(16 - e) is exact for 16 - e <= 22).
+    hi is in [1e16, 1e17], above 2**53, so an even integer, and
+    |lo| <= 8: hi + rint(lo) rounds hi + lo half to even, as '%.17g'
+    does.  No carry to 10**17 occurs: every double below a power of ten
+    1e-5 .. 1e16 is over 8e-17 below it, relatively, and a carry needs
+    5e-18.  The layout is '%g''s: fixed for -4 <= e < 17, else
+    d.ddde-0X, with no trailing fraction zeros or bare point.  0 and -0
+    give '0' and '-0', the rest Python's '%.17g'.
+    """
+    quads, heads, tails, ten_h, ten_l = _tables()
+    x = x.ravel()
+    ax = np.abs(x)
+    fast = (ax > 1e-6) & (ax < 1e16)
+    a = np.where(fast, ax, 0.5)  # 0.5: e = -1; their text is set below
+    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.intp)
+    e += a >= _TEN[e + 7]
+    e -= a < _TEN[e + 6]
+    k = 22 - e  # 10**(16 - e)
+    ah, al = _halves(a)
+    hi = a * _TEN[k]
+    lo = ((ah * ten_h[k] - hi) + ah * ten_l[k] + al * ten_h[k]) \
+        + al * ten_l[k]
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top, rest = np.divmod(n, 10 ** 16)
+    # bytes 0-7 sign, "0.000" and the first digit, right-aligned; 8-23
+    # the four groups of 4 digits after it, trailing zeros blank; 24-27
+    # the exponent
+    out = np.zeros((x.size, _W), np.uint8)
+    strip = rest[:, None] % _GROUPS == 0  # every later group is 0
+    out.view(np.uint32)[:, 2:6] = quads[rest[:, None] // _GROUPS % 10000
+                                        + 10000 * strip]
+    out.view(np.uint64)[:, 0] = heads[
+        ((np.signbit(x) * 23 + e + 6) * 2 + (rest == 0)) * 10 + top * (x != 0)]
+    out.view(np.uint32)[:, 6] = tails[e + 6]
+    # e >= 1: the point goes after digit e, and the integer digits stay
+    big = np.flatnonzero(e > 0)
+    ep = e[big, None]
+    d = out[big, 7:25]
+    whole = np.arange(18) <= ep
+    d[(d == 0) & whole] = 48
+    text = np.where(whole, d, np.roll(d, 1, axis=1))
+    text[np.arange(big.size), ep[:, 0] + 1] = \
+        46 * (d[np.arange(big.size), ep[:, 0] + 1] != 0)
+    out[big, 7:25] = text
+    rare = np.flatnonzero(~fast & (x != 0))
+    out[rare] = np.array([b"%.17g" % v for v in x[rare].tolist()],
+                         f"S{_W}").view(np.uint8).reshape(-1, _W)
+    return out
 
 
-def _slices(p0: int, p1: int, pieces: list):
-    """(a, b) ranges of whole paths over p0..p1, ROWS rows or one path;
-    a path has len(pieces) - 1 rows, one per path index it joins."""
-    width = max(1, ROWS // (len(pieces) - 1))
+def _rows(a: int, pre: np.ndarray, values: np.ndarray) -> bytes:
+    """CSV rows of paths a, a+1, ...: each row is the path index, its
+    text `pre` (a bytes array of one item per row), and the last axis of
+    `values` (paths, rows, k) in '%.17g', joined by ','."""
+    n, rows, k = values.shape
+    path = np.array([str(p) for p in range(a, a + n)], "S")
+    buf = np.zeros((n, rows, path.itemsize + pre.itemsize + k * (_W + 1)),
+                   np.uint8)
+    buf[..., :path.itemsize] = path.view(np.uint8).reshape(n, 1, -1)
+    buf[..., path.itemsize:-k * (_W + 1)] = pre.view(np.uint8).reshape(rows, -1)
+    cells = buf[..., -k * (_W + 1):].reshape(n, rows, k, _W + 1)
+    cells[..., :_W] = _g17(values).reshape(n, rows, k, _W)
+    cells[..., _W] = np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)
+    return buf.tobytes().translate(None, b"\0")
+
+
+def _slices(p0: int, p1: int, rows: int):
+    """(a, b) ranges of whole paths of `rows` rows: ROWS rows or one path."""
+    width = max(1, ROWS // rows)
     return ((a, min(p1, a + width)) for a in range(p0, p1, width))
-
-
-def _baked(text: str) -> str:
-    """`text` as a literal inside a %-template."""
-    return text.replace("%", "%%")
 
 
 def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
@@ -129,18 +217,13 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     scene = build_scene(cfg)
     m = scene.grid.n_free
 
-    # one row template per path, split at the path index: the t, s,
-    # channel and observable texts are baked in, and so is u, v = 0, 0 at
-    # the clamped node s = l (the lift vanishes there too, since the last
-    # node is l); the free nodes' u and v are the only slots
-    s_txt = [_baked(_fmt(s)) for s in scene.grid.nodes]
-    slots = ["%.17g,%.17g"] * m + ["0,0"]
-    traj_row = [""] + [f",{_baked(_fmt(t))},{s},{c},{uv}\n"
-                       for t in scene.P.times[1:]
-                       for s, uv in zip(s_txt, slots) for c in (1, 2, 3)]
-    obs_row = [""] + [f",{_baked(_fmt(t))},{_baked(oid)},%.17g\n"
-                      for t in scene.P.times[scene.obs_steps]
-                      for oid in cfg.observables]
+    # the text of each row after its path index, up to its values
+    traj_pre = np.array([f",{_fmt(t)},{_fmt(s)},{c},"
+                         for t in scene.P.times[1:]
+                         for s in scene.grid.nodes for c in (1, 2, 3)], "S")
+    obs_pre = np.array([f",{_fmt(t)},{oid},"
+                        for t in scene.P.times[scene.obs_steps]
+                        for oid in cfg.observables], "S")
 
     traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
     parts = [p.with_name(p.name + ".part") for p in (traj_path, obs_path)]
@@ -156,17 +239,22 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
             write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
             for p0, p1, vals, history in ensemble_blocks(
                     scene, keep_history=True):
-                for a, b in _slices(p0, p1, traj_row):
-                    # (path, step, free node, channel, [u, v])
-                    hist = history[1:, ..., a - p0:b - p0].transpose(3, 0, 1, 2)
-                    cols = np.stack((hist[:, :, :m], hist[:, :, m:]), axis=-1)
+                for a, b in _slices(p0, p1, len(traj_pre)):
+                    # (path, step, node, channel, [u, v]); the clamped
+                    # last node s = l stays at 0, 0, as does the lift
+                    hist = history[1:, ..., a - p0:b - p0]
+                    cols = np.zeros((b - a, cfg.n_steps, m + 1, 3, 2))
+                    cols[:, :, :m] = hist.reshape(-1, 2, m, 3, b - a)\
+                        .transpose(4, 0, 2, 3, 1)
                     if scene.shift is not None:
-                        cols[..., 0] += scene.shift[:m]
-                    write(traj_fh, traj_sha, _text(traj_row, a, b, cols))
-                for a, b in _slices(p0, p1, obs_row):
+                        cols[:, :, :m, :, 0] += scene.shift[:m]
+                    write(traj_fh, traj_sha,
+                          _rows(a, traj_pre, cols.reshape(b - a, -1, 2)))
+                for a, b in _slices(p0, p1, len(obs_pre)):
                     # (path, time, observable)
                     cols = vals[..., a - p0:b - p0].transpose(2, 1, 0)
-                    write(obs_fh, obs_sha, _text(obs_row, a, b, cols))
+                    write(obs_fh, obs_sha,
+                          _rows(a, obs_pre, cols.reshape(b - a, -1, 1)))
                 del vals, history, hist, cols  # before the next block
         os.replace(parts[0], traj_path)
         os.replace(parts[1], obs_path)

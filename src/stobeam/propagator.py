@@ -78,9 +78,9 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
     Cholesky, so that an indefinite K still factors).  The one solve is
     the whole build: a refinement sweep in working precision lowers the
     backward error only, and leaves the map no closer to an
-    extended-precision Cayley map than the solve alone.  A factor with a
-    non-finite entry is refused here, where it is built, so no view of a
-    chain scans it again.
+    extended-precision Cayley map than the solve alone.  A non-finite
+    band is refused before its LU, a factor that overflows after its
+    solve, so no view of a chain scans it again.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
@@ -89,12 +89,14 @@ def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
     hk = (h * h) * kb
     a = hk.copy()
     a[bw] += mass
+    anorm = np.abs(a).sum(axis=0).max()  # nan or inf for a non-finite a
+    if not np.isfinite(anorm):
+        raise InvalidArgumentError("cayley resolvent has non-finite entries")
     # gbtrf keeps the fill-in of row pivoting in bw extra leading rows
     ab = np.zeros((3 * bw + 1, mass.size), order="F")
     ab[bw:] = a
     lu, piv, info = _gbtrf(ab, bw, bw, overwrite_ab=1)
-    rcond = 0.0 if info > 0 else \
-        _gbcon(bw, bw, lu, piv, np.abs(a).sum(axis=0).max())[0]
+    rcond = 0.0 if info > 0 else _gbcon(bw, bw, lu, piv, anorm)[0]
     if rcond < _RCOND_FLOOR:
         warnings.warn(
             f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "

@@ -416,6 +416,52 @@ def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     assert not (tmp_path / "o").exists()
 
 
+def _doubles_for_g17(rng):
+    """1.2 million doubles for `cli._g17`: random bit patterns (every
+    exponent, subnormals, inf and nan included), random mantissas at
+    decimal exponents 1e-320 to 1e308 and, more densely, 1e-7 to 1e17,
+    dyadic rationals: m / 2**(17 - e) with m odd in each decade
+    e = -6..15, whose 17-digit decimal is an exact tie, and k * 2**j,
+    then the powers of ten 1e-8 to 1e17, the %g
+    switch points 1e-5, 1e-4, 1e16 and 1e17 and the fast range's ends,
+    each with its neighbours, and the special values."""
+    decade = 10.0 ** np.concatenate([rng.integers(-320, 309, 150_000),
+                                     rng.integers(-7, 18, 450_000)])
+    with np.errstate(over="ignore"):
+        mantissas = rng.uniform(1.0, 10.0, decade.size) * decade
+    ties = [rng.integers(max(1, int(10.0 ** e * 2 ** (17 - e))),
+                         min(2 ** 53, int(10.0 ** (e + 1) * 2 ** (17 - e))),
+                         10_000) // 2 * 2 + 1 for e in range(-6, 16)]
+    ties = [t / 2.0 ** (17 - e) for e, t in zip(range(-6, 16), ties)]
+    scaled = (rng.integers(1, 2 ** 53, 180_000).astype(float)
+              * 2.0 ** rng.integers(-80, 40, 180_000))
+    points = np.array([10.0 ** k for k in range(-8, 18)]
+                      + [1e-6, 1e-5, 1e-4, 1e16, 1e17])
+    special = [0.0, -0.0, 5e-324, np.finfo(float).max, np.inf, -np.inf,
+               np.nan]
+    x = np.concatenate([np.frombuffer(rng.bytes(8 * 200_000), float),
+                        mantissas, *ties, scaled, points,
+                        np.nextafter(points, 0), np.nextafter(points, np.inf),
+                        special])
+    flip = rng.integers(0, 2, x.size, dtype=np.uint64) << np.uint64(63)
+    return (x.view(np.uint64) ^ flip).view(float)
+
+
+def test_value_text_equals_percent_17g():
+    """`cli._g17` writes '%.17g' % x byte for byte, in and out of the
+    range whose digits it computes itself."""
+    x = _doubles_for_g17(np.random.default_rng(29))
+    assert x.size >= 10 ** 6
+    text = np.concatenate([cli._g17(part) for part in np.array_split(x, 32)])
+    got = np.concatenate([text, np.full((x.size, 1), ord("\n"), np.uint8)],
+                         axis=1).tobytes().translate(None, b"\0")
+    want = ("%.17g\n" * x.size % tuple(x.tolist())).encode()
+    if got != want:
+        pairs = zip(x.tolist(), got.split(b"\n"), want.split(b"\n"))
+        bad = [(v, g, w) for v, g, w in pairs if g != w]
+        pytest.fail(f"{len(bad)} values differ, first {bad[:5]}")
+
+
 def _oracle_csvs(cfg):
     """trajectory.csv and observables.csv text built value by value with
     format(x, '.17g') from the kept histories of `ensemble_blocks`."""
@@ -499,9 +545,9 @@ def test_simulate_slices_match_per_value_writer(tmp_path, monkeypatch,
     traj_text, obs_text = _oracle_csvs(parse_config(text))
     real, cut = cli._slices, {}
 
-    def slices(p0, p1, pieces):
-        ranges = list(real(p0, p1, pieces))
-        cut.setdefault(len(pieces) - 1, []).extend(ranges)
+    def slices(p0, p1, rows):
+        ranges = list(real(p0, p1, rows))
+        cut.setdefault(rows, []).extend(ranges)
         return ranges
 
     monkeypatch.setattr(cli, "_slices", slices)

@@ -237,12 +237,11 @@ class PropagatorFactorization:
             self.apply_transpose_premetric(self.g.mh_apply(y)))
 
 
-def extend_chain(steps: list, lam: TractiveForce, g: GramSet, n_steps: int,
-                 dt: float) -> list:
-    """Append the factors D_k, k = len(steps)..n_steps-1, of `lam` at dt
-    to `steps`, which holds those of k < len(steps), and return it.  D_k
-    is the increment factor of the Cayley map of L(t_k + dt/2): it depends
-    on lam's c(t) and profile, the Grams, dt and k alone, and is one shared
+def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
+                     dt: float) -> PropagatorFactorization:
+    """The factors D_k of n_steps steps of dt from t = 0.  D_k is the
+    increment factor of the Cayley map of L(t_k + dt/2): it depends on
+    lam's c(t) and profile, the Grams, dt and k alone, and is one shared
     factor when the generator does not depend on time."""
     b_bands = to_bands(g.B)
 
@@ -250,18 +249,10 @@ def extend_chain(steps: list, lam: TractiveForce, g: GramSet, n_steps: int,
         return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
 
     if lam.autonomous:
-        one = steps[0] if steps else step(0.5 * dt)
-        steps += [one] * (n_steps - len(steps))
+        steps = [step(0.5 * dt)] * n_steps
     else:
-        steps += [step((k + 0.5) * dt) for k in range(len(steps), n_steps)]
-    return steps
-
-
-def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
-                     dt: float) -> PropagatorFactorization:
-    """The factors of n_steps steps of dt from t = 0; see `extend_chain`."""
-    return PropagatorFactorization(float(dt),
-                                   extend_chain([], lam, g, n_steps, dt), g)
+        steps = [step((k + 0.5) * dt) for k in range(n_steps)]
+    return PropagatorFactorization(float(dt), steps, g)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,

@@ -44,7 +44,7 @@ from .noise import NoiseModel, build_noise_model, step_increments
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
 from .propagator import (PropagatorFactorization, ResidualCurve,
-                         build_propagator, extend_chain)
+                         build_propagator)
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
 #: so that per-block arithmetic is identical for any worker pool size.
@@ -57,9 +57,8 @@ class Scene:
 
     The fields are assembled by `build_scene`; the cached properties are
     built on first use and then kept, so a command that never steps a
-    path builds no loads, initial state or observables.  The scene also
-    keeps a store of step factors, one chain per tension and dt, from
-    which `propagator` hands out propagators of other lengths and steps.
+    path builds no loads, initial state or observables.  `propagator`
+    hands out propagators of other lengths and steps and keeps none.
     """
 
     cfg: SimulationConfig
@@ -69,24 +68,21 @@ class Scene:
     P: PropagatorFactorization = field(repr=False)
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
-    _chains: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def propagator(self, n_steps: int, dt: float,
                    free: bool = False) -> PropagatorFactorization:
         """The first n_steps factors of step dt of `lifted`, or with
-        `free` of the zero tension: a prefix of the store's chain for
-        (tension, dt), sharing its arrays.  P seeds the scene's chain at
-        cfg.dt, and a request for more steps extends the chain, so each
-        factor is built once; a factor depends on neither n_steps nor the
-        horizon, so it is a fresh build's bits.
+        `free` of the zero tension: a prefix of P, sharing its arrays,
+        when P is of that tension and dt and has the steps, else a fresh
+        build, which the scene does not keep.  A factor depends on
+        neither n_steps nor the horizon, so either is a fresh build's bits.
         """
         own = not free or self.lam.family == "zero"
-        chain = self._chains.setdefault((own, dt), list(
-            self.P.steps if own and dt == self.cfg.dt else ()))
+        if own and dt == self.cfg.dt and n_steps <= self.P.n_steps:
+            return PropagatorFactorization(float(dt), self.P.steps[:n_steps],
+                                           self.g)
         lam = self.lifted if own else TractiveForce.zero()
-        extend_chain(chain, lam, self.g, n_steps, dt)
-        return PropagatorFactorization(float(dt), chain[:n_steps], self.g)
+        return build_propagator(lam, self.g, n_steps, dt)
 
     @functools.cached_property
     def lifted(self) -> TractiveForce:

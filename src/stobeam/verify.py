@@ -15,8 +15,9 @@ probe rule holds for the checks that test them (generator integral,
 backward adjoint, Picard agreement and contraction, trace identity, Ito
 quadrature): each spans its own fixed window whatever the horizon, so
 that short runs do not probe at the rounding floor, reads the tension
-with its horizon lifted (`Scene.lifted`), and walks chains from the
-scene's factor store (`Scene.propagator`), Picard's free flow included.
+with its horizon lifted (`Scene.lifted`), and walks chains that
+`Scene.propagator` hands out, Picard's free flow included: a prefix of
+the scene's P or a fresh build, freed when the check ends.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from stobeam.cli import main
 from stobeam.config import parse_config
 from stobeam.errors import BlowupError
 from stobeam.grid import BeamState
+from stobeam.noise import TraceCheck
 from stobeam.solver import build_scene, ensemble_blocks
 from stobeam.verify import free_variance_closed_form
 
@@ -321,6 +322,30 @@ def test_trace_check_skips_without_noise(tmp_path, capsys):
                           TINY.replace("noise.sigma = 1.0", "noise.sigma = 0.0"))
     assert main(["trace-check", "--config", cfg_path]) == 0
     assert "skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [2.0, float("nan")], ids=["above", "nan"])
+def test_trace_check_refuses_a_violated_condition(tmp_path, monkeypatch,
+                                                  capsys, value):
+    """A trace integral above its bound, or one that is not finite, is
+    reported on stderr and exits 1, after the figures are printed."""
+    monkeypatch.setattr(cli, "trace_condition",
+                        lambda P, model, constants: TraceCheck(value, 1.0))
+    cfg_path = _write_cfg(tmp_path, TINY)
+    assert main(["trace-check", "--config", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert f"trace integral     {value:.12g}" in captured.out.splitlines()
+    assert captured.err == "trace condition violated\n"
+
+
+def test_output_directory_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code = main(["simulate", "--config", _write_cfg(tmp_path, TINY),
+                 "--out", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert taken.read_text() == "kept"
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

@@ -197,10 +197,13 @@ def test_every_construction_path_checks_the_rules():
 #: (key, bad text, the same bad value in Python), one or more per rule
 BAD_VALUES = [
     ("beam.l", "-1.0", -1.0),
+    # an int beyond float range: math.isfinite raises, and that is a refusal
+    ("beam.l", "1" + "0" * 400, 10**400),
     ("beam.b", "0", 0.0),
     ("beam.g", "-9.81", -9.81),
     ("grid.n", "3", 3),
     ("grid.n", "8.0", 8.0),                        # not an integer
+    ("grid.n", "016", "016"),                      # not as int() writes it
     ("time.T", "nan", math.nan),
     ("time.dt", "inf", math.inf),
     ("noise.sigma", "-1", -1.0),
@@ -220,6 +223,7 @@ BAD_VALUES = [
      (0.0, 0.0, math.inf) + (0.0,) * 255),
     ("fdet.expr1", "__import__('os')", "__import__('os')"),
     ("fdet.expr3", "q + 1", "q + 1"),
+    ("fdet.expr1", "sin(", "sin("),                # not Python syntax
     ("fdet.table", "nan" + ",0" * 17, (math.nan,) + (0.0,) * 17),
     ("init.mode", "0", 0),
     ("init.amplitude", "inf", math.inf),

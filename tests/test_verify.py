@@ -11,6 +11,7 @@ import pytest
 from stobeam import grid, operators, propagator, solver, verify
 from stobeam.cli import main
 from stobeam.config import parse_config
+from stobeam.errors import StobeamError
 from stobeam.noise import ito_variance
 from stobeam.operators import TractiveForce, apply_L1, op_norm_H
 from stobeam.solver import build_scene, sine_mode_state
@@ -254,6 +255,35 @@ def test_adjoint_and_contraction_pass_on_finer_grids(n):
     assert "over 3 sweeps" in contraction.note
 
 
+def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch,
+                                                        tmp_path, capsys):
+    """A check that raises a package error is reported as failed with the
+    error text and no numbers, the checks after it still run, and the
+    command prints its line with '-' for both numbers and exits 1."""
+    def check_duality(scene):
+        raise StobeamError("duality probe refused")
+
+    names = [c.__name__.replace("check_", "") for c in verify._CHECKS]
+    i = names.index("duality")
+    monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS[:i] +
+                        [check_duality] + verify._CHECKS[i + 1:])
+    results = run_checks(parse_config(SMALL))
+    assert [r.name for r in results] == names
+    assert results[i] == verify.CheckResult("duality", "fail", None, None,
+                                            "duality probe refused")
+    assert [r.name for r in results if r.status == "fail"] == ["duality"]
+    assert all(r.defect is not None for r in results[i + 1:]
+               if r.status != "skip")
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL)
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    width = max(map(len, names))
+    captured = capsys.readouterr()
+    assert (f"FAIL {'duality':<{width}}  defect -  threshold -  "
+            "(duality probe refused)") in captured.out.splitlines()
+    assert "failed checks: duality" in captured.err
+
+
 def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     """The weight alpha = 2 C5 is too small for a map whose tractive term
     is 300 times the one C5 was estimated for: successive defects shrink
@@ -271,14 +301,17 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     assert res.status == "fail" and res.defect > 0.8, res.note
 
 
-def test_verify_builds_each_factor_once(monkeypatch):
-    """One suite on configs/default.cfg builds 422 step factors (875
-    when each check built its own propagators): the scene's 250 at
-    dt = 0.001, which `generator_integral`, `adjoint_backward` and
-    `picard_agreement` share; 50 at 0.2/50 and 100 at 0.2/100 == 0.1/50;
-    the free flow's one, which both Picard checks, `trace_identity` and
-    `ito_quadrature` share; and, outside the store, 21 in the scenes of
-    `bc_conformity` and `weak_identity_null`."""
+def test_verify_factor_builds_per_step_size(monkeypatch):
+    """One suite on configs/default.cfg builds 475 step factors: the
+    scene's 250 at dt = 0.001, of which `generator_integral`,
+    `adjoint_backward` and `picard_agreement` walk prefixes; 50 at 0.2/50
+    and 100 at 0.2/100 for `generator_integral`; 50 more at 0.1/50 ==
+    0.2/100 for `adjoint_backward`; one free-flow factor each for both
+    Picard checks, `trace_identity` and `ito_quadrature`; and 21 in the
+    scenes of `bc_conformity` and `weak_identity_null`.  A scene keeps
+    no probe factor, so a check that needs one builds it: the per-scene
+    store this replaces built 422, and 53 of these builds are what it
+    saved."""
     dts = []
     build = propagator._factor_from_bands
 
@@ -288,19 +321,20 @@ def test_verify_builds_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(propagator, "_factor_from_bands", counted)
     run_checks(parse_config(_default_text({})))
-    assert collections.Counter(dts) == {0.001: 272, 0.2 / 50: 50,
-                                        0.2 / 100: 100}
+    assert collections.Counter(dts) == {0.001: 275, 0.2 / 50: 50,
+                                        0.2 / 100: 150}
 
 
 @pytest.mark.parametrize("text", [_default_text({}), SMALL],
                          ids=["default", "small"])
 def test_store_propagators_equal_fresh_builds(monkeypatch, text):
-    """Every propagator a check gets from the scene's store equals a
-    fresh `build_propagator` of its tension (the scene's with the horizon
-    lifted, or the zero one), n_steps and dt, step by step.  On SMALL
-    (T = 0.1) the 200-step probe of `generator_integral` extends the
-    scene's chain past its horizon.  The two Picard checks ask for their
-    free flows too, so a suite makes 10 requests."""
+    """Every propagator a check gets from `Scene.propagator`, a prefix
+    of the scene's P or a fresh build, equals a fresh `build_propagator`
+    of its tension (the scene's with the horizon lifted, or the zero
+    one), n_steps and dt, step by step.  On SMALL (T = 0.1) the 200-step
+    probe of `generator_integral` runs past the scene's horizon, so it is
+    built afresh.  The two Picard checks ask for their free flows too, so
+    a suite makes 10 requests."""
     got = []
     request = solver.Scene.propagator
 
@@ -336,9 +370,10 @@ def test_suite_passes_on_runs_of_one_and_two_steps(horizon):
 
 
 def test_picard_checks_do_not_depend_on_the_horizon():
-    """Both Picard checks probe fixed windows of the lifted tension on the
-    store's chains, so a run of one step, of 0.1 and of 0.25 reports the
-    same sweeps, alpha and defects."""
+    """Both Picard checks probe fixed windows of the lifted tension, on
+    factors of the same bits whether they are a prefix of the scene's P
+    or a fresh build, so a run of one step, of 0.1 and of 0.25 reports
+    the same sweeps, alpha and defects."""
     by_horizon = {}
     for horizon in ("0.001", "0.1", "0.25"):
         sc = build_scene(parse_config(_default_text({"time.T": horizon})))
@@ -378,7 +413,7 @@ def test_verify_factors_b_once(monkeypatch):
 def test_factor_store_belongs_to_its_scene():
     """A suite run after another in the same process, on a grid of 32
     with the same dt, gives the results of a run on that grid alone: no
-    factor of one scene's store reaches a later scene."""
+    factor built for one scene reaches a later scene."""
     finer = parse_config(_default_text({"grid.n": "32"}))
     alone = run_checks(finer)
     run_checks(parse_config(_default_text({})))
@@ -386,12 +421,14 @@ def test_factor_store_belongs_to_its_scene():
 
 
 def test_factor_store_peak_stays_below_the_probes_it_replaces():
-    """At n = 64 the suite's traced peak stays below the scene's 250
-    factors plus the 300 that the 100- and 200-step probes of
-    `generator_integral` held at once when each check built its own
-    (18.1 MiB, 561 factors' worth).  The store keeps its 150 extra
-    factors to the end, and the peak (16.6 MiB, 514 factors' worth) is
-    set in `picard_contraction`."""
+    """At n = 64 the suite's traced peak stays below 400 factors' worth.
+    When each check built its own propagators, the 100- and 200-step
+    probes of `generator_integral` held 300 factors at once next to the
+    scene's 250 (18.1 MiB, 561 factors' worth); a per-scene store that
+    kept its 150 probe factors to the end peaked at 16.6 MiB (515).  A
+    probe factor not in P lives only as long as its check, and the peak
+    (11.7 MiB, 364) is the scene's 250 next to the 100-step probe of
+    `generator_integral` at dt = 0.002."""
     cfg = parse_config(_default_text({"grid.n": "64"}))
     tracemalloc.start()
     try:
@@ -399,4 +436,4 @@ def test_factor_store_peak_stays_below_the_probes_it_replaces():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (250 + 300) * 65 ** 2 * 8
+    assert peak < 400 * 65 ** 2 * 8

@@ -95,10 +95,6 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _manifest(cfg: SimulationConfig, wall_s: float, outputs: dict,
               checks: Optional[dict] = None) -> dict:
     return {
@@ -330,9 +326,10 @@ def cmd_covariance(cfg: SimulationConfig, out_dir: str) -> int:
         if abs(mc - quad) <= 3.0 * se or mc == quad:
             n_within += 1
         lines.append(f"{_fmt(t)},{_fmt(mc)},{_fmt(quad)},{_fmt(se)}")
-    _write_text(out / "covariance.csv", "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_text(out / "covariance.csv", text)
     wall = time.monotonic() - t_start
-    outputs = {"covariance.csv": _sha256(out / "covariance.csv")}
+    outputs = {"covariance.csv": hashlib.sha256(text.encode()).hexdigest()}
     _emit_manifest(out, _manifest(cfg, wall, outputs))
     print(f"observable {spec}: {n_within}/{len(stats.times)} time points "
           f"within 3 standard errors (N={stats.count})")

@@ -19,7 +19,8 @@ and enter through the weak-form Gram matrices.  Consequences:
   not as pointwise stencil identities (a generic smooth function that
   satisfies them analytically still has O(h) one-sided stencil values);
 * smoothness-class membership (discrete H4/H6 with boundary conditions)
-  is a calibrated relative stencil check, see `membership_defects`.
+  is a calibrated relative stencil check, read from one table of boundary
+  stencils per class, see `membership_defects`.
 
 Inner products: the H2-with-BC form is u1^T B u2 with B = b * D2^T W D2
 (trapezoidal weights W), the L2 form is v1^T M v2 with lumped trapezoidal
@@ -213,10 +214,6 @@ def _check_same_grid(g1: BeamGrid, g2: BeamGrid):
         raise ShapeError("grid mismatch between operands")
 
 
-def _value_scale(values: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(values), initial=0.0))
-
-
 def h_inner(x1: BeamState, x2: BeamState, g: GramSet) -> float:
     """State inner product: H2-with-BC on displacement + L2 on velocity."""
     _check_same_grid(x1.grid, g.grid)
@@ -262,76 +259,60 @@ def bc_value_defect(x: BeamState) -> float:
     return float(max(np.abs(x.u[-1]).max(), np.abs(x.v[-1]).max()))
 
 
-def _stencil_4th(values: np.ndarray, h: float) -> np.ndarray:
-    """One-sided 4th-difference estimate at s = l (per channel)."""
-    coef = np.array([-2.0, 11.0, -24.0, 26.0, -14.0, 3.0])
-    return coef @ values[-6:] / h**4
+#: boundary stencils of each smoothness class, one row per defect: name,
+#: derivative order, first node (negative: counted from s = l) and the
+#: coefficients on consecutive nodes, all divided by h**order
+_BOUNDARY_STENCILS = {"h2bc": (), "h4bc": (
+    ("moment_at_0", 2, 0, (2.0, -5.0, 4.0, -1.0)),
+    ("shear_at_0", 3, 0, (-2.5, 9.0, -12.0, 7.0, -1.5)))}
+_BOUNDARY_STENCILS["h6bc"] = _BOUNDARY_STENCILS["h4bc"] + (
+    ("d4_at_l", 4, -6, (-2.0, 11.0, -24.0, 26.0, -14.0, 3.0)),
+    ("d5_at_l", 5, -7, (2.5, -16.0, 42.5, -60.0, 47.5, -20.0, 3.5)))
 
-
-def _stencil_5th(values: np.ndarray, h: float) -> np.ndarray:
-    coef = np.array([2.5, -16.0, 42.5, -60.0, 47.5, -20.0, 3.5])
-    return coef @ values[-7:] / h**5
-
-
-def _stencil_2nd(values: np.ndarray, h: float) -> np.ndarray:
-    return (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
-            - values[3]) / h**2
-
-
-def _stencil_3rd(values: np.ndarray, h: float) -> np.ndarray:
-    return (-2.5 * values[0] + 9.0 * values[1] - 12.0 * values[2]
-            + 7.0 * values[3] - 1.5 * values[4]) / h**3
-
-
-def _interior_max(values: np.ndarray, grid: BeamGrid, order: int) -> float:
-    """Max centered difference of the given order over interior nodes."""
-    h = grid.h
-    if order == 2:
-        d = (values[:-2] - 2 * values[1:-1] + values[2:]) / h**2
-    elif order == 3:
-        d = (-0.5 * values[:-4] + values[1:-3] - values[3:-1]
-             + 0.5 * values[4:]) / h**3
-    elif order == 4:
-        d = (values[:-4] - 4 * values[1:-3] + 6 * values[2:-2]
-             - 4 * values[3:-1] + values[4:]) / h**4
-    else:  # order 5
-        d = (-0.5 * values[:-6] + 2 * values[1:-5] - 2.5 * values[2:-4]
-             + 2.5 * values[4:-2] - 2 * values[5:-1] + 0.5 * values[6:]) / h**5
-    return float(np.max(np.abs(d), initial=0.0))
+#: centered difference of each order over the interior nodes
+_INTERIOR_STENCILS = {2: (1.0, -2.0, 1.0), 3: (-0.5, 1.0, 0.0, -1.0, 0.5),
+                      4: (1.0, -4.0, 6.0, -4.0, 1.0),
+                      5: (-0.5, 2.0, -2.5, 0.0, 2.5, -2.0, 0.5)}
 
 
 def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
     """Relative boundary-stencil defects for discrete smoothness classes.
 
-    Each entry is |boundary stencil| / (eta * interior max + floor); a
-    value above 1.0 counts as a violation.  Spaces:
+    Each entry is |boundary stencil| / (eta * interior max + floor), with
+    the interior max taken over the centered difference of the same order;
+    a value above 1.0 counts as a violation.  The rows of
+    `_BOUNDARY_STENCILS` give the classes:
 
     * "h2bc": clamped value at l, checked on the stored row
     * "h4bc": free-end moment/shear stencils at 0
     * "h6bc": h4bc plus 4th/5th-derivative stencils at l
 
-    This calibration is a convention; see the module docstring.
+    Each stencil is summed in node order.  This calibration is a
+    convention; see the module docstring.
+
+    Raises:
+        InvalidArgumentError: `space` is none of these classes.
     """
-    grid = g.grid
-    h = grid.h
+    if space not in _BOUNDARY_STENCILS:
+        raise InvalidArgumentError(
+            f"unknown smoothness class {space!r}; expected one of "
+            f"{sorted(_BOUNDARY_STENCILS)}")
+    h = g.grid.h
     full = np.asarray(values, dtype=float)
-    scale = _value_scale(full)
-    out = {}
-
-    def rel(stencil_val, order):
-        ref = MEMBERSHIP_ETA * _interior_max(full, grid, order) + \
-            1e-12 * scale / h**order
-        return float(np.max(np.abs(stencil_val)) / ref)
-
-    if space in ("h4bc", "h6bc"):
-        out["moment_at_0"] = rel(_stencil_2nd(full, h), 2)
-        out["shear_at_0"] = rel(_stencil_3rd(full, h), 3)
-    if space == "h6bc":
-        out["d4_at_l"] = rel(_stencil_4th(full, h), 4)
-        out["d5_at_l"] = rel(_stencil_5th(full, h), 5)
+    scale = 1.0 + float(np.max(np.abs(full), initial=0.0))
     if space == "h2bc":
-        out["value_at_l"] = float(
-            np.max(np.abs(full[-1])) / (BC_VALUE_RTOL * scale))
+        return {"value_at_l": float(
+            np.max(np.abs(full[-1])) / (BC_VALUE_RTOL * scale))}
+    out = {}
+    for name, order, first, coef in _BOUNDARY_STENCILS[space]:
+        at = sum(c * full[first + j] for j, c in enumerate(coef)) / h**order
+        inner = _INTERIOR_STENCILS[order]
+        width = len(full) - len(inner) + 1
+        d = sum(c * full[j:j + width] for j, c in enumerate(inner) if c) \
+            / h**order
+        ref = MEMBERSHIP_ETA * float(np.max(np.abs(d), initial=0.0)) + \
+            1e-12 * scale / h**order
+        out[name] = float(np.max(np.abs(at)) / ref)
     return out
 
 

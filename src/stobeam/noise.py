@@ -93,7 +93,6 @@ class NoiseModel:
     at the clamped end s = l anyway).
     """
 
-    grid: BeamGrid
     spectrum: str
     K: int
     q: np.ndarray
@@ -157,7 +156,7 @@ def build_noise_model(grid: BeamGrid, spectrum: str, K: int,
     kk = np.arange(1, K + 1)
     e_red = np.sqrt(2.0 / l) * np.sin(np.outer(grid.nodes[:-1], kk)
                                       * np.pi / l)
-    return NoiseModel(grid=grid, spectrum=spectrum, K=int(K), q=q,
+    return NoiseModel(spectrum=spectrum, K=int(K), q=q,
                       e_red=e_red, sigma=float(sigma), seed=int(seed))
 
 

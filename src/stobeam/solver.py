@@ -31,7 +31,7 @@ import concurrent.futures
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -140,49 +140,33 @@ def build_scene(cfg: SimulationConfig) -> Scene:
                  shift=shift)
 
 
-def _fdet_at_nodes(cfg: SimulationConfig, grid: BeamGrid) -> Callable[[float], np.ndarray]:
-    """Deterministic load sampled at all nodes, (n+2, 3), as a function of t.
-
-    The tabulated family supplies channel-3 node values (transverse load)
-    constant in time; the expression family evaluates one expression per
-    channel over (s, t).
-    """
-    n_nodes = grid.n + 2
-    if cfg.fdet_family == "zero":
-        zero = np.zeros((n_nodes, 3))
-        return lambda t: zero
-    if cfg.fdet_family == "tabulated":
-        vals = np.zeros((n_nodes, 3))
-        vals[:, 2] = cfg.fdet_table
-        return lambda t: vals
-    exprs = [compile_expression(e) for e in
-             (cfg.fdet_expr1, cfg.fdet_expr2, cfg.fdet_expr3)]
-    s = grid.nodes
-
-    def evaluate(t):
-        return np.stack([e(s, t, grid.l) for e in exprs], axis=1)
-
-    return evaluate
-
-
 def build_forces(scene: Scene) -> np.ndarray:
     """Packed velocity-channel loads F(t_k) for k = 0..n_steps, (K+1, 2m, 3).
 
-    Gravity acts along -e3.  For nonhomogeneous runs the slope lift
-    contributes the extra tension term (d lambda/ds) e3, added to f_det
-    before gravity so that an equivalent homogeneous run with the summed
-    table reproduces identical floats.
+    f_det comes from one of three families: zero; tabulated, whose table
+    gives the channel-3 node values (transverse load), constant in time;
+    or expression, one expression per channel over (s, t).  Gravity acts
+    along -e3.  For nonhomogeneous runs the slope lift contributes the
+    extra tension term (d lambda/ds) e3, added to f_det before gravity so
+    that an equivalent homogeneous run with the summed table reproduces
+    identical floats.
     """
     cfg = scene.cfg
     grid = scene.grid
     m = grid.n_free
-    fdet = _fdet_at_nodes(cfg, grid)
+    fdet, exprs = np.zeros((grid.n + 2, 3)), None
+    if cfg.fdet_family == "tabulated":
+        fdet[:, 2] = cfg.fdet_table
+    elif cfg.fdet_family == "expression":
+        exprs = [compile_expression(e) for e in
+                 (cfg.fdet_expr1, cfg.fdet_expr2, cfg.fdet_expr3)]
     times = scene.P.times
-    time_dep = cfg.fdet_family == "expression" or (
+    time_dep = exprs is not None or (
         scene.shift is not None and not scene.lam.autonomous)
 
     def one(t):
-        vals = fdet(t).copy()
+        vals = fdet.copy() if exprs is None else np.stack(
+            [e(grid.nodes, t, grid.l) for e in exprs], axis=1)
         if scene.shift is not None:
             vals[:, 2] = vals[:, 2] + scene.lam.ds_node_values(t, grid)
         vals[:, 2] = vals[:, 2] - cfg.g_const

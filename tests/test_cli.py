@@ -209,6 +209,28 @@ def test_covariance_manifest_records_the_observable_override(tmp_path,
                  "--out", str(again)]) == 0
     assert (again / "covariance.csv").read_bytes() == \
         (out / "covariance.csv").read_bytes()
+    assert manifest["outputs"]["covariance.csv"] == hashlib.sha256(
+        (out / "covariance.csv").read_bytes()).hexdigest()
+    capsys.readouterr()
+
+
+def test_tabulated_spectrum_equal_to_k2_gives_the_same_bytes(tmp_path,
+                                                              capsys):
+    """noise.spectrum = tabulated with the six values of k^-2 as its table
+    writes the same simulate and covariance CSVs as k^-2 itself."""
+    k2 = TINY.replace("run.N = 2", "run.N = 40")
+    table = k2.replace("noise.seed = 3", "noise.seed = 3\n"
+                       "noise.spectrum = tabulated\nnoise.table = 1.0,0.25,"
+                       "0.1111111111111111,0.0625,0.04,0.027777777777777776")
+    outs = {}
+    for tag, text in (("k2", k2), ("table", table)):
+        cfg_path = _write_cfg(tmp_path, text, f"{tag}.cfg")
+        for command in ("simulate", "covariance"):
+            assert main([command, "--config", cfg_path,
+                         "--out", str(tmp_path / tag)]) == 0
+        outs[tag] = [(tmp_path / tag / name).read_bytes() for name in
+                     ("trajectory.csv", "observables.csv", "covariance.csv")]
+    assert outs["table"] == outs["k2"]
     capsys.readouterr()
 
 
@@ -427,6 +449,8 @@ def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
     (("lambda.family = bump\nlambda.c0 = 1.0\nlambda.c1 = 0.2",
       "lambda.family = tabulated\nlambda.table = 0,inf" + ",0" * 8),
      "lambda.table"),                                 # not finite
+    (("noise.K = 6", "noise.K = 2\nnoise.spectrum = tabulated\n"
+      "noise.table = 1, 0"), "noise.table"),          # not positive
 ])
 def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     text = TINY.replace(*edit)

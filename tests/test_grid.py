@@ -1,11 +1,14 @@
 """Grid, Gram matrices, and discrete function spaces."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from stobeam.errors import InvalidArgumentError, PreconditionError, ShapeError
-from stobeam.grid import (BeamState, bc_value_defect, build_grams, build_grid,
+from stobeam.grid import (_BOUNDARY_STENCILS, _INTERIOR_STENCILS, BeamState,
+                          bc_value_defect, build_grams, build_grid,
                           check_membership, h_inner, h_norm,
                           membership_defects, packed_d_norm_sq, packed_h_norm)
 
@@ -33,6 +36,9 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(1.0, 3)
     with pytest.raises(InvalidArgumentError):
         build_grid(float("nan"), 16)
+    for b in (0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="stiffness"):
+            build_grams(build_grid(1.0, 16), b)
 
 
 def test_state_pack_roundtrip(grid16):
@@ -90,6 +96,9 @@ def test_h_inner_symmetry(grid16, g16):
     assert h_inner(x, y, g16) == pytest.approx(h_inner(y, x, g16), rel=1e-13)
     assert h_norm(x, g16) == pytest.approx(packed_h_norm(x.packed(), g16))
     assert h_norm(x, g16) > 0
+    other = BeamState.zero(build_grid(1.0, 8))
+    with pytest.raises(ShapeError, match="grid mismatch"):
+        h_inner(x, other, g16)
 
 
 def test_bending_energy_converges_second_order():
@@ -157,6 +166,31 @@ def test_membership_value_clamp(grid16, g16):
     assert d["value_at_l"] > 1.0
     vals[-1, 1] = 0.0
     assert membership_defects(vals, "h2bc", g16)["value_at_l"] == 0.0
+
+
+def test_membership_stencils_are_exact_on_polynomials():
+    """Each boundary stencil is the one-sided difference of its order at
+    its end node (s = 0, or s = l for a negative first node), and each
+    interior stencil the centered one: exact on every monomial of a
+    degree below its number of nodes."""
+    rows = [(order, coef, 0 if first >= 0 else len(coef) - 1)
+            for _, order, first, coef in _BOUNDARY_STENCILS["h6bc"]]
+    rows += [(order, coef, (len(coef) - 1) // 2)
+             for order, coef in _INTERIOR_STENCILS.items()]
+    for order, coef, at in rows:
+        x = np.arange(len(coef)) - at
+        for p in range(len(coef)):
+            want = factorial(order) if p == order else 0.0
+            assert np.dot(coef, x ** p) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("check", [membership_defects, check_membership])
+def test_membership_rejects_an_unknown_class(g16, check):
+    """A class without a stencil table is refused, not passed with no
+    defects to judge."""
+    vals = np.zeros((g16.grid.n + 2, 3))
+    with pytest.raises(InvalidArgumentError, match="h5bc"):
+        check(vals, "h5bc", g16)
 
 
 def test_b_solve_is_cho_solve(g16):

@@ -34,6 +34,10 @@ def test_spectrum_guards():
         build_spectrum("tabulated", 3, [1.0, 2.0, 3.0])  # must not increase
     with pytest.raises(InvalidArgumentError):
         build_spectrum("tabulated", 3, None)
+    with pytest.raises(InvalidArgumentError, match=">= 1"):
+        build_spectrum("k^-2", 0)
+    with pytest.raises(InvalidArgumentError, match="expected"):
+        build_spectrum("tabulated", 3, [2.0, 1.0])
 
 
 def test_model_truncation_capped_at_grid(grid16):

@@ -146,6 +146,9 @@ def test_tabulated_profile_interpolates(grid16):
     # midpoints come from linear interpolation between the node values
     mids = lam_t.profile_midpoint_values(grid16)
     assert np.allclose(mids, 0.5 * (table[:-1] + table[1:]))
+    # the table belongs to one grid size
+    with pytest.raises(InvalidArgumentError, match="grid needs 10"):
+        lam_t.node_values(0.0, build_grid(1.0, 8))
 
 
 def test_weak_tractive_matrix_symmetric_nonpositive(g16):

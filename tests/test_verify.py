@@ -301,6 +301,22 @@ def test_picard_contraction_fails_when_c5_understates_the_map(monkeypatch):
     assert res.status == "fail" and res.defect > 0.8, res.note
 
 
+def test_picard_contraction_skips_without_a_ratio(monkeypatch):
+    """Sweeps that reach the rounding floor at once leave no defect ratio
+    to judge, and the check is skipped, not passed."""
+    evolve = verify.picard_evolution
+
+    def one_sweep(*args, **kwargs):
+        pr = evolve(*args, **kwargs)
+        return replace(pr, defects=pr.defects[:1])
+
+    monkeypatch.setattr(verify, "picard_evolution", one_sweep)
+    res = verify.check_picard_contraction(
+        build_scene(parse_config(_default_text({}))))
+    assert res.status == "skip"
+    assert res.note == "converged too fast to measure a ratio"
+
+
 def test_verify_factor_builds_per_step_size(monkeypatch):
     """One suite on configs/default.cfg builds 475 step factors: the
     scene's 250 at dt = 0.001, of which `generator_integral`,

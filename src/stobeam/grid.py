@@ -291,7 +291,8 @@ def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
     convention; see the module docstring.
 
     Raises:
-        InvalidArgumentError: `space` is none of these classes.
+        InvalidArgumentError: `space` is none of these classes, or one of
+            its stencils spans more nodes than `values` has.
     """
     if space not in _BOUNDARY_STENCILS:
         raise InvalidArgumentError(
@@ -305,6 +306,9 @@ def membership_defects(values: np.ndarray, space: str, g: GramSet) -> dict:
             np.max(np.abs(full[-1])) / (BC_VALUE_RTOL * scale))}
     out = {}
     for name, order, first, coef in _BOUNDARY_STENCILS[space]:
+        if max(first + len(coef), -first) > len(full):
+            raise InvalidArgumentError(f"{space} stencil {name} spans "
+                                       f"{len(coef)} nodes, above {len(full)}")
         at = sum(c * full[first + j] for j, c in enumerate(coef)) / h**order
         inner = _INTERIOR_STENCILS[order]
         width = len(full) - len(inner) + 1

@@ -261,7 +261,7 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     bound = float(span * model.sigma**2 * growth * trace_q(model))
     # psi_j = U(t, t_j)^T, from j = n down to 0
     integrand = [_trace_integrand(psi, model, g)
-                 for psi in P.backward_images(np.eye(2 * g.m))]
+                 for psi in P.walk(np.eye(2 * g.m), transpose=True)]
     value = float(np.trapezoid(integrand[::-1], dx=P.dt))
     return TraceCheck(value=value, bound=bound)
 
@@ -302,7 +302,7 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
     acc, f = np.zeros(k.size), np.zeros(k.size)
     # z_j = U(t_k, t_j)^T M_H h in column k, from j = n_steps down to 0
     for j, z in zip(range(P.n_steps, -1, -1),
-                    P.backward_images(np.zeros((2 * m, 3, k.size)))):
+                    P.walk(np.zeros((2 * m, 3, k.size)), transpose=True)):
         z[..., k == j] = mh
         dots = (model.e_red.T @ z[m:].reshape(m, -1)).reshape(-1, 3, k.size)
         f, f1 = model.sigma**2 * np.sum(model.q[:, None, None] * dots * dots,

@@ -32,7 +32,8 @@ name of a grid time.  Any U(t_i1, t_i0) is a partial product of the same
 stored factors, applied as one chain of `step_rule` calls; the cocycle
 law U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
 identical floating point operations, not merely to rounding.  One loop,
-`_walk`, runs every chain, the solver's path blocks and Picard's sweeps too.
+`PropagatorFactorization.walk`, runs every chain, forward and transposed,
+the solver's path blocks and Picard's sweeps too.
 
 Two independent constructions of the perturbed flow are provided for
 cross-checks: the midpoint scheme above and a Picard iteration for the
@@ -132,7 +133,7 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     y = d w, then u + dt v + y and v + (2/dt) y.  Transposed, on (a, b):
     w = dt a + 2b, r = d^T w, then a + (2/dt) r and b + dt a + r.  Both
     are exactly the products with the map of `_factor_from_bands`, done
-    as three matrix products and no temporaries; `_walk` is the caller.
+    as three matrix products and no temporaries; `walk` is the one caller.
     """
     w_rows, out_rows = _step_rows(dt, transpose)
     flat = buf.reshape(3, -1)
@@ -140,29 +141,6 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     np.matmul(w_rows, flat[:2], out=w.reshape(1, -1))
     np.matmul(d.T if transpose else d, w, out=buf[2])
     np.matmul(out_rows, flat, out=out.reshape(2, -1))
-
-
-def _walk(steps, dt: float, y: np.ndarray, order, transpose: bool):
-    """Yield y (packed, (2m, ...)), then y after each step of `order` in
-    turn.  The yielded arrays are views of two reused [u; v; scratch]
-    buffers: each stays valid until the second yield after it, and an
-    array written into the latest yielded state is the input of the next
-    step.  A broadcast y is copied in without a buffer-sized temporary."""
-    m = y.shape[0] // 2
-    bufs = np.empty((2, 3, m, y[0].size))
-    bufs[0, :2].reshape(y.shape)[...] = y
-    yield bufs[0, :2].reshape(y.shape)
-    for i, k in enumerate(order):
-        cur = i % 2
-        step_rule(steps[k], dt, bufs[cur], bufs[1 - cur, :2], transpose)
-        yield bufs[1 - cur, :2].reshape(y.shape)
-
-
-def _chain(steps, dt: float, y: np.ndarray, order, transpose: bool):
-    """y after every step of `order`, applied in turn."""
-    for z in _walk(steps, dt, y, order, transpose):
-        pass
-    return z.copy()
 
 
 @dataclass
@@ -173,7 +151,7 @@ class PropagatorFactorization:
     steps[k], an m x m array, advances packed states from t_k to t_{k+1}
     through `step_rule`; the same array object may be shared between steps
     when the generator is time independent.  A window is a range i0..i1 of
-    step indices (see `span`).  The H-adjoint U*(t, tau) is applied from
+    step indices (see `walk`).  The H-adjoint U*(t, tau) is applied from
     the same factors by `apply_adjoint`.
     """
 
@@ -190,51 +168,51 @@ class PropagatorFactorization:
         """The grid times t_k = k dt, k = 0..n_steps."""
         return self.dt * np.arange(self.n_steps + 1)
 
-    def span(self, i0: int = 0, i1: int = None):
-        """The step window (i0, i1), by default the whole one.
+    def walk(self, y: np.ndarray, i0: int = 0, i1: int = None,
+             transpose: bool = False):
+        """Yield U(t_j, t_i0) y for j = i0..i1 or, with `transpose`, the
+        premetric images U(t_i1, t_j)^T y for j = i1 down to i0, by
+        default over the whole window; y is packed, (2m, ...).
+
+        The yielded arrays are views of two reused [u; v; scratch]
+        buffers: each stays valid until the second yield after it, and an
+        array written into the latest yielded state is the input of the
+        next step.  A broadcast y is copied in without a buffer-sized
+        temporary.
 
         Raises:
-            InvalidArgumentError: unless 0 <= i0 <= i1 <= n_steps.
+            InvalidArgumentError: on the first `next`, unless
+                0 <= i0 <= i1 <= n_steps.
         """
         i1 = self.n_steps if i1 is None else i1
         if not 0 <= i0 <= i1 <= self.n_steps:
             raise InvalidArgumentError(
                 f"step window {i0}..{i1} is not within 0..{self.n_steps}")
-        return i0, i1
+        order = range(i0, i1)
+        m = y.shape[0] // 2
+        bufs = np.empty((2, 3, m, y[0].size))
+        bufs[0, :2].reshape(y.shape)[...] = y
+        yield bufs[0, :2].reshape(y.shape)
+        for i, k in enumerate(reversed(order) if transpose else order):
+            cur = i % 2
+            step_rule(self.steps[k], self.dt, bufs[cur], bufs[1 - cur, :2],
+                      transpose)
+            yield bufs[1 - cur, :2].reshape(y.shape)
 
-    def apply(self, y: np.ndarray, i0: int = 0, i1: int = None) -> np.ndarray:
-        """U(t_i1, t_i0) y as a chain of per-step products (default full
-        window); y is packed, (2m, ...)."""
-        i0, i1 = self.span(i0, i1)
-        return _chain(self.steps, self.dt, y, range(i0, i1), False)
-
-    def apply_transpose_premetric(self, z: np.ndarray, i0: int = 0,
-                                  i1: int = None) -> np.ndarray:
-        """U(t_i1, t_i0)^T z, the premetric image M_H U* M_H^-1 z.
-
-        Pairing x with this against the identity <U x, y>_H needs no Gram
-        solve at all; see `duality_defect`.
-        """
-        i0, i1 = self.span(i0, i1)
-        return _chain(self.steps, self.dt, z, reversed(range(i0, i1)), True)
-
-    def forward_images(self, y: np.ndarray):
-        """Yield U(t_j, 0) y for j = 0..n_steps on `_walk`'s terms: what
-        is written into the latest image is what the next step advances."""
-        return _walk(self.steps, self.dt, y, range(self.n_steps), False)
-
-    def backward_images(self, z: np.ndarray):
-        """Yield U(t_n, t_j)^T z for j = n_steps down to 0, the mirror of
-        `forward_images` on the same terms: what is written into the
-        latest image is what the next transposed step advances."""
-        return _walk(self.steps, self.dt, z, reversed(range(self.n_steps)),
-                     True)
+    def apply(self, y: np.ndarray, i0: int = 0, i1: int = None,
+              transpose: bool = False) -> np.ndarray:
+        """The last state of `walk`, copied: U(t_i1, t_i0) y, or with
+        `transpose` the premetric image U(t_i1, t_i0)^T y = M_H U* M_H^-1 y,
+        which pairs against <U x, y>_H with no Gram solve at all; see
+        `duality_defect`."""
+        for z in self.walk(y, i0, i1, transpose):
+            pass
+        return z.copy()
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """U*(t_n, 0) y = M_H^-1 U^T M_H y over the whole window, with a
         single Gram solve."""
-        return self.g.mh_solve(
-            self.apply_transpose_premetric(self.g.mh_apply(y)))
+        return self.g.mh_solve(self.apply(self.g.mh_apply(y), transpose=True))
 
 
 def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
@@ -305,7 +283,7 @@ def duality_defect(P: PropagatorFactorization, x: np.ndarray, y: np.ndarray,
     x, y = (np.reshape(a, (2 * g.m, 3, -1)) for a in (x, y))
     my = np.stack([g.mh_apply(y[..., p]) for p in range(y.shape[2])], axis=2)
     ux = P.apply(x, i0, i1)
-    uty = P.apply_transpose_premetric(my, i0, i1)
+    uty = P.apply(my, i0, i1, transpose=True)
     return max(abs(float(np.sum(ux[..., p] * my[..., p]))
                    - float(np.sum(x[..., p] * uty[..., p])))
                / (packed_h_norm(x[..., p], g) * packed_h_norm(y[..., p], g)
@@ -331,21 +309,10 @@ def cocycle_defect(P: PropagatorFactorization, i0: int, ir: int,
                / packed_h_norm(x[..., p], P.g) for p in range(8))
 
 
-@dataclass
-class ResidualCurve:
-    """H-norm residuals of the generator integral identity over time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def max_value(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
-                       w: BeamState) -> ResidualCurve:
-    """Residual of U(t,0)w - w - int_0^t L(r) U(r,0)w dr at P's grid times.
+                       w: BeamState) -> np.ndarray:
+    """H-norms of the residual U(t,0)w - w - int_0^t L(r) U(r,0)w dr at
+    P's grid times t_k, k = 0..n_steps, as an (n_steps+1,) array.
 
     The integral uses trapezoidal quadrature on the step grid; for the
     midpoint scheme the maximum residual decays at second order in dt.
@@ -357,13 +324,13 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
     tp = profile_T(lam, g)
     integral = np.zeros_like(x0)
     values, y_prev = [], None
-    for t, cur in zip(P.times, P.forward_images(x0)):
+    for t, cur in zip(P.times, P.walk(x0)):
         y = apply_L0(g, cur) + lam.c(float(t)) * apply_L1(tp, g, cur)
         if values:
             integral = integral + 0.5 * P.dt * (y_prev + y)
         values.append(packed_h_norm(cur - x0 - integral, g))
         y_prev = y
-    return ResidualCurve(times=P.times, values=np.array(values))
+    return np.array(values)
 
 
 @dataclass
@@ -416,7 +383,7 @@ def picard_evolution(lam: TractiveForce, S: PropagatorFactorization,
 
     m = g.m
     flow = np.empty((n_steps + 1, 2 * m, 3))
-    for j, y in enumerate(S.forward_images(w.packed())):
+    for j, y in enumerate(S.walk(w.packed())):
         flow[j] = y
     # the lower-left block c(t_j) M^-1 T_p of L1, the only nonzero one
     mt = profile_T(lam, g) / g.M[:, None]
@@ -433,7 +400,7 @@ def picard_evolution(lam: TractiveForce, S: PropagatorFactorization,
                                    axes=(1, 1)).transpose(1, 0, 2)
         half[:, m:] *= half_c[:, None, None]
         # acc_j = S (acc_{j-1} + g_{j-1}/2) + g_j / 2, walked from g_0 / 2
-        walk = S.forward_images(half[0])
+        walk = S.walk(half[0])
         next(walk)
         acc[0] = 0.0
         for j, z in enumerate(walk, 1):

@@ -13,9 +13,9 @@ emission.
 A run is one `Scene`: what `build_scene` assembles from the config, plus
 the loads, initial state and observables it builds on first use.  One
 kernel, `_block_worker`, advances the scene's paths: a block of paths is
-one matrix that walks the propagator's chain (`P.forward_images`) in
-step with the noise's (`noise.step_increments`), adding the load before
-each step and the kick after it.  A single path is a block of width one
+one matrix that walks the propagator's chain (`P.walk`) in step with
+the noise's (`noise.step_increments`), adding the load before each step
+and the kick after it.  A single path is a block of width one
 with its packed history kept: `solve_homogeneous` returns it as states,
 and `weak_residual` pairs such a history, with the increments its caller
 projects, against a test function.  `ensemble_blocks` runs fixed-size
@@ -43,8 +43,7 @@ from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
 from .noise import NoiseModel, build_noise_model, step_increments
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
-from .propagator import (PropagatorFactorization, ResidualCurve,
-                         build_propagator)
+from .propagator import PropagatorFactorization, build_propagator
 
 #: paths per vectorized block.  Fixed (not derived from the thread count)
 #: so that per-block arithmetic is identical for any worker pool size.
@@ -69,20 +68,16 @@ class Scene:
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
 
-    def propagator(self, n_steps: int, dt: float,
-                   free: bool = False) -> PropagatorFactorization:
-        """The first n_steps factors of step dt of `lifted`, or with
-        `free` of the zero tension: a prefix of P, sharing its arrays,
-        when P is of that tension and dt and has the steps, else a fresh
-        build, which the scene does not keep.  A factor depends on
-        neither n_steps nor the horizon, so either is a fresh build's bits.
+    def propagator(self, n_steps: int, dt: float) -> PropagatorFactorization:
+        """n_steps factors of step dt of `lifted`: a prefix of P, sharing
+        its arrays, when P has that dt and the steps, else a fresh build,
+        which the scene does not keep.  A factor depends on neither
+        n_steps nor the horizon, so either is a fresh build's bits.
         """
-        own = not free or self.lam.family == "zero"
-        if own and dt == self.cfg.dt and n_steps <= self.P.n_steps:
+        if dt == self.cfg.dt and n_steps <= self.P.n_steps:
             return PropagatorFactorization(float(dt), self.P.steps[:n_steps],
                                            self.g)
-        lam = self.lifted if own else TractiveForce.zero()
-        return build_propagator(lam, self.g, n_steps, dt)
+        return build_propagator(self.lifted, self.g, n_steps, dt)
 
     @functools.cached_property
     def lifted(self) -> TractiveForce:
@@ -264,8 +259,9 @@ def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
 
 def weak_residual(scene: Scene, history: np.ndarray,
                   increments: Optional[np.ndarray],
-                  h: BeamState) -> ResidualCurve:
-    """Pathwise defect of the time-integrated weak identity.
+                  h: BeamState) -> np.ndarray:
+    """Pathwise defect of the time-integrated weak identity, at the step
+    times t_k, k = 0..n_steps, as an (n_steps+1,) array.
 
     `history` is one path's packed states X_k, (n_steps+1, 2m, 3), as
     `_block_worker` keeps them, and `increments` its Wiener increments
@@ -319,8 +315,7 @@ def weak_residual(scene: Scene, history: np.ndarray,
         cum = np.cumsum(increments, axis=0)
         weights = g.M[:, None] * h.v[:g.m]
         stoch[1:] = scene.cfg.sigma * np.einsum("ic,jic->j", weights, cum)
-    values = pair_vals - pair_vals[0] - integral - stoch
-    return ResidualCurve(times=times, values=values)
+    return pair_vals - pair_vals[0] - integral - stoch
 
 
 @dataclass
@@ -362,8 +357,8 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     included, and, when `keep_history`, the packed history
     (n_steps+1, 2m, 3, p1 - p0), else None.
 
-    The block walks the propagator's chain (`P.forward_images`), adding
-    dt F_k to each state before it steps on, in step with the noise's
+    The block walks the propagator's chain (`P.walk`), adding dt F_k to
+    each state before it steps on, in step with the noise's
     (`step_increments`); without history it holds only what they hold.
 
     Raises:
@@ -375,7 +370,7 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     n_steps = cfg.n_steps
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
-    walk = scene.P.forward_images(
+    walk = scene.P.walk(
         np.broadcast_to(scene.x0p[:, :, None], (2 * m, 3, pb)))
     kicks = None
     if model is not None:

@@ -16,8 +16,9 @@ backward adjoint, Picard agreement and contraction, trace identity, Ito
 quadrature): each spans its own fixed window whatever the horizon, so
 that short runs do not probe at the rounding floor, reads the tension
 with its horizon lifted (`Scene.lifted`), and walks chains that
-`Scene.propagator` hands out, Picard's free flow included: a prefix of
-the scene's P or a fresh build, freed when the check ends.
+`Scene.propagator` hands out: a prefix of the scene's P or a fresh
+build, freed when the check ends.  A free flow (of the zero tension) is
+always a fresh one-factor build.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .grid import (BeamState, bc_value_defect, h_norm, packed_d_norm_sq,
                    packed_h_norm)
 from .noise import (TRACE_RTOL, ito_variance, project_increments,
                     trace_condition, trace_q)
-from .operators import apply_L0, estimate_constants, op_norm_H, skew_defect
+from .operators import (TractiveForce, apply_L0, estimate_constants,
+                        op_norm_H, skew_defect)
 from .propagator import (PropagatorFactorization, backward_adjoint_apply,
-                         cocycle_defect, duality_defect, generator_residual,
-                         picard_evolution)
+                         build_propagator, cocycle_defect, duality_defect,
+                         generator_residual, picard_evolution)
 from . import solver as _solver
 from .solver import (bending_mode_state, build_scene, sine_mode_state,
                      solve_homogeneous)
@@ -128,8 +130,8 @@ def check_generator_integral(scene) -> CheckResult:
     w = bending_mode_state(g, 1)
 
     def residual(n):
-        return generator_residual(scene.propagator(n, 0.2 / n), lam,
-                                  w).max_value
+        return float(np.max(np.abs(generator_residual(
+            scene.propagator(n, 0.2 / n), lam, w))))
 
     if lam.autonomous:
         return _result("generator_integral", residual(100) / h_norm(w, g),
@@ -206,8 +208,8 @@ def check_picard_agreement(scene) -> CheckResult:
     w = bending_mode_state(g, 1)
     dt = 0.1 / 100.0
     direct = scene.propagator(100, dt).apply(w.packed())
-    pr = picard_evolution(scene.lifted, scene.propagator(100, dt, free=True),
-                          w)
+    free = build_propagator(TractiveForce.zero(), g, 100, dt)
+    pr = picard_evolution(scene.lifted, free, w)
     diff = packed_h_norm(direct - pr.final, g)
     return _result("picard_agreement", diff / packed_h_norm(direct, g), 1e-5,
                    f"fixed point vs midpoint flow after {pr.iterations} sweeps")
@@ -221,9 +223,9 @@ def check_picard_contraction(scene) -> CheckResult:
                        "no tractive term: fixed point reached in one sweep",
                        skip=True)
     consts = estimate_constants(lam, g, 0.2)
-    pr = picard_evolution(lam, scene.propagator(200, 0.2 / 200.0, free=True),
-                          bending_mode_state(g, 1), alpha=2.0 * consts.C5,
-                          constants=consts)
+    free = build_propagator(TractiveForce.zero(), g, 200, 0.2 / 200.0)
+    pr = picard_evolution(lam, free, bending_mode_state(g, 1),
+                          alpha=2.0 * consts.C5, constants=consts)
     # only ratios well above the graph norm's rounding floor count; the
     # defects stall near 2e-10 d0 at n = 16 and 3e-7 d0 at n = 128
     floor = 1e-8 * (g.grid.n / 16) ** 3 * pr.defects[0]
@@ -265,7 +267,7 @@ def _free_flow(scene, span: float) -> PropagatorFactorization:
     """The free flow over the whole steps of dt in span, at least one."""
     dt = scene.cfg.dt
     steps = max(1, int(math.floor(span / dt + 1e-12)))
-    return scene.propagator(steps, dt, free=True)
+    return build_propagator(TractiveForce.zero(), scene.g, steps, dt)
 
 
 def check_trace_identity(scene) -> CheckResult:
@@ -367,7 +369,7 @@ def check_weak_identity_null(scene) -> CheckResult:
     h = BeamState(scene.grid, bending_mode_state(scene.g, 1).u,
                   sine_mode_state(scene.grid, 1, 3, "v").v)
     r = _solver.weak_residual(zero, history[..., 0], None, h)
-    return _result("weak_identity_null", r.max_value, 0.0,
+    return _result("weak_identity_null", float(np.max(np.abs(r))), 0.0,
                    "zero data must give an exactly zero residual")
 
 

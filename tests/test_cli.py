@@ -429,6 +429,11 @@ def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
     assert "noise.seed" in capsys.readouterr().err
 
 
+# a short grid with mode initial data changes three lines of TINY, so its
+# edit replaces the stretch from grid.n to init.family
+_SHORT = TINY[TINY.index("grid.n"):TINY.index("bc.kind")]
+
+
 @pytest.mark.parametrize("edit,key", [
     (("noise.K = 6", "noise.K = 9"), "noise.K"),
     (("init.family = zero", "fdet.family = tabulated\nfdet.table = "
@@ -451,6 +456,10 @@ def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
      "lambda.table"),                                 # not finite
     (("noise.K = 6", "noise.K = 2\nnoise.spectrum = tabulated\n"
       "noise.table = 1, 0"), "noise.table"),          # not positive
+    ((_SHORT, _SHORT.replace("grid.n = 8", "grid.n = 4").replace(
+        "noise.K = 6", "noise.K = 4").replace("init.family = zero",
+                                              "init.family = mode")),
+     "grid.n"),                                       # h6bc needs 7 nodes
 ])
 def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     text = TINY.replace(*edit)

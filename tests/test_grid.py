@@ -184,6 +184,17 @@ def test_membership_stencils_are_exact_on_polynomials():
             assert np.dot(coef, x ** p) == pytest.approx(want, abs=1e-9)
 
 
+def test_membership_refuses_a_grid_shorter_than_a_stencil():
+    """A stencil that spans more nodes than the grid has is refused, not
+    indexed past the grid: at n = 4 the 7-node d5_at_l of h6bc does not
+    fit the 6 nodes, while the 5-node stencils of h4bc do."""
+    g = build_grams(build_grid(1.0, 4), 1.0)
+    vals = np.zeros((g.grid.n + 2, 3))
+    assert max(membership_defects(vals, "h4bc", g).values()) == 0.0
+    with pytest.raises(InvalidArgumentError, match="d5_at_l"):
+        membership_defects(vals, "h6bc", g)
+
+
 @pytest.mark.parametrize("check", [membership_defects, check_membership])
 def test_membership_rejects_an_unknown_class(g16, check):
     """A class without a stencil table is refused, not passed with no

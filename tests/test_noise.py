@@ -215,7 +215,7 @@ def _per_time_variance(P, model, h, k):
     m = P.g.m
     Pk = PropagatorFactorization(P.dt, P.steps[:k], P.g)
     integrand = []
-    for z in Pk.backward_images(P.g.mh_apply(h.packed())):
+    for z in Pk.walk(P.g.mh_apply(h.packed()), transpose=True):
         dots = model.e_red.T @ z[m:]
         integrand.append(model.sigma**2 * np.sum(model.q[:, None] * dots**2))
     return float(np.trapezoid(integrand[::-1], dx=P.dt))

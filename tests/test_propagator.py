@@ -17,7 +17,7 @@ from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, apply_L0,
                                apply_L1, estimate_constants, from_bands,
                                op_norm_H, profile_T, tension_bands, to_bands)
 from stobeam import propagator
-from stobeam.propagator import (PropagatorFactorization, ResidualCurve,
+from stobeam.propagator import (PropagatorFactorization,
                                 backward_adjoint_apply,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
@@ -157,7 +157,7 @@ def test_transposed_rule_is_the_transposed_map(g16):
     P = build_propagator(LAM, g16, 2, 1e-3)
     assert all(d.shape == (g16.m, g16.m) for d in P.steps)
     G = step_matrix(P, 1)
-    GT = P.apply_transpose_premetric(np.eye(2 * g16.m), 1, 2)
+    GT = P.apply(np.eye(2 * g16.m), 1, 2, transpose=True)
     assert np.max(np.abs(GT - G.T)) <= 1e-15 * np.max(np.abs(G))
 
 
@@ -320,13 +320,18 @@ def test_windows_are_step_ranges_within_the_grid(g16, grid16):
     """A window is a range 0 <= i0 <= i1 <= n_steps of step indices, and a
     variance sample step lies in 0..n_steps; one outside is refused, where
     a negative index would otherwise wrap round to the last step factors
-    or give a silent zero variance."""
+    or give a silent zero variance.  `walk` refuses it on its first
+    `next`, either way."""
     P = build_propagator(LAM, g16, 10, 1e-2)
     assert np.array_equal(P.times, 1e-2 * np.arange(11))
     y = np.ones((2 * g16.m, 3))
     for i0, i1 in ((-1, 10), (0, 11), (6, 5)):
-        with pytest.raises(InvalidArgumentError):
-            P.apply(y, i0, i1)
+        for transpose in (False, True):
+            with pytest.raises(InvalidArgumentError):
+                P.apply(y, i0, i1, transpose)
+            walk = P.walk(y, i0, i1, transpose)
+            with pytest.raises(InvalidArgumentError):
+                next(walk)
     model = build_noise_model(grid16, "k^-2", K=12)
     h = sine_mode_state(grid16, 1, 3, "v")
     for k in (-1, 11):
@@ -345,27 +350,30 @@ def test_apply_matches_matrix(g16):
     assert np.allclose(P.apply(y, 1, 4), window @ y, atol=1e-12)
 
 
-def test_forward_images_step_what_is_written_into_them(g16):
-    """An array written into the latest state of `forward_images` is the
-    input of the next step: each state is `step_rule` applied by hand to
-    the one before it, write included, bit for bit.  The walk starts from
-    a broadcast block, as the solver's kernel hands it one."""
+@pytest.mark.parametrize("transpose", [False, True])
+def test_walk_steps_what_is_written_into_its_states(g16, transpose):
+    """An array written into the latest state of `walk` is the input of
+    the next step, both ways: each state is `step_rule` applied by hand to
+    the one before it, write included, bit for bit, in reversed step order
+    when transposed (as `ito_variance` writes into its states).  The walk
+    starts from a broadcast block, as the solver's kernel hands it one."""
     P = build_propagator(LAM, g16, 4, 1e-2)
     m = g16.m
     x = np.random.default_rng(10).standard_normal((2 * m, 3, 1))
     y = np.broadcast_to(x, (2 * m, 3, 2))
-    walk = P.forward_images(y)
+    walk = P.walk(y, transpose=transpose)
     cur = next(walk)
     assert np.array_equal(cur, y)
-    for k in range(P.n_steps):
+    order = range(P.n_steps)
+    for k in reversed(order) if transpose else order:
         cur[m:] += 1.0 + k  # a load on the velocity rows
         buf = np.zeros((3, m, 6))
         buf[:2] = cur.reshape(2, m, -1)
         want = np.empty((2, m, 6))
-        step_rule(P.steps[k], P.dt, buf, want)
+        step_rule(P.steps[k], P.dt, buf, want, transpose)
         cur = next(walk)
         assert np.array_equal(cur, want.reshape(y.shape))
-    assert not np.allclose(cur, P.apply(y))
+    assert not np.allclose(cur, P.apply(y, transpose=transpose))
     assert next(walk, None) is None
 
 
@@ -382,9 +390,9 @@ def test_generator_residual_starts_at_zero(g16):
     P = build_propagator(LAM, g16, 50, 1e-3)
     w = bending_mode_state(g16, 1)
     r = generator_residual(P, LAM, w)
-    assert r.values[0] == 0.0
-    assert r.max_value < 1e-5
-    assert len(r.times) == P.n_steps + 1
+    assert r[0] == 0.0
+    assert np.max(np.abs(r)) < 1e-5
+    assert len(r) == P.n_steps + 1
 
 
 def test_generator_residual_needs_domain_data(g16, grid16):
@@ -394,11 +402,6 @@ def test_generator_residual_needs_domain_data(g16, grid16):
     vals[-1] = 0.0
     with pytest.raises(PreconditionError):
         generator_residual(P, LAM, BeamState(grid16, vals, np.zeros_like(vals)))
-
-
-def test_residual_curve_max_uses_magnitude():
-    c = ResidualCurve(times=np.array([0.0, 1.0]), values=np.array([0.0, -2.0]))
-    assert c.max_value == 2.0
 
 
 def test_duality_identity(g16):

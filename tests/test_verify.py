@@ -346,30 +346,28 @@ def test_verify_factor_builds_per_step_size(monkeypatch):
 def test_store_propagators_equal_fresh_builds(monkeypatch, text):
     """Every propagator a check gets from `Scene.propagator`, a prefix
     of the scene's P or a fresh build, equals a fresh `build_propagator`
-    of its tension (the scene's with the horizon lifted, or the zero
-    one), n_steps and dt, step by step.  On SMALL (T = 0.1) the 200-step
-    probe of `generator_integral` runs past the scene's horizon, so it is
-    built afresh.  The two Picard checks ask for their free flows too, so
-    a suite makes 10 requests."""
+    of the scene's tension with the horizon lifted, n_steps and dt, step
+    by step.  On SMALL (T = 0.1) the 200-step probe of
+    `generator_integral` runs past the scene's horizon, so it is built
+    afresh.  Free flows are fresh builds of the zero tension and do not
+    ask, so a suite makes 6 requests."""
     got = []
     request = solver.Scene.propagator
 
-    def recorded(scene, n_steps, dt, free=False):
-        P = request(scene, n_steps, dt, free)
-        got.append((scene, free, P))
+    def recorded(scene, n_steps, dt):
+        P = request(scene, n_steps, dt)
+        got.append((scene, P))
         return P
 
     monkeypatch.setattr(solver.Scene, "propagator", recorded)
     run_checks(parse_config(text))
-    assert len(got) == 10
-    for scene, free, P in got:
-        lam = TractiveForce.zero() if free else replace(scene.lam,
-                                                        horizon=None)
+    assert len(got) == 6
+    for scene, P in got:
+        lam = replace(scene.lam, horizon=None)
         fresh = propagator.build_propagator(lam, scene.g, P.n_steps, P.dt)
         assert P.dt == fresh.dt and P.n_steps == fresh.n_steps
         assert all(np.array_equal(a, b) for a, b in zip(P.steps, fresh.steps))
-    past = [P.n_steps for scene, free, P in got
-            if not free and P.n_steps > scene.P.n_steps]
+    past = [P.n_steps for scene, P in got if P.n_steps > scene.P.n_steps]
     assert past == ([200] if text == SMALL else [])
 
 

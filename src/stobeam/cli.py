@@ -21,8 +21,9 @@ naming the flag.
 All CSV numbers are '%.17g' text, and path blocks merge in a fixed
 order, so outputs are byte-stable across repeated runs and across thread
 counts; `simulate` computes its digits in numpy (`_g17`), byte for byte
-as '%.17g'.  manifest.json records the resolved config, version, seed,
-wall-clock and the SHA-256 of every file written next to it (the
+as '%.17g', and a writer thread hashes and writes each slice while the
+next is formatted.  manifest.json records the resolved config, version,
+seed, wall-clock and the SHA-256 of every file written next to it (the
 wall-clock field is the only part that varies between identical runs).
 """
 
@@ -35,6 +36,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -55,8 +58,7 @@ from .verify import run_checks
 #: 65536 rows gave 64, 64, 64, 66, 70, 93 MiB (whole blocks: 134 MiB)
 ROWS = 4096
 
-_W = 32  # bytes of one value's text in `_g17`
-_GROUPS = 10 ** np.arange(12, -1, -4)  # the 4-digit groups of 16 digits
+_W = 28  # bytes of one value's text in `_g17`
 #: the doubles nearest 10**k, k = -6..22: exact for k >= 0, and the least
 #: double above 10**k for k = -5..-1 (1e-6 is below 10**-6, and below
 #: every |v| whose digits `_g17` computes)
@@ -143,16 +145,24 @@ def _g17(x: np.ndarray) -> np.ndarray:
         + al * ten_l[k]
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     top, rest = np.divmod(n, 10 ** 16)
-    # bytes 0-7 sign, "0.000" and the first digit, right-aligned; 8-23
-    # the four groups of 4 digits after it, trailing zeros blank; 24-27
-    # the exponent
+    # the four 4-digit groups of rest, by int32 divisions by a scalar; a
+    # group + 10000 (trailing zeros blank) where every later one is 0,
+    # that is, where the next is 10000 by now
+    g = np.empty((4, x.size), np.int32)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    g[0], g[1] = np.divmod(upper.astype(np.int32), 10000)
+    g[2], g[3] = np.divmod(lower.astype(np.int32), 10000)
+    g[3] += 10000
+    for i in (2, 1, 0):
+        g[i] += 10000 * (g[i + 1] == 10000)
+    # bytes 0-7 sign, "0.000" and the first digit, right-aligned (blank:
+    # rest = 0); 8-23 the four groups; 24-27 the exponent
     out = np.zeros((x.size, _W), np.uint8)
-    strip = rest[:, None] % _GROUPS == 0  # every later group is 0
-    out.view(np.uint32)[:, 2:6] = quads[rest[:, None] // _GROUPS % 10000
-                                        + 10000 * strip]
-    out.view(np.uint64)[:, 0] = heads[
-        ((np.signbit(x) * 23 + e + 6) * 2 + (rest == 0)) * 10 + top * (x != 0)]
-    out.view(np.uint32)[:, 6] = tails[e + 6]
+    cells = out.view(np.uint32)
+    cells[:, 2:6] = quads[g].T
+    cells[:, :2] = heads[((np.signbit(x) * 23 + e + 6) * 2 + (g[0] == 10000))
+                         * 10 + top * (x != 0)].view(np.uint32).reshape(-1, 2)
+    cells[:, 6] = tails[e + 6]
     # e >= 1: the point goes after digit e, and the integer digits stay
     big = np.flatnonzero(e > 0)
     ep = e[big, None]
@@ -200,12 +210,14 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     N * n_steps * (n+2) * 3.  observables.csv holds the per-path
     H-pairings at the sampled times.
 
-    Each block of `ensemble_blocks` is written as it arrives, in path
+    Each block of `ensemble_blocks` is formatted as it arrives, in path
     order, in slices of whole paths of at most ROWS rows (or one path),
-    and released before the next block is stepped: the run holds the
-    history of each block in flight and one slice of text, whatever N.
-    Both files are written under a '.part' name and renamed when the run
-    has finished, so a failed run leaves earlier output in place.
+    and released before the next block is stepped.  One writer thread
+    hashes and writes each slice, in order, while the next one is
+    formatted: the run holds the history of each block in flight, one
+    slice being formatted and one being written, whatever N.  Both files
+    are written under a '.part' name and renamed when the run has
+    finished, so a failed run leaves earlier output in place.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,46 +233,52 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
                         for t in scene.P.times[scene.obs_steps]
                         for oid in cfg.observables], "S")
 
-    traj_path, obs_path = out / "trajectory.csv", out / "observables.csv"
-    parts = [p.with_name(p.name + ".part") for p in (traj_path, obs_path)]
-    traj_sha, obs_sha = hashlib.sha256(), hashlib.sha256()
+    def texts():
+        """(file index, text): every slice of both files, in order."""
+        yield 0, b"path,t,s,channel,u,v\n"
+        yield 1, b"path,t,observable_id,value\n"
+        for p0, p1, vals, history in ensemble_blocks(scene, keep_history=True):
+            for a, b in _slices(p0, p1, len(traj_pre)):
+                # (path, step, node, channel, [u, v]); the clamped last
+                # node s = l stays at 0, 0, as does the lift
+                hist = history[1:, ..., a - p0:b - p0]
+                cols = np.zeros((b - a, cfg.n_steps, m + 1, 3, 2))
+                cols[:, :, :m] = hist.reshape(-1, 2, m, 3, b - a)\
+                    .transpose(4, 0, 2, 3, 1)
+                if scene.shift is not None:
+                    cols[:, :, :m, :, 0] += scene.shift[:m]
+                yield 0, _rows(a, traj_pre, cols.reshape(b - a, -1, 2))
+            for a, b in _slices(p0, p1, len(obs_pre)):
+                # (path, time, observable)
+                cols = vals[..., a - p0:b - p0].transpose(2, 1, 0)
+                yield 1, _rows(a, obs_pre, cols.reshape(b - a, -1, 1))
+            del vals, history, hist, cols  # before the next block
 
-    def write(fh, sha, data: bytes):
-        sha.update(data)
-        fh.write(data)
-
+    paths = out / "trajectory.csv", out / "observables.csv"
+    parts = [p.with_name(p.name + ".part") for p in paths]
+    shas = hashlib.sha256(), hashlib.sha256()
     try:
-        with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh:
-            write(traj_fh, traj_sha, b"path,t,s,channel,u,v\n")
-            write(obs_fh, obs_sha, b"path,t,observable_id,value\n")
-            for p0, p1, vals, history in ensemble_blocks(
-                    scene, keep_history=True):
-                for a, b in _slices(p0, p1, len(traj_pre)):
-                    # (path, step, node, channel, [u, v]); the clamped
-                    # last node s = l stays at 0, 0, as does the lift
-                    hist = history[1:, ..., a - p0:b - p0]
-                    cols = np.zeros((b - a, cfg.n_steps, m + 1, 3, 2))
-                    cols[:, :, :m] = hist.reshape(-1, 2, m, 3, b - a)\
-                        .transpose(4, 0, 2, 3, 1)
-                    if scene.shift is not None:
-                        cols[:, :, :m, :, 0] += scene.shift[:m]
-                    write(traj_fh, traj_sha,
-                          _rows(a, traj_pre, cols.reshape(b - a, -1, 2)))
-                for a, b in _slices(p0, p1, len(obs_pre)):
-                    # (path, time, observable)
-                    cols = vals[..., a - p0:b - p0].transpose(2, 1, 0)
-                    write(obs_fh, obs_sha,
-                          _rows(a, obs_pre, cols.reshape(b - a, -1, 1)))
-                del vals, history, hist, cols  # before the next block
-        os.replace(parts[0], traj_path)
-        os.replace(parts[1], obs_path)
+        # on leaving, the text stops, the writer finishes, the files close
+        with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh, \
+                ThreadPoolExecutor(1) as writer, closing(texts()) as text:
+            def write(f, data: bytes):  # on the writer thread
+                shas[f].update(data)
+                (traj_fh, obs_fh)[f].write(data)
+
+            done = writer.submit(int)  # a no-op to wait on first
+            # the writer holds one slice while `text` formats the next
+            for f, data in text:
+                done.result()  # raises the writer's error
+                done = writer.submit(write, f, data)
+            done.result()
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
 
     wall = time.monotonic() - t_start
-    outputs = {"trajectory.csv": traj_sha.hexdigest(),
-               "observables.csv": obs_sha.hexdigest()}
+    outputs = {p.name: sha.hexdigest() for p, sha in zip(paths, shas)}
     _emit_manifest(out, _manifest(cfg, wall, outputs))
     return 0
 

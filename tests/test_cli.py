@@ -2,7 +2,9 @@
 
 import json
 import hashlib
+import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -482,7 +484,10 @@ def _doubles_for_g17(rng):
     e = -6..15, whose 17-digit decimal is an exact tie, and k * 2**j,
     then the powers of ten 1e-8 to 1e17, the %g
     switch points 1e-5, 1e-4, 1e16 and 1e17 and the fast range's ends,
-    each with its neighbours, and the special values."""
+    each with its neighbours, and the special values; then, with both
+    signs, doubles of each decade e = -6..15 whose 16 digits after the
+    first take each of the 16 zero/nonzero patterns of their four
+    groups of 4."""
     decade = 10.0 ** np.concatenate([rng.integers(-320, 309, 150_000),
                                      rng.integers(-7, 18, 450_000)])
     with np.errstate(over="ignore"):
@@ -502,7 +507,33 @@ def _doubles_for_g17(rng):
                         np.nextafter(points, 0), np.nextafter(points, np.inf),
                         special])
     flip = rng.integers(0, 2, x.size, dtype=np.uint64) << np.uint64(63)
-    return (x.view(np.uint64) ^ flip).view(float)
+    groups = _doubles_by_group_pattern(rng)
+    return np.concatenate([(x.view(np.uint64) ^ flip).view(float),
+                           groups, -groups])
+
+
+def _doubles_by_group_pattern(rng):
+    """Doubles of each decade e = -6..15 whose '%.17g' digits after the
+    first take each zero/nonzero pattern of their four groups of 4: the
+    doubles nearest 40 random 17-digit decimals of each pattern (all nine
+    d * 10**e for the all-zero one), kept where they print as that
+    decimal.  Every (e, pattern) is covered except the all-zero one at
+    e = -6 and -5, which no double has."""
+    picked, missing = [], []
+    for e in range(-6, 16):
+        for pattern in range(16):
+            nonzero = [(pattern >> (3 - i)) & 1 for i in range(4)]
+            lead = rng.integers(1, 10, 40) if pattern else np.arange(1, 10)
+            digits = (lead.astype(object) * 10 ** 16
+                      + rng.integers(1, 10000, (lead.size, 4)) * nonzero
+                      @ 10 ** np.arange(12, -1, -4))
+            same = [v for v, d in zip((float(f"{d}e{e - 16}")
+                                       for d in digits), map(str, digits))
+                    if "%.16e" % v == f"{d[0]}.{d[1:]}e{e:+03d}"]
+            picked += same
+            missing += [] if same else [(e, pattern)]
+    assert missing == [(-6, 0), (-5, 0)], missing
+    return np.array(picked)
 
 
 def test_value_text_equals_percent_17g():
@@ -648,7 +679,7 @@ def _simulate_peaks(tmp_path, cfg_path, sizes):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
     # both sizes fill the pipeline: 2 * threads blocks in flight and one
-    # being written, which at two threads outweighs one slice of text
+    # being written, which at two threads outweighs two slices of text
     cfg_path = _write_cfg(tmp_path, TINY + f"run.threads = {threads}\n")
     n = (2 * threads + 1) * solver.BLOCK_PATHS
     peaks = _simulate_peaks(tmp_path, cfg_path, (n, 2 * n))
@@ -658,9 +689,10 @@ def test_simulate_memory_does_not_grow_with_paths(tmp_path, threads):
 def test_simulate_holds_one_block_and_a_slice_of_text(tmp_path):
     """At the simulate-csv bench sizes (n = 8, 20 steps, K = 6) the
     traced peak stays within a small multiple of one block's history
-    (2.21 MiB), and does not grow from one block to two: the text is
-    formatted a slice at a time, a finished block is released before the
-    next one is stepped, and no block stores its Wiener increments."""
+    (2.21 MiB), and does not grow from one block to two: the text is held
+    as one slice being formatted and one being written, a finished block
+    is released before the next one is stepped, and no block stores its
+    Wiener increments."""
     text = (TINY.replace("time.T = 0.02", "time.T = 0.05")
             .replace("time.dt = 0.005", "time.dt = 0.0025")
             .replace("run.observables = 1:3:v",
@@ -679,7 +711,9 @@ def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
     text = TINY.replace("run.N = 2", "run.N = 300")
     cfg_path = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
+    threads = threading.active_count()
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert threading.active_count() == threads
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     real = solver._block_worker
 
@@ -690,7 +724,64 @@ def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(solver, "_block_worker", fail_second_block)
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert threading.active_count() == threads
     assert "path 256 became non-finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("call", ["update", "write"])
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys,
+                                           call, threads):
+    """A hash update or a file write that raises OSError on the writer
+    thread, at its third call (the first trajectory slice, after both
+    header lines), ends `simulate` with exit 2: no '.part' file is left,
+    the earlier output stays, and every thread of the run has ended, the
+    block workers' included."""
+    text = TINY.replace("run.N = 2", f"run.N = 300\nrun.threads = {threads}")
+    cfg_path = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    alive = threading.active_count()
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert threading.active_count() == alive
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls = []
+
+    class FailsThird:
+        """`inner`, whose third `call` of all raises OSError."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, name):
+            if name != call:
+                return getattr(self.inner, name)
+
+            def counted(data):
+                calls.append(len(data))
+                if len(calls) == 3:
+                    raise OSError(28, "No space left on device")
+                return getattr(self.inner, name)(data)
+            return counted
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.inner.__exit__(*exc)
+
+    if call == "update":
+        sha256 = cli.hashlib.sha256
+        monkeypatch.setattr(cli, "hashlib", types.SimpleNamespace(
+            sha256=lambda: FailsThird(sha256())))
+    else:
+        monkeypatch.setattr(cli, "open", lambda path, mode:
+                            FailsThird(open(path, mode)), raising=False)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert threading.active_count() == alive
+    assert len(calls) == 3
+    assert "i/o error: [Errno 28] No space left on device" in \
+        capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -23,7 +23,8 @@ path for the whole block and draws CHUNK_STEPS steps at a time;
 consecutive draws from one generator continue that one sequence, so the
 chunks reproduce the single whole-horizon draw of `NoiseModel.path_xi`
 bit for bit, and a block holds one chunk of draws and one step's
-increments at a time.
+increments at a time.  It draws all three channels of a path, whichever
+channels the block steps, and projects only those.
 """
 
 from __future__ import annotations
@@ -166,13 +167,13 @@ def project_increments(model: NoiseModel, xi: np.ndarray,
 
     `xi` has shape (..., K, c): K coefficient draws for each of c
     columns, such as (n_steps, K, 3) for one path's whole horizon or
-    (K, 3 pb) for one step of a block of pb paths.  The result has shape
-    (..., m, c) (the increments vanish at the clamped end s = l).  Each
-    column of the result depends only on the same column of `xi`, so a
-    path's increments are bitwise the same whether it is projected alone
-    or as 3 of the 3 pb columns of a block's step; this rests on the BLAS
-    product computing a column the same way whatever the number of
-    columns, which the solver's tests pin.
+    (K, nc pb) for one step of a block of pb paths in nc channels.  The
+    result has shape (..., m, c) (the increments vanish at the clamped end
+    s = l).  Each column of the result depends only on the same column of
+    `xi`, so a path's increments in a channel are bitwise the same whether
+    it is projected alone or as one of the nc pb columns of a block's
+    step; this rests on the BLAS product computing a column the same way
+    whatever the number of columns, which the solver's tests pin.
 
     Raises:
         InvalidArgumentError: dt <= 0.
@@ -183,25 +184,29 @@ def project_increments(model: NoiseModel, xi: np.ndarray,
 
 
 def step_increments(model: NoiseModel, p0: int, p1: int, n_steps: int,
-                    dt: float):
-    """An iterator over the Wiener increments of paths p0..p1-1, one
-    (m, 3, p1 - p0) array per step in a block's velocity layout; a path's
-    are its `path_xi` projected alone, bit for bit.  Its draw buffers are
+                    dt: float, channels: slice = slice(None)):
+    """An iterator over the Wiener increments of paths p0..p1-1 in the
+    `channels` slice, one (m, nc, p1 - p0) array per step in a block's
+    velocity layout; a path's are its `path_xi` projected alone, bit for
+    bit.  Every channel is drawn, in the (seed, path) order; only the
+    given ones are copied out of the draws and projected.  Its buffers are
     allocated here, before the caller's state: allocated after it, they
     cost 4 MiB of peak RSS at n = 16, 8192 paths, 2 threads (glibc)."""
     pb = p1 - p0
     streams = [model.stream(p) for p in range(p0, p1)]
     xi = np.empty((pb, min(CHUNK_STEPS, n_steps), model.K, 3))
-    xit = np.empty(xi.shape[1:] + (pb,))  # xit[j]: step j, every path
+    sel = xi[..., channels]
+    xit = np.empty(sel.shape[1:] + (pb,))  # xit[j]: step j, every path
 
     def steps():
         for k0 in range(0, n_steps, CHUNK_STEPS):
             c = min(CHUNK_STEPS, n_steps - k0)
             model.draw_xi(streams, xi[:, :c])
-            xit[:c] = xi[:, :c].transpose(1, 2, 3, 0)
+            xit[:c] = sel[:, :c].transpose(1, 2, 3, 0)
             for j in range(c):
                 yield project_increments(
-                    model, xit[j].reshape(model.K, -1), dt).reshape(-1, 3, pb)
+                    model, xit[j].reshape(model.K, -1),
+                    dt).reshape(-1, xit.shape[2], pb)
     return steps()
 
 

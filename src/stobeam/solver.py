@@ -15,7 +15,10 @@ the loads, initial state and observables it builds on first use.  One
 kernel, `_block_worker`, advances the scene's paths: a block of paths is
 one matrix that walks the propagator's chain (`P.walk`) in step with
 the noise's (`noise.step_increments`), adding the load before each step
-and the kick after it.  A single path is a block of width one
+and the kick after it.  The generator, the loads and the noise covariance
+Q x Id3 act on each R^3 channel on its own, so a block that keeps its
+history steps all three channels, and one that keeps only observables
+steps the channels they read.  A single path is a block of width one
 with its packed history kept: `solve_homogeneous` returns it as states,
 and `weak_residual` pairs such a history, with the increments its caller
 projects, against a test function.  `ensemble_blocks` runs fixed-size
@@ -136,7 +139,8 @@ def build_scene(cfg: SimulationConfig) -> Scene:
 
 
 def build_forces(scene: Scene) -> np.ndarray:
-    """Packed velocity-channel loads F(t_k) for k = 0..n_steps, (K+1, 2m, 3).
+    """Packed velocity-channel loads F(t_k) for k = 0..n_steps, shape
+    (n_steps+1, 2m, 3).
 
     f_det comes from one of three families: zero; tabulated, whose table
     gives the channel-3 node values (transverse load), constant in time;
@@ -348,9 +352,12 @@ class EnsembleStats:
         return self.m2 / (self.count - 1)
 
 
-def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
-    """Evolve paths p0..p1-1 of the scene's run as one (2m, 3, p1 - p0)
-    block.
+def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool,
+                  all_channels: bool = False):
+    """Evolve paths p0..p1-1 of the scene's run as one (2m, nc, p1 - p0)
+    block: all three channels when `keep_history` or `all_channels`, else
+    the nc channels that the observables read, as the generator, the
+    loads and the noise act on each channel on its own.
 
     Returns the emitted observables, shape (n_obs, n_times, p1 - p0): the
     pairings with `scene.obs_mh` at the steps `scene.obs_steps`, lift
@@ -363,18 +370,26 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
 
     Raises:
         BlowupError: a path became non-finite; the message names the first
-            such path, the step, and that path's last finite H-norm.
+            such path, the step, and that path's last finite H-norm, over
+            all three channels: a block of fewer is run again over all
+            three.  A blow-up in channels no observable reads goes unseen.
     """
     cfg = scene.cfg
     m = scene.grid.n_free
     n_steps = cfg.n_steps
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
+    ch = slice(None)
+    if not (keep_history or all_channels):
+        # any set of the three channels is a slice, so `ch` takes views
+        c = np.flatnonzero(mh.any(axis=(0, 1)))
+        ch = slice(c[0], c[-1] + 1, c[1] - c[0] if len(c) > 1 else 1)
+    mh, nc = mh[:, :, ch], len(range(3)[ch])
     walk = scene.P.walk(
-        np.broadcast_to(scene.x0p[:, :, None], (2 * m, 3, pb)))
+        np.broadcast_to(scene.x0p[:, ch, None], (2 * m, nc, pb)))
     kicks = None
     if model is not None:
-        kicks = step_increments(model, p0, p1, n_steps, cfg.dt)
+        kicks = step_increments(model, p0, p1, n_steps, cfg.dt, ch)
     pos = {int(j): ti for ti, j in enumerate(scene.obs_steps)}
     vals = np.empty((len(mh), len(pos), pb))
     history = np.empty((n_steps + 1, 2 * m, 3, pb)) if keep_history else None
@@ -384,11 +399,11 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     vals[:, 0] = np.einsum("oic,icp->op", mh, X)  # obs_steps starts at 0
     for k in range(n_steps):
         # X + dt F in place: the load acts on the velocity rows only
-        load = cfg.dt * forces[k][m:, :, None]
+        load = cfg.dt * forces[k][m:, ch, None]
         X[m:] += load
         X_prev, X = X, next(walk)  # X_prev stays valid until the next step
         if kicks is not None:
-            kick = next(kicks)  # (m, 3, pb) increments of step k
+            kick = next(kicks)  # (m, nc, pb) increments of step k
             np.multiply(kick, cfg.sigma, out=kick)  # velocity kick A dW
             X[m:] += kick
         # one sum tests the block; a finite block whose sum overflows
@@ -398,6 +413,8 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
         if not np.isfinite(total):
             finite = np.isfinite(X).all(axis=(0, 1))
             if not finite.all():
+                if nc < 3:  # the message is that of all three channels
+                    return _block_worker(scene, p0, p1, False, True)
                 i = int(np.argmin(finite))
                 # the last state, to rounding, is X_prev with the load
                 # taken off again; scaled so that a last state near the
@@ -420,7 +437,8 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool):
     lift = np.zeros((2 * m, 3))
     if scene.shift is not None:
         lift[:m] = scene.shift[:m]
-    return vals + np.einsum("oic,ic->o", mh, lift)[:, None, None], history
+    lifted = np.einsum("oic,ic->o", scene.obs_mh, lift)
+    return vals + lifted[:, None, None], history
 
 
 def _merge_moments(count_a, mean_a, m2_a, vals_b):

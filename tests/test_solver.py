@@ -23,6 +23,8 @@ from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             initial_state, sine_mode_state,
                             solve_homogeneous, weak_residual)
 
+from test_digests import FORCED_CFG
+
 FREE = """
 beam.l = 1.0
 beam.b = 1.0
@@ -174,14 +176,22 @@ def test_initial_state_families(g16):
 
 def _substitute_rule(monkeypatch, rule):
     """Step the kernel with `rule(k, buf, out)` in place of the step rule
-    of step k (the rule's k-th call, made by the chain walk of a single
-    block)."""
-    calls = itertools.count()
+    of step k of each chain walk (the rule's k-th call in that walk).  A
+    block walks its chain once, and once more over all three channels
+    when a block of fewer channels blows up."""
+    walk = propagator.PropagatorFactorization.walk
 
-    def substitute(d, dt, buf, out, transpose=False):
-        rule(next(calls), buf, out)
+    def counted_walk(self, *args, **kwargs):
+        calls = itertools.count()
 
-    monkeypatch.setattr(propagator, "step_rule", substitute)
+        def substitute(d, dt, buf, out, transpose=False):
+            rule(next(calls), buf, out)
+
+        monkeypatch.setattr(propagator, "step_rule", substitute)
+        yield from walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(propagator.PropagatorFactorization, "walk",
+                        counted_walk)
 
 
 def _blowup_message(monkeypatch, sc, p0, p1, first_big):
@@ -503,6 +513,65 @@ def test_ensemble_thread_count_does_not_change_results():
     assert np.array_equal(_block_values(base), _block_values(threaded))
 
 
+@pytest.mark.parametrize("name", ["channel-3", "channel-2", "forced"])
+def test_observed_channel_blocks_pair_like_full_histories(name,
+                                                          monkeypatch):
+    """Without history a block steps only the channels its observables
+    read, and its values are, bit for bit, the pairings of the full
+    three-channel histories with the observables, lift included: one
+    channel-3 observable, one channel-2 observable, and the digest test's
+    forced config (nonhomogeneous, loads on channels 1 and 3, observables
+    in channels 3 and 1, two threads).  A block of pb paths steps nc pb
+    columns for the nc channels read, and 3 pb with history."""
+    text, nc = {"channel-3": (STOCH.replace("1:3:v,2:1:v", "1:3:v"), 1),
+                "channel-2": (STOCH.replace("1:3:v,2:1:v", "2:2:u"), 1),
+                "forced": (FORCED_CFG.replace("run.N = 300\n", ""), 2)}[name]
+    sc = build_scene(parse_config(text + "run.N = 300\n"))
+    widths = []
+
+    def recording(d, dt, buf, out, transpose=False):
+        widths.append(buf.shape[-1])
+        step_rule(d, dt, buf, out, transpose)
+
+    monkeypatch.setattr(propagator, "step_rule", recording)
+    blocks = list(ensemble_blocks(sc))
+    narrow, widths[:] = set(widths), []
+    full = list(ensemble_blocks(sc, keep_history=True))
+    lift = np.zeros((2 * sc.g.m, 3))
+    if sc.shift is not None:
+        lift[:sc.g.m] = sc.shift[:sc.g.m]
+    for (p0, p1, vals, _), (q0, q1, _, history) in zip(blocks, full):
+        assert (p0, p1) == (q0, q1)
+        want = np.stack([np.einsum("oic,icp->op", sc.obs_mh, history[j])
+                         for j in sc.obs_steps], axis=1)
+        want += np.einsum("oic,ic->o", sc.obs_mh, lift)[:, None, None]
+        assert np.array_equal(vals, want)
+    assert narrow == {nc * 256, nc * 44}
+    assert set(widths) == {3 * 256, 3 * 44}
+
+
+def test_blowup_in_a_channel_no_observable_reads_goes_unseen(monkeypatch):
+    """A non-finite channel 1 ends a block that keeps its history, which
+    steps all three channels, and not one that steps the channel-3
+    observable's channel alone."""
+    sc = build_scene(parse_config(LOADED))
+    assert sc.cfg.observables == ("1:3:v",)
+    steps, dt = sc.P.steps, sc.cfg.dt
+    clean, _ = _block_worker(sc, 0, 4, False)
+
+    def poison(k, buf, out):
+        step_rule(steps[k], dt, buf, out)
+        if out.shape[-1] == 3 * 4:
+            out[..., 0] = np.nan  # column 0: channel 1 of path 0
+
+    _substitute_rule(monkeypatch, poison)
+    vals, _ = _block_worker(sc, 0, 4, False)
+    assert np.array_equal(vals, clean)
+    with pytest.raises(BlowupError, match="path 0 became non-finite at "
+                                          "step 1;"):
+        _block_worker(sc, 0, 4, True)
+
+
 def test_ensemble_observable_times_include_endpoint():
     # 20 steps, stride 3: 0, 3, ..., 18 plus the forced endpoint
     cfg = parse_config(STOCH.replace("run.obs_stride = 5",
@@ -589,14 +658,31 @@ def test_block_without_history_holds_one_step_kick():
     """Without history a block keeps its state, two step buffers, two
     buffers of one chunk's draws and the kick of one step, and nothing
     else of their size: no chunk of kicks, no per-step copies of the
-    state."""
-    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
+    state.  Its observables read all three channels, so it steps all
+    three."""
+    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25")
+                       .replace("1:3:v", "1:1:v,1:2:v,1:3:v"))
     sc, peak = _block_peak(cfg)
     assert cfg.n_steps > noise.CHUNK_STEPS
     state = 2 * sc.g.m * 3 * 64 * 8
     draws = 64 * noise.CHUNK_STEPS * cfg.K * 3 * 8
     kick = sc.g.m * 3 * 64 * 8
     held = 3 * state + 2 * draws + kick
+    assert peak < 1.5 * held, (peak, held)
+
+
+def test_one_channel_block_holds_one_channel_state():
+    """A block whose observable reads one channel keeps that channel's
+    state, step buffers and kick; of the draws it holds one chunk of all
+    three channels, as the streams hand them out, and that chunk's copy
+    in the one channel."""
+    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
+    assert cfg.observables == ("1:3:v",)
+    sc, peak = _block_peak(cfg)
+    state = 2 * sc.g.m * 64 * 8
+    draws = 64 * noise.CHUNK_STEPS * cfg.K * 8
+    kick = sc.g.m * 64 * 8
+    held = 3 * state + 3 * draws + draws + kick
     assert peak < 1.5 * held, (peak, held)
 
 

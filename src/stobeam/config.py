@@ -315,10 +315,13 @@ def _check_constraints(cfg: SimulationConfig):
         raise ConfigError(
             f"bending mode {cfg.init_mode} exceeds the {cfg.n + 1} modes of "
             "the grid; lower init.mode or refine grid.n", key="init.mode")
-    if cfg.init_family == "mode" and cfg.n < 5:
-        raise ConfigError(f"mode initial data meet h6bc stencils of 7 "
-                          f"nodes, above the {cfg.n + 2} of the grid; refine "
-                          "grid.n to 5 or more", key="grid.n")
+    if cfg.init_family == "mode" and cfg.n < 7:
+        # below n = 7 the one-sided 5th-derivative stencil at l (7 nodes)
+        # does not resolve even the first bending mode, so the h6bc
+        # membership check would refuse it at run time
+        raise ConfigError(f"mode initial data need grid.n >= 7 to meet the "
+                          f"discrete h6bc conditions, got {cfg.n}; refine "
+                          "grid.n to 7 or more", key="grid.n")
     if cfg.sigma > 0 and cfg.K > cfg.n:
         raise ConfigError(
             f"{cfg.K} noise modes exceed the {cfg.n} sine modes representable "

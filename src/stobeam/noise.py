@@ -12,19 +12,20 @@ On the uniform grid the sine modes are exactly orthonormal for the lumped
 trapezoidal mass as long as k <= n, which caps the representable
 truncation order.
 
-Randomness is counter-based: path `p` of a model with root seed `s` draws
-from Philox keyed by the two unsigned 64-bit words (s, p), in the fixed order
-standard_normal((n_steps, K, 3)).  Identical (seed, path, K, n_steps)
-always reproduce bit-identical increments, independent of how many other
-paths are sampled concurrently.  `project_increments` is the one
-routine that turns draws into grid increments, and `step_increments`
-the one loop that feeds a block of paths: it keeps one generator per
-path for the whole block and draws CHUNK_STEPS steps at a time;
-consecutive draws from one generator continue that one sequence, so the
-chunks reproduce the single whole-horizon draw of `NoiseModel.path_xi`
-bit for bit, and a block holds one chunk of draws and one step's
-increments at a time.  It draws all three channels of a path, whichever
-channels the block steps, and projects only those.
+Randomness is counter-based (Salmon et al., SC'11): path `p` of a model
+with root seed `s` draws from Philox keyed by the two unsigned 64-bit
+words (s, p), one sub-stream per channel and chunk of steps.  Chunk j
+(steps j CHUNK_STEPS onwards) of channel c is
+standard_normal((steps of chunk j, K)) from counter (0, 0, j, c), so
+each (path, channel, chunk) starts at a fixed counter and none is drawn
+to reach another.  Identical (seed, path, K, n_steps) always reproduce
+bit-identical increments, independent of how many other paths are
+sampled concurrently and of which other channels are drawn.
+`project_increments` is the one routine that turns draws into grid
+increments, and `step_increments` the one loop that feeds a block of
+paths: it draws only the channels the block steps, one chunk at a time,
+with one generator repositioned for every (path, channel, chunk), and
+holds one chunk of draws and one step's increments at a time.
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ from .propagator import PropagatorFactorization
 
 SPECTRUM_FAMILIES = ("k^-2", "k^-3", "tabulated")
 
-#: time steps per noise chunk: `step_increments` draws and holds the draws
-#: of this many steps at a time.  Below 16 the per-call cost of the draws
-#: shows in the wall time.
-CHUNK_STEPS = 32
+#: time steps per noise chunk, part of the stream layout: each chunk of a
+#: path's channel is drawn from its own counter, so changing this moves
+#: the draws of every step past the first chunk.  `step_increments` holds
+#: one chunk's draws; one draw call (one GIL release) per path and channel
+#: draws 128 K normals, and at 32 steps the per-call cost shows at two
+#: threads.
+CHUNK_STEPS = 128
 
 #: relative tolerance of the equality of the trace integral with its C4 = 0
 #: value, span sigma^2 tr Q, which the quadrature meets only to rounding
@@ -101,37 +105,57 @@ class NoiseModel:
     sigma: float
     seed: int
 
-    def stream(self, path_index: int) -> np.random.Generator:
-        """Independent counter-based stream for one path."""
-        if int(path_index) != path_index or path_index < 0:
-            raise InvalidArgumentError(
-                f"path index must be a nonnegative integer, got {path_index}")
-        key = np.array([self.seed, path_index], dtype=np.uint64)
+    def generator(self) -> np.random.Generator:
+        """A Philox generator keyed by the seed, for `draw_xi` to
+        reposition (built once per block: a build costs about 20 us)."""
+        key = np.array([self.seed, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def draw_xi(self, streams: Sequence[np.random.Generator],
+    def draw_xi(self, gen: np.random.Generator, paths: Sequence[int],
+                channels: Sequence[int], k0: int,
                 out: np.ndarray) -> np.ndarray:
-        """The next raw N(0,1) coefficient draws of each stream, written
-        into `out` and returned.
+        """The raw N(0,1) coefficient draws of steps k0.. of the given
+        paths and channels, written into `out` and returned.
 
-        `out` has shape (len(streams), n_steps, K, 3); row i takes the
-        next n_steps of `streams[i]`, a path's `stream`.  A generator goes
-        on where its last draw stopped, so consecutive calls on one
-        path's stream reproduce its `path_xi` bit for bit.
-        `step_increments` calls this once per time chunk.
+        `out` has shape (len(channels), len(paths), c, K) with c at most
+        CHUNK_STEPS, and k0 starts a chunk; `gen`, from `generator`, is
+        set to key (seed, p) and counter (0, 0, k0 // CHUNK_STEPS, ch)
+        before it draws out[i, j] for channel ch = channels[i] and path
+        p = paths[j], so each row is the first c steps of that chunk.
         """
-        for stream, xi in zip(streams, out):
-            stream.standard_normal(out=xi)
+        if k0 % CHUNK_STEPS or out.shape[2] > CHUNK_STEPS:
+            raise InvalidArgumentError(
+                f"draws must lie in one chunk of {CHUNK_STEPS} steps")
+        bits = gen.bit_generator
+        counter, key = [0, 0, k0 // CHUNK_STEPS, 0], [self.seed, 0]
+        # lists, not arrays: each set then costs about 1 us
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": counter, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        for ch, rows in zip(channels, out):
+            counter[3] = ch
+            for p, xi in zip(paths, rows):
+                key[1] = p
+                bits.state = state
+                gen.standard_normal(out=xi)
         return out
 
     def path_xi(self, n_steps: int, path_index: int) -> np.ndarray:
-        """Whole-horizon draws of one path from a fresh stream, shape
-        (n_steps, K, 3): the sequence that every chunked draw of the path
-        reproduces."""
+        """Whole-horizon draws of one path in every channel, shape
+        (n_steps, K, 3): the draws that every block reproduces for the
+        path's channels that it steps."""
         if int(n_steps) != n_steps or n_steps < 1:
             raise InvalidArgumentError(f"need at least one step, got {n_steps}")
-        out = np.empty((1, int(n_steps), self.K, 3))
-        return self.draw_xi([self.stream(path_index)], out)[0]
+        if int(path_index) != path_index or path_index < 0:
+            raise InvalidArgumentError(
+                f"path index must be a nonnegative integer, got {path_index}")
+        out = np.empty((3, 1, int(n_steps), self.K))
+        gen = self.generator()
+        for k0 in range(0, int(n_steps), CHUNK_STEPS):
+            self.draw_xi(gen, [int(path_index)], range(3), k0,
+                         out[:, :, k0:k0 + CHUNK_STEPS])
+        return out[:, 0].transpose(1, 2, 0)
 
 
 def build_noise_model(grid: BeamGrid, spectrum: str, K: int,
@@ -188,25 +212,24 @@ def step_increments(model: NoiseModel, p0: int, p1: int, n_steps: int,
     """An iterator over the Wiener increments of paths p0..p1-1 in the
     `channels` slice, one (m, nc, p1 - p0) array per step in a block's
     velocity layout; a path's are its `path_xi` projected alone, bit for
-    bit.  Every channel is drawn, in the (seed, path) order; only the
-    given ones are copied out of the draws and projected.  Its buffers are
-    allocated here, before the caller's state: allocated after it, they
-    cost 4 MiB of peak RSS at n = 16, 8192 paths, 2 threads (glibc)."""
-    pb = p1 - p0
-    streams = [model.stream(p) for p in range(p0, p1)]
-    xi = np.empty((pb, min(CHUNK_STEPS, n_steps), model.K, 3))
-    sel = xi[..., channels]
-    xit = np.empty(sel.shape[1:] + (pb,))  # xit[j]: step j, every path
+    bit.  Only the given channels are drawn, a chunk at a time, and each
+    step is projected straight from the draw buffer.  Its buffer is
+    allocated here, before the caller's state: allocated after it, the
+    draw buffers of 32-step chunks cost 4 MiB of peak RSS at n = 16,
+    8192 paths, 2 threads (glibc)."""
+    pb, chans = p1 - p0, range(3)[channels]
+    gen = model.generator()
+    xi = np.empty((len(chans), pb, min(CHUNK_STEPS, n_steps), model.K))
 
     def steps():
         for k0 in range(0, n_steps, CHUNK_STEPS):
             c = min(CHUNK_STEPS, n_steps - k0)
-            model.draw_xi(streams, xi[:, :c])
-            xit[:c] = sel[:, :c].transpose(1, 2, 3, 0)
+            model.draw_xi(gen, range(p0, p1), chans, k0, xi[:, :, :c])
             for j in range(c):
-                yield project_increments(
-                    model, xit[j].reshape(model.K, -1),
-                    dt).reshape(-1, xit.shape[2], pb)
+                # (K, nc pb) columns, channel-major: a view of the buffer
+                cols = xi[:, :, j].reshape(-1, model.K).T
+                yield project_increments(model, cols, dt).reshape(
+                    -1, len(chans), pb)
     return steps()
 
 

@@ -462,6 +462,10 @@ _SHORT = TINY[TINY.index("grid.n"):TINY.index("bc.kind")]
         "noise.K = 6", "noise.K = 4").replace("init.family = zero",
                                               "init.family = mode")),
      "grid.n"),                                       # h6bc needs 7 nodes
+    ((_SHORT, _SHORT.replace("grid.n = 8", "grid.n = 6").replace(
+        "noise.K = 6", "noise.K = 4").replace("init.family = zero",
+                                              "init.family = mode")),
+     "grid.n"),                                       # d5_at_l unresolved
 ])
 def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     text = TINY.replace(*edit)
@@ -474,6 +478,17 @@ def test_cross_key_errors_exit_two_at_parse_time(tmp_path, capsys, edit, key):
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and f"line {line}" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_mode_data_run_from_the_least_grid_the_parser_accepts(tmp_path):
+    """grid.n = 7 is the least grid that mode initial data pass parsing
+    on, and the first bending mode meets the h6bc conditions there."""
+    text = TINY.replace(_SHORT, _SHORT.replace("grid.n = 8", "grid.n = 7")
+                        .replace("noise.K = 6", "noise.K = 4")
+                        .replace("init.family = zero", "init.family = mode"))
+    cfg_path = _write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def _doubles_for_g17(rng):

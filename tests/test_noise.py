@@ -73,20 +73,35 @@ def test_draw_reproducible_and_path_independent(grid16):
         model.path_xi(0, 1)
 
 
-def test_chunked_draws_continue_the_path_stream(grid16):
-    """Draws of one generator per path, 32 + 32 + 6 steps into a shared
-    buffer, are each path's whole-horizon draw: the single
-    standard_normal((n_steps, K, 3)) of Philox keyed (seed, path)."""
+def test_path_draws_follow_the_documented_layout(grid16):
+    """Each path's draws are, for every chunk j and channel c, the
+    standard_normal((steps of chunk j, K)) of Philox keyed (seed, path)
+    from counter (0, 0, j, c): two full chunks and a partial one."""
     model = build_noise_model(grid16, "k^-2", K=8, seed=42)
-    streams = [model.stream(p) for p in (5, 6, 7)]
-    buf = np.empty((3, 32, 8, 3))
-    chunks = [model.draw_xi(streams, buf[:, :c]).copy() for c in (32, 32, 6)]
-    drawn = np.concatenate(chunks, axis=1)
-    for row, p in zip(drawn, (5, 6, 7)):
-        key = np.array([42, p], dtype=np.uint64)
-        philox = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(row, philox.standard_normal((70, 8, 3)))
-        assert np.array_equal(row, model.path_xi(70, p))
+    n_steps = 2 * CHUNK_STEPS + 6
+    for p in (5, 6):
+        xi = model.path_xi(n_steps, p)
+        for j, k0 in enumerate(range(0, n_steps, CHUNK_STEPS)):
+            c = min(CHUNK_STEPS, n_steps - k0)
+            for ch in range(3):
+                philox = np.random.Philox(
+                    key=np.array([42, p], dtype=np.uint64),
+                    counter=np.array([0, 0, j, ch], dtype=np.uint64))
+                want = np.random.Generator(philox).standard_normal((c, 8))
+                assert np.array_equal(xi[k0:k0 + c, :, ch], want), (p, j, ch)
+    with pytest.raises(InvalidArgumentError, match="one chunk"):
+        model.draw_xi(model.generator(), [0], [0], 1, np.empty((1, 1, 4, 8)))
+
+
+def test_path_channel_chunk_streams_are_distinct_and_uncorrelated(grid16):
+    """No two (path, channel, chunk) sub-streams share a draw, and the
+    draws of the three channels are uncorrelated: |r| < 5 / sqrt(n)."""
+    model = build_noise_model(grid16, "k^-2", K=8, seed=42)
+    xi = np.stack([model.path_xi(2 * CHUNK_STEPS + 6, p) for p in range(8)])
+    assert np.unique(xi).size == xi.size
+    cols = xi.reshape(-1, 3)
+    r = np.corrcoef(cols.T)[np.triu_indices(3, 1)]
+    assert np.max(np.abs(r)) < 5.0 / np.sqrt(len(cols)), r
 
 
 def test_seeds_above_2_63_do_not_collide(grid16):
@@ -116,14 +131,16 @@ def test_increments_expand_the_drawn_coefficients(grid16):
 def test_step_increments_are_each_paths_draws_projected_alone(grid16):
     """Stacked over the steps, the increments of a block of 256 paths
     (3..258) over two full noise chunks and a partial one are, for every
-    path, its whole-horizon draws projected alone, bit for bit."""
+    path, its whole-horizon draws projected alone, bit for bit, in all
+    three channels, in one and in two of them."""
     model = build_noise_model(grid16, "k^-2", K=8, seed=7)
     n_steps, dt, p0, p1 = 2 * CHUNK_STEPS + 6, 2e-3, 3, 259
-    got = np.stack(list(step_increments(model, p0, p1, n_steps, dt)))
-    assert got.shape == (n_steps, grid16.n + 1, 3, p1 - p0)
-    for p in range(p0, p1):
-        alone = project_increments(model, model.path_xi(n_steps, p), dt)
-        assert np.array_equal(got[..., p - p0], alone), p
+    alone = np.stack([project_increments(model, model.path_xi(n_steps, p),
+                                         dt) for p in range(p0, p1)], -1)
+    for ch in (slice(None), slice(2, 3), slice(0, 3, 2)):
+        got = np.stack(list(step_increments(model, p0, p1, n_steps, dt, ch)))
+        assert got.shape == (n_steps, grid16.n + 1, len(range(3)[ch]), 256)
+        assert np.array_equal(got, alone[:, :, ch]), ch
 
 
 def test_trace_tail_closed_forms(grid16):

@@ -223,22 +223,22 @@ def test_kernel_blowup_names_path_step_and_last_norm(monkeypatch):
     assert msg.startswith("path 5 became non-finite at step 2;")
     norm = re.search(r"last finite H-norm (\S+) at step 1;", msg)
     assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
-    # with noise, past the first chunk: maps from index 40 on blow up, so
-    # step 41 lands near 1e158 and step 42, in the second chunk, overflows
-    cfg = parse_config(LOADED.replace("noise.sigma = 0.0",
-                                      "noise.sigma = 1.0"))
+    # with noise, past the first chunk: maps from index 130 on blow up, so
+    # step 131 lands near 1e158 and step 132, in the second chunk, overflows
+    cfg = parse_config(LOADED.replace("noise.sigma = 0.0", "noise.sigma = 1.0")
+                       .replace("time.T = 0.05", "time.T = 0.15"))
     sc = build_scene(cfg)
-    assert noise.CHUNK_STEPS < 41 < cfg.n_steps
+    assert noise.CHUNK_STEPS < 131 < cfg.n_steps
     _, history = _block_worker(sc, 5, 8, True)
-    y = history[40][..., 0] + cfg.dt * sc.forces[40]
+    y = history[130][..., 0] + cfg.dt * sc.forces[130]
     kick = np.zeros_like(y)
     kick[sc.g.m:] = cfg.sigma * project_increments(
-        sc.model, sc.model.path_xi(cfg.n_steps, 5), cfg.dt)[40]
+        sc.model, sc.model.path_xi(cfg.n_steps, 5), cfg.dt)[130]
     last = 1e160 * packed_h_norm(
-        sc.P.apply(y, 40, 41) + 1e-160 * kick, sc.g)
-    msg = _blowup_message(monkeypatch, sc, 5, 8, 40)
-    assert msg.startswith("path 5 became non-finite at step 42;")
-    norm = re.search(r"last finite H-norm (\S+) at step 41;", msg)
+        sc.P.apply(y, 130, 131) + 1e-160 * kick, sc.g)
+    msg = _blowup_message(monkeypatch, sc, 5, 8, 130)
+    assert msg.startswith("path 5 became non-finite at step 132;")
+    norm = re.search(r"last finite H-norm (\S+) at step 131;", msg)
     assert float(norm.group(1)) == pytest.approx(last, rel=1e-6)
 
 
@@ -393,9 +393,9 @@ def test_width_one_block_is_the_mild_recursion():
     """A path run as a block of width one is, bit for bit, the recursion
     y <- U(t_{k+1}, t_k)(y + dt F_k), then y_v += sigma dW_k, with dW the
     path's whole-horizon draws projected alone: loaded (gravity and a
-    time-dependent load), noisy and modulated, over 70 steps, past two
+    time-dependent load), noisy and modulated, over 262 steps, past two
     noise chunks."""
-    cfg = parse_config(STOCH.replace("time.T = 0.05", "time.T = 0.175")
+    cfg = parse_config(STOCH.replace("time.T = 0.05", "time.T = 0.655")
                        .replace("init.family = zero",
                                 "init.family = mode\ninit.mode = 1")
                        + "fdet.family = expression\nfdet.expr3 = 10*t\n")
@@ -419,9 +419,9 @@ def _zero(k, buf, out):
 def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
     """The velocity kick the kernel adds to a path inside a wide block is
     sigma times that path's whole-horizon draws projected alone, bit for
-    bit: at 20 steps, one chunk, and at 70 steps, two full chunks and a
+    bit: at 20 steps, one chunk, and at 262 steps, two full chunks and a
     partial one."""
-    for T in ("0.05", "0.175"):
+    for T in ("0.05", "0.655"):
         cfg = parse_config(STOCH.replace("lambda.family = bump",
                                          "lambda.family = zero")
                            .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
@@ -440,14 +440,14 @@ def test_sampled_increments_are_the_kernel_kicks(monkeypatch):
 
 
 def test_full_block_increments_cross_chunks_bitwise(monkeypatch):
-    """In a block of BLOCK_PATHS paths over 70 steps (two full chunks and
+    """In a block of BLOCK_PATHS paths over 262 steps (two full chunks and
     a partial one), each step projects every path's draws in one product;
     the kicks of the first, a middle and the last path are still sigma
     times each path's own draws projected alone, bit for bit."""
     cfg = parse_config(STOCH.replace("lambda.family = bump",
                                      "lambda.family = zero")
                        .replace("noise.sigma = 1.0", "noise.sigma = 0.5")
-                       .replace("time.T = 0.05", "time.T = 0.175"))
+                       .replace("time.T = 0.05", "time.T = 0.655"))
     sc = build_scene(cfg)
     _substitute_rule(monkeypatch, _zero)
     pb = solver.BLOCK_PATHS
@@ -655,35 +655,60 @@ def _block_peak(cfg):
 
 
 def test_block_without_history_holds_one_step_kick():
-    """Without history a block keeps its state, two step buffers, two
-    buffers of one chunk's draws and the kick of one step, and nothing
-    else of their size: no chunk of kicks, no per-step copies of the
-    state.  Its observables read all three channels, so it steps all
-    three."""
-    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25")
+    """Without history a block keeps its state, two step buffers, one
+    chunk's draws and the kick of one step, and nothing else of their
+    size: no chunk of kicks, no copy of the draws, no per-step copies of
+    the state.  Its observables read all three channels, so it steps
+    all three."""
+    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.75")
                        .replace("1:3:v", "1:1:v,1:2:v,1:3:v"))
     sc, peak = _block_peak(cfg)
     assert cfg.n_steps > noise.CHUNK_STEPS
     state = 2 * sc.g.m * 3 * 64 * 8
     draws = 64 * noise.CHUNK_STEPS * cfg.K * 3 * 8
     kick = sc.g.m * 3 * 64 * 8
-    held = 3 * state + 2 * draws + kick
+    held = 3 * state + draws + kick
     assert peak < 1.5 * held, (peak, held)
 
 
 def test_one_channel_block_holds_one_channel_state():
     """A block whose observable reads one channel keeps that channel's
-    state, step buffers and kick; of the draws it holds one chunk of all
-    three channels, as the streams hand them out, and that chunk's copy
-    in the one channel."""
-    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.25"))
+    state, step buffers, kick and one chunk of its draws."""
+    cfg = parse_config(WIDE.replace("time.T = 0.02", "time.T = 0.75"))
     assert cfg.observables == ("1:3:v",)
     sc, peak = _block_peak(cfg)
+    assert cfg.n_steps > noise.CHUNK_STEPS
     state = 2 * sc.g.m * 64 * 8
     draws = 64 * noise.CHUNK_STEPS * cfg.K * 8
     kick = sc.g.m * 64 * 8
-    held = 3 * state + 3 * draws + draws + kick
+    held = 3 * state + draws + kick
     assert peak < 1.5 * held, (peak, held)
+
+
+def test_blocks_draw_only_the_channels_they_step(monkeypatch):
+    """Counted from what `draw_xi` returns, a run whose observable reads
+    one channel draws N n_steps K normals over two blocks and two
+    chunks; with history, as `simulate` runs, it draws all three
+    channels, three times as many."""
+    cfg = parse_config(SHORT.replace("time.T = 0.02", "time.T = 0.655")
+                       + "run.N = 300\n")
+    assert cfg.n_steps > noise.CHUNK_STEPS and cfg.observables == ("1:3:v",)
+    drawn = []
+    draw = noise.NoiseModel.draw_xi
+
+    def counting(self, *args):
+        out = draw(self, *args)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(noise.NoiseModel, "draw_xi", counting)
+    ensemble_run(cfg)
+    one = cfg.n_paths * cfg.n_steps * cfg.K
+    assert sum(drawn) == one
+    drawn.clear()
+    for _ in ensemble_blocks(build_scene(cfg), keep_history=True):
+        pass
+    assert sum(drawn) == 3 * one
 
 
 def test_block_memory_does_not_grow_with_steps():

@@ -19,10 +19,12 @@ check each override, and a refused value exits 2 with a short message
 naming the flag.
 
 All CSV numbers are '%.17g' text, and path blocks merge in a fixed
-order, so outputs are byte-stable across repeated runs and across thread
-counts; `simulate` computes its digits in numpy (`_g17`), byte for byte
-as '%.17g', and a writer thread hashes and writes each slice while the
-next is formatted.  manifest.json records the resolved config, version,
+order, so outputs are byte-stable across repeated runs and identical for
+any `run.threads`, which counts the forked worker processes that step
+the blocks (capped at the usable CPUs); `simulate` computes its digits
+in numpy (`_g17`), byte for byte as '%.17g', and a writer thread,
+started after the workers, hashes and writes each slice while the next
+is formatted.  manifest.json records the resolved config, version,
 seed, wall-clock and the SHA-256 of every file written next to it (the
 wall-clock field is the only part that varies between identical runs).
 """
@@ -233,11 +235,11 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
                         for t in scene.P.times[scene.obs_steps]
                         for oid in cfg.observables], "S")
 
-    def texts():
+    def texts(blocks):
         """(file index, text): every slice of both files, in order."""
         yield 0, b"path,t,s,channel,u,v\n"
         yield 1, b"path,t,observable_id,value\n"
-        for p0, p1, vals, history in ensemble_blocks(scene, keep_history=True):
+        for p0, p1, vals, history in blocks:
             for a, b in _slices(p0, p1, len(traj_pre)):
                 # (path, step, node, channel, [u, v]); the clamped last
                 # node s = l stays at 0, 0, as does the lift
@@ -258,9 +260,14 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     parts = [p.with_name(p.name + ".part") for p in paths]
     shas = hashlib.sha256(), hashlib.sha256()
     try:
-        # on leaving, the text stops, the writer finishes, the files close
-        with open(parts[0], "wb") as traj_fh, open(parts[1], "wb") as obs_fh, \
-                ThreadPoolExecutor(1) as writer, closing(texts()) as text:
+        # the block workers are forked before the writer thread starts; on
+        # leaving, the text stops, the writer finishes, the files close and
+        # the workers stop
+        with closing(ensemble_blocks(scene, keep_history=True)) as blocks, \
+                open(parts[0], "wb") as traj_fh, \
+                open(parts[1], "wb") as obs_fh, \
+                ThreadPoolExecutor(1) as writer, \
+                closing(texts(blocks)) as text:
             def write(f, data: bytes):  # on the writer thread
                 shas[f].update(data)
                 (traj_fh, obs_fh)[f].write(data)

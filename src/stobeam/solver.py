@@ -22,17 +22,18 @@ steps the channels they read.  A single path is a block of width one
 with its packed history kept: `solve_homogeneous` returns it as states,
 and `weak_residual` pairs such a history, with the increments its caller
 projects, against a test function.  `ensemble_blocks` runs fixed-size
-blocks and hands them out in block order, and `ensemble_run`, the one
-moment fold, merges their accumulators in that order, so results do not
-depend on the number of worker threads.
+blocks on forked worker processes, capped at the usable CPUs, and hands
+them out in block order, and `ensemble_run`, the one moment fold, merges
+their accumulators in that order, so results are identical for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import collections
-import concurrent.futures
+import contextlib
 import functools
-import itertools
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional
 
@@ -48,8 +49,8 @@ from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
 from .propagator import PropagatorFactorization, build_propagator
 
-#: paths per vectorized block.  Fixed (not derived from the thread count)
-#: so that per-block arithmetic is identical for any worker pool size.
+#: paths per vectorized block.  Fixed (not derived from the worker count)
+#: so that per-block arithmetic is identical for any number of processes.
 BLOCK_PATHS = 256
 
 
@@ -455,42 +456,84 @@ def _merge_moments(count_a, mean_a, m2_a, vals_b):
     return n_ab, mean, m2
 
 
+def block_workers(threads: int, n_blocks: int) -> int:
+    """Worker processes of a run: `run.threads`, at most one per block and
+    per usable CPU, and 1 (inline) where the platform cannot fork."""
+    workers = min(threads, n_blocks)
+    if workers == 1:
+        return 1
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+_worker_scene: Optional[Scene] = None  # set in each worker process only
+
+
+def _adopt(scene: Scene):
+    """Pool initializer: the worker keeps the scene it inherited by fork."""
+    global _worker_scene
+    _worker_scene = scene
+
+
+def _run_block(p0: int, p1: int, keep_history: bool):
+    return _block_worker(_worker_scene, p0, p1, keep_history)
+
+
 def ensemble_blocks(scene: Scene,
                     keep_history: bool = False) -> Iterator[tuple]:
     """Run the scene's paths in blocks of BLOCK_PATHS and yield
     (p0, p1, vals, history) per block, in block-index order.
 
     `vals` and `history` are `_block_worker`'s; `history` is None unless
-    `keep_history`.  With `cfg.threads > 1` at most 2 * threads blocks
-    are in flight, and the next one is submitted only when the oldest is
-    handed out, so a slow consumer holds memory for a bounded number of
-    blocks.  A failing block raises when its turn comes,
-    so the error is the same for every thread count.
+    `keep_history`.  With `block_workers` above 1 the blocks run on that
+    many forked processes, which are started before this returns, so
+    that a thread the caller starts later is not forked.  At most
+    2 * workers blocks are in flight, and the next one is submitted only
+    when the oldest is handed out, so a slow consumer holds memory for a
+    bounded number of blocks.  A failing block raises when its turn
+    comes, so the error is the same for every worker count.  Closing or
+    dropping the generator stops the workers.
     """
-    threads, n = scene.cfg.threads, scene.cfg.n_paths
-    blocks = iter([(p0, min(n, p0 + BLOCK_PATHS))
-                   for p0 in range(0, n, BLOCK_PATHS)])
-    # build the shared arrays here, so that worker threads only read them
+    blocks = _handout(scene, keep_history)
+    next(blocks)  # start the workers now
+    return blocks
+
+
+def _handout(scene: Scene, keep_history: bool):
+    """`ensemble_blocks`' generator; its first item, None, comes once the
+    workers have started."""
+    n = scene.cfg.n_paths
+    spans = [(p0, min(n, p0 + BLOCK_PATHS)) for p0 in range(0, n, BLOCK_PATHS)]
+    workers = block_workers(scene.cfg.threads, len(spans))
+    # build the shared arrays here, so that every worker inherits them
     scene.forces, scene.x0p, scene.obs_mh, scene.obs_steps
-
-    def run(p0, p1):
-        return (p0, p1, *_block_worker(scene, p0, p1, keep_history))
-
-    if threads == 1:
-        for p0, p1 in blocks:
-            yield run(p0, p1)
+    if workers == 1:
+        yield
+        for p0, p1 in spans:
+            yield (p0, p1, *_block_worker(scene, p0, p1, keep_history))
         return
-    ex = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, named: Python 3.14 changes the POSIX default.  The first
+    # submission forks every worker.
+    ex = ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(scene,))
+    window = 2 * workers
     try:
-        pending = collections.deque(
-            ex.submit(run, p0, p1)
-            for p0, p1 in itertools.islice(blocks, 2 * threads))
-        while pending:
-            block = pending.popleft().result()
-            nxt = next(blocks, None)
-            if nxt is not None:
-                pending.append(ex.submit(run, *nxt))
-            yield block
+        pending = collections.deque(ex.submit(_run_block, *span, keep_history)
+                                    for span in spans[:window])
+        yield
+        for i, (p0, p1) in enumerate(spans):
+            vals, history = pending.popleft().result()
+            if i + window < len(spans):
+                pending.append(ex.submit(_run_block, *spans[i + window],
+                                         keep_history))
+            yield p0, p1, vals, history
     finally:
         ex.shutdown(wait=True, cancel_futures=True)
 
@@ -501,13 +544,15 @@ def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
     Observables are H-inner products against sine-mode test functions,
     the config's 'mode:channel:u|v' specs, sampled every `obs_stride`
     steps plus the final time.  Paths are evolved in fixed-size blocks on
-    `cfg.threads` workers; block moments merge in index order, so the
-    output is independent of the thread count.  No per-path value
-    outlives its block: `ensemble_blocks` hands out the blocks
-    themselves, as `stobeam simulate` streams them to its CSVs.
+    up to `cfg.threads` worker processes (`block_workers`); block moments
+    merge in index order, so the output is identical for any worker
+    count.  No per-path value outlives its block: `ensemble_blocks`
+    hands out the blocks themselves, as `stobeam simulate` streams them
+    to its CSVs.
     """
     scene = build_scene(cfg)
     count, mean, m2 = 0, None, None
-    for _, _, vals, _ in ensemble_blocks(scene):
-        count, mean, m2 = _merge_moments(count, mean, m2, vals)
+    with contextlib.closing(ensemble_blocks(scene)) as blocks:
+        for _, _, vals, _ in blocks:
+            count, mean, m2 = _merge_moments(count, mean, m2, vals)
     return EnsembleStats(count=count, mean=mean, m2=m2, scene=scene)

@@ -3,8 +3,11 @@
 The acceptance tests record one line each through the `acceptance`
 fixture; after the run a summary block prints every criterion with its
 measured numbers so a reviewer can read the pass/fail state without
-digging through pytest output.
+digging through pytest output.  Every test must leave no worker process
+running.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -17,6 +20,12 @@ def build_T(lam, t, g):
     """The dense weak tractive matrix T(t) of `tension_bands`, exactly
     symmetric: the oracle that the banded and profile routes are held to."""
     return from_bands(tension_bands(lam, t, g))
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

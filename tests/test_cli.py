@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import os
 import threading
 import tracemalloc
 import types
@@ -722,13 +723,17 @@ def test_simulate_holds_one_block_and_a_slice_of_text(tmp_path):
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 
-def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
-    text = TINY.replace("run.N = 2", "run.N = 300")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys,
+                                              threads):
+    # at two workers the patched `_block_worker` is the one the forked
+    # workers inherit, and its error comes back at block 1's turn
+    text = TINY.replace("run.N = 2", f"run.N = 300\nrun.threads = {threads}")
     cfg_path = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    threads = threading.active_count()
+    alive = threading.active_count()
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    assert threading.active_count() == threads
+    assert threading.active_count() == alive
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     real = solver._block_worker
 
@@ -739,7 +744,7 @@ def test_failed_simulate_keeps_earlier_output(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(solver, "_block_worker", fail_second_block)
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
-    assert threading.active_count() == threads
+    assert threading.active_count() == alive
     assert "path 256 became non-finite" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -751,8 +756,8 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys,
     """A hash update or a file write that raises OSError on the writer
     thread, at its third call (the first trajectory slice, after both
     header lines), ends `simulate` with exit 2: no '.part' file is left,
-    the earlier output stays, and every thread of the run has ended, the
-    block workers' included."""
+    the earlier output stays, and every thread of the run has ended (the
+    conftest fixture checks that the block workers have too)."""
     text = TINY.replace("run.N = 2", f"run.N = 300\nrun.threads = {threads}")
     cfg_path = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
@@ -815,3 +820,34 @@ def test_only_stepping_builds_the_initial_state(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     assert "initial displacement fails discrete h6bc membership" in \
         capsys.readouterr().err
+
+
+#: threading.active_count() at each fork of this process, while a test
+#: sets it to a list
+_fork_threads = None
+
+
+def _note_fork():
+    if _fork_threads is not None:
+        _fork_threads.append(threading.active_count())
+
+
+os.register_at_fork(before=_note_fork)
+
+
+def test_block_workers_fork_before_any_thread(tmp_path, monkeypatch):
+    """`simulate` and `covariance` at two workers fork both workers while
+    the calling thread is the only one: `simulate`'s writer thread starts
+    after them."""
+    global _fork_threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg_path = _write_cfg(tmp_path, TINY.replace(
+        "run.N = 2", "run.N = 600\nrun.threads = 2"))
+    _fork_threads = []
+    try:
+        for command in ("simulate", "covariance"):
+            assert main([command, "--config", cfg_path,
+                         "--out", str(tmp_path / command)]) == 0
+        assert _fork_threads == [1, 1, 1, 1]
+    finally:
+        _fork_threads = None

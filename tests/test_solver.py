@@ -1,7 +1,10 @@
 """Mild-solution stepping, single paths, and the path ensemble."""
 
+import concurrent.futures
 import dataclasses
 import itertools
+import multiprocessing
+import os
 import re
 import time
 import tracemalloc
@@ -521,12 +524,15 @@ def test_observed_channel_blocks_pair_like_full_histories(name,
     three-channel histories with the observables, lift included: one
     channel-3 observable, one channel-2 observable, and the digest test's
     forced config (nonhomogeneous, loads on channels 1 and 3, observables
-    in channels 3 and 1, two threads).  A block of pb paths steps nc pb
-    columns for the nc channels read, and 3 pb with history."""
+    in channels 3 and 1).  A block of pb paths steps nc pb columns for the
+    nc channels read, and 3 pb with history.  The widths are recorded in
+    this process, so those runs take one worker; the forced config's own
+    two workers give the same values bit for bit."""
     text, nc = {"channel-3": (STOCH.replace("1:3:v,2:1:v", "1:3:v"), 1),
                 "channel-2": (STOCH.replace("1:3:v,2:1:v", "2:2:u"), 1),
                 "forced": (FORCED_CFG.replace("run.N = 300\n", ""), 2)}[name]
-    sc = build_scene(parse_config(text + "run.N = 300\n"))
+    cfg = parse_config(text + "run.N = 300\n")
+    sc = build_scene(dataclasses.replace(cfg, threads=1))
     widths = []
 
     def recording(d, dt, buf, out, transpose=False):
@@ -548,6 +554,12 @@ def test_observed_channel_blocks_pair_like_full_histories(name,
         assert np.array_equal(vals, want)
     assert narrow == {nc * 256, nc * 44}
     assert set(widths) == {3 * 256, 3 * 44}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = list(ensemble_blocks(build_scene(cfg)))
+    assert len(pooled) == len(blocks) == 2
+    for (p0, p1, vals, _), (q0, q1, pooled_vals, _) in zip(blocks, pooled):
+        assert (p0, p1) == (q0, q1)
+        assert np.array_equal(vals, pooled_vals)
 
 
 def test_blowup_in_a_channel_no_observable_reads_goes_unseen(monkeypatch):
@@ -617,18 +629,38 @@ def test_ensemble_memory_does_not_grow_with_paths():
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_block_workers_are_capped_by_blocks_and_cpus(monkeypatch):
+    """The worker count is computed, never tried: `run.threads`, at most
+    one per block and per usable CPU, and 1 without fork."""
+    cpus = len(os.sched_getaffinity(0))
+    assert solver.block_workers(1, 32) == 1
+    assert solver.block_workers(10 ** 6, 1) == 1
+    assert solver.block_workers(10 ** 6, 3) == min(3, cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert solver.block_workers(10 ** 6, 3) == 3
+    assert solver.block_workers(4, 32) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert solver.block_workers(4, 32) == 1
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert solver.block_workers(4, 32) == 1
+
+
 def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
     threads = 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = parse_config(SHORT + "run.N = 2600\n")
     sc = build_scene(dataclasses.replace(cfg, threads=threads))
     started = []
-    real = solver._block_worker
+    pool = concurrent.futures.ProcessPoolExecutor
+    real = pool.submit
 
-    def counting(scene, p0, p1, keep_history):
+    def counting(self, fn, p0, p1, keep_history):
         started.append(p0)
-        return real(scene, p0, p1, keep_history)
+        return real(self, fn, p0, p1, keep_history)
 
-    monkeypatch.setattr(solver, "_block_worker", counting)
+    monkeypatch.setattr(pool, "submit", counting)
     handed = []
     for p0, p1, vals, history in ensemble_blocks(sc):
         # a slow consumer: workers may run ahead by 2 * threads blocks only
@@ -638,7 +670,7 @@ def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
         assert vals.shape == (1, len(sc.obs_steps), p1 - p0)
         handed.append((p0, p1))
     assert handed == [(p0, min(2600, p0 + 256)) for p0 in range(0, 2600, 256)]
-    assert sorted(started) == [p0 for p0, _ in handed]
+    assert started == [p0 for p0, _ in handed]
 
 
 def _block_peak(cfg):

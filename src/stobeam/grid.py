@@ -233,7 +233,17 @@ def packed_h_inner(y1: np.ndarray, y2: np.ndarray, g: GramSet) -> float:
 
 
 def packed_h_norm(y: np.ndarray, g: GramSet) -> float:
-    return float(np.sqrt(max(packed_h_inner(y, y, g), 0.0)))
+    return float(np.sqrt(max(packed_h_norm_sq(y, g), 0.0)))
+
+
+def packed_h_norm_sq(y: np.ndarray, g: GramSet) -> float | np.ndarray:
+    """Squared state norm of a packed reduced state (2m, c), or of each
+    state of a stack (k, 2m, c) summed alone, bit for bit as one at a
+    time (no validation)."""
+    m = g.m
+    u, v = y[..., :m, :], y[..., m:, :]
+    return (np.sum(u * (g.B @ u), axis=(-2, -1))
+            + np.sum(v * (g.M[:, None] * v), axis=(-2, -1)))
 
 
 def packed_d_norm_sq(y: np.ndarray, g: GramSet) -> float | np.ndarray:

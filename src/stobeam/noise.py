@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidArgumentError, PreconditionError
 from .grid import BeamGrid, BeamState, GramSet
 from .operators import StabilityConstants
-from .propagator import PropagatorFactorization
+from .propagator import PropagatorFactorization, stack_size
 
 SPECTRUM_FAMILIES = ("k^-2", "k^-3", "tabulated")
 
@@ -276,7 +276,9 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     the dense tail products U(t, t_j) are accumulated backward as their
     transposes U(t, t_j)^T = G_j^T U(t, t_{j+1})^T, so each grid time
     costs one transposed `step_rule` on a (2m, 2m) stack, whose large
-    product is m x m.  The analytic comparison bound is
+    product is m x m, and one product for its K images U(t, t_j) (0, e_k);
+    their H-norms are one pass per stack of `stack_size` nodes.  The
+    analytic comparison bound is
     s sigma^2 exp(2 C4 s) Tr(Q) over the span s = n dt, with C4 = 0 when
     no constants are supplied (exact for the norm-preserving flow); a
     growth factor beyond the float range makes the bound infinite.
@@ -287,20 +289,31 @@ def trace_condition(P: PropagatorFactorization, model: NoiseModel,
     with np.errstate(over="ignore"):  # a growth factor beyond range is inf
         growth = np.exp(2.0 * c4 * span)
     bound = float(span * model.sigma**2 * growth * trace_q(model))
-    # psi_j = U(t, t_j)^T, from j = n down to 0
-    integrand = [_trace_integrand(psi, model, g)
-                 for psi in P.walk(np.eye(2 * g.m), transpose=True)]
-    value = float(np.trapezoid(integrand[::-1], dx=P.dt))
+    m, n = g.m, P.n_steps
+    integrand = np.empty(n + 1)
+    img = np.empty((min(stack_size(2 * model.e_red.nbytes), n + 1), 2 * m,
+                    model.K))
+    # psi_i = U(t, t_j)^T at j = n - i, and its columns psi_i^T (0, e_k)
+    for i, psi in enumerate(P.walk(np.eye(2 * m), transpose=True)):
+        s = i % len(img)
+        np.matmul(psi[m:].T, model.e_red, out=img[s])
+        if s == len(img) - 1 or i == n:
+            integrand[n - i:n - i + s + 1] = _trace_integrand(
+                img[:s + 1], model, g)[::-1]
+    value = float(np.trapezoid(integrand, dx=P.dt))
     return TraceCheck(value=value, bound=bound)
 
 
-def _trace_integrand(psi: np.ndarray, model: NoiseModel, g: GramSet) -> float:
-    """sum_{k,c} ||psi^T A sqrt(q_k) e_{k,c}||_H^2 at one quadrature node."""
+def _trace_integrand(img: np.ndarray, model: NoiseModel,
+                     g: GramSet) -> np.ndarray:
+    """sum_{k,c} ||U(t, t_j) A sqrt(q_k) e_{k,c}||_H^2 at each node of a
+    stack (s, 2m, K) of the nodes' images U(t, t_j) (0, e_k), each node's
+    the bits of its own."""
     m = g.m
-    img = psi[m:].T @ model.e_red           # (2m, K), columns psi^T (0, e_k)
-    iu, iv = img[:m], img[m:]
-    norms = np.sum(iu * (g.B @ iu), axis=0) + np.sum(iv * (g.M[:, None] * iv), axis=0)
-    return float(3.0 * model.sigma**2 * np.sum(model.q * norms))
+    iu, iv = img[:, :m], img[:, m:]
+    norms = (np.sum(iu * (g.B @ iu), axis=-2)
+             + np.sum(iv * (g.M[:, None] * iv), axis=-2))
+    return 3.0 * model.sigma**2 * np.sum(model.q * norms, axis=-1)
 
 
 def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular, svdvals
+from scipy.linalg import eigvalsh, solve_triangular, svdvals
 
 from .errors import AssemblyError, InvalidArgumentError
 from .grid import BeamGrid, GramSet
@@ -165,23 +165,25 @@ class TractiveForce:
 
 
 def apply_L0(g: GramSet, y: np.ndarray) -> np.ndarray:
-    """L0 y = (v, -M^-1 B u) for packed states y of shape (2m, k); on the
-    identity this is the dense L0.  Raises AssemblyError unless M > 0."""
+    """L0 y = (v, -M^-1 B u) for packed states y of shape (2m, k), or a
+    stack (s, 2m, k) of them; on the identity this is the dense L0.
+    Raises AssemblyError unless M > 0."""
     if np.min(g.M) <= 0:
         raise AssemblyError("mass matrix is not positive")
     m = g.m
     out = np.empty(y.shape)
-    out[:m] = y[m:]
-    out[m:] = -(g.B @ y[:m]) / g.M[:, None]
+    out[..., :m, :] = y[..., m:, :]
+    out[..., m:, :] = -(g.B @ y[..., :m, :]) / g.M[:, None]
     return out
 
 
 def apply_L1(T: np.ndarray, g: GramSet, y: np.ndarray) -> np.ndarray:
-    """L1 y = (0, M^-1 T u) for packed states y of shape (2m, k), with a
-    weak tractive matrix T, such as c(t) T_p of `profile_T`."""
+    """L1 y = (0, M^-1 T u) for packed states y of shape (2m, k), or a
+    stack (s, 2m, k) of them, with a weak tractive matrix T, such as
+    c(t) T_p of `profile_T`."""
     m = g.m
     out = np.zeros(y.shape)
-    out[m:] = (T @ y[:m]) / g.M[:, None]
+    out[..., m:, :] = (T @ y[..., :m, :]) / g.M[:, None]
     return out
 
 
@@ -233,7 +235,8 @@ def from_bands(ab: np.ndarray) -> np.ndarray:
 
 def _tension_fill(mid_values: np.ndarray, g: GramSet) -> np.ndarray:
     """-D1^T W D1 for tension values at the cell midpoints, in the band
-    layout of `to_bands`, O(m).
+    layout of `to_bands`, O(m); a stack (..., m) of values gives a stack
+    (..., 2 bw + 1, m) of bands, each the bits of its values alone.
 
     Cell j of the midpoint difference D1 couples nodes j and j+1 with weight
     p_j = h lambda(s_{j+1/2}) / h^2 (the last cell only node n, since
@@ -243,17 +246,20 @@ def _tension_fill(mid_values: np.ndarray, g: GramSet) -> np.ndarray:
     c = 1.0 / g.grid.h
     p = (c * (g.grid.h * mid_values)) * c
     bw = STIFFNESS_BANDWIDTH
-    out = np.zeros((2 * bw + 1, g.m))
-    out[bw] = -p
-    out[bw, 1:] -= p[:-1]
-    out[bw - 1, 1:] = p[:-1]
-    out[bw + 1, :-1] = p[:-1]
+    out = np.zeros(p.shape[:-1] + (2 * bw + 1, g.m))
+    out[..., bw, :] = -p
+    out[..., bw, 1:] -= p[..., :-1]
+    out[..., bw - 1, 1:] = p[..., :-1]
+    out[..., bw + 1, :-1] = p[..., :-1]
     return out
 
 
-def tension_bands(lam: TractiveForce, t: float, g: GramSet) -> np.ndarray:
-    """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`."""
-    return _tension_fill(lam.c(t) * lam.profile_midpoint_values(g.grid), g)
+def tension_bands(lam: TractiveForce, t, g: GramSet) -> np.ndarray:
+    """T(t) = -D1^T W_lambda(t) D1 in the band layout of `to_bands`; for a
+    sequence of times, the stack of their bands in one pass."""
+    c = lam.c(t) if np.ndim(t) == 0 else np.array([lam.c(s) for s in t])
+    return _tension_fill(np.multiply.outer(c, lam.profile_midpoint_values(
+        g.grid)), g)
 
 
 def profile_T(lam: TractiveForce, g: GramSet) -> np.ndarray:
@@ -283,17 +289,20 @@ def skew_defect(g: GramSet) -> float:
 def op_norm_H(g: GramSet, mat: np.ndarray) -> float:
     """H-operator norm of a packed-state matrix.
 
-    Computed exactly as the largest singular value of C mat C^-1 where
-    M_H = C^T C is the block Cholesky of the state Gram (B's block is
-    `B_chol`).  The triangular solve skips its finite check; `svdvals`
-    still rejects non-finite input.
+    Computed exactly as the largest singular value of X = C mat C^-1,
+    where M_H = C^T C is the block Cholesky of the state Gram (B's block
+    is `B_chol`): the square root of the top eigenvalue of X^T X, the
+    only one LAPACK's `syevr` is asked for.  The triangular solve skips
+    its finite check; `eigvalsh` still rejects non-finite input.
     """
     m, cu, sq = g.m, g.B_chol, np.sqrt(g.M)
     cm = np.vstack([cu @ mat[:m], sq[:, None] * mat[m:]])
     left = solve_triangular(cu.T, cm[:, :m].T, lower=True,
                             check_finite=False).T
-    right = cm[:, m:] / sq[None, :]
-    return float(svdvals(np.hstack([left, right]))[0])
+    x = np.hstack([left, cm[:, m:] / sq[None, :]])
+    top = eigvalsh(x.T @ x, overwrite_a=True,
+                   subset_by_index=[2 * m - 1, 2 * m - 1])[0]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 @dataclass(frozen=True)

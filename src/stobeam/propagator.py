@@ -23,8 +23,12 @@ four blocks, so a step stores D, not G: a quarter of the storage, and
 `step_rule` applies G or G^T with one (m x m) product instead of a
 (2m x 2m) one.  D is one banded LU of A solved against -h^2 K, so a step
 costs O(m^2) to build instead of the O(m^3) of a dense (2m)x(2m) LU.  The
-factors stay dense: stepping a block of paths is one dense matmul per
-step, which beats applying banded factors to it.
+set-up is batched: the band arithmetic of a run of steps (c(t_k), the
+tension bands, A and its norm) is one vectorized pass, and per factor
+only LAPACK's gbtrf, gbcon and gbtrs run, the solve in place on the
+zeroed array that becomes D.  The factors stay dense: stepping a block of
+paths is one dense matmul per step, which beats applying banded factors
+to it.
 
 The family is kept on the grid t_k = k dt as the ordered list of its
 per-step factors; a window is a range i0..i1 of step indices, the only
@@ -33,7 +37,10 @@ stored factors, applied as one chain of `step_rule` calls; the cocycle
 law U(t,r)U(r,tau)=U(t,tau) then holds as a re-association of literally
 identical floating point operations, not merely to rounding.  One loop,
 `PropagatorFactorization.walk`, runs every chain, forward and transposed,
-the solver's path blocks and Picard's sweeps too.
+the solver's path blocks and Picard's sweeps too; `stacks` copies a
+forward walk's states into bounded stacks, so that a pass over the states
+(the generator residual's L, trapezoid and norms) is a few array
+operations per stack instead of a few per state.
 
 Two independent constructions of the perturbed flow are provided for
 cross-checks: the midpoint scheme above and a Picard iteration for the
@@ -54,10 +61,10 @@ from scipy.linalg.lapack import dgbcon as _gbcon, dgbsv as _gbsv, \
 
 from .errors import InvalidArgumentError, NonConvergenceError, PreconditionError
 from .grid import BeamState, GramSet, check_membership, packed_d_norm_sq, \
-    packed_h_norm
+    packed_h_norm, packed_h_norm_sq
 from .operators import StabilityConstants, TractiveForce, \
-    STIFFNESS_BANDWIDTH, apply_L0, apply_L1, estimate_constants, from_bands, \
-    profile_T, tension_bands, to_bands
+    STIFFNESS_BANDWIDTH, apply_L0, apply_L1, estimate_constants, profile_T, \
+    tension_bands, to_bands
 
 #: reciprocal condition number of M + h^2 K below which a step factor warns
 _RCOND_FLOOR = 1e-13
@@ -68,44 +75,72 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_ITER = 60
 
 
-def _factor_from_bands(kb: np.ndarray, mass: np.ndarray,
-                       dt: float) -> np.ndarray:
-    """Increment factor D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
-    Cayley map of L = [[0, I], [-M^-1 K, 0]], from the bands of K; the
-    module docstring gives the map G that D fixes and `step_rule` applies.
+#: bytes of one array of a stacked pass: `build_propagator` computes the
+#: bands of that many bytes of steps at once, and a stack of states or
+#: images holds that many, so a pass dispatches few calls on narrow grids
+#: and adds little to the peak memory on wide ones
+STACK_BYTES = 1 << 15
 
-    D is solved for directly: the dense -h^2 K, placed from its bands, not
-    computed, is the right-hand side of one banded LU of A (LU, not
-    Cholesky, so that an indefinite K still factors).  The one solve is
-    the whole build: a refinement sweep in working precision lowers the
-    backward error only, and leaves the map no closer to an
-    extended-precision Cayley map than the solve alone.  A non-finite
-    band is refused before its LU, a factor that overflows after its
-    solve, so no view of a chain scans it again.
+
+def stack_size(nbytes: int) -> int:
+    """How many items of nbytes each fill STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES // nbytes)
+
+
+def _factors_from_bands(kb: np.ndarray, mass: np.ndarray,
+                        dt: float) -> List[np.ndarray]:
+    """Increment factors D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
+    Cayley maps of L = [[0, I], [-M^-1 K, 0]], one for each K of a stack
+    (s, 2 bw + 1, m) of bands; the module docstring gives the map G that
+    D fixes and `step_rule` applies.
+
+    The band arithmetic (h^2 K, A and the 1-norms of A) is one pass over
+    the stack.  Each D is then solved for directly: the dense -h^2 K,
+    placed from its band into a zeroed F-order array, is overwritten by
+    one solve against the banded LU of A (LU, not Cholesky, so that an
+    indefinite K still factors), so a factor's build holds no other dense
+    array.  The one solve is the whole build: a refinement sweep in
+    working precision lowers the backward error only, and leaves the map
+    no closer to an extended-precision Cayley map than the solve alone.
+    A non-finite band is refused before its LU, a factor that overflows
+    after its solve, so no view of a chain scans it again.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
-    bw = (kb.shape[0] - 1) // 2
+    bw = (kb.shape[1] - 1) // 2
+    m = mass.size
     h = 0.5 * dt
-    hk = (h * h) * kb
-    a = hk.copy()
-    a[bw] += mass
-    anorm = np.abs(a).sum(axis=0).max()  # nan or inf for a non-finite a
-    if not np.isfinite(anorm):
-        raise InvalidArgumentError("cayley resolvent has non-finite entries")
+    # row r, column j of the bands holds entry (i, j) = (r - bw + j, j) of
+    # K, at i + j m in an F-order m x m array, where 0 <= i < m
+    i = np.arange(-bw, bw + 1)[:, None] + np.arange(m)
+    r, j = np.nonzero((i >= 0) & (i < m))
+    a = (h * h) * kb
+    band, at = -a[:, r, j], i[r, j] + j * m  # the entries of -h^2 K
+    a[:, bw] += mass
+    anorm = np.abs(a).sum(axis=1).max(axis=1)  # nan or inf for a non-finite a
     # gbtrf keeps the fill-in of row pivoting in bw extra leading rows
-    ab = np.zeros((3 * bw + 1, mass.size), order="F")
-    ab[bw:] = a
-    lu, piv, info = _gbtrf(ab, bw, bw, overwrite_ab=1)
-    rcond = 0.0 if info > 0 else _gbcon(bw, bw, lu, piv, anorm)[0]
-    if rcond < _RCOND_FLOOR:
-        warnings.warn(
-            f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
-            "reduce dt", stacklevel=3)
-    d = _gbtrs(lu, bw, bw, from_bands(-hk), piv)[0]
-    if not np.all(np.isfinite(d)):
-        raise InvalidArgumentError("step factor has non-finite entries")
-    return d
+    ab = np.zeros((3 * bw + 1, m), order="F")
+    factors = []
+    for k in range(kb.shape[0]):
+        if not np.isfinite(anorm[k]):
+            raise InvalidArgumentError(
+                "cayley resolvent has non-finite entries")
+        ab[:bw] = 0.0
+        ab[bw:] = a[k]
+        lu, piv, info = _gbtrf(ab, bw, bw, overwrite_ab=1)
+        rcond = 0.0 if info > 0 else _gbcon(bw, bw, lu, piv, anorm[k])[0]
+        if rcond < _RCOND_FLOOR:
+            warnings.warn(
+                f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
+                "reduce dt", stacklevel=3)
+        # the dense -h^2 K, solved in place
+        d = np.zeros((m, m), order="F")
+        d.ravel(order="F")[at] = band[k]
+        d = _gbtrs(lu, bw, bw, d, piv, overwrite_b=1)[0]
+        if not np.isfinite(d).all():
+            raise InvalidArgumentError("step factor has non-finite entries")
+        factors.append(d)
+    return factors
 
 
 @functools.lru_cache
@@ -209,6 +244,21 @@ class PropagatorFactorization:
             pass
         return z.copy()
 
+    def stacks(self, y: np.ndarray):
+        """Yield the states U(t_j, 0) y, j = 0..n_steps, of one forward
+        `walk`, copied into stacks of `stack_size` states at most, as
+        (j0, stack) with stack[i] = U(t_{j0+i}, 0) y.  The stacks are
+        views of one buffer, each valid until the next yield, which bounds
+        the memory of a stacked pass over a long chain."""
+        size = stack_size(y.nbytes)
+        buf = np.empty((min(size, self.n_steps + 1),) + y.shape)
+        walk = self.walk(y)
+        for j0 in range(0, self.n_steps + 1, size):
+            stack = buf[:min(size, self.n_steps + 1 - j0)]
+            for row, z in zip(stack, walk):
+                row[...] = z
+            yield j0, stack
+
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """U*(t_n, 0) y = M_H^-1 U^T M_H y over the whole window, with a
         single Gram solve."""
@@ -220,16 +270,17 @@ def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
     """The factors D_k of n_steps steps of dt from t = 0.  D_k is the
     increment factor of the Cayley map of L(t_k + dt/2): it depends on
     lam's c(t) and profile, the Grams, dt and k alone, and is one shared
-    factor when the generator does not depend on time."""
+    factor when the generator does not depend on time.  The bands of
+    `stack_size` steps at a time are computed in one pass."""
     b_bands = to_bands(g.B)
-
-    def step(t):
-        return _factor_from_bands(b_bands - tension_bands(lam, t, g), g.M, dt)
-
+    mids = [0.5 * dt] if lam.autonomous else \
+        [(k + 0.5) * dt for k in range(n_steps)]
+    size, steps = stack_size(b_bands.nbytes), []
+    for k0 in range(0, len(mids), size):
+        steps += _factors_from_bands(
+            b_bands - tension_bands(lam, mids[k0:k0 + size], g), g.M, dt)
     if lam.autonomous:
-        steps = [step(0.5 * dt)] * n_steps
-    else:
-        steps = [step((k + 0.5) * dt) for k in range(n_steps)]
+        steps *= n_steps
     return PropagatorFactorization(float(dt), steps, g)
 
 
@@ -316,21 +367,36 @@ def generator_residual(P: PropagatorFactorization, lam: TractiveForce,
 
     The integral uses trapezoidal quadrature on the step grid; for the
     midpoint scheme the maximum residual decays at second order in dt.
+    One walk's states are taken in stacks (`stacks`): L, the trapezoid
+    (a cumulative sum carried from stack to stack) and the norms are each
+    one pass over a stack, the bits of one state at a time.
     """
     g = P.g
     check_membership(w.u, "h4bc", g, what="displacement")
     check_membership(w.v, "h2bc", g, what="velocity")
     x0 = w.packed()
     tp = profile_T(lam, g)
-    integral = np.zeros_like(x0)
-    values, y_prev = [], None
-    for t, cur in zip(P.times, P.walk(x0)):
-        y = apply_L0(g, cur) + lam.c(float(t)) * apply_L1(tp, g, cur)
-        if values:
-            integral = integral + 0.5 * P.dt * (y_prev + y)
-        values.append(packed_h_norm(cur - x0 - integral, g))
-        y_prev = y
-    return np.array(values)
+    values = np.empty(P.n_steps + 1)
+    integral, y_last = np.zeros_like(x0), None
+    for k0, cur in P.stacks(x0):
+        times = P.times[k0:k0 + len(cur)]
+        y = apply_L1(tp, g, cur)
+        y *= np.array([lam.c(float(t)) for t in times])[:, None, None]
+        y += apply_L0(g, cur)
+        # the trapezoid's intervals up to each state, the first one's
+        # from the last state of the stack before (none at t = 0)
+        terms = np.empty_like(y)
+        terms[0] = 0.0 if y_last is None else y_last + y[0]
+        np.add(y[:-1], y[1:], out=terms[1:])
+        terms *= 0.5 * P.dt
+        terms[0] += integral
+        np.cumsum(terms, axis=0, out=terms)
+        cur -= x0
+        cur -= terms
+        values[k0:k0 + len(cur)] = np.sqrt(np.maximum(
+            packed_h_norm_sq(cur, g), 0.0))
+        integral, y_last = terms[-1], y[-1]
+    return values
 
 
 @dataclass

@@ -40,8 +40,8 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from .config import SimulationConfig, compile_expression, parse_observable_spec
-from .errors import (BlowupError, InvalidArgumentError, PreconditionError,
-                     ShapeError)
+from .errors import (BlowupError, ConfigError, InvalidArgumentError,
+                     PreconditionError, ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
 from .noise import NoiseModel, build_noise_model, step_increments
@@ -223,14 +223,18 @@ def initial_state(cfg: SimulationConfig, g: GramSet) -> BeamState:
     homogeneous remainder, which is zero (the path starts on the lift).
 
     Raises:
-        PreconditionError: the initial data fail the discrete smoothness
-            checks (displacement must pass the h6bc stencils, velocity h4bc).
+        ConfigError: naming `init.mode`, when the configured bending mode
+            fails the discrete h6bc stencils on this grid (the mode's
+            velocity is zero and meets h4bc).
     """
     if cfg.init_family == "zero":
         return BeamState.zero(g.grid)
     x0 = bending_mode_state(g, cfg.init_mode, cfg.init_amplitude)
-    check_membership(x0.u, "h6bc", g, what="initial displacement")
-    check_membership(x0.v, "h4bc", g, what="initial velocity")
+    try:
+        check_membership(x0.u, "h6bc", g, what="initial displacement")
+    except PreconditionError as exc:
+        raise ConfigError(f"{exc}; lower init.mode or refine grid.n",
+                          key="init.mode") from None
     return x0
 
 
@@ -248,9 +252,9 @@ def solve_homogeneous(cfg: SimulationConfig, path_index: int = 0) -> Trajectory:
     data, run as a block of width one with its history kept.
 
     Raises:
-        PreconditionError: config is not the homogeneous boundary kind, or
-            the initial data fail the discrete smoothness checks (initial
-            displacement must pass the h6bc stencils, velocity h4bc).
+        PreconditionError: config is not the homogeneous boundary kind.
+        ConfigError: the initial bending mode fails the discrete h6bc
+            stencils (see `initial_state`).
     """
     if cfg.bc_kind != "homogeneous":
         raise PreconditionError(

@@ -807,8 +807,9 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys,
 
 def test_only_stepping_builds_the_initial_state(tmp_path, capsys):
     """A rough initial mode fails `simulate`, which steps paths from it,
-    and not `verify`, none of whose checks reads the configured initial
-    state: the scene builds that state only when a stepper asks."""
+    as a config error naming `init.mode`, and not `verify`, none of whose
+    checks reads the configured initial state: the scene builds that
+    state only when a stepper asks."""
     default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     text = default.read_text().replace("init.family = zero",
                                        "init.family = mode\ninit.mode = 5")
@@ -817,9 +818,28 @@ def test_only_stepping_builds_the_initial_state(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == \
         "19 passed, 0 failed, 0 skipped"
     assert main(["simulate", "--config", cfg_path,
-                 "--out", str(tmp_path / "o")]) == 1
-    assert "initial displacement fails discrete h6bc membership" in \
-        capsys.readouterr().err
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "initial displacement fails discrete h6bc membership" in err
+    assert "key 'init.mode'" in err
+
+
+@pytest.mark.parametrize("n, mode", [(8, 2), (16, 3)])
+def test_a_mode_too_rough_for_the_grid_is_a_config_error(tmp_path, capsys,
+                                                         n, mode):
+    """A bending mode that parses (mode <= grid.n + 1, grid.n >= 7) but
+    fails the h6bc stencils on its grid exits 2 naming `init.mode`, in
+    both commands that step from it; one mode lower runs."""
+    text = TINY.replace("grid.n = 8", f"grid.n = {n}").replace(
+        "init.family = zero", f"init.family = mode\ninit.mode = {mode}")
+    for command in ("simulate", "covariance"):
+        assert main([command, "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "key 'init.mode'" in err
+    lower = text.replace(f"init.mode = {mode}", f"init.mode = {mode - 1}")
+    assert main(["simulate", "--config", _write_cfg(tmp_path, lower),
+                 "--out", str(tmp_path / "lower")]) == 0
 
 
 #: threading.active_count() at each fork of this process, while a test

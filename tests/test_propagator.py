@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve, solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from stobeam.errors import (InvalidArgumentError, NonConvergenceError,
                             PreconditionError)
 from stobeam.grid import (BeamState, GramSet, build_grams, build_grid,
-                          packed_d_norm_sq, packed_h_norm)
+                          packed_d_norm_sq, packed_h_inner, packed_h_norm)
 from stobeam.noise import build_noise_model, ito_variance
 from stobeam.operators import (STIFFNESS_BANDWIDTH, TractiveForce, apply_L0,
                                apply_L1, estimate_constants, from_bands,
@@ -22,7 +22,7 @@ from stobeam.propagator import (PropagatorFactorization,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
                                 picard_evolution, step_rule,
-                                _factor_from_bands)
+                                _factors_from_bands)
 from stobeam.solver import bending_mode_state, sine_mode_state
 
 from conftest import build_T
@@ -47,7 +47,7 @@ def cayley_step(g, T, dt):
     """Step map of the generator of T (T = 0 gives L0) from the banded
     kernel, the step rule of its increment factor materialized on the
     identity."""
-    d = _factor_from_bands(to_bands(g.B - T), g.M, dt)
+    d, = _factors_from_bands(to_bands(g.B - T)[None], g.M, dt)
     return step_matrix(PropagatorFactorization(dt=dt, steps=[d], g=g), 0)
 
 
@@ -240,6 +240,54 @@ def test_factors_equal_one_band_solve_bit_for_bit(n, lam):
         assert np.array_equal(d, _one_solve_factor(kb, g.M, dt))
 
 
+def _per_step_factor(kb, mass, dt):
+    """One factor as the per-step build made it before the set-up was
+    batched: A's band and norm, its LU and condition estimate, and the
+    solve against the dense -h^2 K placed by `from_bands`, all from the
+    bands of one K."""
+    bw = (kb.shape[0] - 1) // 2
+    h = 0.5 * dt
+    hk = (h * h) * kb
+    a = hk.copy()
+    a[bw] += mass
+    ab = np.zeros((3 * bw + 1, mass.size), order="F")
+    ab[bw:] = a
+    lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+    assert info == 0
+    assert dgbcon(bw, bw, lu, piv, np.abs(a).sum(axis=0).max())[0] > 1e-13
+    return dgbtrs(lu, bw, bw, from_bands(-hk), piv)[0]
+
+
+def _per_step_factors(lam, g, n_steps, dt):
+    """The factors of `build_propagator`, built one step at a time from
+    the bands of `tension_bands` at each midpoint: the oracle of the
+    batched set-up."""
+    b_bands = to_bands(g.B)
+
+    def step(t):
+        return _per_step_factor(b_bands - tension_bands(lam, t, g), g.M, dt)
+
+    if lam.autonomous:
+        return [step(0.5 * dt)] * n_steps
+    return [step((k + 0.5) * dt) for k in range(n_steps)]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lam", [TractiveForce(family="bump", c0=1.0), LAM],
+                         ids=["autonomous", "modulated"])
+def test_batched_factors_equal_the_per_step_build(n, lam):
+    """The batched set-up, its bands computed over chunks of steps and
+    each factor solved against one reused right-hand side, gives the
+    per-step build's factors bit for bit, over 150 steps (more than two
+    chunks), and shares one factor when the tension does not vary."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    assert 2 * propagator.stack_size(to_bands(g.B).nbytes) < 150
+    P = build_propagator(lam, g, 150, 1e-3)
+    want = _per_step_factors(lam, g, 150, 1e-3)
+    assert all(np.array_equal(d, w) for d, w in zip(P.steps, want))
+    assert len({id(d) for d in P.steps}) == (1 if lam.autonomous else 150)
+
+
 def test_kernel_warns_on_singular_resolvent(g16):
     dt = 1e-3
     h = 0.5 * dt
@@ -251,7 +299,7 @@ def test_kernel_warns_on_singular_resolvent(g16):
     for d in range(1, bw + 1):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
     with pytest.warns(UserWarning, match="nearly singular"):
-        _factor_from_bands(kb, g16.M, dt)
+        _factors_from_bands(kb[None], g16.M, dt)
 
 
 def test_cayley_step_rejects_a_zero_step(g16):
@@ -299,11 +347,10 @@ def test_factorization_guards(g16, monkeypatch):
     times = []
 
     def infinite_last(lam, t, g):
-        times.append(t)
+        times.extend(t)
         bands = real(lam, t, g)
-        if lam.autonomous or t > 0.39:  # the last of 40 midpoints is 0.395
-            bands = bands.copy()
-            bands[STIFFNESS_BANDWIDTH, 0] = np.inf
+        if lam.autonomous or t[-1] > 0.39:  # the last of 40 midpoints: 0.395
+            bands[-1, STIFFNESS_BANDWIDTH, 0] = np.inf
         return bands
 
     monkeypatch.setattr(propagator, "tension_bands", infinite_last)
@@ -393,6 +440,41 @@ def test_generator_residual_starts_at_zero(g16):
     assert r[0] == 0.0
     assert np.max(np.abs(r)) < 1e-5
     assert len(r) == P.n_steps + 1
+
+
+def _per_state_residual(P, lam, w):
+    """`generator_residual` as the per-state loop its stacked passes
+    replaced: L, the trapezoid and the H-norm evaluated state by state
+    along the walk."""
+    g = P.g
+    x0 = w.packed()
+    tp = profile_T(lam, g)
+    integral = np.zeros_like(x0)
+    values, y_prev = [], None
+    for t, cur in zip(P.times, P.walk(x0)):
+        y = apply_L0(g, cur) + lam.c(float(t)) * apply_L1(tp, g, cur)
+        if values:
+            integral = integral + 0.5 * P.dt * (y_prev + y)
+        r = cur - x0 - integral
+        values.append(float(np.sqrt(max(packed_h_inner(r, r, g), 0.0))))
+        y_prev = y
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lam", [TractiveForce(family="bump", c0=1.0), LAM],
+                         ids=["autonomous", "modulated"])
+def test_stacked_residual_equals_the_per_state_loop(n, lam):
+    """The residual's stacked passes give the per-state loop's norms bit
+    for bit, on walks shorter than one stack and across stacks."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    w = bending_mode_state(g, 1)
+    size = propagator.stack_size(w.packed().nbytes)
+    assert size < 201
+    for n_steps, dt in ((200, 1e-3), (100, 2e-3), (size, 1e-3), (7, 1e-3)):
+        P = build_propagator(lam, g, n_steps, dt)
+        assert np.array_equal(generator_residual(P, lam, w),
+                              _per_state_residual(P, lam, w))
 
 
 def test_generator_residual_needs_domain_data(g16, grid16):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stobeam.config import parse_config
-from stobeam.errors import (BlowupError, InvalidArgumentError,
+from stobeam.errors import (BlowupError, ConfigError, InvalidArgumentError,
                             PreconditionError, ShapeError)
 from stobeam.grid import (BeamState, build_grid, h_inner, h_norm,
                          packed_h_norm)
@@ -263,10 +263,12 @@ def test_solver_rejects_mismatched_bc_kind():
 
 
 def test_solver_rejects_rough_initial_mode():
-    # high bending modes fail the free-end stencil checks on a coarse grid
+    # high bending modes fail the free-end stencil checks on a coarse grid,
+    # a config error that names the key
     cfg = parse_config(FREE.replace("init.mode = 1", "init.mode = 5"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigError) as err:
         solve_homogeneous(cfg)
+    assert err.value.key == "init.mode"
 
 
 def _history(sc, p):

@@ -327,15 +327,16 @@ def test_verify_factor_builds_per_step_size(monkeypatch):
     scenes of `bc_conformity` and `weak_identity_null`.  A scene keeps
     no probe factor, so a check that needs one builds it: the per-scene
     store this replaces built 422, and 53 of these builds are what it
-    saved."""
+    saved.  The batched set-up builds a stack of bands' factors in one
+    call, so each call counts its stack."""
     dts = []
-    build = propagator._factor_from_bands
+    build = propagator._factors_from_bands
 
     def counted(kb, mass, dt):
-        dts.append(dt)
+        dts.extend([dt] * len(kb))
         return build(kb, mass, dt)
 
-    monkeypatch.setattr(propagator, "_factor_from_bands", counted)
+    monkeypatch.setattr(propagator, "_factors_from_bands", counted)
     run_checks(parse_config(_default_text({})))
     assert collections.Counter(dts) == {0.001: 275, 0.2 / 50: 50,
                                         0.2 / 100: 150}
@@ -451,3 +452,87 @@ def test_factor_store_peak_stays_below_the_probes_it_replaces():
     finally:
         tracemalloc.stop()
     assert peak < 400 * 65 ** 2 * 8
+
+
+def _norm_identity_loop(scene):
+    """`check_norm_identity`'s worst defect as the loop over its 100
+    states that the one stack replaced."""
+    g = scene.g
+    l0 = operators.apply_L0(g, np.eye(2 * g.m))
+    rng = np.random.default_rng(verify._RNG_SEED)
+    worst = 0.0
+    for _ in range(100):
+        y = rng.standard_normal((2 * g.m, 3))
+        lhs = float(np.sqrt(max(grid.packed_h_inner(l0 @ y, l0 @ y, g),
+                                0.0))) ** 2
+        rhs = grid.packed_d_norm_sq(y, g)
+        worst = max(worst, abs(lhs - rhs) / max(lhs, rhs))
+    return worst
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_norm_identity_stack_equals_the_loop(n):
+    sc = build_scene(parse_config(_default_text({"grid.n": str(n)})))
+    assert verify.check_norm_identity(sc).defect == _norm_identity_loop(sc)
+
+
+def test_window_norms_from_one_walk_equal_the_per_window_route():
+    """At n = 32 the norms of the growth check's 20 windows, each from one
+    forward walk of the identity and one solve, agree to 1e-10 relative
+    with walking the identity through each window, the route they
+    replaced; the check's verdict and defect are unchanged."""
+    sc = build_scene(parse_config(_default_text({"grid.n": "32"})))
+    P, eye = sc.P, np.eye(2 * sc.g.m)
+    rng = np.random.default_rng(verify._RNG_SEED + 2)
+    windows = []
+    for _ in range(20):
+        i = int(rng.integers(0, P.n_steps))
+        windows.append((i, int(rng.integers(i + 1, P.n_steps + 1))))
+    want = [op_norm_H(sc.g, P.apply(eye, i, j)) for i, j in windows]
+    got = verify._window_norms(P, windows)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    res = verify.check_growth_bound(sc)
+    assert res.status == "pass" and res.defect == 0.0
+
+
+def test_trace_identity_forward_walk_agrees_with_the_backward_one():
+    """The check's forward sum over the noise columns and
+    `trace_condition`'s backward walk of the identity give the same
+    integral to rounding, both at span sigma^2 tr Q."""
+    from stobeam.noise import trace_condition, trace_q
+    sc = build_scene(parse_config(_default_text({})))
+    res = verify.check_trace_identity(sc)
+    P0 = verify._free_flow(sc, 0.25)
+    exact = P0.times[-1] * sc.model.sigma ** 2 * trace_q(sc.model)
+    backward = trace_condition(P0, sc.model).value
+    assert res.status == "pass" and res.defect < 1e-12
+    assert abs(backward - exact) / exact < 1e-12
+
+
+def test_zero_tension_of_the_bump_family_skips_the_contraction(tmp_path,
+                                                             capsys):
+    """A bump with c0 = c1 = 0 has C5 = 0 on the Picard window, so the
+    contraction check is skipped as for the zero family, where it used to
+    fail on alpha = 2 C5 = 0; `verify` exits 0."""
+    cfg_path = tmp_path / "flat.cfg"
+    cfg_path.write_text(_default_text({"lambda.c0": "0.0",
+                                       "lambda.c1": "0.0"}))
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("SKIP picard_contraction") for line in lines)
+
+
+def test_tractive_norm_bound_is_absolute_where_the_formula_is_zero():
+    """A constant tabulated profile has no slope, so the analytic C4 is 0
+    while the exact norm is not: the defect is the norm itself, not that
+    norm over 1e-30."""
+    table = ",".join(["1.0"] * 18)
+    text = SMALL.replace(
+        "lambda.family = bump\nlambda.c0 = 1.0\nlambda.c1 = 0.3",
+        f"lambda.family = tabulated\nlambda.table = {table}")
+    with pytest.warns(UserWarning):
+        sc = build_scene(parse_config(text))
+    assert sc.constants.C4_formula == 0.0 and sc.constants.C4_numeric > 1.0
+    res = verify.check_tractive_norm_bound(sc)
+    assert res.status == "fail"
+    assert res.defect == sc.constants.C4_numeric

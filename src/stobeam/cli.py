@@ -22,11 +22,12 @@ All CSV numbers are '%.17g' text, and path blocks merge in a fixed
 order, so outputs are byte-stable across repeated runs and identical for
 any `run.threads`, which counts the forked worker processes that step
 the blocks (capped at the usable CPUs); `simulate` computes its digits
-in numpy (`_g17`), byte for byte as '%.17g', and a writer thread,
-started after the workers, hashes and writes each slice while the next
-is formatted.  manifest.json records the resolved config, version,
-seed, wall-clock and the SHA-256 of every file written next to it (the
-wall-clock field is the only part that varies between identical runs).
+in numpy (`_g17`), byte for byte as '%.17g', into NUL-padded byte
+matrices, and a writer thread, started after the workers, drops each
+slice's padding, hashes it and writes it while the next is formatted.
+manifest.json records the resolved config, version, seed, wall-clock
+and the SHA-256 of every file written next to it (the wall-clock field
+is the only part that varies between identical runs).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .verify import run_checks
 
 #: CSV rows that `simulate` formats and writes at once, in whole paths.
 #: Peak RSS of the simulate-csv bench workload on a 2-CPU host: 1024 to
-#: 65536 rows gave 64, 64, 64, 66, 70, 93 MiB (whole blocks: 134 MiB)
+#: 65536 rows gave 64, 64, 65, 69, 75, 112 MiB (whole blocks: 157 MiB)
 ROWS = 4096
 
 _W = 28  # bytes of one value's text in `_g17`
@@ -181,10 +182,12 @@ def _g17(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(a: int, pre: np.ndarray, values: np.ndarray) -> bytes:
+def _rows(a: int, pre: np.ndarray, values: np.ndarray) -> np.ndarray:
     """CSV rows of paths a, a+1, ...: each row is the path index, its
     text `pre` (a bytes array of one item per row), and the last axis of
-    `values` (paths, rows, k) in '%.17g', joined by ','."""
+    `values` (paths, rows, k) in '%.17g', joined by ','.  They come as a
+    uint8 array (paths, rows, bytes) of fixed-width fields, with NUL bytes
+    around and inside the text: its nonzero bytes in order are the rows."""
     n, rows, k = values.shape
     path = np.array([str(p) for p in range(a, a + n)], "S")
     buf = np.zeros((n, rows, path.itemsize + pre.itemsize + k * (_W + 1)),
@@ -194,7 +197,7 @@ def _rows(a: int, pre: np.ndarray, values: np.ndarray) -> bytes:
     cells = buf[..., -k * (_W + 1):].reshape(n, rows, k, _W + 1)
     cells[..., :_W] = _g17(values).reshape(n, rows, k, _W)
     cells[..., _W] = np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)
-    return buf.tobytes().translate(None, b"\0")
+    return buf
 
 
 def _slices(p0: int, p1: int, rows: int):
@@ -215,11 +218,13 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
     Each block of `ensemble_blocks` is formatted as it arrives, in path
     order, in slices of whole paths of at most ROWS rows (or one path),
     and released before the next block is stepped.  One writer thread
-    hashes and writes each slice, in order, while the next one is
-    formatted: the run holds the history of each block in flight, one
-    slice being formatted and one being written, whatever N.  Both files
-    are written under a '.part' name and renamed when the run has
-    finished, so a failed run leaves earlier output in place.
+    takes each slice's byte matrix from `_rows`, in order, drops its NUL
+    padding (a numpy mask, which runs without the GIL) and hashes and
+    writes the rest, while the main thread formats the next slice: the
+    run holds the history of each block in flight, one slice being
+    formatted and one being written, whatever N.  Both files are written
+    under a '.part' name and renamed when the run has finished, so a
+    failed run leaves earlier output in place.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,9 +241,10 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
                         for oid in cfg.observables], "S")
 
     def texts(blocks):
-        """(file index, text): every slice of both files, in order."""
-        yield 0, b"path,t,s,channel,u,v\n"
-        yield 1, b"path,t,observable_id,value\n"
+        """(file index, uint8 text with NUL padding): the header line and
+        every slice of both files, in order."""
+        yield 0, np.frombuffer(b"path,t,s,channel,u,v\n", np.uint8)
+        yield 1, np.frombuffer(b"path,t,observable_id,value\n", np.uint8)
         for p0, p1, vals, history in blocks:
             for a, b in _slices(p0, p1, len(traj_pre)):
                 # (path, step, node, channel, [u, v]); the clamped last
@@ -268,7 +274,8 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
                 open(parts[1], "wb") as obs_fh, \
                 ThreadPoolExecutor(1) as writer, \
                 closing(texts(blocks)) as text:
-            def write(f, data: bytes):  # on the writer thread
+            def write(f, data: np.ndarray):  # on the writer thread
+                data = data[data != 0]
                 shas[f].update(data)
                 (traj_fh, obs_fh)[f].write(data)
 

@@ -267,6 +267,21 @@ _VALUE_RULES = (
     (("noise_table", "lam_table", "fdet_table"),
      lambda x: x is None or (isinstance(x, tuple) and all(map(_real, x))),
      "a list of finite numbers"),
+    # the run raises these values to a power as Python floats, which raise
+    # OverflowError or ZeroDivisionError where numpy would give inf: l**4
+    # in the bump profile and ((n + 1) / l)**2 in the second difference,
+    # b**2 in the graph norm, sigma**2 in the Ito variance and the trace
+    # integral; so the power must stay within the normal doubles,
+    # [2**-1022, 2**1024), except that sigma = 0 turns the noise off
+    (("l",), lambda x: 2.0**-255 <= x < 2.0**256,
+     "in [2**-255, 2**256), about 1.7e-77 to 1.2e77, so that l**4 is a "
+     "normal double"),
+    (("b",), lambda x: 2.0**-511 <= x < 2.0**512,
+     "in [2**-511, 2**512), about 1.5e-154 to 1.3e154, so that b**2 is a "
+     "normal double"),
+    (("sigma",), lambda x: x == 0 or 2.0**-511 <= x < 2.0**512,
+     "0 or in [2**-511, 2**512), about 1.5e-154 to 1.3e154, so that "
+     "sigma**2 is a normal double"),
 )
 
 

@@ -4,10 +4,13 @@ The acceptance tests record one line each through the `acceptance`
 fixture; after the run a summary block prints every criterion with its
 measured numbers so a reviewer can read the pass/fail state without
 digging through pytest output.  Every test must leave no worker process
-running.
+running, and the session must leave the checkout's files as it found
+them.
 """
 
 import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,36 @@ def build_T(lam, t, g):
 def no_worker_left():
     yield
     assert multiprocessing.active_children() == []
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _checkout_files():
+    """path -> (size, mtime) of every file of the checkout outside .git/,
+    .pytest_cache/ and __pycache__/."""
+    found = {}
+    for top, dirs, files in os.walk(_ROOT):
+        dirs[:] = [d for d in dirs
+                   if d not in (".git", ".pytest_cache", "__pycache__")]
+        for name in files:
+            path = os.path.join(top, name)
+            st = os.lstat(path)
+            found[os.path.relpath(path, _ROOT)] = st.st_size, st.st_mtime_ns
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_unchanged():
+    """No test writes into the repository: every file of the checkout has
+    the same size and mtime after the session as before it, and none is
+    added or removed."""
+    before = _checkout_files()
+    yield
+    after = _checkout_files()
+    changed = sorted(p for p in before.keys() | after.keys()
+                     if before.get(p) != after.get(p))
+    assert not changed, f"the tests changed files of the checkout: {changed}"
 
 
 @pytest.fixture(scope="session")

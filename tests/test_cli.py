@@ -3,6 +3,7 @@
 import json
 import hashlib
 import os
+import re
 import threading
 import tracemalloc
 import types
@@ -677,6 +678,45 @@ def test_simulate_slices_match_per_value_writer(tmp_path, monkeypatch,
             assert {b - a for a, b in ranges} == widths[rows]
 
 
+class _StaleEmpty(types.ModuleType):
+    """numpy, but `empty` fills its arrays with the byte 'Z' (0x5a), which
+    no CSV holds: a byte that no step writes shows in the output."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        a = np.empty(shape, dtype)
+        a.view(np.uint8)[...] = ord("Z")
+        return a
+
+
+@pytest.mark.parametrize("empty", ["fresh", "stale"])
+def test_simulate_matches_per_value_writer_across_path_widths(
+        tmp_path, monkeypatch, empty):
+    """1001 paths of one step: the slice of block 3 from path 904 holds
+    paths 999 and 1000, whose path fields of 3 and 4 digits share one
+    NUL-padded width, and so does the one observables slice of that
+    block.  With 'stale', every array that `cli` takes from `np.empty`
+    starts filled with a non-NUL byte, so the CSVs show any element
+    that no step writes."""
+    text = (TINY.replace("time.T = 0.02", "time.T = 0.005")
+            .replace("run.N = 2", "run.N = 1001"))
+    assert solver.BLOCK_PATHS == 256
+    assert (904, 1001) in cli._slices(768, 1001, 30)
+    if empty == "stale":
+        monkeypatch.setattr(cli, "np", _StaleEmpty("numpy"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    traj_text, obs_text = _oracle_csvs(parse_config(text))
+    assert "\n999,0.0050000000000000001,0," in traj_text
+    assert "\n1000,0.0050000000000000001,0," in traj_text
+    assert (out / "trajectory.csv").read_bytes() == traj_text.encode()
+    assert (out / "observables.csv").read_bytes() == obs_text.encode()
+
+
 def _simulate_peaks(tmp_path, cfg_path, sizes):
     """tracemalloc peak of one `simulate` run at each path count."""
     peaks = []
@@ -822,6 +862,33 @@ def test_only_stepping_builds_the_initial_state(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "initial displacement fails discrete h6bc membership" in err
     assert "key 'init.mode'" in err
+
+
+@pytest.mark.parametrize("edit", ["beam.l = 1e-300", "beam.l = 1e300",
+                                  "beam.l = 1e-100", "beam.b = 1e200",
+                                  "beam.b = 1e-300", "noise.sigma = 1e300",
+                                  "noise.sigma = 1e-300"])
+def test_a_value_whose_power_leaves_the_doubles_is_a_config_error(
+        tmp_path, capsys, edit):
+    """configs/default.cfg with one key set where its power in the run
+    (l**4, b**2, sigma**2) leaves the normal doubles: every command exits
+    2 naming the key and its line, before any ZeroDivisionError or
+    OverflowError of the run (or, at l = 1e-100, a non-finite
+    resolvent)."""
+    key = edit.split(" =")[0]
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", edit,
+                          default.read_text(), flags=re.M)
+    assert count == 1
+    line = text.splitlines().index(edit) + 1
+    cfg_path = _write_cfg(tmp_path, text)
+    for command in ("simulate", "covariance", "verify", "trace-check"):
+        assert main([command, "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and f"line {line}" in err
+        assert "normal double" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("n, mode", [(8, 2), (16, 3)])

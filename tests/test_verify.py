@@ -495,6 +495,16 @@ def test_window_norms_from_one_walk_equal_the_per_window_route():
     assert res.status == "pass" and res.defect == 0.0
 
 
+def test_growth_bound_beyond_the_doubles_holds():
+    """At beam.b = 1e-20, C4 (about 3.6e9) puts exp(C4 (t - tau)) beyond
+    the doubles on every window: the bound is infinite and holds, and no
+    OverflowError ends the check."""
+    sc = build_scene(parse_config(_default_text({"beam.b": "1e-20"})))
+    assert sc.constants.C4 * sc.P.dt > 710
+    res = verify.check_growth_bound(sc)
+    assert res.status == "pass" and res.defect == 0.0
+
+
 def test_trace_identity_forward_walk_agrees_with_the_backward_one():
     """The check's forward sum over the noise columns and
     `trace_condition`'s backward walk of the identity give the same

@@ -334,8 +334,11 @@ def cmd_verify(cfg: SimulationConfig, out_dir: Optional[str] = None) -> int:
 
 def cmd_covariance(cfg: SimulationConfig, out_dir: str) -> int:
     """Monte Carlo vs quadrature variance for the first configured
-    observable; the ensemble runs on that observable alone, and one
-    `ito_variance` sweep gives the quadrature at every sampled time.
+    observable; the ensemble runs on that observable alone.  The backward
+    sweep that gives the ensemble its mild sum gives the quadrature at
+    every sampled time too (`solver.mild_sum`); where the ensemble steps
+    its paths instead, one `ito_variance` sweep gives it, so a run with
+    noise makes n_steps transposed steps either way.
 
     covariance.csv columns: t, mc_variance, quadrature_variance, stderr.
     stderr is the Gaussian-theory standard error of the sample variance,
@@ -348,8 +351,12 @@ def cmd_covariance(cfg: SimulationConfig, out_dir: str) -> int:
     stats = ensemble_run(replace(cfg, observables=(spec,)))
     scene = stats.scene
     h = sine_mode_state(scene.grid, *parse_observable_spec(spec))
-    quads = np.zeros(len(stats.times)) if scene.model is None else \
-        ito_variance(scene.P, scene.model, h, scene.obs_steps)
+    if scene.model is None:
+        quads = np.zeros(len(stats.times))
+    elif scene.mild is not None:
+        quads = scene.mild.variance[0]
+    else:
+        quads = ito_variance(scene.P, scene.model, h, scene.obs_steps)
     lines = ["t,mc_variance,quadrature_variance,stderr"]
     n_within = 0
     for ti, (t, quad) in enumerate(zip(stats.times, quads)):

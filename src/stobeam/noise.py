@@ -21,11 +21,14 @@ each (path, channel, chunk) starts at a fixed counter and none is drawn
 to reach another.  Identical (seed, path, K, n_steps) always reproduce
 bit-identical increments, independent of how many other paths are
 sampled concurrently and of which other channels are drawn.
-`project_increments` is the one routine that turns draws into grid
-increments, and `step_increments` the one loop that feeds a block of
-paths: it draws only the channels the block steps, one chunk at a time,
-with one generator repositioned for every (path, channel, chunk), and
-holds one chunk of draws and one step's increments at a time.
+`block_draws` is the one loop that draws for a block of paths: only the
+channels the block needs, one chunk at a time, with one generator
+repositioned for every (path, channel, chunk).  `project_increments` is
+the one routine that turns draws into grid increments, and
+`step_increments` feeds a stepped block with them, holding one chunk of
+draws and one step's increments at a time.  `adjoint_sweep` is the one
+backward walk of the test functions' images that both the Ito
+quadrature (`ito_variance`) and the solver's mild sum read.
 """
 
 from __future__ import annotations
@@ -207,29 +210,44 @@ def project_increments(model: NoiseModel, xi: np.ndarray,
     return model.e_red @ (xi * np.sqrt(model.q * dt)[:, None])
 
 
+def block_draws(model: NoiseModel, p0: int, p1: int, n_steps: int,
+                channels: slice):
+    """An iterator over the draws of paths p0..p1-1 in the `channels`
+    slice, one chunk at a time: (k0, xi) with xi the (nc, p1 - p0, c, K)
+    draws of steps k0..k0+c-1, as `draw_xi` writes them.  The chunks are
+    views of one buffer, each valid until the next.  The buffer is
+    allocated here, before the caller's state: allocated after it, the
+    draw buffers of 32-step chunks cost 4 MiB of peak RSS at n = 16,
+    8192 paths, 2 threads (glibc)."""
+    chans = range(3)[channels]
+    gen = model.generator()
+    xi = np.empty((len(chans), p1 - p0, min(CHUNK_STEPS, n_steps), model.K))
+
+    def chunks():
+        for k0 in range(0, n_steps, CHUNK_STEPS):
+            c = min(CHUNK_STEPS, n_steps - k0)
+            yield k0, model.draw_xi(gen, range(p0, p1), chans, k0,
+                                    xi[:, :, :c])
+    return chunks()
+
+
 def step_increments(model: NoiseModel, p0: int, p1: int, n_steps: int,
                     dt: float, channels: slice = slice(None)):
     """An iterator over the Wiener increments of paths p0..p1-1 in the
     `channels` slice, one (m, nc, p1 - p0) array per step in a block's
     velocity layout; a path's are its `path_xi` projected alone, bit for
-    bit.  Only the given channels are drawn, a chunk at a time, and each
-    step is projected straight from the draw buffer.  Its buffer is
-    allocated here, before the caller's state: allocated after it, the
-    draw buffers of 32-step chunks cost 4 MiB of peak RSS at n = 16,
-    8192 paths, 2 threads (glibc)."""
-    pb, chans = p1 - p0, range(3)[channels]
-    gen = model.generator()
-    xi = np.empty((len(chans), pb, min(CHUNK_STEPS, n_steps), model.K))
+    bit.  Only the given channels are drawn, a chunk at a time
+    (`block_draws`), and each step is projected straight from the draw
+    buffer."""
+    draws = block_draws(model, p0, p1, n_steps, channels)
 
     def steps():
-        for k0 in range(0, n_steps, CHUNK_STEPS):
-            c = min(CHUNK_STEPS, n_steps - k0)
-            model.draw_xi(gen, range(p0, p1), chans, k0, xi[:, :, :c])
-            for j in range(c):
+        for _, xi in draws:
+            for j in range(xi.shape[2]):
                 # (K, nc pb) columns, channel-major: a view of the buffer
                 cols = xi[:, :, j].reshape(-1, model.K).T
                 yield project_increments(model, cols, dt).reshape(
-                    -1, len(chans), pb)
+                    -1, *xi.shape[:2])
     return steps()
 
 
@@ -316,6 +334,36 @@ def _trace_integrand(img: np.ndarray, model: NoiseModel,
     return 3.0 * model.sigma**2 * np.sum(model.q * norms, axis=-1)
 
 
+def adjoint_sweep(P: PropagatorFactorization, model: NoiseModel,
+                  mh: np.ndarray, k: np.ndarray):
+    """One backward walk of the premetric images z_j = U(t_k, t_j)^T mh
+    for a stack mh (n_obs, 2m, 3) of images M_H h and the sorted distinct
+    sample steps k: yields (j, z, dots, acc) for j = n_steps down to 0.
+
+    z, (2m, 3, n_obs, len(k)), holds U(t_{k_i}, t_j)^T mh[o] in column
+    (o, i), and starts at zero: mh[o] enters column (o, i) when the walk
+    reaches k_i, so the column and its integrand are exactly zero until
+    then, and a sweep makes n_steps transposed steps, whatever len(k) is.
+    dots = e_red^T z_v, (K, 3, n_obs, len(k)), are the noise channels'
+    images, and acc, (n_obs, len(k)), the Ito quadrature of `ito_variance`
+    summed over the intervals from j up, one trapezoid interval per step:
+    at j = 0 it is the variance at every sample step.  z and dots are
+    valid until the next yield.
+    """
+    m = P.g.m
+    acc = np.zeros((len(mh), k.size))
+    f = np.zeros_like(acc)
+    start = np.zeros((2 * m, 3) + acc.shape)
+    for j, z in zip(range(P.n_steps, -1, -1), P.walk(start, transpose=True)):
+        z[..., k == j] = mh.transpose(1, 2, 0)[..., None]
+        dots = (model.e_red.T @ z[m:].reshape(m, -1)).reshape(
+            (-1, 3) + acc.shape)
+        f, f1 = model.sigma**2 * np.sum(
+            model.q[:, None, None, None] * dots * dots, axis=(0, 1)), f
+        acc += (j < k) * (P.dt * (f + f1) / 2.0)  # the interval j..j+1
+        yield j, z, dots, acc
+
+
 def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
                  steps) -> np.ndarray:
     """Exact variances of <int_0^t U(t,r) A dW(r), h>_H at truncation K,
@@ -324,11 +372,9 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
     Quadrature of sum_{k,c} q_k <A e_{k,c}, U*(t,r) h>_H^2 at r = t_j,
     j = 0..k, through the premetric images z_j = U(t,t_j)^T M_H h, so no
     Gram solve enters and duality is exact.  The sorted distinct steps
-    share one backward walk over a stack of 3 columns each that starts at
-    zero: M_H h enters a step's columns when the walk reaches it, so they
-    and their integrand are exactly zero until then, and the trapezoid is
-    summed one interval per step of the walk: a call makes n_steps
-    transposed steps, whatever len(steps) is.
+    share one backward walk (`adjoint_sweep`) over a stack of 3 columns
+    each, and the trapezoid is summed one interval per step of the walk:
+    a call makes n_steps transposed steps, whatever len(steps) is.
 
     h must vanish at the stored clamp values (checked; its smoothness is
     not), and a step outside 0..n_steps raises InvalidArgumentError.
@@ -339,14 +385,6 @@ def ito_variance(P: PropagatorFactorization, model: NoiseModel, h: BeamState,
     k, back = np.unique(np.asarray(steps, dtype=int), return_inverse=True)
     if not np.all((k >= 0) & (k <= P.n_steps)):
         raise InvalidArgumentError(f"sample step outside 0..{P.n_steps}")
-    m, mh = P.g.m, P.g.mh_apply(h.packed())[..., None]
-    acc, f = np.zeros(k.size), np.zeros(k.size)
-    # z_j = U(t_k, t_j)^T M_H h in column k, from j = n_steps down to 0
-    for j, z in zip(range(P.n_steps, -1, -1),
-                    P.walk(np.zeros((2 * m, 3, k.size)), transpose=True)):
-        z[..., k == j] = mh
-        dots = (model.e_red.T @ z[m:].reshape(m, -1)).reshape(-1, 3, k.size)
-        f, f1 = model.sigma**2 * np.sum(model.q[:, None, None] * dots * dots,
-                                        axis=(0, 1)), f
-        acc += (j < k) * (P.dt * (f + f1) / 2.0)  # the interval j..j+1
-    return acc[back]
+    for *_, acc in adjoint_sweep(P, model, P.g.mh_apply(h.packed())[None], k):
+        pass
+    return acc[0, back]

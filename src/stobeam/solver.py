@@ -12,7 +12,7 @@ emission.
 
 A run is one `Scene`: what `build_scene` assembles from the config, plus
 the loads, initial state and observables it builds on first use.  One
-kernel, `_block_worker`, advances the scene's paths: a block of paths is
+kernel, `_block_worker`, steps the scene's paths: a block of paths is
 one matrix that walks the propagator's chain (`P.walk`) in step with
 the noise's (`noise.step_increments`), adding the load before each step
 and the kick after it.  The generator, the loads and the noise covariance
@@ -21,11 +21,17 @@ history steps all three channels, and one that keeps only observables
 steps the channels they read.  A single path is a block of width one
 with its packed history kept: `solve_homogeneous` returns it as states,
 and `weak_residual` pairs such a history, with the increments its caller
-projects, against a test function.  `ensemble_blocks` runs fixed-size
-blocks on forked worker processes, capped at the usable CPUs, and hands
-them out in block order, and `ensemble_run`, the one moment fold, merges
-their accumulators in that order, so results are identical for any
-number of workers.
+projects, against a test function.
+
+A block that keeps only observables is not stepped at all where the
+scene's mild sum (`mild_sum`) is small enough: the scheme is linear and
+its noise additive, so one backward sweep of the observables' premetric
+images gives every path's mean and the weights of its draws, and a
+block costs its draws and one product per chunk of them.
+`ensemble_blocks` runs fixed-size blocks on forked worker processes,
+capped at the usable CPUs, and hands them out in block order, and
+`ensemble_run`, the one moment fold, merges their accumulators in that
+order, so results are identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +50,8 @@ from .errors import (BlowupError, ConfigError, InvalidArgumentError,
                      PreconditionError, ShapeError)
 from .grid import (BeamGrid, BeamState, GramSet, build_grams, build_grid,
                    check_membership, packed_h_inner, packed_h_norm)
-from .noise import NoiseModel, build_noise_model, step_increments
+from .noise import (NoiseModel, adjoint_sweep, block_draws,
+                    build_noise_model, step_increments)
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
 from .propagator import PropagatorFactorization, build_propagator
@@ -115,6 +122,19 @@ class Scene:
         """Observable sample steps: every obs_stride-th and the last."""
         n = self.cfg.n_steps
         return np.unique(np.r_[0:n + 1:self.cfg.obs_stride, n])
+
+    @functools.cached_property
+    def obs_channels(self) -> slice:
+        """The channels the observables read, as a slice: any set of the
+        three channels is one, so indexing with it takes views."""
+        c = np.flatnonzero(self.obs_mh.any(axis=(0, 1)))
+        return slice(c[0], c[-1] + 1, c[1] - c[0] if len(c) > 1 else 1)
+
+    @functools.cached_property
+    def mild(self) -> Optional[MildSum]:
+        """The observables' mild sum, or None where a run steps its
+        paths; see `mild_sum`."""
+        return mild_sum(self)
 
 
 def build_scene(cfg: SimulationConfig) -> Scene:
@@ -357,6 +377,68 @@ class EnsembleStats:
         return self.m2 / (self.count - 1)
 
 
+class MildSum(NamedTuple):
+    """The observables of a run as sums over each path's draws: at sample
+    time i, observable o of a path whose read channels drew xi (`draw_xi`,
+    flattened per channel in step-major order) is
+
+        mean[o, i] + sum_c xi_c . weights[c, :, o n_times + i].
+    """
+
+    mean: np.ndarray  # (n_obs, n_times): x0 and load pairings, lift included
+    weights: np.ndarray  # (nc, n_steps K, n_obs n_times), per read channel
+    variance: np.ndarray  # (n_obs, n_times): `ito_variance`'s quadrature
+
+
+def mild_sum(scene: Scene) -> Optional[MildSum]:
+    """The scene's observables as a mild sum, from one `adjoint_sweep`;
+    None without noise, and when the weights, nc n_steps K n_obs n_times
+    numbers for the nc channels read, outnumber the entries of the step
+    factors the chain holds: m^2 each, n_steps of them under a
+    time-dependent tension and one under an autonomous one.
+
+    For the scheme X_{k+1} = G_k (X_k + dt F_k) + sigma A xi_k the pairing
+    with an observable's image M_H h at a sample step n is, to rounding,
+
+        <X_n, h>_H = z_0 . X_0 + dt sum_{k<n} z_k . F_k
+                     + sum_{k<n} xi_k . w_k
+
+    with z_k = U(t_n, t_k)^T M_H h and, in each channel,
+    w_k = sigma sqrt(q dt) (e_red^T z_{k+1,v}): the first two terms are
+    every path's mean, the last one its draws against fixed weights.  The
+    rule keeps the weights no larger than the chain, and so one step's
+    products of a path in a channel, K n_obs n_times, no costlier than
+    its m x m step; a long horizon sampled at every step, whose weights
+    grow as n_steps^2, and a long autonomous one, whose chain does not
+    grow, are stepped.  The variance is the sweep's quadrature.
+    """
+    cfg, model, m = scene.cfg, scene.model, scene.grid.n_free
+    if model is None:
+        return None
+    mh, k, ch, K = scene.obs_mh, scene.obs_steps, scene.obs_channels, model.K
+    nc, cols = len(range(3)[ch]), len(mh) * len(k)
+    factors = len({id(d) for d in scene.P.steps})
+    if nc * cfg.n_steps * K * cols > factors * m * m:
+        return None
+    weights = np.empty((nc, cfg.n_steps * K, cols))
+    loads = np.zeros((len(mh), len(k)))
+    for j, z, dots, acc in adjoint_sweep(scene.P, model, mh, k):
+        # z_j . F_j enters the sample steps after j; F acts on velocities
+        loads += (j < k) * np.einsum("icon,ic->on", z[m:],
+                                     scene.forces[j][m:])
+        if j > 0:  # the weights of step j - 1's draws
+            w = dots[:, ch].reshape(K, -1, cols) \
+                * (model.sigma * np.sqrt(model.q * cfg.dt))[:, None, None]
+            weights[:, (j - 1) * K:j * K] = w.transpose(1, 0, 2)
+    # z is now z_0; the lift is added to each emitted state, as stepped
+    lift = np.zeros((2 * m, 3))
+    if scene.shift is not None:
+        lift[:m] = scene.shift[:m]
+    mean = np.einsum("icon,ic->on", z, scene.x0p) + cfg.dt * loads \
+        + np.einsum("oic,ic->o", mh, lift)[:, None]
+    return MildSum(mean, weights, acc)
+
+
 def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool,
                   all_channels: bool = False):
     """Evolve paths p0..p1-1 of the scene's run as one (2m, nc, p1 - p0)
@@ -384,11 +466,7 @@ def _block_worker(scene: Scene, p0: int, p1: int, keep_history: bool,
     n_steps = cfg.n_steps
     pb = p1 - p0
     mh, forces, model = scene.obs_mh, scene.forces, scene.model
-    ch = slice(None)
-    if not (keep_history or all_channels):
-        # any set of the three channels is a slice, so `ch` takes views
-        c = np.flatnonzero(mh.any(axis=(0, 1)))
-        ch = slice(c[0], c[-1] + 1, c[1] - c[0] if len(c) > 1 else 1)
+    ch = slice(None) if keep_history or all_channels else scene.obs_channels
     mh, nc = mh[:, :, ch], len(range(3)[ch])
     walk = scene.P.walk(
         np.broadcast_to(scene.x0p[:, ch, None], (2 * m, nc, pb)))
@@ -483,8 +561,38 @@ def _adopt(scene: Scene):
     _worker_scene = scene
 
 
+def _block(scene: Scene, p0: int, p1: int, keep_history: bool):
+    """(vals, history) of paths p0..p1-1, one block of `ensemble_blocks`.
+
+    Without history, and when the scene takes that route, the values come
+    from the mild sum: a C-contiguous (n_obs, n_times, p1 - p0) array of
+    the mean plus one product of each chunk of a read channel's draws
+    (`block_draws`, the draws a stepped block takes) with its weights.
+    Otherwise, and for a block whose mild values are not all finite, so
+    that it raises its BlowupError, the block is stepped by
+    `_block_worker`.
+    """
+    mild = None if keep_history else scene.mild
+    if mild is None:
+        return _block_worker(scene, p0, p1, keep_history)
+    model, pb = scene.model, p1 - p0
+    # C order: `_merge_moments` sums in the order of the layout, which
+    # must not change when a block comes back from a worker
+    vals = np.empty((mild.mean.size, pb))
+    vals[...] = mild.mean.reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        for k0, xi in block_draws(model, p0, p1, scene.cfg.n_steps,
+                                  scene.obs_channels):
+            rows = slice(k0 * model.K, (k0 + xi.shape[2]) * model.K)
+            for x, w in zip(xi, mild.weights):
+                vals += w[rows].T @ x.reshape(pb, -1).T
+    if not np.isfinite(vals).all():
+        return _block_worker(scene, p0, p1, False)
+    return vals.reshape(mild.mean.shape + (pb,)), None
+
+
 def _run_block(p0: int, p1: int, keep_history: bool):
-    return _block_worker(_worker_scene, p0, p1, keep_history)
+    return _block(_worker_scene, p0, p1, keep_history)
 
 
 def ensemble_blocks(scene: Scene,
@@ -492,7 +600,7 @@ def ensemble_blocks(scene: Scene,
     """Run the scene's paths in blocks of BLOCK_PATHS and yield
     (p0, p1, vals, history) per block, in block-index order.
 
-    `vals` and `history` are `_block_worker`'s; `history` is None unless
+    `vals` and `history` are `_block`'s; `history` is None unless
     `keep_history`.  With `block_workers` above 1 the blocks run on that
     many forked processes, which are started before this returns, so
     that a thread the caller starts later is not forked.  At most
@@ -515,10 +623,12 @@ def _handout(scene: Scene, keep_history: bool):
     workers = block_workers(scene.cfg.threads, len(spans))
     # build the shared arrays here, so that every worker inherits them
     scene.forces, scene.x0p, scene.obs_mh, scene.obs_steps
+    if not keep_history:
+        scene.mild
     if workers == 1:
         yield
         for p0, p1 in spans:
-            yield (p0, p1, *_block_worker(scene, p0, p1, keep_history))
+            yield (p0, p1, *_block(scene, p0, p1, keep_history))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -547,12 +657,13 @@ def ensemble_run(cfg: SimulationConfig) -> EnsembleStats:
 
     Observables are H-inner products against sine-mode test functions,
     the config's 'mode:channel:u|v' specs, sampled every `obs_stride`
-    steps plus the final time.  Paths are evolved in fixed-size blocks on
-    up to `cfg.threads` worker processes (`block_workers`); block moments
-    merge in index order, so the output is identical for any worker
-    count.  No per-path value outlives its block: `ensemble_blocks`
-    hands out the blocks themselves, as `stobeam simulate` streams them
-    to its CSVs.
+    steps plus the final time.  Paths run in fixed-size blocks on up to
+    `cfg.threads` worker processes (`block_workers`), each block from the
+    scene's mild sum where it has one (`mild_sum`: its draws against
+    fixed weights, no step) and stepped otherwise; block moments merge in
+    index order, so the output is identical for any worker count.  No
+    per-path value outlives its block: `ensemble_blocks` hands out the
+    blocks themselves, as `stobeam simulate` streams them to its CSVs.
     """
     scene = build_scene(cfg)
     count, mean, m2 = 0, None, None

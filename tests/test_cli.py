@@ -325,7 +325,8 @@ run.obs_stride = 25
 def test_covariance_quadrature_is_one_backward_walk(tmp_path, monkeypatch,
                                                     capsys):
     """All sample times share one walk back from t = T: n_steps transposed
-    steps, not one walk per sample time (1 375 steps here)."""
+    steps, not one walk per sample time (1 375 steps here).  That walk
+    also gives the ensemble its mild sum, so no path is stepped forward."""
     calls = []
     rule = propagator.step_rule
 
@@ -338,6 +339,7 @@ def test_covariance_quadrature_is_one_backward_walk(tmp_path, monkeypatch,
     assert main(["covariance", "--config", cfg_path,
                  "--out", str(tmp_path / "c")]) == 0
     assert sum(calls) == 250
+    assert calls.count(False) == 0
     rows = (tmp_path / "c" / "covariance.csv").read_text().splitlines()
     assert len(rows) == 1 + 11
     capsys.readouterr()

@@ -26,7 +26,7 @@ from stobeam.solver import (_block_worker, bending_mode_state, build_forces,
                             initial_state, sine_mode_state,
                             solve_homogeneous, weak_residual)
 
-from test_digests import FORCED_CFG
+from test_digests import FORCED_CFG, MC_CFG
 
 FREE = """
 beam.l = 1.0
@@ -518,21 +518,44 @@ def test_ensemble_thread_count_does_not_change_results():
     assert np.array_equal(_block_values(base), _block_values(threaded))
 
 
+#: the configs whose observables a run takes from the mild sum, and the
+#: channels they read: one channel-3 observable, one channel-2 observable,
+#: the digest test's forced config (nonhomogeneous, loads on channels 1
+#: and 3, observables in channels 3 and 1), and bending-mode initial data
+#: with noise under the bump tension
+OBSERVED = {"channel-3": (STOCH.replace("1:3:v,2:1:v", "1:3:v"), 1),
+            "channel-2": (STOCH.replace("1:3:v,2:1:v", "2:2:u"), 1),
+            "forced": (FORCED_CFG.replace("run.N = 300\n", ""), 2),
+            "mode-data": (STOCH.replace("1:3:v,2:1:v", "1:3:v")
+                          .replace("init.family = zero",
+                                   "init.family = mode\ninit.mode = 1"), 1)}
+
+
+def _paired_histories(sc, p0, p1):
+    """The observables of paths p0..p1-1, lift included, paired from their
+    full three-channel histories."""
+    lift = np.zeros((2 * sc.g.m, 3))
+    if sc.shift is not None:
+        lift[:sc.g.m] = sc.shift[:sc.g.m]
+    history = _block_worker(sc, p0, p1, True)[1]
+    want = np.stack([np.einsum("oic,icp->op", sc.obs_mh, history[j])
+                     for j in sc.obs_steps], axis=1)
+    return want + np.einsum("oic,ic->o", sc.obs_mh, lift)[:, None, None]
+
+
 @pytest.mark.parametrize("name", ["channel-3", "channel-2", "forced"])
 def test_observed_channel_blocks_pair_like_full_histories(name,
                                                           monkeypatch):
-    """Without history a block steps only the channels its observables
-    read, and its values are, bit for bit, the pairings of the full
-    three-channel histories with the observables, lift included: one
-    channel-3 observable, one channel-2 observable, and the digest test's
-    forced config (nonhomogeneous, loads on channels 1 and 3, observables
-    in channels 3 and 1).  A block of pb paths steps nc pb columns for the
-    nc channels read, and 3 pb with history.  The widths are recorded in
-    this process, so those runs take one worker; the forced config's own
-    two workers give the same values bit for bit."""
-    text, nc = {"channel-3": (STOCH.replace("1:3:v,2:1:v", "1:3:v"), 1),
-                "channel-2": (STOCH.replace("1:3:v,2:1:v", "2:2:u"), 1),
-                "forced": (FORCED_CFG.replace("run.N = 300\n", ""), 2)}[name]
+    """Without history a stepped block (`_block_worker`, the route of
+    scenes whose mild sum would be too large, and of a mild block that
+    is not finite) steps only the channels its observables read, and its
+    values are, bit for bit, the pairings of the full three-channel
+    histories with the observables, lift included.  A block of pb paths
+    steps nc pb columns for the nc channels read, and 3 pb with history.
+    The ensemble blocks of these configs, whichever route they take, are
+    with the forced config's own two workers those of one worker, bit
+    for bit."""
+    text, nc = OBSERVED[name]
     cfg = parse_config(text + "run.N = 300\n")
     sc = build_scene(dataclasses.replace(cfg, threads=1))
     widths = []
@@ -542,26 +565,144 @@ def test_observed_channel_blocks_pair_like_full_histories(name,
         step_rule(d, dt, buf, out, transpose)
 
     monkeypatch.setattr(propagator, "step_rule", recording)
-    blocks = list(ensemble_blocks(sc))
+    spans = [(0, 256), (256, 300)]
+    blocks = [_block_worker(sc, p0, p1, False)[0] for p0, p1 in spans]
     narrow, widths[:] = set(widths), []
-    full = list(ensemble_blocks(sc, keep_history=True))
-    lift = np.zeros((2 * sc.g.m, 3))
-    if sc.shift is not None:
-        lift[:sc.g.m] = sc.shift[:sc.g.m]
-    for (p0, p1, vals, _), (q0, q1, _, history) in zip(blocks, full):
-        assert (p0, p1) == (q0, q1)
-        want = np.stack([np.einsum("oic,icp->op", sc.obs_mh, history[j])
-                         for j in sc.obs_steps], axis=1)
-        want += np.einsum("oic,ic->o", sc.obs_mh, lift)[:, None, None]
-        assert np.array_equal(vals, want)
+    for vals, (p0, p1) in zip(blocks, spans):
+        assert np.array_equal(vals, _paired_histories(sc, p0, p1))
     assert narrow == {nc * 256, nc * 44}
     assert set(widths) == {3 * 256, 3 * 44}
+    inline = list(ensemble_blocks(sc))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pooled = list(ensemble_blocks(build_scene(cfg)))
-    assert len(pooled) == len(blocks) == 2
-    for (p0, p1, vals, _), (q0, q1, pooled_vals, _) in zip(blocks, pooled):
+    assert len(pooled) == len(inline) == 2
+    for (p0, p1, vals, _), (q0, q1, pooled_vals, _) in zip(inline, pooled):
         assert (p0, p1) == (q0, q1)
         assert np.array_equal(vals, pooled_vals)
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED))
+def test_mild_blocks_pair_like_full_histories(name):
+    """Without history an ensemble block of these configs is the mild
+    sum, which equals the pairings of the stepped full histories to
+    rounding.  The forced config is sampled every 10 steps: every 5, the
+    weights of its two channels (2 x 2 x 5 x 6 per step) outnumber its
+    81-entry factors, and its run steps.  In each (observable, time) row
+    the worst difference, relative to the row's largest |value|, measured
+    1.1e-15 on the first three configs and 2.0e-14 with mode data, where
+    the initial state's pairing, carried by the adjoint chain, dominates
+    the values; the bound leaves a factor of about 50 for other BLAS
+    kernels."""
+    text = OBSERVED[name][0].replace("run.obs_stride = 5",
+                                     "run.obs_stride = 10")
+    cfg = parse_config(text + "run.N = 300\n")
+    sc = build_scene(dataclasses.replace(cfg, threads=1))
+    blocks = list(ensemble_blocks(sc))
+    assert sc.mild is not None
+    for p0, p1, vals, _ in blocks:
+        want = _paired_histories(sc, p0, p1)
+        scale = np.max(np.abs(want), axis=2, keepdims=True)
+        err = np.abs(vals - want) / np.where(scale > 0, scale, 1.0)
+        assert np.max(err) < 1e-12
+
+
+def test_mild_route_is_taken_where_its_weights_fit_the_chain():
+    """The route is computed: a run takes the mild sum when its weights,
+    nc n_steps K n_obs n_times numbers, are no more than the entries of
+    the chain's distinct m x m factors.  Under the bump tension every
+    step has its own, so the bench's mc-covariance config as `covariance`
+    runs it (1 x 11 x 12 = 132 <= 289 per step at n = 16) and wide-grid
+    (1 x 5 x 12 = 60 <= 66 049 at n = 256) take it; both observables, as
+    in the 20 000-path acceptance run (2 channels x 264 = 528), and
+    sampling at every step (1 x 251 x 12) step their paths.  An
+    autonomous tension holds one factor, so the same run steps its paths
+    under it, and a run without noise, here sampled at every step, has no
+    draws to weigh and makes no sweep."""
+    mc = parse_config(MC_CFG)
+    first = dataclasses.replace(mc, observables=mc.observables[:1])
+    assert build_scene(first).mild is not None
+    assert build_scene(mc).mild is None
+    wide = dataclasses.replace(first, n=256, T=0.1, n_paths=256, threads=1)
+    sc = build_scene(wide)
+    assert len(sc.obs_mh) * len(sc.obs_steps) * wide.K == 60
+    assert sc.mild is not None
+    assert build_scene(dataclasses.replace(first, obs_stride=1)).mild is None
+    auto = build_scene(parse_config(MC_CFG.replace(
+        "lambda.family = bump", "lambda.family = zero")))
+    assert len({id(d) for d in auto.P.steps}) == 1 and auto.mild is None
+    quiet = build_scene(parse_config(
+        MC_CFG.replace("noise.sigma = 1.0", "noise.sigma = 0.0")
+        .replace("run.obs_stride = 25", "run.obs_stride = 1")))
+    assert quiet.model is None and quiet.mild is None
+
+
+def test_stepped_route_builds_no_weights():
+    """Where the weights would outgrow a factor (mc-covariance sampled at
+    every step: 251 x 250 x 12 of them, 6.0 MB), the paths are stepped and
+    nothing of that size is built: the traced peak of a 16-path run, its
+    scene built beforehand, stays below a tenth of it."""
+    cfg = dataclasses.replace(parse_config(MC_CFG), observables=("1:3:v",),
+                              obs_stride=1, n_paths=16, threads=1)
+    sc = build_scene(cfg)
+    weights = len(sc.obs_steps) * cfg.n_steps * cfg.K * 8
+    tracemalloc.start()
+    try:
+        for _ in ensemble_blocks(sc):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.mild is None
+    assert peak < weights / 10, (peak, weights)
+
+
+def test_mild_block_blowup_is_the_stepped_one(monkeypatch):
+    """An infinite draw of path 5 at a step of the second chunk leaves
+    the mild sum of its block non-finite; the block is then stepped, so
+    `ensemble_run` raises the stepped route's BlowupError, with the same
+    path, step and last finite H-norm."""
+    cfg = parse_config(STOCH.replace("time.T = 0.05", "time.T = 0.4")
+                       .replace("run.obs_stride = 5", "run.obs_stride = 40")
+                       .replace("1:3:v,2:1:v", "1:3:v") + "run.N = 8\n")
+    assert cfg.n_steps > noise.CHUNK_STEPS + 3
+    assert build_scene(cfg).mild is not None
+    draw = noise.NoiseModel.draw_xi
+
+    def poisoned(self, gen, paths, channels, k0, out):
+        draw(self, gen, paths, channels, k0, out)
+        if k0 == noise.CHUNK_STEPS and 5 in paths:
+            out[:, paths.index(5), 3] = np.inf
+        return out
+
+    monkeypatch.setattr(noise.NoiseModel, "draw_xi", poisoned)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(BlowupError) as stepped:
+        _block_worker(build_scene(cfg), 0, 8, False)
+    assert str(stepped.value).startswith(
+        "path 5 became non-finite at step 132; last finite H-norm ")
+    with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as mild:
+        ensemble_run(cfg)
+    assert str(mild.value) == str(stepped.value)
+
+
+@pytest.mark.parametrize("stride", [5, 1], ids=["mild", "stepped"])
+def test_block_values_are_c_contiguous_on_both_routes(stride, monkeypatch):
+    """Every block's values are C-contiguous, inline and from two
+    workers, on both routes.  numpy sums a block's paths in an order that
+    depends on the layout, and a block comes back from a worker pickled,
+    so one layout keeps `_merge_moments` the same for every worker
+    count, whatever the BLAS thread count."""
+    cfg = parse_config(STOCH.replace("run.obs_stride = 5",
+                                     f"run.obs_stride = {stride}")
+                       .replace("1:3:v,2:1:v", "1:3:v") + "run.N = 300\n")
+    assert (build_scene(cfg).mild is None) == (stride == 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for threads in (1, 2):
+        blocks = list(ensemble_blocks(build_scene(
+            dataclasses.replace(cfg, threads=threads))))
+        assert len(blocks) == 2
+        for _, _, vals, _ in blocks:
+            assert vals.flags.c_contiguous
 
 
 def test_blowup_in_a_channel_no_observable_reads_goes_unseen(monkeypatch):
@@ -751,6 +892,18 @@ def test_block_memory_does_not_grow_with_steps():
     base = (WIDE.replace("lambda.family = bump", "lambda.family = zero")
             .replace("time.dt = 0.005", "time.dt = 0.001")
             .replace("run.obs_stride = 2", "run.obs_stride = 250"))
-    peaks = [_block_peak(parse_config(base.replace(
-        "time.T = 0.02", f"time.T = {T}")))[1] for T in ("0.25", "2.5")]
+    cfgs = [parse_config(base.replace("time.T = 0.02", f"time.T = {T}"))
+            for T in ("0.25", "2.5")]
+    peaks = [_block_peak(cfg)[1] for cfg in cfgs]
     assert peaks[1] < 1.2 * peaks[0], peaks
+    # nor does a run's: the one factor is no room for the weights of
+    # 2 500 steps, so its paths are stepped
+    runs = []
+    for cfg in cfgs:
+        tracemalloc.start()
+        try:
+            ensemble_run(dataclasses.replace(cfg, threads=1))
+            runs.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert runs[1] < 1.2 * runs[0], runs

@@ -234,10 +234,10 @@ def cmd_simulate(cfg: SimulationConfig, out_dir: str) -> int:
 
     # the text of each row after its path index, up to its values
     traj_pre = np.array([f",{_fmt(t)},{_fmt(s)},{c},"
-                         for t in scene.P.times[1:]
+                         for t in scene.times[1:]
                          for s in scene.grid.nodes for c in (1, 2, 3)], "S")
     obs_pre = np.array([f",{_fmt(t)},{oid},"
-                        for t in scene.P.times[scene.obs_steps]
+                        for t in scene.times[scene.obs_steps]
                         for oid in cfg.observables], "S")
 
     def texts(blocks):

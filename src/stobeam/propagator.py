@@ -25,10 +25,15 @@ four blocks, so a step stores D, not G: a quarter of the storage, and
 costs O(m^2) to build instead of the O(m^3) of a dense (2m)x(2m) LU.  The
 set-up is batched: the band arithmetic of a run of steps (c(t_k), the
 tension bands, A and its norm) is one vectorized pass, and per factor
-only LAPACK's gbtrf, gbcon and gbtrs run, the solve in place on the
-zeroed array that becomes D.  The factors stay dense: stepping a block of
-paths is one dense matmul per step, which beats applying banded factors
-to it.
+only LAPACK's gbtrf and gbcon run, which give its `BandedFactor`: the
+band of h^2 K and the LU of A.  A dense chain (`build_propagator`) then
+solves each D in place, on the zeroed array that becomes D: stepping a
+block of paths is one dense matmul per step, which beats applying banded
+factors to it.  A banded chain (`build_banded`) keeps the banded
+factors, O(m) numbers a step, and walks transposed only, for sweeps of
+a few columns: there D^T w is one transposed gbtrs and one band product,
+about twice the dense product's time at m = 257 and 15 columns, while
+the dense D's solve and its m^2 numbers are not made at all.
 
 The family is kept on the grid t_k = k dt as the ordered list of its
 per-step factors; a window is a range i0..i1 of step indices, the only
@@ -53,7 +58,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbcon as _gbcon, dgbsv as _gbsv, \
@@ -87,60 +92,117 @@ def stack_size(nbytes: int) -> int:
     return max(1, STACK_BYTES // nbytes)
 
 
-def _factors_from_bands(kb: np.ndarray, mass: np.ndarray,
-                        dt: float) -> List[np.ndarray]:
-    """Increment factors D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K) of the
-    Cayley maps of L = [[0, I], [-M^-1 K, 0]], one for each K of a stack
+class BandedFactor(NamedTuple):
+    """One step's increment factor D = -h^2 A^-1 K (h = dt/2, A = M + h^2 K)
+    in banded form, O(m) numbers: `kt`, (m, 2 bw + 1), holds the band of
+    -(h^2 K)^T row by row, kt[j, r] = -h^2 K[j + r - bw, j], and `lu` and
+    `piv` the gbtrf LU of A (LU, not Cholesky, so that an indefinite K
+    still factors).  It applies D^T (`apply_transposed`) and nothing
+    else; `_dense_factor` solves the dense D from it."""
+
+    kt: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def apply_transposed(self, w: np.ndarray, out: np.ndarray) -> None:
+        """out = D^T w = -(h^2 K)^T A^-T w for (m, c) arrays: one
+        transposed gbtrs and one band product.  Not M A^-T w - w, the same
+        map, which cancels for the low modes."""
+        m, width = self.kt.shape
+        bw, c = width // 2, w.shape[1]
+        pad = np.zeros((m + 2 * bw, c))
+        pad[bw:bw + m] = _gbtrs(self.lu, bw, bw, w, self.piv, trans=1)[0]
+        # window j holds rows j - bw .. j + bw of A^-T w, zero outside
+        step = pad.strides[0]
+        win = np.ndarray((m, width, c), buffer=pad,
+                         strides=(step, step, pad.strides[1]))
+        np.matmul(self.kt[:, None], win, out=out[:, None])
+
+
+def _band_factors(kb: np.ndarray, mass: np.ndarray,
+                  dt: float) -> List[BandedFactor]:
+    """The banded increment factors (`BandedFactor`) of the Cayley maps
+    of L = [[0, I], [-M^-1 K, 0]], one for each K of a stack
     (s, 2 bw + 1, m) of bands; the module docstring gives the map G that
     D fixes and `step_rule` applies.
 
-    The band arithmetic (h^2 K, A and the 1-norms of A) is one pass over
-    the stack.  Each D is then solved for directly: the dense -h^2 K,
-    placed from its band into a zeroed F-order array, is overwritten by
-    one solve against the banded LU of A (LU, not Cholesky, so that an
-    indefinite K still factors), so a factor's build holds no other dense
-    array.  The one solve is the whole build: a refinement sweep in
-    working precision lowers the backward error only, and leaves the map
-    no closer to an extended-precision Cayley map than the solve alone.
-    A non-finite band is refused before its LU, a factor that overflows
-    after its solve, so no view of a chain scans it again.
+    The band arithmetic (h^2 K, its rows -(h^2 K)^T, A and the 1-norms of
+    A) and the placing of each A into the array its LU overwrites are one
+    pass over the stack; per factor only gbtrf and gbcon run.  A
+    non-finite band is refused before its LU, and an exactly singular A
+    after it, as no solve against that LU is finite; a nearly singular
+    one warns.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidArgumentError(f"step size must be positive, got {dt}")
-    bw = (kb.shape[1] - 1) // 2
-    m = mass.size
+    s, width, m = kb.shape
+    bw = width // 2
     h = 0.5 * dt
-    # row r, column j of the bands holds entry (i, j) = (r - bw + j, j) of
-    # K, at i + j m in an F-order m x m array, where 0 <= i < m
-    i = np.arange(-bw, bw + 1)[:, None] + np.arange(m)
-    r, j = np.nonzero((i >= 0) & (i < m))
     a = (h * h) * kb
-    band, at = -a[:, r, j], i[r, j] + j * m  # the entries of -h^2 K
+    kt = np.empty((s, m, width))
+    np.negative(a.transpose(0, 2, 1), out=kt)
     a[:, bw] += mass
     anorm = np.abs(a).sum(axis=1).max(axis=1)  # nan or inf for a non-finite a
-    # gbtrf keeps the fill-in of row pivoting in bw extra leading rows
-    ab = np.zeros((3 * bw + 1, m), order="F")
+    # gbtrf keeps the fill-in of row pivoting in bw extra leading rows;
+    # each factor's LU overwrites an F-order view of one stack
+    lus = np.zeros((s, m, 3 * bw + 1)).transpose(0, 2, 1)
+    lus[:, bw:] = a
     factors = []
-    for k in range(kb.shape[0]):
+    for k in range(s):
         if not np.isfinite(anorm[k]):
             raise InvalidArgumentError(
                 "cayley resolvent has non-finite entries")
-        ab[:bw] = 0.0
-        ab[bw:] = a[k]
-        lu, piv, info = _gbtrf(ab, bw, bw, overwrite_ab=1)
+        lu, piv, info = _gbtrf(lus[k], bw, bw, overwrite_ab=1)
         rcond = 0.0 if info > 0 else _gbcon(bw, bw, lu, piv, anorm[k])[0]
         if rcond < _RCOND_FLOOR:
             warnings.warn(
                 f"cayley resolvent is nearly singular (rcond={rcond:.2e}); "
                 "reduce dt", stacklevel=3)
-        # the dense -h^2 K, solved in place
-        d = np.zeros((m, m), order="F")
-        d.ravel(order="F")[at] = band[k]
-        d = _gbtrs(lu, bw, bw, d, piv, overwrite_b=1)[0]
-        if not np.isfinite(d).all():
+        if info > 0:
             raise InvalidArgumentError("step factor has non-finite entries")
-        factors.append(d)
+        factors.append(BandedFactor(kt[k], lu, piv))
     return factors
+
+
+@functools.lru_cache
+def _band_places(m: int, bw: int):
+    """(r, j, at), read-only: row r, column j of an m x m matrix's bands
+    of half-bandwidth bw holds entry (i, j) = (r - bw + j, j), at flat
+    index i + j m of an F-order array, for every 0 <= i < m."""
+    i = np.arange(-bw, bw + 1)[:, None] + np.arange(m)
+    r, j = np.nonzero((i >= 0) & (i < m))
+    places = r, j, i[r, j] + j * m
+    for x in places:
+        x.flags.writeable = False
+    return places
+
+
+def _dense_factor(f: BandedFactor) -> np.ndarray:
+    """The dense D of a banded factor, solved directly: the dense -h^2 K,
+    placed from its band into a zeroed F-order array, is overwritten by
+    one solve against the LU of A, so the build holds no other dense
+    array.  The one solve is the whole build: a refinement sweep in
+    working precision lowers the backward error only, and leaves the map
+    no closer to an extended-precision Cayley map than the solve alone.
+    A factor that overflows is refused, so no view of a chain scans it
+    again."""
+    m, width = f.kt.shape
+    bw = width // 2
+    r, j, at = _band_places(m, bw)
+    d = np.zeros((m, m), order="F")
+    d.ravel(order="F")[at] = f.kt[j, r]
+    d = _gbtrs(f.lu, bw, bw, d, f.piv, overwrite_b=1)[0]
+    if not np.isfinite(d).all():
+        raise InvalidArgumentError("step factor has non-finite entries")
+    return d
+
+
+def _factors_from_bands(kb: np.ndarray, mass: np.ndarray,
+                        dt: float) -> List[np.ndarray]:
+    """The dense increment factors D of a stack (s, 2 bw + 1, m) of bands
+    of K: each banded factor of `_band_factors` solved dense
+    (`_dense_factor`)."""
+    return [_dense_factor(f) for f in _band_factors(kb, mass, dt)]
 
 
 @functools.lru_cache
@@ -167,14 +229,26 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     out[0] is also the scratch of w.  Forward, on (u, v): w = 2u + dt v,
     y = d w, then u + dt v + y and v + (2/dt) y.  Transposed, on (a, b):
     w = dt a + 2b, r = d^T w, then a + (2/dt) r and b + dt a + r.  Both
-    are exactly the products with the map of `_factor_from_bands`, done
+    are exactly the products with the map of `_factors_from_bands`, done
     as three matrix products and no temporaries; `walk` is the one caller.
+    A `BandedFactor` d steps transposed only, its r from
+    `apply_transposed`.
+
+    Raises:
+        InvalidArgumentError: a forward step of a banded factor.
     """
+    banded = isinstance(d, BandedFactor)
+    if banded and not transpose:
+        raise InvalidArgumentError("a banded step factor steps transposed "
+                                   "only; build the dense chain")
     w_rows, out_rows = _step_rows(dt, transpose)
     flat = buf.reshape(3, -1)
     w = out[0]
     np.matmul(w_rows, flat[:2], out=w.reshape(1, -1))
-    np.matmul(d.T if transpose else d, w, out=buf[2])
+    if banded:
+        d.apply_transposed(w, buf[2])
+    else:
+        np.matmul(d.T if transpose else d, w, out=buf[2])
     np.matmul(out_rows, flat, out=out.reshape(2, -1))
 
 
@@ -187,7 +261,8 @@ class PropagatorFactorization:
     through `step_rule`; the same array object may be shared between steps
     when the generator is time independent.  A window is a range i0..i1 of
     step indices (see `walk`).  The H-adjoint U*(t, tau) is applied from
-    the same factors by `apply_adjoint`.
+    the same factors by `apply_adjoint`.  The steps of a banded chain
+    (`build_banded`) are `BandedFactor`s, which walk transposed only.
     """
 
     dt: float
@@ -265,23 +340,46 @@ class PropagatorFactorization:
         return self.g.mh_solve(self.apply(self.g.mh_apply(y), transpose=True))
 
 
-def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
-                     dt: float) -> PropagatorFactorization:
-    """The factors D_k of n_steps steps of dt from t = 0.  D_k is the
-    increment factor of the Cayley map of L(t_k + dt/2): it depends on
-    lam's c(t) and profile, the Grams, dt and k alone, and is one shared
-    factor when the generator does not depend on time.  The bands of
-    `stack_size` steps at a time are computed in one pass."""
+def distinct_factors(lam: TractiveForce, n_steps: int) -> int:
+    """How many distinct factors a chain of n_steps steps under lam holds:
+    one shared factor when the generator does not depend on time, else
+    one a step."""
+    return 1 if lam.autonomous else n_steps
+
+
+def _chain(lam: TractiveForce, g: GramSet, n_steps: int, dt: float,
+           factors) -> PropagatorFactorization:
+    """n_steps steps of dt from t = 0, the factors of each stack of
+    `stack_size` steps' bands made by `factors(kb, mass, dt)`: the step
+    k factor is that of the Cayley map of L(t_k + dt/2), shared as
+    `distinct_factors` counts."""
     b_bands = to_bands(g.B)
-    mids = [0.5 * dt] if lam.autonomous else \
-        [(k + 0.5) * dt for k in range(n_steps)]
+    mids = [(k + 0.5) * dt for k in range(distinct_factors(lam, n_steps))]
     size, steps = stack_size(b_bands.nbytes), []
     for k0 in range(0, len(mids), size):
-        steps += _factors_from_bands(
+        steps += factors(
             b_bands - tension_bands(lam, mids[k0:k0 + size], g), g.M, dt)
     if lam.autonomous:
         steps *= n_steps
     return PropagatorFactorization(float(dt), steps, g)
+
+
+def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
+                     dt: float) -> PropagatorFactorization:
+    """The dense factors D_k of n_steps steps of dt from t = 0.  D_k is
+    the increment factor of the Cayley map of L(t_k + dt/2): it depends
+    on lam's c(t) and profile, the Grams, dt and k alone, and is one
+    shared factor when the generator does not depend on time.  The bands
+    of `stack_size` steps at a time are computed in one pass."""
+    return _chain(lam, g, n_steps, dt, _factors_from_bands)
+
+
+def build_banded(lam: TractiveForce, g: GramSet, n_steps: int,
+                 dt: float) -> PropagatorFactorization:
+    """`build_propagator`'s chain with every factor kept banded
+    (`BandedFactor`): O(m) numbers a step instead of m^2, and no dense
+    solve, for transposed walks only."""
+    return _chain(lam, g, n_steps, dt, _band_factors)
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,

@@ -27,7 +27,9 @@ A block that keeps only observables is not stepped at all where the
 scene's mild sum (`mild_sum`) is small enough: the scheme is linear and
 its noise additive, so one backward sweep of the observables' premetric
 images gives every path's mean and the weights of its draws, and a
-block costs its draws and one product per chunk of them.
+block costs its draws and one product per chunk of them.  That sweep
+steps from the banded step factors (`Scene.bands`); the dense ones
+(`Scene.P`) are built only where something walks the chain forward.
 `ensemble_blocks` runs fixed-size blocks on forked worker processes,
 capped at the usable CPUs, and hands them out in block order, and
 `ensemble_run`, the one moment fold, merges their accumulators in that
@@ -54,7 +56,8 @@ from .noise import (NoiseModel, adjoint_sweep, block_draws,
                     build_noise_model, step_increments)
 from .operators import (StabilityConstants, TractiveForce,
                         estimate_constants, profile_T, weak_pair)
-from .propagator import PropagatorFactorization, build_propagator
+from .propagator import (PropagatorFactorization, build_banded,
+                         build_propagator, distinct_factors)
 
 #: paths per vectorized block.  Fixed (not derived from the worker count)
 #: so that per-block arithmetic is identical for any number of processes.
@@ -67,17 +70,35 @@ class Scene:
 
     The fields are assembled by `build_scene`; the cached properties are
     built on first use and then kept, so a command that never steps a
-    path builds no loads, initial state or observables.  `propagator`
-    hands out propagators of other lengths and steps and keeps none.
+    path builds no loads, initial state or observables, and one that
+    only sweeps its observables' images back (`mild`) builds no dense
+    step factor.  `propagator` hands out propagators of other lengths
+    and steps and keeps none.
     """
 
     cfg: SimulationConfig
     grid: BeamGrid
     g: GramSet = field(repr=False)
     lam: TractiveForce
-    P: PropagatorFactorization = field(repr=False)
     model: Optional[NoiseModel] = field(repr=False, default=None)
     shift: Optional[np.ndarray] = None  # (n+2, 3) slope lift, nonhomogeneous only
+
+    @functools.cached_property
+    def P(self) -> PropagatorFactorization:
+        """The run's chain of dense step factors (`build_propagator`)."""
+        return build_propagator(self.lam, self.g, self.cfg.n_steps,
+                                self.cfg.dt)
+
+    @functools.cached_property
+    def bands(self) -> PropagatorFactorization:
+        """The run's chain of banded step factors (`build_banded`), which
+        walks transposed only."""
+        return build_banded(self.lam, self.g, self.cfg.n_steps, self.cfg.dt)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        """The grid times t_k = k dt, k = 0..n_steps, as `P.times`."""
+        return float(self.cfg.dt) * np.arange(self.cfg.n_steps + 1)
 
     def propagator(self, n_steps: int, dt: float) -> PropagatorFactorization:
         """n_steps factors of step dt of `lifted`: a prefix of P, sharing
@@ -138,13 +159,13 @@ class Scene:
 
 
 def build_scene(cfg: SimulationConfig) -> Scene:
-    """Assemble grid, Gram matrices, tension, propagator and noise model."""
+    """Assemble grid, Gram matrices, tension and noise model; the step
+    factors are built on first use (`Scene.P`, `Scene.bands`)."""
     grid = build_grid(cfg.l, cfg.n)
     g = build_grams(grid, cfg.b)
     # with the horizon T, evaluation outside [0, T] raises, not extrapolates
     lam = TractiveForce(family=cfg.lam_family, c0=cfg.lam_c0, c1=cfg.lam_c1,
                         freq=cfg.lam_freq, table=cfg.lam_table, horizon=cfg.T)
-    P = build_propagator(lam, g, cfg.n_steps, cfg.dt)
     model = None
     if cfg.sigma > 0:
         model = build_noise_model(grid, spectrum=cfg.spectrum, K=cfg.K,
@@ -155,8 +176,7 @@ def build_scene(cfg: SimulationConfig) -> Scene:
     if cfg.bc_kind == "nonhomogeneous":
         shift = np.zeros((grid.n + 2, 3))
         shift[:, 2] = grid.nodes - grid.l
-    return Scene(cfg=cfg, grid=grid, g=g, lam=lam, P=P, model=model,
-                 shift=shift)
+    return Scene(cfg=cfg, grid=grid, g=g, lam=lam, model=model, shift=shift)
 
 
 def build_forces(scene: Scene) -> np.ndarray:
@@ -180,7 +200,7 @@ def build_forces(scene: Scene) -> np.ndarray:
     elif cfg.fdet_family == "expression":
         exprs = [compile_expression(e) for e in
                  (cfg.fdet_expr1, cfg.fdet_expr2, cfg.fdet_expr3)]
-    times = scene.P.times
+    times = scene.times
     time_dep = exprs is not None or (
         scene.shift is not None and not scene.lam.autonomous)
 
@@ -325,7 +345,7 @@ def weak_residual(scene: Scene, history: np.ndarray,
     check_membership(h.u, "h4bc", g, what="test displacement")
     check_membership(h.u, "h2bc", g, what="test displacement")
     check_membership(h.v, "h2bc", g, what="test velocity")
-    times = scene.P.times
+    times = scene.times
     hp = h.packed()
 
     pair_vals = np.array([packed_h_inner(y, hp, g) for y in history])
@@ -362,7 +382,7 @@ class EnsembleStats:
 
     @property
     def times(self) -> np.ndarray:
-        return self.scene.P.times[self.scene.obs_steps]
+        return self.scene.times[self.scene.obs_steps]
 
     @property
     def variance_defined(self) -> bool:
@@ -391,10 +411,11 @@ class MildSum(NamedTuple):
 
 
 def mild_sum(scene: Scene) -> Optional[MildSum]:
-    """The scene's observables as a mild sum, from one `adjoint_sweep`;
+    """The scene's observables as a mild sum, from one `adjoint_sweep` of
+    the banded chain (`Scene.bands`), so no dense step factor is built;
     None without noise, and when the weights, nc n_steps K n_obs n_times
-    numbers for the nc channels read, outnumber the entries of the step
-    factors the chain holds: m^2 each, n_steps of them under a
+    numbers for the nc channels read, outnumber the entries of the dense
+    step factors a stepped run holds: m^2 each, n_steps of them under a
     time-dependent tension and one under an autonomous one.
 
     For the scheme X_{k+1} = G_k (X_k + dt F_k) + sigma A xi_k the pairing
@@ -417,12 +438,12 @@ def mild_sum(scene: Scene) -> Optional[MildSum]:
         return None
     mh, k, ch, K = scene.obs_mh, scene.obs_steps, scene.obs_channels, model.K
     nc, cols = len(range(3)[ch]), len(mh) * len(k)
-    factors = len({id(d) for d in scene.P.steps})
+    factors = distinct_factors(scene.lam, cfg.n_steps)
     if nc * cfg.n_steps * K * cols > factors * m * m:
         return None
     weights = np.empty((nc, cfg.n_steps * K, cols))
     loads = np.zeros((len(mh), len(k)))
-    for j, z, dots, acc in adjoint_sweep(scene.P, model, mh, k):
+    for j, z, dots, acc in adjoint_sweep(scene.bands, model, mh, k):
         # z_j . F_j enters the sample steps after j; F acts on velocities
         loads += (j < k) * np.einsum("icon,ic->on", z[m:],
                                      scene.forces[j][m:])
@@ -621,10 +642,11 @@ def _handout(scene: Scene, keep_history: bool):
     n = scene.cfg.n_paths
     spans = [(p0, min(n, p0 + BLOCK_PATHS)) for p0 in range(0, n, BLOCK_PATHS)]
     workers = block_workers(scene.cfg.threads, len(spans))
-    # build the shared arrays here, so that every worker inherits them
+    # build the shared arrays here, so that every worker inherits them:
+    # the dense chain only where the blocks are stepped
     scene.forces, scene.x0p, scene.obs_mh, scene.obs_steps
-    if not keep_history:
-        scene.mild
+    if keep_history or scene.mild is None:
+        scene.P
     if workers == 1:
         yield
         for p0, p1 in spans:

@@ -446,9 +446,12 @@ def run_checks(cfg: SimulationConfig) -> List[CheckResult]:
     """Run every structural check against one configuration.
 
     A check that raises is reported as failed with the exception text
-    rather than aborting the batch.
+    rather than aborting the batch.  The scene's dense chain, which most
+    checks walk, is built first, so a chain that cannot be built stops
+    the batch with its error.
     """
     scene = build_scene(cfg)
+    scene.P
     results = []
     for check in _CHECKS:
         try:

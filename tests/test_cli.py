@@ -289,14 +289,23 @@ def test_trace_check_bound_carries_the_growth_constant(tmp_path, capsys):
 
 
 def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):
-    calls = []
-    build = solver.build_propagator
-    monkeypatch.setattr(solver, "build_propagator",
-                        lambda *a: calls.append(a) or build(*a))
+    """One scene, and on the mild route no dense chain: its sweep walks
+    the banded factors."""
+    scenes, chains = [], []
+
+    def counted(calls, build):
+        return lambda *a: calls.append(build(*a)) or calls[-1]
+
+    for owner, name, calls in ((solver, "build_scene", scenes),
+                               (cli, "build_scene", scenes),
+                               (solver, "build_propagator", chains)):
+        monkeypatch.setattr(owner, name, counted(calls, getattr(owner, name)))
     cfg_path = _write_cfg(tmp_path, TINY)
     assert main(["covariance", "--config", cfg_path,
                  "--out", str(tmp_path / "c")]) == 0
-    assert len(calls) == 1
+    assert len(scenes) == 1
+    assert chains == []
+    assert "P" not in vars(scenes[0]) and "bands" in vars(scenes[0])
     capsys.readouterr()
 
 
@@ -422,6 +431,25 @@ def test_verify_without_out_writes_no_manifest(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--config", cfg_path]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
+def test_verify_stops_on_a_chain_that_cannot_be_built(tmp_path, capsys):
+    """configs/default.cfg with a finite lambda.c0 whose tension bands
+    overflow: `verify` exits 1 with the chain's error, once, before any
+    check runs, and prints no table and writes no manifest."""
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    text, count = re.subn(r"^lambda\.c0 = .*$", "lambda.c0 = 1e308",
+                          default.read_text(), flags=re.M)
+    assert count == 1
+    cfg_path = _write_cfg(tmp_path, text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["verify", "--config", cfg_path,
+                     "--out", str(tmp_path / "v")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cayley resolvent has non-finite entries\n"
+    assert not (tmp_path / "v").exists()
 
 
 def test_seed_beyond_u64_is_a_config_error(tmp_path, capsys):
@@ -914,11 +942,17 @@ def test_a_mode_too_rough_for_the_grid_is_a_config_error(tmp_path, capsys,
 #: threading.active_count() at each fork of this process, while a test
 #: sets it to a list
 _fork_threads = None
+#: the scenes a test has built; at each fork, while a test sets it to a
+#: list, whether the newest of them holds its dense chain
+_scenes = []
+_fork_chains = None
 
 
 def _note_fork():
     if _fork_threads is not None:
         _fork_threads.append(threading.active_count())
+    if _fork_chains is not None:
+        _fork_chains.append("P" in vars(_scenes[-1]))
 
 
 os.register_at_fork(before=_note_fork)
@@ -940,3 +974,35 @@ def test_block_workers_fork_before_any_thread(tmp_path, monkeypatch):
         assert _fork_threads == [1, 1, 1, 1]
     finally:
         _fork_threads = None
+
+
+def test_stepped_blocks_fork_with_the_dense_chain_built(tmp_path,
+                                                        monkeypatch):
+    """At two workers the parent builds the dense chain before it forks
+    where the blocks are stepped, so the workers share it: `simulate`,
+    and `covariance` where its weights outgrow the one factor of an
+    autonomous tension (1 x 5 x 6 > 81 per step at obs_stride 1).  A
+    `covariance` run on the mild route forks without it."""
+    global _fork_chains
+    text = TINY.replace("run.N = 2", "run.N = 600\nrun.threads = 2")
+    stepped = text.replace("lambda.family = bump", "lambda.family = zero") \
+        .replace("run.obs_stride = 2", "run.obs_stride = 1")
+    assert build_scene(parse_config(text)).mild is not None
+    assert build_scene(parse_config(stepped)).mild is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    build = solver.build_scene
+    monkeypatch.setattr(solver, "build_scene",
+                        lambda cfg: _scenes.append(build(cfg)) or _scenes[-1])
+    monkeypatch.setattr(cli, "build_scene", solver.build_scene)
+    _fork_chains = []
+    try:
+        for command, cfg_text, built in (("simulate", text, True),
+                                         ("covariance", stepped, True),
+                                         ("covariance", text, False)):
+            _fork_chains.clear()
+            assert main([command, "--config", _write_cfg(tmp_path, cfg_text),
+                         "--out", str(tmp_path / command)]) == 0
+            assert _fork_chains == [built, built]
+    finally:
+        _fork_chains = None
+        _scenes.clear()

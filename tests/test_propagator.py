@@ -22,7 +22,8 @@ from stobeam.propagator import (PropagatorFactorization,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
                                 picard_evolution, step_rule,
-                                _factors_from_bands)
+                                _band_factors, _factors_from_bands,
+                                build_banded)
 from stobeam.solver import bending_mode_state, sine_mode_state
 
 from conftest import build_T
@@ -300,6 +301,96 @@ def test_kernel_warns_on_singular_resolvent(g16):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
     with pytest.warns(UserWarning, match="nearly singular"):
         _factors_from_bands(kb[None], g16.M, dt)
+    # the banded factors, which a transposed sweep steps from, warn too
+    with pytest.warns(UserWarning, match="nearly singular"):
+        _band_factors(kb[None], g16.M, dt)
+
+
+def test_an_exactly_singular_resolvent_is_refused(g16):
+    """A zero pivot of A (node 0 decoupled and its mass cancelled
+    exactly: h^2 = 2^-20) warns and is refused as a non-finite factor, by
+    the banded factors as by the dense ones, whose solve would divide by
+    it."""
+    dt = 2.0 ** -9
+    bw = STIFFNESS_BANDWIDTH
+    kb = to_bands(g16.B)
+    kb[bw, 0] = -g16.M[0] * 2.0 ** 20
+    for d in range(1, bw + 1):
+        kb[bw - d, d] = kb[bw + d, 0] = 0.0
+    for build in (_factors_from_bands, _band_factors):
+        with pytest.warns(UserWarning, match=r"rcond=0\.00e\+00"), \
+                pytest.raises(InvalidArgumentError, match="non-finite"):
+            build(kb[None], g16.M, dt)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lam", [TractiveForce(family="bump", c0=1.0), LAM],
+                         ids=["autonomous", "modulated"])
+def test_banded_chain_steps_transposed_as_the_dense_one(n, lam):
+    """A banded chain shares its factors as the dense chain does, over
+    more than two stacks of bands; its transposed steps agree with the
+    dense ones to rounding, and it refuses to step forward."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    banded = build_banded(lam, g, 150, 1e-3)
+    want = build_propagator(lam, g, 150, 1e-3)
+    assert len({id(d) for d in banded.steps}) == \
+        len({id(d) for d in want.steps}) == (1 if lam.autonomous else 150)
+    eye = np.eye(2 * g.m)
+    ref = want.apply(eye, 140, 150, transpose=True)
+    err = np.abs(banded.apply(eye, 140, 150, transpose=True) - ref)
+    assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
+    with pytest.raises(InvalidArgumentError, match="transposed only"):
+        banded.apply(eye, 0, 1)
+
+
+def _extended_variance(g, model, h, n_steps, dt, steps):
+    """`ito_variance`'s quadrature over an extended-precision transposed
+    Cayley walk of LAM: each step's G^T z = (I + hL)^T (I - hL)^-T z
+    solved against the float64 LU of (I - hL)^T and refined twice with
+    residuals in np.longdouble, as `_extended_cayley` refines the map."""
+    m, k = g.m, np.asarray(steps)
+    eye = np.eye(2 * m, dtype=np.longdouble)
+    z = np.zeros((2 * m, 3, len(k)), dtype=np.longdouble)
+    mh = g.mh_apply(h.packed()).astype(np.longdouble)
+    e, q = model.e_red.astype(np.longdouble), model.q.astype(np.longdouble)
+    acc = np.zeros(len(k), dtype=np.longdouble)
+    f1 = np.zeros_like(acc)
+    for j in range(n_steps, -1, -1):
+        z[..., k == j] = mh[..., None]
+        dots = np.einsum("ik,icn->kcn", e, z[m:])
+        f = model.sigma ** 2 * np.einsum("k,kcn->n", q, dots * dots)
+        acc += (j < k) * (np.longdouble(dt) * (f + f1) / 2)
+        f1 = f
+        if j == 0:
+            break
+        mat = _generator(g, build_T(LAM, (j - 0.5) * dt, g))
+        hl = np.longdouble(0.5) * np.longdouble(dt) * \
+            mat.astype(np.longdouble)
+        lu = lu_factor((np.eye(2 * m) - 0.5 * dt * mat).T)
+        flat = z.reshape(2 * m, -1)
+        y = lu_solve(lu, flat.astype(float)).astype(np.longdouble)
+        for _ in range(2):
+            y += lu_solve(lu, (flat - (eye - hl).T @ y).astype(float))
+        z = ((eye + hl).T @ y).reshape(z.shape)
+    return acc
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_banded_sweep_is_no_less_accurate_than_dense(n):
+    """The Ito quadrature of a banded chain's transposed sweep lies within
+    twice the dense chain's error of an extended-precision walk, over
+    100 steps of the bump tension, at the worst of three sample steps.
+    Measured, relative: 2.1e-14 against 2.1e-14 at n = 16, and 4.9e-12
+    against 4.6e-12 at n = 64."""
+    g = build_grams(build_grid(1.0, n), 1.0)
+    model = build_noise_model(g.grid, "k^-2", 12, sigma=1.0)
+    h = sine_mode_state(g.grid, 1, 3, "v")
+    steps, dt = [25, 60, 100], 1e-3
+    ref = _extended_variance(g, model, h, 100, dt, steps)
+    errs = [float(np.max(np.abs(ito_variance(build(LAM, g, 100, dt), model,
+                                             h, steps) - ref) / ref))
+            for build in (build_banded, build_propagator)]
+    assert errs[0] <= 2 * errs[1], errs
 
 
 def test_cayley_step_rejects_a_zero_step(g16):
@@ -355,12 +446,14 @@ def test_factorization_guards(g16, monkeypatch):
 
     monkeypatch.setattr(propagator, "tension_bands", infinite_last)
     for lam, built in ((TractiveForce(family="bump", c0=1.0), 1), (LAM, 40)):
-        times.clear()
-        with pytest.raises(InvalidArgumentError, match="non-finite"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            build_propagator(lam, g16, 40, 1e-2)
-        assert len(times) == built
+        # the banded chain refuses it as the dense one does
+        for build in (build_propagator, build_banded):
+            times.clear()
+            with pytest.raises(InvalidArgumentError, match="non-finite"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                build(lam, g16, 40, 1e-2)
+            assert len(times) == built
 
 
 def test_windows_are_step_ranges_within_the_grid(g16, grid16):

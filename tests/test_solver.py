@@ -640,10 +640,11 @@ def test_stepped_route_builds_no_weights():
     """Where the weights would outgrow a factor (mc-covariance sampled at
     every step: 251 x 250 x 12 of them, 6.0 MB), the paths are stepped and
     nothing of that size is built: the traced peak of a 16-path run, its
-    scene built beforehand, stays below a tenth of it."""
+    scene and dense chain built beforehand, stays below a tenth of it."""
     cfg = dataclasses.replace(parse_config(MC_CFG), observables=("1:3:v",),
                               obs_stride=1, n_paths=16, threads=1)
     sc = build_scene(cfg)
+    sc.P
     weights = len(sc.obs_steps) * cfg.n_steps * cfg.K * 8
     tracemalloc.start()
     try:
@@ -656,14 +657,20 @@ def test_stepped_route_builds_no_weights():
     assert peak < weights / 10, (peak, weights)
 
 
-def test_mild_block_blowup_is_the_stepped_one(monkeypatch):
+def _mild_blowup(monkeypatch, threads):
     """An infinite draw of path 5 at a step of the second chunk leaves
     the mild sum of its block non-finite; the block is then stepped, so
     `ensemble_run` raises the stepped route's BlowupError, with the same
-    path, step and last finite H-norm."""
+    path, step and last finite H-norm.  The stepped block builds the
+    dense chain in the scene it runs on: the parent's inline, and a
+    worker's own at two workers, which the parent's does not see."""
     cfg = parse_config(STOCH.replace("time.T = 0.05", "time.T = 0.4")
                        .replace("run.obs_stride = 5", "run.obs_stride = 40")
-                       .replace("1:3:v,2:1:v", "1:3:v") + "run.N = 8\n")
+                       .replace("1:3:v,2:1:v", "1:3:v")
+                       + f"run.N = {8 if threads == 1 else 300}\n")
+    cfg = dataclasses.replace(cfg, threads=threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert solver.block_workers(threads, 1 + cfg.n_paths // 256) == threads
     assert cfg.n_steps > noise.CHUNK_STEPS + 3
     assert build_scene(cfg).mild is not None
     draw = noise.NoiseModel.draw_xi
@@ -677,12 +684,25 @@ def test_mild_block_blowup_is_the_stepped_one(monkeypatch):
     monkeypatch.setattr(noise.NoiseModel, "draw_xi", poisoned)
     with np.errstate(invalid="ignore"), \
             pytest.raises(BlowupError) as stepped:
-        _block_worker(build_scene(cfg), 0, 8, False)
+        _block_worker(build_scene(cfg), 0, min(cfg.n_paths, 256), False)
     assert str(stepped.value).startswith(
         "path 5 became non-finite at step 132; last finite H-norm ")
+    scenes = []
+    monkeypatch.setattr(solver, "build_scene",
+                        lambda cfg: scenes.append(build_scene(cfg))
+                        or scenes[-1])
     with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as mild:
         ensemble_run(cfg)
     assert str(mild.value) == str(stepped.value)
+    assert ("P" in vars(scenes[0])) == (threads == 1)
+
+
+def test_mild_block_blowup_is_the_stepped_one(monkeypatch):
+    _mild_blowup(monkeypatch, 1)
+
+
+def test_mild_block_blowup_in_a_worker_is_the_stepped_one(monkeypatch):
+    _mild_blowup(monkeypatch, 2)
 
 
 @pytest.mark.parametrize("stride", [5, 1], ids=["mild", "stepped"])
@@ -818,9 +838,9 @@ def test_ensemble_blocks_arrive_in_order_from_a_bounded_window(monkeypatch):
 
 def _block_peak(cfg):
     """tracemalloc peak of one 64-path block without history, the scene's
-    shared arrays built beforehand."""
+    shared arrays, its dense chain included, built beforehand."""
     sc = build_scene(cfg)
-    sc.forces, sc.x0p, sc.obs_mh, sc.obs_steps
+    sc.forces, sc.x0p, sc.obs_mh, sc.obs_steps, sc.P
     tracemalloc.start()
     try:
         _block_worker(sc, 0, 64, False)

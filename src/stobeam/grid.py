@@ -36,7 +36,8 @@ import numpy as np
 from scipy.linalg import cholesky, eigh
 from scipy.linalg.lapack import dpotrs as _potrs
 
-from .errors import InvalidArgumentError, PreconditionError, ShapeError
+from .errors import AssemblyError, InvalidArgumentError, PreconditionError, \
+    ShapeError
 
 #: hard tolerance factor for stored value constraints
 BC_VALUE_RTOL = 1e-8
@@ -129,8 +130,14 @@ class GramSet:
 
     @functools.cached_property
     def bending_modes(self) -> tuple:
-        """Ascending eigenvalues and M-orthonormal eigenvectors of (B, M)."""
-        return eigh(self.B, np.diag(self.M))
+        """Ascending eigenvalues and M-orthonormal eigenvectors of (B, M);
+        AssemblyError where eigh fails (eigenvalues ~ b/h^4 overflow)."""
+        try:
+            return eigh(self.B, np.diag(self.M))
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"bending modes of (B, M) failed at grid "
+                                f"spacing h = {self.grid.h:.3g} (beam.l = "
+                                f"{self.grid.l:.3g}): {exc}") from exc
 
     def B_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve B x = rhs by LAPACK potrs on `B_chol`."""

@@ -23,17 +23,17 @@ four blocks, so a step stores D, not G: a quarter of the storage, and
 `step_rule` applies G or G^T with one (m x m) product instead of a
 (2m x 2m) one.  D is one banded LU of A solved against -h^2 K, so a step
 costs O(m^2) to build instead of the O(m^3) of a dense (2m)x(2m) LU.  The
-set-up is batched: the band arithmetic of a run of steps (c(t_k), the
-tension bands, A and its norm) is one vectorized pass, and per factor
-only LAPACK's gbtrf and gbcon run, which give its `BandedFactor`: the
-band of h^2 K and the LU of A.  A dense chain (`build_propagator`) then
-solves each D in place, on the zeroed array that becomes D: stepping a
-block of paths is one dense matmul per step, which beats applying banded
-factors to it.  A banded chain (`build_banded`) keeps the banded
-factors, O(m) numbers a step, and walks transposed only, for sweeps of
-a few columns: there D^T w is one transposed gbtrs and one band product,
-about twice the dense product's time at m = 257 and 15 columns, while
-the dense D's solve and its m^2 numbers are not made at all.
+set-up is batched: `build_banded`, the one builder, does the band
+arithmetic of a run of steps (c(t_k), the tension bands, A and its norm)
+in one vectorized pass, and per factor only LAPACK's gbtrf and gbcon,
+which give its `BandedFactor`: the band of h^2 K and the LU of A, O(m)
+numbers.  That chain walks transposed only, for sweeps of a few columns:
+D^T w is one transposed gbtrs and one band product, about twice the
+dense product's time at m = 257 and 15 columns, and the dense D's solve
+and its m^2 numbers are not made at all.  A dense chain
+(`build_propagator`) replaces each factor in place by its D, solved on
+the zeroed array that becomes D: stepping a block of paths is one dense
+matmul per step, which beats applying banded factors to it.
 
 The family is kept on the grid t_k = k dt as the ordered list of its
 per-step factors; a window is a range i0..i1 of step indices, the only
@@ -80,7 +80,7 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_ITER = 60
 
 
-#: bytes of one array of a stacked pass: `build_propagator` computes the
+#: bytes of one array of a stacked pass: `build_banded` computes the
 #: bands of that many bytes of steps at once, and a stack of states or
 #: images holds that many, so a pass dispatches few calls on narrow grids
 #: and adds little to the peak memory on wide ones
@@ -197,14 +197,6 @@ def _dense_factor(f: BandedFactor) -> np.ndarray:
     return d
 
 
-def _factors_from_bands(kb: np.ndarray, mass: np.ndarray,
-                        dt: float) -> List[np.ndarray]:
-    """The dense increment factors D of a stack (s, 2 bw + 1, m) of bands
-    of K: each banded factor of `_band_factors` solved dense
-    (`_dense_factor`)."""
-    return [_dense_factor(f) for f in _band_factors(kb, mass, dt)]
-
-
 @functools.lru_cache
 def _step_rows(dt: float, transpose: bool):
     """The row that forms w and the two rows that form the result in
@@ -229,7 +221,7 @@ def step_rule(d: np.ndarray, dt: float, buf: np.ndarray, out: np.ndarray,
     out[0] is also the scratch of w.  Forward, on (u, v): w = 2u + dt v,
     y = d w, then u + dt v + y and v + (2/dt) y.  Transposed, on (a, b):
     w = dt a + 2b, r = d^T w, then a + (2/dt) r and b + dt a + r.  Both
-    are exactly the products with the map of `_factors_from_bands`, done
+    are exactly the products with the map of `_dense_factor`'s D, done
     as three matrix products and no temporaries; `walk` is the one caller.
     A `BandedFactor` d steps transposed only, its r from
     `apply_transposed`.
@@ -347,17 +339,18 @@ def distinct_factors(lam: TractiveForce, n_steps: int) -> int:
     return 1 if lam.autonomous else n_steps
 
 
-def _chain(lam: TractiveForce, g: GramSet, n_steps: int, dt: float,
-           factors) -> PropagatorFactorization:
-    """n_steps steps of dt from t = 0, the factors of each stack of
-    `stack_size` steps' bands made by `factors(kb, mass, dt)`: the step
-    k factor is that of the Cayley map of L(t_k + dt/2), shared as
-    `distinct_factors` counts."""
+def build_banded(lam: TractiveForce, g: GramSet, n_steps: int,
+                 dt: float) -> PropagatorFactorization:
+    """The banded factors (`BandedFactor`) of n_steps steps of dt from
+    t = 0, for transposed walks only.  Step k's is that of the Cayley map
+    of L(t_k + dt/2), which depends on lam's c(t) and profile, the Grams,
+    dt and k alone, shared as `distinct_factors` counts; the bands of
+    `stack_size` steps at a time are one `_band_factors` pass."""
     b_bands = to_bands(g.B)
     mids = [(k + 0.5) * dt for k in range(distinct_factors(lam, n_steps))]
     size, steps = stack_size(b_bands.nbytes), []
     for k0 in range(0, len(mids), size):
-        steps += factors(
+        steps += _band_factors(
             b_bands - tension_bands(lam, mids[k0:k0 + size], g), g.M, dt)
     if lam.autonomous:
         steps *= n_steps
@@ -366,20 +359,16 @@ def _chain(lam: TractiveForce, g: GramSet, n_steps: int, dt: float,
 
 def build_propagator(lam: TractiveForce, g: GramSet, n_steps: int,
                      dt: float) -> PropagatorFactorization:
-    """The dense factors D_k of n_steps steps of dt from t = 0.  D_k is
-    the increment factor of the Cayley map of L(t_k + dt/2): it depends
-    on lam's c(t) and profile, the Grams, dt and k alone, and is one
-    shared factor when the generator does not depend on time.  The bands
-    of `stack_size` steps at a time are computed in one pass."""
-    return _chain(lam, g, n_steps, dt, _factors_from_bands)
-
-
-def build_banded(lam: TractiveForce, g: GramSet, n_steps: int,
-                 dt: float) -> PropagatorFactorization:
-    """`build_propagator`'s chain with every factor kept banded
-    (`BandedFactor`): O(m) numbers a step instead of m^2, and no dense
-    solve, for transposed walks only."""
-    return _chain(lam, g, n_steps, dt, _band_factors)
+    """`build_banded`'s chain with each factor replaced in place by its
+    dense D (`_dense_factor`), for chains that step forward; a shared
+    factor is solved once and stays shared."""
+    P = build_banded(lam, g, n_steps, dt)
+    banded = None
+    for k, f in enumerate(P.steps):
+        if f is not banded:
+            d, banded = _dense_factor(f), f
+        P.steps[k] = d
+    return P
 
 
 def backward_adjoint_apply(lam: TractiveForce, g: GramSet, y: np.ndarray,

@@ -289,8 +289,10 @@ def test_trace_check_bound_carries_the_growth_constant(tmp_path, capsys):
 
 
 def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):
-    """One scene, and on the mild route no dense chain: its sweep walks
-    the banded factors."""
+    """One scene and one chain: on the mild route the banded chain, which
+    its sweep walks, and no dense chain; on the stepped route
+    (MC_COVARIANCE sampled at every step, whose weights outgrow the
+    chain) the dense chain and no banded one.  No run builds both."""
     scenes, chains = [], []
 
     def counted(calls, build):
@@ -300,12 +302,17 @@ def test_covariance_builds_the_scene_once(tmp_path, monkeypatch, capsys):
                                (cli, "build_scene", scenes),
                                (solver, "build_propagator", chains)):
         monkeypatch.setattr(owner, name, counted(calls, getattr(owner, name)))
-    cfg_path = _write_cfg(tmp_path, TINY)
-    assert main(["covariance", "--config", cfg_path,
-                 "--out", str(tmp_path / "c")]) == 0
-    assert len(scenes) == 1
-    assert chains == []
-    assert "P" not in vars(scenes[0]) and "bands" in vars(scenes[0])
+    stepped = MC_COVARIANCE.replace("run.obs_stride = 25", "run.obs_stride = 1")
+    for text, chain in ((TINY, "bands"), (stepped, "P")):
+        scenes.clear()
+        chains.clear()
+        cfg_path = _write_cfg(tmp_path, text)
+        assert main(["covariance", "--config", cfg_path,
+                     "--out", str(tmp_path / chain)]) == 0
+        assert len(scenes) == 1
+        assert len(chains) == (chain == "P")
+        assert {name for name in ("P", "bands")
+                if name in vars(scenes[0])} == {chain}
     capsys.readouterr()
 
 
@@ -919,6 +926,32 @@ def test_a_value_whose_power_leaves_the_doubles_is_a_config_error(
         assert f"key '{key}'" in err and f"line {line}" in err
         assert "normal double" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_beam_too_short_for_its_bending_modes_exits_one(tmp_path, capsys):
+    """configs/default.cfg at beam.l = 2e-77 parses, but the bending
+    modes' eigenvalues (about b/h^4) leave the doubles and their
+    eigensolver fails: `verify` reports the checks that need them as FAIL,
+    and `simulate` from a bending mode prints one `error:` line naming
+    the grid spacing and beam.l; both exit 1, with no traceback."""
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    text, count = re.subn(r"^beam\.l = .*$", "beam.l = 2e-77",
+                          default.read_text(), flags=re.M)
+    assert count == 1
+    with np.errstate(all="ignore"):
+        assert main(["verify", "--config", _write_cfg(tmp_path, text)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL generator_integral .*bending modes of \(B, M\) "
+                     r"failed at grid spacing h = 1\.18e-78 \(beam\.l = "
+                     r"2e-77\)", out, flags=re.M)
+    mode = _write_cfg(tmp_path, text.replace("init.family = zero",
+                                             "init.family = mode"))
+    assert main(["simulate", "--config", mode,
+                 "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bending modes of (B, M) failed at grid "
+                          "spacing h = 1.18e-78 (beam.l = 2e-77)")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n, mode", [(8, 2), (16, 3)])

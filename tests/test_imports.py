@@ -35,12 +35,17 @@ every one of them passes the same literal constant: the parameter is a
 constant in disguise.  A name defined more than once in the package is
 skipped, since its calls cannot be told apart.
 
+Every backticked `module.name` of README.md whose module is one of the
+package's names a config key or an attribute of that module.
+
 Every stobeam name that `bench/child.py` patches or calls exists:
 `install_tracer` runs in a subprocess, so that its patches stay out of
 this one, and the names the child calls outside it are looked up.
 """
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -286,3 +291,18 @@ def test_bench_child_finds_every_name_it_patches_or_calls():
     proc = subprocess.run([sys.executable, "-B", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_exist():
+    """A README name such as `propagator.build_banded` or `grid.n` that is
+    neither a config key nor an attribute of its module is stale."""
+    from stobeam.config import _KEYS
+    modules = {p.stem for p in MODULES}
+    names = {(mod, name) for mod, name in re.findall(
+        r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+        if mod in modules}
+    assert names
+    stale = sorted(f"{mod}.{name}" for mod, name in names
+                   if f"{mod}.{name}" not in _KEYS and not hasattr(
+                       importlib.import_module(f"stobeam.{mod}"), name))
+    assert stale == []

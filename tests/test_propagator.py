@@ -22,7 +22,7 @@ from stobeam.propagator import (PropagatorFactorization,
                                 build_propagator, cocycle_defect,
                                 duality_defect, generator_residual,
                                 picard_evolution, step_rule,
-                                _band_factors, _factors_from_bands,
+                                _band_factors, _dense_factor,
                                 build_banded)
 from stobeam.solver import bending_mode_state, sine_mode_state
 
@@ -48,8 +48,9 @@ def cayley_step(g, T, dt):
     """Step map of the generator of T (T = 0 gives L0) from the banded
     kernel, the step rule of its increment factor materialized on the
     identity."""
-    d, = _factors_from_bands(to_bands(g.B - T)[None], g.M, dt)
-    return step_matrix(PropagatorFactorization(dt=dt, steps=[d], g=g), 0)
+    f, = _band_factors(to_bands(g.B - T)[None], g.M, dt)
+    return step_matrix(
+        PropagatorFactorization(dt=dt, steps=[_dense_factor(f)], g=g), 0)
 
 
 def _zero(g):
@@ -276,17 +277,27 @@ def _per_step_factors(lam, g, n_steps, dt):
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("lam", [TractiveForce(family="bump", c0=1.0), LAM],
                          ids=["autonomous", "modulated"])
-def test_batched_factors_equal_the_per_step_build(n, lam):
+def test_batched_factors_equal_the_per_step_build(n, lam, monkeypatch):
     """The batched set-up, its bands computed over chunks of steps and
     each factor solved against one reused right-hand side, gives the
     per-step build's factors bit for bit, over 150 steps (more than two
-    chunks), and shares one factor when the tension does not vary."""
+    chunks), and shares one factor when the tension does not vary.  The
+    dense chain is the banded chain's factors solved dense, bit for bit,
+    and a shared factor is solved once."""
     g = build_grams(build_grid(1.0, n), 1.0)
     assert 2 * propagator.stack_size(to_bands(g.B).nbytes) < 150
+    solves = []
+    solve = propagator._dense_factor
+    monkeypatch.setattr(propagator, "_dense_factor",
+                        lambda f: solves.append(f) or solve(f))
     P = build_propagator(lam, g, 150, 1e-3)
+    distinct = 1 if lam.autonomous else 150
+    assert len(solves) == distinct
     want = _per_step_factors(lam, g, 150, 1e-3)
     assert all(np.array_equal(d, w) for d, w in zip(P.steps, want))
-    assert len({id(d) for d in P.steps}) == (1 if lam.autonomous else 150)
+    assert len({id(d) for d in P.steps}) == distinct
+    banded = build_banded(lam, g, 150, 1e-3).steps
+    assert all(np.array_equal(d, solve(f)) for d, f in zip(P.steps, banded))
 
 
 def test_kernel_warns_on_singular_resolvent(g16):
@@ -300,27 +311,22 @@ def test_kernel_warns_on_singular_resolvent(g16):
     for d in range(1, bw + 1):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
     with pytest.warns(UserWarning, match="nearly singular"):
-        _factors_from_bands(kb[None], g16.M, dt)
-    # the banded factors, which a transposed sweep steps from, warn too
-    with pytest.warns(UserWarning, match="nearly singular"):
         _band_factors(kb[None], g16.M, dt)
 
 
 def test_an_exactly_singular_resolvent_is_refused(g16):
     """A zero pivot of A (node 0 decoupled and its mass cancelled
-    exactly: h^2 = 2^-20) warns and is refused as a non-finite factor, by
-    the banded factors as by the dense ones, whose solve would divide by
-    it."""
+    exactly: h^2 = 2^-20) warns and is refused as a non-finite factor
+    when its banded factor is built, before any solve divides by it."""
     dt = 2.0 ** -9
     bw = STIFFNESS_BANDWIDTH
     kb = to_bands(g16.B)
     kb[bw, 0] = -g16.M[0] * 2.0 ** 20
     for d in range(1, bw + 1):
         kb[bw - d, d] = kb[bw + d, 0] = 0.0
-    for build in (_factors_from_bands, _band_factors):
-        with pytest.warns(UserWarning, match=r"rcond=0\.00e\+00"), \
-                pytest.raises(InvalidArgumentError, match="non-finite"):
-            build(kb[None], g16.M, dt)
+    with pytest.warns(UserWarning, match=r"rcond=0\.00e\+00"), \
+            pytest.raises(InvalidArgumentError, match="non-finite"):
+        _band_factors(kb[None], g16.M, dt)
 
 
 @pytest.mark.parametrize("n", [16, 64])

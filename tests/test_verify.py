@@ -330,13 +330,13 @@ def test_verify_factor_builds_per_step_size(monkeypatch):
     saved.  The batched set-up builds a stack of bands' factors in one
     call, so each call counts its stack."""
     dts = []
-    build = propagator._factors_from_bands
+    build = propagator._band_factors
 
     def counted(kb, mass, dt):
         dts.extend([dt] * len(kb))
         return build(kb, mass, dt)
 
-    monkeypatch.setattr(propagator, "_factors_from_bands", counted)
+    monkeypatch.setattr(propagator, "_band_factors", counted)
     run_checks(parse_config(_default_text({})))
     assert collections.Counter(dts) == {0.001: 275, 0.2 / 50: 50,
                                         0.2 / 100: 150}
